@@ -153,7 +153,13 @@ class IndexEntry:
 
 
 class EmbeddingIndex:
-    """Exact-scan dot-product search. Ties break by canonical text ascending."""
+    """Exact-scan dot-product search. Ties break by canonical text ascending,
+    then by entry order.
+
+    Each search is one matrix-vector product over every entry, a partition
+    that finds the k-th best score among the wanted rows, and a sort of only
+    the rows scoring at least that much (the top k and any ties with them).
+    """
 
     def __init__(self, entries: Sequence[IndexEntry], embedder: Embedder):
         self.entries = list(entries)
@@ -162,26 +168,36 @@ class EmbeddingIndex:
             self._matrix = np.stack([e.vector for e in self.entries])
         else:
             self._matrix = np.zeros((0, getattr(embedder, "dim", None) or 0))
+        self._entry_kinds = np.array([e.kind for e in self.entries], dtype=str)
+        # Ascending row numbers for each requested set of kinds.
+        self._rows_by_kinds: dict[frozenset[str], np.ndarray] = {}
 
     def __len__(self) -> int:
         return len(self.entries)
+
+    def _rows(self, kinds: Iterable[str]) -> np.ndarray:
+        key = frozenset(kinds).intersection(_ENTRY_KINDS)
+        rows = self._rows_by_kinds.get(key)
+        if rows is None:
+            rows = np.flatnonzero(np.isin(self._entry_kinds, list(key)))
+            self._rows_by_kinds[key] = rows
+        return rows
 
     def search(self, query_text: str, k: int,
                kinds: Iterable[str] | None = None) -> list[tuple[IndexEntry, float]]:
         if k < 1:
             raise ValueError("k must be at least 1")
-        wanted = None if kinds is None else set(kinds)
-        positions = [i for i, e in enumerate(self.entries)
-                     if wanted is None or e.kind in wanted]
-        if not positions:
+        rows = self._rows(_ENTRY_KINDS if kinds is None else kinds)
+        if len(rows) == 0:
             return []
-        query = self.embedder.embed(query_text)
-        scores = self._matrix[positions] @ query
-        order = sorted(
-            range(len(positions)),
-            key=lambda i: (-scores[i], self.entries[positions[i]].canonical),
-        )
-        return [(self.entries[positions[i]], float(scores[i])) for i in order[:k]]
+        scores = (self._matrix @ self.embedder.embed(query_text))[rows]
+        cut = max(len(scores) - k, 0)
+        picked = np.flatnonzero(scores >= np.partition(scores, cut)[cut])
+        # ``sorted`` is stable and the rows ascend, so equal (score, canonical)
+        # pairs keep entry order.
+        ranked = sorted(zip(scores[picked].tolist(), rows[picked].tolist()),
+                        key=lambda pair: (-pair[0], self.entries[pair[1]].canonical))
+        return [(self.entries[row], score) for score, row in ranked[:k]]
 
 
 def rank_labels(embedder: Embedder, labels: Sequence[str],

@@ -40,6 +40,8 @@ logger = logging.getLogger(__name__)
 
 FAILURE_MESSAGE = "I am sorry, I could not find an answer to your question."
 MAX_FAILED_TRIES = 3
+# Longest plan accepted; with MAX_FAILED_TRIES it bounds the model calls per run.
+MAX_PLAN_STEPS = 16
 
 
 class StepKind(Enum):
@@ -146,12 +148,21 @@ class TraceRecorder:
             self._stream.write(json.dumps(event, ensure_ascii=False, sort_keys=True) + "\n")
 
 
+class _DiscardingRecorder(TraceRecorder):
+    """The engine's recorder when none is given: keeps no events, so a
+    long-lived engine does not grow with every question it answers."""
+
+    def emit(self, event: dict) -> None:
+        pass
+
+
 _PLAN_LINE = re.compile(r"^(?:step\s+)?\d*\s*[-.):*]*\s*(NODE|REL)\s*:\s*(.+)$", re.IGNORECASE)
 
 
 def parse_plan(raw: str) -> ExplorationPlan:
-    """Read NODE:/REL: lines; anything else is ignored. No usable line, or a
-    first step that is not node exploration, raises :class:`PlanParseError`."""
+    """Read NODE:/REL: lines; anything else is ignored. No usable line, more
+    than :data:`MAX_PLAN_STEPS` of them, or a first step that is not node
+    exploration raises :class:`PlanParseError`."""
     steps: list[ExplorationStep] = []
     for line in raw.splitlines():
         match = _PLAN_LINE.match(line.strip())
@@ -162,6 +173,8 @@ def parse_plan(raw: str) -> ExplorationPlan:
         instruction = match.group(2).strip()
         if not instruction:
             continue
+        if len(steps) == MAX_PLAN_STEPS:
+            raise PlanParseError(f"plan has more than {MAX_PLAN_STEPS} steps")
         steps.append(ExplorationStep(len(steps) + 1, kind, instruction))
     if not steps:
         raise PlanParseError("no NODE:/REL: plan lines found")
@@ -239,7 +252,7 @@ class CoEngine:
         self.index = index
         self.provider = provider
         self.limits = limits or Limits()
-        self.trace = trace or TraceRecorder()
+        self.trace = trace if trace is not None else _DiscardingRecorder()
 
     # ------------------------------------------------------------ planning
 

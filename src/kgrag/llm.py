@@ -161,9 +161,22 @@ def _walk_path(data, path: str):
     return current
 
 
+def _is_transient(exc: Exception) -> bool:
+    """Whether a failed HTTP call may succeed if repeated: a connection
+    failure, a timeout, or status 408, 429 or 5xx."""
+    if isinstance(exc, (requests.ConnectionError, requests.Timeout)):
+        return True
+    if isinstance(exc, requests.HTTPError) and exc.response is not None:
+        status = exc.response.status_code
+        return status in (408, 429) or status >= 500
+    return False
+
+
 class HttpChatProvider:
     """POSTs ``{"messages": [...], "temperature": N}`` and pulls the reply
-    text out via a configurable JSON path (default: first choice content)."""
+    text out via a configurable JSON path (default: first choice content).
+    Up to ``retries`` repeats follow a transient failure; any other failure
+    is final at once."""
 
     def __init__(self, endpoint: str, api_key: str | None = None,
                  content_path: str = "choices.0.message.content",
@@ -184,8 +197,9 @@ class HttpChatProvider:
         headers = {"Content-Type": "application/json"}
         if self.api_key:
             headers["Authorization"] = f"Bearer {self.api_key}"
-        last_error: Exception | None = None
-        for attempt in range(self.retries + 1):
+        attempts = 0
+        while True:
+            attempts += 1
             try:
                 response = requests.post(self.endpoint, json=payload,
                                          headers=headers, timeout=self.timeout)
@@ -193,11 +207,11 @@ class HttpChatProvider:
                 data = response.json()
                 break
             except (requests.RequestException, ValueError) as exc:
-                last_error = exc
-                logger.warning("LM call attempt %d failed: %s", attempt + 1, exc)
-        else:
-            raise ProviderError(f"LM endpoint failed after {self.retries + 1} attempts: "
-                                f"{last_error}") from last_error
+                logger.warning("LM call attempt %d failed: %s", attempts, exc)
+                if attempts > self.retries or not _is_transient(exc):
+                    noun = "attempt" if attempts == 1 else "attempts"
+                    raise ProviderError(f"LM endpoint failed after {attempts} {noun}: "
+                                        f"{exc}") from exc
         try:
             content = _walk_path(data, self.content_path)
         except KeyError as exc:

@@ -6,6 +6,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kgrag import (
     EmbeddingIndex,
@@ -21,7 +23,13 @@ from kgrag import (
     rank_labels,
     save_index,
 )
-from kgrag.embedding import DEFAULT_DIM, KIND_NODE, KIND_RELATIONSHIP, NODE_KINDS
+from kgrag.embedding import (
+    DEFAULT_DIM,
+    KIND_HYPERNODE_ENTRY,
+    KIND_NODE,
+    KIND_RELATIONSHIP,
+    NODE_KINDS,
+)
 from http_stub import stub_server
 
 EMBEDDER = HashingEmbedder()
@@ -167,6 +175,59 @@ def test_search_matches_brute_force_oracle():
         assert [r for r, _ in got] == [r for r, _ in expected]
         for (_, got_score), (_, want_score) in zip(got, expected):
             assert got_score == pytest.approx(want_score, abs=1e-12)
+
+
+def test_search_keeps_ties_at_the_cutoff():
+    small = HashingEmbedder(dim=8)
+    tied = small.embed("shared")
+    entries = [IndexEntry("top", KIND_NODE, "shared", tied)] + [
+        IndexEntry(f"t{i}", KIND_NODE, label, tied)
+        for i, label in enumerate(["echo", "Delta", "bravo", "charlie", "alpha"])
+    ] + [IndexEntry("far", KIND_NODE, "zzzz", small.embed("zzzz"))]
+    index = EmbeddingIndex(entries, small)
+    # six rows tie for first; the cut at k=3 falls inside the tie
+    got = [e.text for e, _ in index.search("shared", k=3)]
+    assert got == ["alpha", "bravo", "charlie"]
+
+
+_SEARCH_BASES = ["shared", "alpha", "beta gamma", "married to", "zz", "q"]
+_SEARCH_KINDS = (KIND_NODE, KIND_HYPERNODE_ENTRY, KIND_RELATIONSHIP)
+_SMALL = HashingEmbedder(dim=8)
+
+
+@st.composite
+def _tied_entries(draw) -> list[IndexEntry]:
+    """Groups of entries sharing one vector under distinct labels; labels
+    from a tiny alphabet, so canonical texts also collide across groups."""
+    labels = st.text(alphabet="abAB ", min_size=1, max_size=3).filter(str.strip)
+    entries = []
+    for base in draw(st.lists(st.sampled_from(_SEARCH_BASES), max_size=8)):
+        vector = _SMALL.embed(base)
+        for label in draw(st.lists(labels, min_size=1, max_size=4, unique=True)):
+            kind = draw(st.sampled_from(_SEARCH_KINDS))
+            entries.append(IndexEntry(f"id{len(entries)}", kind, label, vector))
+    return entries
+
+
+@settings(max_examples=300, deadline=None)
+@given(_tied_entries(), st.sampled_from(_SEARCH_BASES + ["abba"]),
+       st.one_of(st.none(), st.lists(st.sampled_from(_SEARCH_KINDS + ("unknown",)),
+                                     max_size=4)),
+       st.data())
+def test_search_matches_sorting_every_row(entries, query, kinds, data):
+    k = data.draw(st.integers(1, len(entries) + 2), label="k")
+    index = EmbeddingIndex(entries, _SMALL)
+    got = index.search(query, k, kinds=kinds)
+    # Oracle: score every row, keep the wanted kinds, sort them all.
+    wanted = None if kinds is None else set(kinds)
+    scores = (np.stack([e.vector for e in entries]) @ _SMALL.embed(query)
+              if entries else np.zeros(0))
+    rows = sorted((i for i, e in enumerate(entries) if wanted is None or e.kind in wanted),
+                  key=lambda i: (-scores[i], entries[i].canonical))
+    assert [e for e, _ in got] == [entries[i] for i in rows[:k]]
+    for (entry, score), i in zip(got, rows):
+        assert score == pytest.approx(float(entry.vector @ _SMALL.embed(query)), abs=1e-12)
+        assert score == float(scores[i])
 
 
 def test_empty_index_searches_empty():

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kgrag import (
     CoEngine,
@@ -11,7 +13,9 @@ from kgrag import (
     HashingEmbedder,
     KnowledgeGraph,
     Limits,
+    LmResponse,
     Paths,
+    ProviderError,
     RecordingProvider,
     ScriptRule,
     ScriptedProvider,
@@ -25,6 +29,8 @@ from kgrag.explore import (
     ExplorationStep,
     HopElement,
     NodeElement,
+    MAX_FAILED_TRIES,
+    MAX_PLAN_STEPS,
     PlanParseError,
     StepKind,
     TraversalState,
@@ -84,6 +90,13 @@ def test_parse_plan_rejects_empty():
 def test_parse_plan_rejects_relationship_first():
     with pytest.raises(PlanParseError, match="NODE"):
         parse_plan("REL: follow something\nNODE: then locate")
+
+
+def test_parse_plan_step_limit():
+    longest = "\n".join(["NODE: start"] + ["REL: hop"] * (MAX_PLAN_STEPS - 1))
+    assert len(parse_plan(longest).steps) == MAX_PLAN_STEPS
+    with pytest.raises(PlanParseError, match="more than"):
+        parse_plan(longest + "\nREL: one hop too many")
 
 
 def test_plan_text_reconstructs_lines():
@@ -383,6 +396,83 @@ def test_empty_provider_degrades_to_failure():
     graph, index, _ = taylor_fixture()
     result = CoEngine(graph, index, ScriptedProvider()).run(TAYLOR_QUESTION)
     assert result == Failure()
+
+
+def test_overlong_plans_count_as_failed_tries():
+    graph, index, _ = taylor_fixture()
+    overlong = "\n".join(["NODE: start"] * (MAX_PLAN_STEPS + 1))
+    provider = RecordingProvider(ScriptedProvider([ScriptRule("plan", "", overlong)]))
+    trace = TraceRecorder()
+    result = CoEngine(graph, index, provider, trace=trace).run(TAYLOR_QUESTION)
+    assert isinstance(result, Failure)
+    assert len(provider.records) == MAX_FAILED_TRIES
+    assert trace.events[-1]["cause"] == "no usable plan"
+
+
+def test_default_engine_retains_no_events():
+    engine, _ = taylor_engine()
+    for _ in range(3):
+        assert isinstance(engine.run(TAYLOR_QUESTION), Paths)
+    assert engine.trace.events == []
+
+
+def test_call_budget_is_reached_by_the_longest_refused_plans():
+    graph, index, _ = taylor_fixture()
+    longest = "\n".join([f"NODE: {_STEP1}"] * MAX_PLAN_STEPS)
+    provider = RecordingProvider(ScriptedProvider([
+        ScriptRule("plan", "", longest),
+        ScriptRule("select_nodes", "", "1"),
+        ScriptRule("evaluate", "", "continue"),
+        ScriptRule("evaluate", f"Current step: {MAX_PLAN_STEPS} of", "refine"),
+    ]))
+    result = CoEngine(graph, index, provider).run(TAYLOR_QUESTION)
+    assert isinstance(result, Failure)
+    assert len(provider.records) == CALL_BUDGET
+
+
+# Plan or refinement calls: one per failed try plus the one that ends the
+# run. Every traversal pass ends in a failed try or the result, and runs at
+# most MAX_PLAN_STEPS steps of one selection and one evaluation call each.
+CALL_BUDGET = (MAX_FAILED_TRIES + 1) + MAX_FAILED_TRIES * MAX_PLAN_STEPS * 2
+
+_TAYLOR = taylor_fixture()
+
+_REPLIES = {
+    "plan": st.lists(st.sampled_from(["NODE: " + _STEP1, "REL: " + _STEP2, "NODE: x",
+                                      "REL: y", "prose"]),
+                     max_size=MAX_PLAN_STEPS + 3).map("\n".join),
+    "select_nodes": st.lists(st.integers(0, 12), max_size=4).map(
+        lambda picks: ", ".join(map(str, picks)) or "none"),
+    "evaluate": st.sampled_from(["continue", "CONTINUE", "respond", "refine", "hmm", ""]),
+}
+_REPLIES["select_rels"] = _REPLIES["select_nodes"]
+
+
+class _DrawnProvider:
+    """Draws every reply as the engine asks for it; ``None`` is a provider error."""
+
+    def __init__(self, data):
+        self.data = data
+        self.calls = 0
+
+    def complete(self, request):
+        self.calls += 1
+        shaped = _REPLIES[request.tag]
+        reply = self.data.draw(st.one_of(shaped, shaped, shaped, st.text(max_size=40),
+                                         st.none()), label=request.tag)
+        if reply is None:
+            raise ProviderError("drawn failure")
+        return LmResponse(reply)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_any_replies_end_in_paths_or_failure_within_budget(data):
+    graph, index, _ = _TAYLOR
+    provider = _DrawnProvider(data)
+    result = CoEngine(graph, index, provider).run(TAYLOR_QUESTION)
+    assert isinstance(result, (Paths, Failure))
+    assert provider.calls <= CALL_BUDGET
 
 
 # ---------------------------------------------------------- chain assembly

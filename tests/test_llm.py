@@ -214,6 +214,55 @@ def test_http_provider_exhausts_retries():
     assert state["calls"] == 2
 
 
+@pytest.mark.parametrize("status", [400, 401, 404, 422])
+def test_http_provider_does_not_retry_client_errors(status):
+    state = {"calls": 0}
+
+    def responder(payload, headers):
+        state["calls"] += 1
+        return status, {"error": "bad request"}
+
+    with stub_server(responder) as (url, _):
+        with pytest.raises(ProviderError, match="after 1 attempt:"):
+            HttpChatProvider(url, retries=3).complete(req("hi"))
+    assert state["calls"] == 1
+
+
+@pytest.mark.parametrize("status", [408, 429, 503])
+def test_http_provider_retries_transient_statuses(status):
+    state = {"calls": 0}
+
+    def responder(payload, headers):
+        state["calls"] += 1
+        if state["calls"] <= 2:
+            return status, {"error": "try later"}
+        return 200, _chat_body("recovered")
+
+    with stub_server(responder) as (url, _):
+        assert HttpChatProvider(url, retries=2).complete(req("hi")).content == "recovered"
+    assert state["calls"] == 3
+
+
+def test_http_provider_does_not_retry_malformed_body():
+    state = {"calls": 0}
+
+    def responder(payload, headers):
+        state["calls"] += 1
+        return 200, b"not json"
+
+    with stub_server(responder) as (url, _):
+        with pytest.raises(ProviderError):
+            HttpChatProvider(url, retries=2).complete(req("hi"))
+    assert state["calls"] == 1
+
+
+def test_http_provider_retries_connection_errors():
+    with stub_server(lambda payload, headers: (200, _chat_body("x"))) as (url, _):
+        pass  # the server is gone: nothing listens on its port any more
+    with pytest.raises(ProviderError, match="after 2 attempts"):
+        HttpChatProvider(url, retries=1, timeout=5).complete(req("hi"))
+
+
 def test_http_provider_rejects_malformed_body():
     with stub_server(lambda payload, headers: (200, b"not json")) as (url, _):
         with pytest.raises(ProviderError):
