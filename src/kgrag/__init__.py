@@ -16,7 +16,6 @@ from .embedding import (
     IndexFormatError,
     index_graph,
     load_index,
-    rank_labels,
     save_index,
 )
 from .explore import (

@@ -19,7 +19,7 @@ from typing import Iterable, Protocol, Sequence
 import numpy as np
 import requests
 
-from .graph import KIND_HYPERNODE, KnowledgeGraph, _maybe_open, normalize_label
+from .graph import KIND_HYPERNODE, KnowledgeGraph, _maybe_open, _open_for_write, normalize_label
 from .llm import ProviderError
 
 logger = logging.getLogger(__name__)
@@ -156,9 +156,10 @@ class EmbeddingIndex:
     """Exact-scan dot-product search. Ties break by canonical text ascending,
     then by entry order.
 
-    Each search is one matrix-vector product over every entry, a partition
-    that finds the k-th best score among the wanted rows, and a sort of only
-    the rows scoring at least that much (the top k and any ties with them).
+    Each search is one matrix-vector product (over every entry, or over only
+    the rows of the requested ref_ids), a partition that finds the k-th best
+    score among the wanted rows, and a sort of only the rows scoring at least
+    that much (the top k and any ties with them).
     """
 
     def __init__(self, entries: Sequence[IndexEntry], embedder: Embedder):
@@ -169,28 +170,50 @@ class EmbeddingIndex:
         else:
             self._matrix = np.zeros((0, getattr(embedder, "dim", None) or 0))
         self._entry_kinds = np.array([e.kind for e in self.entries], dtype=str)
-        # Ascending row numbers for each requested set of kinds.
+        # Ascending row numbers, and the rows of each ref_id, for each
+        # requested set of kinds.
         self._rows_by_kinds: dict[frozenset[str], np.ndarray] = {}
+        self._rows_by_ref: dict[frozenset[str], dict[str, list[int]]] = {}
 
     def __len__(self) -> int:
         return len(self.entries)
 
-    def _rows(self, kinds: Iterable[str]) -> np.ndarray:
-        key = frozenset(kinds).intersection(_ENTRY_KINDS)
+    def _rows(self, key: frozenset[str]) -> np.ndarray:
         rows = self._rows_by_kinds.get(key)
         if rows is None:
             rows = np.flatnonzero(np.isin(self._entry_kinds, list(key)))
             self._rows_by_kinds[key] = rows
         return rows
 
-    def search(self, query_text: str, k: int,
-               kinds: Iterable[str] | None = None) -> list[tuple[IndexEntry, float]]:
+    def _ref_rows(self, key: frozenset[str], ref_ids: Iterable[str]) -> np.ndarray:
+        by_ref = self._rows_by_ref.get(key)
+        if by_ref is None:
+            by_ref = {}
+            for row in self._rows(key).tolist():
+                by_ref.setdefault(self.entries[row].ref_id, []).append(row)
+            self._rows_by_ref[key] = by_ref
+        try:
+            rows = sorted(row for ref_id in set(ref_ids) for row in by_ref[ref_id])
+        except KeyError as exc:
+            raise ValueError(f"no index entry of kinds {sorted(key)} "
+                             f"for ref_id {exc.args[0]!r}") from None
+        return np.array(rows, dtype=np.intp)
+
+    def search(self, query_text: str, k: int, kinds: Iterable[str] | None = None,
+               ref_ids: Iterable[str] | None = None) -> list[tuple[IndexEntry, float]]:
+        """Top k entries of the wanted kinds; with ``ref_ids``, only among
+        the entries of those ref_ids. A ref_id with no entry of the wanted
+        kinds raises :class:`ValueError`."""
         if k < 1:
             raise ValueError("k must be at least 1")
-        rows = self._rows(_ENTRY_KINDS if kinds is None else kinds)
+        key = frozenset(_ENTRY_KINDS if kinds is None else kinds).intersection(_ENTRY_KINDS)
+        rows = self._rows(key) if ref_ids is None else self._ref_rows(key, ref_ids)
         if len(rows) == 0:
             return []
-        scores = (self._matrix @ self.embedder.embed(query_text))[rows]
+        query = self.embedder.embed(query_text)
+        # A few named rows are gathered before the product; a whole kind is
+        # scored in place, without copying the matrix.
+        scores = (self._matrix @ query)[rows] if ref_ids is None else self._matrix[rows] @ query
         cut = max(len(scores) - k, 0)
         picked = np.flatnonzero(scores >= np.partition(scores, cut)[cut])
         # ``sorted`` is stable and the rows ascend, so equal (score, canonical)
@@ -200,43 +223,30 @@ class EmbeddingIndex:
         return [(self.entries[row], score) for score, row in ranked[:k]]
 
 
-def rank_labels(embedder: Embedder, labels: Sequence[str],
-                step_text: str) -> list[tuple[str, float]]:
-    """Rank candidate relationship labels by similarity to a step description.
-
-    Embeds ad hoc (the persistent index is not consulted); same tie-break
-    as :meth:`EmbeddingIndex.search`.
-    """
-    if not labels:
-        return []
-    query = embedder.embed(step_text)
-    matrix = embedder.embed_batch(list(labels))
-    scores = matrix @ query
-    order = sorted(range(len(labels)),
-                   key=lambda i: (-scores[i], normalize_label(labels[i])))
-    return [(labels[i], float(scores[i])) for i in order]
-
-
-def index_graph(graph: KnowledgeGraph, embedder: Embedder) -> EmbeddingIndex:
-    """Embed every node label and every distinct non-structural relationship
-    label. On provider failure the raised error carries how many entries had
-    been built already."""
-    nodes = sorted(graph.nodes, key=lambda n: n.canonical)
+def plan_index(graph: KnowledgeGraph) -> list[tuple[str, str, str]]:
+    """The ``(ref_id, kind, text)`` of every entry :func:`index_graph` builds,
+    in index order: each node, then each distinct non-structural
+    relationship label (by canonical) under its least display text."""
+    planned: list[tuple[str, str, str]] = []
+    for node in sorted(graph.nodes, key=lambda n: n.canonical):
+        kind = KIND_HYPERNODE_ENTRY if node.kind == KIND_HYPERNODE else KIND_NODE
+        planned.append((node.id, kind, node.label))
     rel_display: dict[str, str] = {}
     for edge in graph.edges:
         if edge.structural:
             continue
-        canonical = normalize_label(edge.label)
-        current = rel_display.get(canonical)
+        current = rel_display.get(edge.canonical)
         if current is None or edge.label < current:
-            rel_display[canonical] = edge.label
-    planned: list[tuple[str, str, str]] = []
-    for node in nodes:
-        kind = KIND_HYPERNODE_ENTRY if node.kind == KIND_HYPERNODE else KIND_NODE
-        planned.append((node.id, kind, node.label))
+            rel_display[edge.canonical] = edge.label
     for canonical in sorted(rel_display):
         planned.append((canonical, KIND_RELATIONSHIP, rel_display[canonical]))
+    return planned
 
+
+def index_graph(graph: KnowledgeGraph, embedder: Embedder) -> EmbeddingIndex:
+    """Embed every entry of :func:`plan_index`. On provider failure the
+    raised error carries how many entries had been built already."""
+    planned = plan_index(graph)
     entries: list[IndexEntry] = []
     batch = 128
     for start in range(0, len(planned), batch):
@@ -252,7 +262,7 @@ def index_graph(graph: KnowledgeGraph, embedder: Embedder) -> EmbeddingIndex:
 
 
 def save_index(index: EmbeddingIndex, sink) -> None:
-    with _maybe_open(sink, "w") as f:
+    with _open_for_write(sink) as f:
         for entry in index.entries:
             f.write(json.dumps(
                 {"ref_id": entry.ref_id, "kind": entry.kind, "text": entry.text,
@@ -262,7 +272,7 @@ def save_index(index: EmbeddingIndex, sink) -> None:
 
 def load_index(source, embedder: Embedder) -> EmbeddingIndex:
     entries: list[IndexEntry] = []
-    with _maybe_open(source, "r") as f:
+    with _maybe_open(source) as f:
         for lineno, raw in enumerate(f, 1):
             line = raw.strip()
             if not line:

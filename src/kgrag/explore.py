@@ -16,8 +16,8 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Sequence, Union
 
-from .embedding import NODE_KINDS, EmbeddingIndex, rank_labels
-from .graph import KnowledgeGraph, normalize_label
+from .embedding import KIND_RELATIONSHIP, NODE_KINDS, EmbeddingIndex
+from .graph import EdgeRecord, KnowledgeGraph
 from .llm import (
     TAG_EVALUATE,
     TAG_PLAN,
@@ -229,17 +229,19 @@ def node_candidates(index: EmbeddingIndex, instruction: str, k: int):
     return index.search(instruction, k, kinds=NODE_KINDS)
 
 
-def relationship_candidates(graph: KnowledgeGraph, embedder, node_ids: Sequence[str],
-                            instruction: str, m: int) -> list[tuple[str, float]]:
-    """Distinct outgoing non-structural labels of the id set, ranked against
-    a step instruction, truncated to the top m."""
-    display_by_canonical: dict[str, str] = {}
-    for edge in graph.neighbors(node_ids, "out", include_structural=False):
-        display_by_canonical.setdefault(normalize_label(edge.label), edge.label)
-    if not display_by_canonical:
+def relationship_candidates(index: EmbeddingIndex, edges: Sequence[EdgeRecord],
+                            instruction: str, m: int) -> list[tuple[EdgeRecord, float]]:
+    """The distinct non-structural labels of ``edges``, each as its first
+    edge, ranked against a step instruction by the label's indexed vector
+    and truncated to the top m."""
+    first: dict[str, EdgeRecord] = {}
+    for edge in edges:
+        if not edge.structural:
+            first.setdefault(edge.canonical, edge)
+    if not first:
         return []
-    labels = [display_by_canonical[c] for c in sorted(display_by_canonical)]
-    return rank_labels(embedder, labels, instruction)[:m]
+    ranked = index.search(instruction, m, kinds=(KIND_RELATIONSHIP,), ref_ids=first)
+    return [(first[entry.ref_id], score) for entry, score in ranked]
 
 
 class CoEngine:
@@ -318,16 +320,16 @@ class CoEngine:
                               question: str) -> None:
         if not state.current_nodes:
             raise EmptySelection("no current nodes to explore from")
-        ranked = relationship_candidates(self.graph, self.index.embedder,
-                                         state.current_nodes, step.instruction,
+        edges = self.graph.neighbors(state.current_nodes, "out")
+        ranked = relationship_candidates(self.index, edges, step.instruction,
                                          self.limits.relationship_candidates)
         if not ranked:
             raise EmptySelection("current nodes have no outgoing relationships")
         self.trace.emit({
             "event": "relationship_candidates", "step": step.ordinal,
-            "labels": [{"label": l, "score": round(s, 6)} for l, s in ranked],
+            "labels": [{"label": e.label, "score": round(s, 6)} for e, s in ranked],
         })
-        listing = "\n".join(f"{i}. {label}" for i, (label, _) in enumerate(ranked, 1))
+        listing = "\n".join(f"{i}. {edge.label}" for i, (edge, _) in enumerate(ranked, 1))
         request = LmRequest(
             [ChatMessage("system", SELECT_RELS_SYSTEM),
              ChatMessage("user",
@@ -339,28 +341,25 @@ class CoEngine:
         picks = parse_ordinals(response.content, len(ranked))
         if not picks:
             raise EmptySelection("model selected no relationship labels")
-        selected_labels = [ranked[i - 1][0] for i in picks]
-        wanted = {normalize_label(l) for l in selected_labels}
-        targets = self.graph.target_nodes(state.current_nodes, selected_labels)
-        if not targets:
-            raise EmptySelection("selected relationships lead nowhere")
+        selected = [ranked[i - 1][0] for i in picks]
+        wanted = {edge.canonical for edge in selected}
+        followed = [edge for edge in edges if edge.canonical in wanted]
+        targets = sorted(map(self.graph.node, {edge.target for edge in followed}),
+                         key=lambda n: n.canonical)
         if len(targets) > self.limits.max_current_nodes:
             logger.warning("truncating target set from %d to %d",
                            len(targets), self.limits.max_current_nodes)
             targets = targets[: self.limits.max_current_nodes]
         kept_ids = {n.id for n in targets}
-        hops = [
-            HopElement(edge.source, edge.label, edge.target)
-            for edge in self.graph.neighbors(state.current_nodes, "out",
-                                             include_structural=False)
-            if normalize_label(edge.label) in wanted and edge.target in kept_ids
-        ]
+        hops = [HopElement(edge.source, edge.label, edge.target)
+                for edge in followed if edge.target in kept_ids]
         state.path_traveled.extend(hops)
         state.path_traveled.extend(NodeElement(n.id, n.label) for n in targets)
         state.current_nodes = [n.id for n in targets]
         self.trace.emit({
             "event": "relationship_selection", "step": step.ordinal,
-            "selected": selected_labels, "targets": [n.label for n in targets],
+            "selected": [edge.label for edge in selected],
+            "targets": [n.label for n in targets],
         })
 
     # -------------------------------------------------------- evaluation

@@ -11,6 +11,7 @@ from __future__ import annotations
 import hashlib
 import json
 import logging
+import os
 import threading
 import unicodedata
 from contextlib import contextmanager
@@ -83,12 +84,13 @@ class NodeRecord:
     kind: str           # entity | hypernode
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class EdgeRecord:
     id: str
     source: str
     target: str
-    label: str
+    label: str          # display text, first seen
+    canonical: str      # normalize_label(label); not persisted
     structural: bool
 
 
@@ -234,7 +236,8 @@ class KnowledgeGraph:
             outcome.reused.append(existing)
             return existing
         edge_id = _edge_id(source, canonical, target)
-        self._edges[edge_id] = EdgeRecord(edge_id, source, target, display, structural)
+        self._edges[edge_id] = EdgeRecord(edge_id, source, target, display, canonical,
+                                          structural)
         self._edge_by_key[key] = edge_id
         self._out[source].append(edge_id)
         self._in[target].append(edge_id)
@@ -262,25 +265,15 @@ class KnowledgeGraph:
         edges = [self._edges[e] for e in edge_ids]
         if not include_structural:
             edges = [e for e in edges if not e.structural]
-        edges.sort(key=lambda e: (normalize_label(e.label), e.source, e.target))
+        edges.sort(key=lambda e: (e.canonical, e.source, e.target))
         return edges
-
-    def target_nodes(self, node_ids: Iterable[str], labels: Iterable[str]) -> list[NodeRecord]:
-        """Distinct targets of outgoing edges whose label canonically matches
-        any of ``labels``; ordered by canonical label ascending."""
-        wanted = {normalize_label(l) for l in labels}
-        targets: dict[str, NodeRecord] = {}
-        for edge in self.neighbors(node_ids, "out", include_structural=True):
-            if normalize_label(edge.label) in wanted:
-                targets[edge.target] = self._nodes[edge.target]
-        return sorted(targets.values(), key=lambda n: n.canonical)
 
     # -------------------------------------------------------------- stats
 
     def stats(self) -> GraphStats:
         entity_count = sum(1 for n in self._nodes.values() if n.kind == KIND_ENTITY)
         hypernode_count = len(self._nodes) - entity_count
-        labels = {normalize_label(e.label) for e in self._edges.values() if not e.structural}
+        labels = {e.canonical for e in self._edges.values() if not e.structural}
         return GraphStats(
             node_count=len(self._nodes),
             entity_count=entity_count,
@@ -306,9 +299,11 @@ class KnowledgeGraph:
         for edge in self._edges.values():
             if edge.source not in self._nodes or edge.target not in self._nodes:
                 raise GraphIntegrityError(f"edge {edge.id}: dangling endpoint")
-            if edge.structural != (normalize_label(edge.label) in RESERVED_EDGE_LABELS):
+            if edge.canonical != normalize_label(edge.label):
+                raise GraphIntegrityError(f"edge {edge.id}: canonical does not match label")
+            if edge.structural != (edge.canonical in RESERVED_EDGE_LABELS):
                 raise GraphIntegrityError(f"edge {edge.id}: structural flag does not match label")
-            key = (edge.source, normalize_label(edge.label), edge.target)
+            key = (edge.source, edge.canonical, edge.target)
             if key in seen_keys:
                 raise GraphIntegrityError(f"duplicate edge {key!r}")
             seen_keys.add(key)
@@ -346,28 +341,49 @@ def _reject_reserved(statement: TripleStatement) -> None:
 # ------------------------------------------------------------- persistence
 
 @contextmanager
-def _maybe_open(source, mode: str):
-    if hasattr(source, "read") or hasattr(source, "write"):
+def _maybe_open(source):
+    """Read from ``source``, a stream or a path."""
+    if hasattr(source, "read"):
         yield source
         return
-    handle: IO[str] = open(Path(source), mode, encoding="utf-8")
+    handle: IO[str] = open(Path(source), "r", encoding="utf-8")
     try:
         yield handle
     finally:
         handle.close()
 
 
+@contextmanager
+def _open_for_write(sink):
+    """Write to ``sink``, a stream or a path. A path is written through a
+    temporary file in its directory, flushed, fsynced and renamed over the
+    target, so an interrupted write leaves the previous file intact."""
+    if hasattr(sink, "write"):
+        yield sink
+        return
+    path = Path(sink)
+    temp = path.with_name(f".{path.name}.{os.getpid()}.{threading.get_ident()}.tmp")
+    try:
+        with open(temp, "w", encoding="utf-8") as handle:
+            yield handle
+            handle.flush()
+            os.fsync(handle.fileno())
+        os.replace(temp, path)
+    except BaseException:
+        temp.unlink(missing_ok=True)
+        raise
+
+
 def save_graph(graph: KnowledgeGraph, sink) -> None:
     """Write nodes then edges as JSONL, deterministically ordered so the
     same graph always produces byte-identical files."""
-    with _maybe_open(sink, "w") as f:
+    with _open_for_write(sink) as f:
         for node in sorted(graph.nodes, key=lambda n: (n.kind, n.canonical)):
             f.write(json.dumps(
                 {"type": "node", "id": node.id, "label": node.label,
                  "canonical": node.canonical, "kind": node.kind},
                 ensure_ascii=False, sort_keys=True) + "\n")
-        for edge in sorted(graph.edges,
-                           key=lambda e: (normalize_label(e.label), e.source, e.target)):
+        for edge in sorted(graph.edges, key=lambda e: (e.canonical, e.source, e.target)):
             f.write(json.dumps(
                 {"type": "edge", "id": edge.id, "source": edge.source,
                  "target": edge.target, "label": edge.label, "structural": edge.structural},
@@ -378,7 +394,7 @@ def load_graph(source, max_depth: int = 4) -> KnowledgeGraph:
     """Rebuild a graph from JSONL; any malformed or inconsistent line raises
     :class:`GraphFormatError` with its line number."""
     graph = KnowledgeGraph(max_depth=max_depth)
-    with _maybe_open(source, "r") as f:
+    with _maybe_open(source) as f:
         for lineno, raw in enumerate(f, 1):
             line = raw.strip()
             if not line:
@@ -434,7 +450,7 @@ def _load_edge(graph: KnowledgeGraph, record: dict, lineno: int) -> None:
     if key in graph._edge_by_key:
         raise GraphFormatError("duplicate edge", lineno)
     edge = EdgeRecord(record["id"], record["source"], record["target"],
-                      record["label"], bool(record["structural"]))
+                      record["label"], canonical, bool(record["structural"]))
     graph._edges[edge.id] = edge
     graph._edge_by_key[key] = edge.id
     graph._out[edge.source].append(edge.id)

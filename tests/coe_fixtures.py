@@ -83,8 +83,8 @@ def rel_pick(graph: KnowledgeGraph, index: EmbeddingIndex, current_labels: list[
              instruction: str, wanted: list[str],
              m: int = LIMITS.relationship_candidates) -> str:
     node_ids = [graph.find_node(label).id for label in current_labels]
-    ranked = relationship_candidates(graph, index.embedder, node_ids, instruction, m)
-    shown = [label for label, _ in ranked]
+    ranked = relationship_candidates(index, graph.neighbors(node_ids, "out"), instruction, m)
+    shown = [edge.label for edge, _ in ranked]
     picks = []
     for label in wanted:
         if label not in shown:

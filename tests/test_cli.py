@@ -232,6 +232,46 @@ def test_query_without_index_fails(tmp_path, capsys):
     assert "index file not found" in capsys.readouterr().err
 
 
+MISMATCH = "error: index does not match graph (run index again)\n"
+
+
+def test_query_with_another_graphs_index_fails(tmp_path, capsys):
+    graph_path, index_path, script_path = taylor_setup(tmp_path)
+    _, other_index, _, _, _ = benchmark_fixture()
+    save_index(other_index, index_path)
+    dataset = tmp_path / "dataset.jsonl"
+    dataset.write_text(json.dumps({"id": "q1", "question": TAYLOR_QUESTION,
+                                   "answers": [TAYLOR_ANSWER]}) + "\n", encoding="utf-8")
+    for command in (["query", TAYLOR_QUESTION], ["eval", str(dataset)]):
+        code = main(command + ["--graph", graph_path, "--index", index_path,
+                               "--script", script_path])
+        assert code == 1
+        assert capsys.readouterr().err == MISMATCH
+
+
+def test_query_after_reingest_needs_index_again(tmp_path, capsys):
+    doc, _, graph_path = ingest_setup(tmp_path)
+    more = tmp_path / "more.txt"
+    # longer than SENTENCE, which every extraction prompt quotes as its example
+    more_text = "Family Guy was created by the animator Seth MacFarlane."
+    more.write_text(more_text, encoding="utf-8")
+    script = write_script(tmp_path / "extract.jsonl", [
+        ScriptRule("extract", SENTENCE, TWO_LINE_OUTPUT),
+        ScriptRule("extract", more_text, "(Family Guy)-[created by]->(Seth MacFarlane)")])
+    index_path = tmp_path / "index.jsonl"
+    paths = ["--graph", str(graph_path), "--index", str(index_path), "--script", script]
+    assert main(["ingest", str(doc)] + paths) == 0
+    assert main(["index"] + paths) == 0
+    assert main(["ingest", str(more)] + paths) == 0
+    capsys.readouterr()
+    # the new relationship connects two nodes the index already has
+    assert main(["query", "Who created Family Guy?"] + paths) == 1
+    assert capsys.readouterr().err == MISMATCH
+    assert main(["index"] + paths) == 0
+    assert json.loads(capsys.readouterr().out) == {"entries": 8}
+    assert main(["query", "Who created Family Guy?"] + paths) == 0
+
+
 def test_scripted_provider_requires_script(tmp_path, capsys):
     graph_path, index_path, _ = taylor_setup(tmp_path)
     code = main(["query", "who?", "--graph", graph_path, "--index", index_path])

@@ -20,7 +20,6 @@ from kgrag import (
     index_graph,
     load_index,
     parse_triple,
-    rank_labels,
     save_index,
 )
 from kgrag.embedding import (
@@ -195,17 +194,23 @@ _SEARCH_KINDS = (KIND_NODE, KIND_HYPERNODE_ENTRY, KIND_RELATIONSHIP)
 _SMALL = HashingEmbedder(dim=8)
 
 
+_SEARCH_REFS = ["r0", "r1", "r2", "r3", "r4"]
+
+
 @st.composite
 def _tied_entries(draw) -> list[IndexEntry]:
     """Groups of entries sharing one vector under distinct labels; labels
-    from a tiny alphabet, so canonical texts also collide across groups."""
+    from a tiny alphabet, so canonical texts also collide across groups.
+    Ref_ids come from a small pool, so one ref_id can name several rows of
+    several kinds."""
     labels = st.text(alphabet="abAB ", min_size=1, max_size=3).filter(str.strip)
     entries = []
     for base in draw(st.lists(st.sampled_from(_SEARCH_BASES), max_size=8)):
         vector = _SMALL.embed(base)
         for label in draw(st.lists(labels, min_size=1, max_size=4, unique=True)):
             kind = draw(st.sampled_from(_SEARCH_KINDS))
-            entries.append(IndexEntry(f"id{len(entries)}", kind, label, vector))
+            ref_id = draw(st.sampled_from(_SEARCH_REFS))
+            entries.append(IndexEntry(ref_id, kind, label, vector))
     return entries
 
 
@@ -213,49 +218,61 @@ def _tied_entries(draw) -> list[IndexEntry]:
 @given(_tied_entries(), st.sampled_from(_SEARCH_BASES + ["abba"]),
        st.one_of(st.none(), st.lists(st.sampled_from(_SEARCH_KINDS + ("unknown",)),
                                      max_size=4)),
+       st.one_of(st.none(), st.lists(st.sampled_from(_SEARCH_REFS + ["unknown"]),
+                                     max_size=4)),
        st.data())
-def test_search_matches_sorting_every_row(entries, query, kinds, data):
+def test_search_matches_sorting_every_row(entries, query, kinds, ref_ids, data):
     k = data.draw(st.integers(1, len(entries) + 2), label="k")
     index = EmbeddingIndex(entries, _SMALL)
-    got = index.search(query, k, kinds=kinds)
-    # Oracle: score every row, keep the wanted kinds, sort them all.
-    wanted = None if kinds is None else set(kinds)
-    scores = (np.stack([e.vector for e in entries]) @ _SMALL.embed(query)
-              if entries else np.zeros(0))
-    rows = sorted((i for i, e in enumerate(entries) if wanted is None or e.kind in wanted),
-                  key=lambda i: (-scores[i], entries[i].canonical))
+    # Oracle: keep the rows of the wanted kinds (and ref_ids), score them
+    # all, sort them all.
+    wanted = set(_SEARCH_KINDS) if kinds is None else set(kinds)
+    rows = [i for i, e in enumerate(entries) if e.kind in wanted]
+    if ref_ids is not None:
+        if not set(ref_ids) <= {entries[i].ref_id for i in rows}:
+            with pytest.raises(ValueError, match="ref_id"):
+                index.search(query, k, kinds=kinds, ref_ids=ref_ids)
+            return
+        rows = [i for i in rows if entries[i].ref_id in ref_ids]
+    got = index.search(query, k, kinds=kinds, ref_ids=ref_ids)
+    # Only ref_id rows are multiplied on their own; their scores may differ
+    # in the last bit from those of the full product.
+    product_rows = range(len(entries)) if ref_ids is None else rows
+    scores = dict(zip(product_rows, (np.stack([entries[i].vector for i in product_rows])
+                                     @ _SMALL.embed(query)).tolist())) if product_rows else {}
+    rows.sort(key=lambda i: (-scores[i], entries[i].canonical))
     assert [e for e, _ in got] == [entries[i] for i in rows[:k]]
     for (entry, score), i in zip(got, rows):
         assert score == pytest.approx(float(entry.vector @ _SMALL.embed(query)), abs=1e-12)
-        assert score == float(scores[i])
+        assert score == scores[i]
+
+
+def test_search_ref_ids_restrict_within_kinds():
+    index = index_graph(sample_graph(), EMBEDDER)
+    got = index.search("created", k=10, kinds=[KIND_RELATIONSHIP], ref_ids=["in", "created"])
+    assert [e.text for e, _ in got] == ["created", "in"]
+    assert index.search("created", k=10, kinds=[KIND_RELATIONSHIP], ref_ids=[]) == []
+    node_id = next(e.ref_id for e in index.entries if e.kind == KIND_NODE)
+    with pytest.raises(ValueError, match="ref_id"):
+        index.search("created", k=10, kinds=[KIND_RELATIONSHIP], ref_ids=[node_id])
+    with pytest.raises(ValueError, match="ref_id"):
+        index.search("created", k=10, kinds=[KIND_RELATIONSHIP], ref_ids=["is created of"])
+
+
+def test_search_ref_ids_ties_keep_entry_order():
+    small = HashingEmbedder(dim=8)
+    vector = small.embed("same")
+    entries = [IndexEntry(f"r{i}", KIND_RELATIONSHIP, text, vector)
+               for i, text in enumerate(["same", "SAME", "Same", "sAme", "saMe", "samE"])]
+    index = EmbeddingIndex(entries, small)
+    got = index.search("same", k=6, ref_ids=[f"r{i}" for i in reversed(range(6))])
+    assert [e.ref_id for e, _ in got] == [f"r{i}" for i in range(6)]
 
 
 def test_empty_index_searches_empty():
     index = EmbeddingIndex([], EMBEDDER)
     assert index.search("anything", k=5) == []
     assert len(index) == 0
-
-
-# ------------------------------------------------------------ rank_labels
-
-def test_rank_labels_orders_by_similarity():
-    ranked = rank_labels(EMBEDDER, ["zebra", "married", "married to"], "married")
-    assert ranked[0][0] == "married"
-    assert ranked[0][1] == pytest.approx(1.0)
-    assert [label for label, _ in ranked].index("zebra") == 2
-
-
-def test_rank_labels_preserves_all_labels():
-    labels = ["one", "two", "three"]
-    ranked = rank_labels(EMBEDDER, labels, "two")
-    assert sorted(label for label, _ in ranked) == sorted(labels)
-    assert rank_labels(EMBEDDER, [], "anything") == []
-
-
-def test_rank_labels_tie_break():
-    # identical inputs give identical scores; canonical order decides
-    ranked = rank_labels(EMBEDDER, ["SAME", "same"], "same")
-    assert [label for label, _ in ranked] == ["SAME", "same"]
 
 
 # ------------------------------------------------------------ persistence

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from collections import Counter
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -10,6 +12,8 @@ from kgrag import (
     CoEngine,
     FAILURE_MESSAGE,
     Failure,
+    EmbeddingIndex,
+    Entity,
     HashingEmbedder,
     KnowledgeGraph,
     Limits,
@@ -20,10 +24,13 @@ from kgrag import (
     ScriptRule,
     ScriptedProvider,
     TraceRecorder,
+    TripleStatement,
     index_graph,
+    normalize_label,
     parse_triple,
     run_coe,
 )
+from kgrag.embedding import KIND_RELATIONSHIP
 from kgrag.explore import (
     EmptySelection,
     ExplorationStep,
@@ -152,24 +159,69 @@ def test_node_candidates_rank_matching_label_first():
 def test_relationship_candidates_are_distinct_outgoing_labels():
     graph, index, _ = taylor_fixture()
     liz = graph.find_node("Elizabeth Taylor").id
-    ranked = relationship_candidates(graph, index.embedder, [liz], _STEP2, 10)
-    labels = [label for label, _ in ranked]
+    ranked = relationship_candidates(index, graph.neighbors([liz], "out"), _STEP2, 10)
+    labels = [edge.label for edge, _ in ranked]
     assert set(labels) >= {"married", "married to", "co-starred with"}
     assert len(labels) == len(set(labels))
     # structural labels stay hidden even for ids with hypernode involvement
     assert all(not label.startswith("_") for label in labels)
+    hyper = graph.find_node("Elizabeth Taylor married Michael Wilding").id
+    ranked = relationship_candidates(
+        index, graph.neighbors([hyper], "out", include_structural=True), _STEP2, 10)
+    assert [edge.label for edge, _ in ranked] == ["in"]
 
 
 def test_relationship_candidates_truncate_to_m():
     graph, index, _ = taylor_fixture()
     liz = graph.find_node("Elizabeth Taylor").id
-    assert len(relationship_candidates(graph, index.embedder, [liz], _STEP2, 2)) == 2
+    assert len(relationship_candidates(index, graph.neighbors([liz], "out"), _STEP2, 2)) == 2
 
 
 def test_relationship_candidates_empty_for_leaf():
     graph, index, _ = taylor_fixture()
     leaf = graph.find_node("Chichester, West Sussex").id
-    assert relationship_candidates(graph, index.embedder, [leaf], "anything", 10) == []
+    assert relationship_candidates(index, graph.neighbors([leaf], "out"), "anything", 10) == []
+
+
+_REL_WORDS = ["married to", "died in", "born in", "works as", "in"]
+_REL_STEPS = ["List the former husbands", "where did they die", "occupation", "in"]
+
+
+@st.composite
+def _variant_label(draw) -> str:
+    """One of a few labels, with its letters' case and its spaces varied."""
+    word = draw(st.sampled_from(_REL_WORDS))
+    cased = "".join(c.upper() if draw(st.booleans()) else c for c in word)
+    return draw(st.sampled_from(["", " "])) + cased.replace(
+        " ", draw(st.sampled_from([" ", "  ", "\t"])))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from("abc"), _variant_label(), st.sampled_from("wxyza")),
+                min_size=1, max_size=12),
+       st.sampled_from(_REL_STEPS), st.integers(1, 6), st.data())
+def test_relationship_candidates_match_brute_force(facts, instruction, m, data):
+    graph = KnowledgeGraph()
+    for source, label, target in facts:
+        graph.upsert_triple(TripleStatement(Entity(source), label, Entity(target)))
+    embedder = HashingEmbedder()
+    index = index_graph(graph, embedder)
+    sources = data.draw(st.lists(st.sampled_from(sorted({s for s, _, _ in facts})),
+                                 min_size=1, unique=True), label="sources")
+    edges = graph.neighbors([graph.find_node(s).id for s in sources], "out")
+    got = [(edge.label, score) for edge, score in
+           relationship_candidates(index, edges, instruction, m)]
+    # Oracle: embed each candidate canonical's indexed text, score it
+    # against the instruction and sort by (-score, canonical); show the
+    # label of the first edge that carries it.
+    shown: dict[str, str] = {}
+    for edge in edges:
+        shown.setdefault(normalize_label(edge.label), edge.label)
+    indexed = {e.ref_id: e.text for e in index.entries if e.kind == KIND_RELATIONSHIP}
+    canonicals = sorted(shown)
+    scores = embedder.embed_batch([indexed[c] for c in canonicals]) @ embedder.embed(instruction)
+    order = sorted(range(len(canonicals)), key=lambda i: (-scores[i], canonicals[i]))
+    assert got == [(shown[canonicals[i]], float(scores[i])) for i in order[:m]]
 
 
 # ------------------------------------------------- single-step transitions
@@ -198,6 +250,36 @@ def test_explore_relationships_moves_to_targets():
     assert labels == ["Conrad Nicky Hilton Jr", "Eddie Fisher", "Michael Wilding"]
     hops = [e for e in state.path_traveled if isinstance(e, HopElement)]
     assert {(h.label,) for h in hops} == {("married",), ("married to",), ("was married to",)}
+
+
+class CountingEmbedder:
+    def __init__(self):
+        self.inner = HashingEmbedder()
+        self.calls: Counter[str] = Counter()
+
+    def embed(self, text):
+        self.calls["embed"] += 1
+        return self.inner.embed(text)
+
+    def embed_batch(self, texts):
+        self.calls["embed_batch"] += 1
+        return self.inner.embed_batch(texts)
+
+
+def test_relationship_step_embeds_once_and_scans_once():
+    graph, index, rules = taylor_fixture()
+    embedder = CountingEmbedder()
+    engine = CoEngine(graph, EmbeddingIndex(index.entries, embedder), ScriptedProvider(rules))
+    state = TraversalState()
+    engine.explore_nodes(state, ExplorationStep(1, NODE, _STEP1), TAYLOR_QUESTION)
+    embedder.calls.clear()
+    scans = []
+    neighbors = graph.neighbors
+    graph.neighbors = lambda *args, **kwargs: scans.append(args) or neighbors(*args, **kwargs)
+    engine.explore_relationships(state, ExplorationStep(2, REL, _STEP2), TAYLOR_QUESTION)
+    assert len(state.current_nodes) == 3
+    assert embedder.calls == Counter(embed=1)
+    assert len(scans) == 1
 
 
 def test_explore_relationships_requires_current_nodes():

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import dataclasses
 import io
+import json
 
 import pytest
 
@@ -34,6 +36,14 @@ def build(*lines: str) -> KnowledgeGraph:
     for line in lines:
         graph.upsert_triple(parse_triple(line))
     return graph
+
+
+def targets(graph: KnowledgeGraph, node_ids: list[str], label: str) -> list[str]:
+    """Ids of the distinct targets of the out-edges, structural ones
+    included, whose label canonically matches ``label``."""
+    edges = graph.neighbors(node_ids, "out", include_structural=True)
+    return sorted({e.target for e in edges if e.canonical == normalize_label(label)},
+                  key=lambda node_id: graph.node(node_id).canonical)
 
 
 # -------------------------------------------------------------- labels
@@ -79,9 +89,9 @@ def test_nested_statement_materializes_hypernode():
     assert len(inner) == 1 and inner[0].target == family_guy.id
 
     # the hypernode carries the statement-level relation and both anchors
-    assert [n.id for n in graph.target_nodes([hyper.id], ["in"])] == [year.id]
-    assert [n.id for n in graph.target_nodes([hyper.id], [STRUCTURAL_SUBJECT])] == [seth.id]
-    assert [n.id for n in graph.target_nodes([hyper.id], [STRUCTURAL_OBJECT])] == [family_guy.id]
+    assert targets(graph, [hyper.id], "in") == [year.id]
+    assert targets(graph, [hyper.id], STRUCTURAL_SUBJECT) == [seth.id]
+    assert targets(graph, [hyper.id], STRUCTURAL_OBJECT) == [family_guy.id]
 
     structural = [e for e in graph.edges if e.structural]
     assert len(structural) == 2
@@ -107,8 +117,7 @@ def test_double_nesting_builds_hypernode_of_hypernode():
     outer = graph.find_node("a r b s c")
     inner = graph.find_node("a r b")
     assert outer.kind == KIND_HYPERNODE and inner.kind == KIND_HYPERNODE
-    anchors = graph.target_nodes([outer.id], [STRUCTURAL_SUBJECT])
-    assert anchors == [inner]
+    assert targets(graph, [outer.id], STRUCTURAL_SUBJECT) == [inner.id]
     graph.audit()
 
 
@@ -228,11 +237,14 @@ def test_neighbors_validates_input():
 
 
 def test_target_nodes_matches_labels_canonically():
-    graph = build("(hub)-[LINKS to]->(beta)", "(hub)-[links to]->(alpha)",
+    graph = build("(hub)-[LINKS  to]->(beta)", "(hub)-[links to]->(alpha)",
                   "(hub)-[other]->(gamma)")
     hub = graph.find_node("hub").id
-    assert [n.label for n in graph.target_nodes([hub], ["links TO"])] == ["alpha", "beta"]
-    assert graph.target_nodes([hub], ["missing"]) == []
+    edges = graph.neighbors([hub], "out")
+    assert [(e.label, e.canonical) for e in edges] == [
+        ("links to", "links to"), ("LINKS  to", "links to"), ("other", "other")]
+    assert [graph.node(t).label for t in targets(graph, [hub], "links TO")] == ["alpha", "beta"]
+    assert targets(graph, [hub], "missing") == []
 
 
 def test_node_lookup_errors():
@@ -261,9 +273,16 @@ def test_audit_detects_duplicate_canonical():
 def test_audit_detects_structural_flag_mismatch():
     graph = build(NESTED_LINE)
     edge = next(e for e in graph.edges if e.structural)
-    graph._edges[edge.id] = type(edge)(edge.id, edge.source, edge.target,
-                                       edge.label, False)
+    graph._edges[edge.id] = dataclasses.replace(edge, structural=False)
     with pytest.raises(GraphIntegrityError, match="structural"):
+        graph.audit()
+
+
+def test_audit_detects_edge_canonical_mismatch():
+    graph = chain_graph()
+    edge = next(iter(graph.edges))
+    graph._edges[edge.id] = dataclasses.replace(edge, canonical=edge.canonical + "x")
+    with pytest.raises(GraphIntegrityError, match="canonical does not match"):
         graph.audit()
 
 
@@ -306,6 +325,26 @@ def test_save_is_deterministic(tmp_path):
     save_graph(g1, p1)
     save_graph(g2, p2)
     assert p1.read_bytes() == p2.read_bytes()
+
+
+def test_failed_save_leaves_previous_file_intact(tmp_path, monkeypatch):
+    path = tmp_path / "graph.jsonl"
+    save_graph(build(FLAT_LINE), path)
+    before = path.read_bytes()
+    dumps = json.dumps
+    written = []
+
+    def dumps_then_fail(*args, **kwargs):
+        written.append(args)
+        if len(written) == 4:
+            raise OSError("disk full")
+        return dumps(*args, **kwargs)
+
+    monkeypatch.setattr(json, "dumps", dumps_then_fail)
+    with pytest.raises(OSError, match="disk full"):
+        save_graph(build(NESTED_LINE, FLAT_LINE), path)
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["graph.jsonl"]
 
 
 def test_save_load_file_like():
