@@ -14,6 +14,7 @@ from .embedding import (
     HttpEmbeddingProvider,
     IndexEntry,
     IndexFormatError,
+    StaleIndexError,
     index_graph,
     load_index,
     save_index,

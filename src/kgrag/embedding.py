@@ -12,15 +12,16 @@ from __future__ import annotations
 
 import json
 import logging
+import time
 import zlib
 from dataclasses import dataclass, field
-from typing import Iterable, Protocol, Sequence
+from itertools import chain
+from typing import Callable, Iterable, Protocol, Sequence
 
 import numpy as np
-import requests
 
 from .graph import KIND_HYPERNODE, KnowledgeGraph, _maybe_open, _open_for_write, normalize_label
-from .llm import ProviderError
+from .llm import ProviderError, post_json
 
 logger = logging.getLogger(__name__)
 
@@ -40,6 +41,11 @@ class IndexFormatError(Exception):
     def __init__(self, message: str, line: int):
         self.line = line
         super().__init__(f"line {line}: {message}")
+
+
+class StaleIndexError(ValueError):
+    """A search named a ref_id the index has no entry for: the index was
+    built from another graph, or before the graph last changed."""
 
 
 class Embedder(Protocol):
@@ -82,16 +88,20 @@ class HashingEmbedder:
 class HttpEmbeddingProvider:
     """POSTs ``{"texts": [...]}`` and expects ``{"vectors": [[...], ...]}``.
     Vectors are L2-normalized on receipt so scores stay comparable with the
-    fallback embedder."""
+    fallback embedder. A transient failure is retried once, as by
+    :class:`~kgrag.llm.HttpChatProvider`. ``dim`` is ``None`` until the
+    first reply fixes it."""
 
     def __init__(self, endpoint: str, api_key: str | None = None,
-                 timeout: float = 60.0, batch_size: int = 64):
+                 timeout: float = 60.0, batch_size: int = 64,
+                 sleep: Callable[[float], None] = time.sleep):
         if not endpoint:
             raise ValueError("endpoint must be non-empty")
         self.endpoint = endpoint
         self.api_key = api_key
         self.timeout = timeout
         self.batch_size = max(1, batch_size)
+        self.sleep = sleep
         self.dim: int | None = None
 
     def embed_batch(self, texts: Sequence[str]) -> np.ndarray:
@@ -111,14 +121,12 @@ class HttpEmbeddingProvider:
         headers = {"Content-Type": "application/json"}
         if self.api_key:
             headers["Authorization"] = f"Bearer {self.api_key}"
+        _, data = post_json(self.endpoint, {"texts": texts}, headers, self.timeout,
+                            1, self.sleep, "embedding endpoint")
         try:
-            response = requests.post(self.endpoint, json={"texts": texts},
-                                     headers=headers, timeout=self.timeout)
-            response.raise_for_status()
-            vectors = response.json()["vectors"]
-        except (requests.RequestException, ValueError, KeyError) as exc:
-            raise ProviderError(f"embedding endpoint failed: {exc}") from exc
-        matrix = np.asarray(vectors, dtype=np.float64)
+            matrix = np.asarray(data["vectors"], dtype=np.float64)
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ProviderError(f"embedding endpoint sent unreadable vectors: {exc}") from None
         if matrix.ndim != 2 or matrix.shape[0] != len(texts):
             raise ProviderError("embedding endpoint returned a wrong-shaped matrix")
         try:
@@ -195,15 +203,15 @@ class EmbeddingIndex:
         try:
             rows = sorted(row for ref_id in set(ref_ids) for row in by_ref[ref_id])
         except KeyError as exc:
-            raise ValueError(f"no index entry of kinds {sorted(key)} "
-                             f"for ref_id {exc.args[0]!r}") from None
+            raise StaleIndexError(f"no index entry of kinds {sorted(key)} "
+                                  f"for ref_id {exc.args[0]!r}") from None
         return np.array(rows, dtype=np.intp)
 
     def search(self, query_text: str, k: int, kinds: Iterable[str] | None = None,
                ref_ids: Iterable[str] | None = None) -> list[tuple[IndexEntry, float]]:
         """Top k entries of the wanted kinds; with ``ref_ids``, only among
         the entries of those ref_ids. A ref_id with no entry of the wanted
-        kinds raises :class:`ValueError`."""
+        kinds raises :class:`StaleIndexError`."""
         if k < 1:
             raise ValueError("k must be at least 1")
         key = frozenset(_ENTRY_KINDS if kinds is None else kinds).intersection(_ENTRY_KINDS)
@@ -262,16 +270,64 @@ def index_graph(graph: KnowledgeGraph, embedder: Embedder) -> EmbeddingIndex:
 
 
 def save_index(index: EmbeddingIndex, sink) -> None:
+    """Write one JSON row per entry, in entry order, with sorted keys:
+    ``{"dim", "indices", "kind", "ref_id", "text", "values"}``. ``indices``
+    are the ascending positions of the vector's non-zero components and
+    ``values`` those components, so the file holds no zeros but ``-0.0``,
+    kept so that the loaded matrix is bit-identical to this one."""
+    matrix = index._matrix
+    rows, columns = np.nonzero((matrix != 0.0) | np.signbit(matrix))
+    values = matrix[rows, columns].tolist()
+    bounds = np.searchsorted(rows, np.arange(len(index) + 1)).tolist()
+    columns = columns.tolist()
+    dim = matrix.shape[1]
     with _open_for_write(sink) as f:
-        for entry in index.entries:
-            f.write(json.dumps(
-                {"ref_id": entry.ref_id, "kind": entry.kind, "text": entry.text,
-                 "vector": entry.vector.tolist()},
-                ensure_ascii=False, sort_keys=True) + "\n")
+        for entry, lo, hi in zip(index.entries, bounds, bounds[1:]):
+            f.write(json.dumps({"dim": dim, "indices": columns[lo:hi], "kind": entry.kind,
+                                "ref_id": entry.ref_id, "text": entry.text,
+                                "values": values[lo:hi]},
+                               ensure_ascii=False, sort_keys=True) + "\n")
+
+
+def _flatten(lines: list[int], lists: list[list], types: set[type], dtype,
+             message: str) -> np.ndarray:
+    """Every row's list, concatenated into one array of ``dtype``. The first
+    row holding an item not of ``types``, or too large for ``dtype``, is
+    refused with ``message``."""
+
+    def convert(items: list) -> np.ndarray | None:
+        if set(map(type, items)) <= types:
+            try:
+                return np.array(items, dtype=dtype)
+            except OverflowError:
+                pass
+        return None
+
+    flat = convert(list(chain.from_iterable(lists)))
+    if flat is not None:
+        return flat
+    line = next(line for line, items in zip(lines, lists) if convert(items) is None)
+    raise IndexFormatError(message, line)
 
 
 def load_index(source, embedder: Embedder) -> EmbeddingIndex:
-    entries: list[IndexEntry] = []
+    """Read an index written by :func:`save_index` into one matrix.
+
+    Every row needs every field. ``dim`` must be a positive integer, the
+    same on every row, and equal to the embedder's ``dim`` when that is
+    known. ``indices`` and ``values`` must be lists of one length; indices
+    must be integers in ``[0, dim)``, strictly ascending; values must be
+    finite numbers and the row unit-norm; ``kind`` must be known. Each check
+    runs over all rows at once, in that order, and the first row failing it
+    raises :class:`IndexFormatError` with its line number. A dense
+    ``"vector"`` row, the format of older versions, is refused the same
+    way: run ``kgrag index`` again.
+    """
+    lines: list[int] = []
+    rows: list[tuple] = []
+    indices: list[list] = []
+    values: list[list] = []
+    dim = None
     with _maybe_open(source) as f:
         for lineno, raw in enumerate(f, 1):
             line = raw.strip()
@@ -281,15 +337,62 @@ def load_index(source, embedder: Embedder) -> EmbeddingIndex:
                 record = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise IndexFormatError(f"invalid JSON: {exc}", lineno) from None
+            if not isinstance(record, dict):
+                raise IndexFormatError("row is not a JSON object", lineno)
+            if "vector" in record:
+                raise IndexFormatError('dense "vector" row of an older index format '
+                                       "(run index again)", lineno)
             try:
-                vector = np.asarray(record["vector"], dtype=np.float64)
-                entry = IndexEntry(record["ref_id"], record["kind"],
-                                   record["text"], vector)
-            except (KeyError, TypeError, ValueError) as exc:
-                raise IndexFormatError(str(exc), lineno) from None
-            if vector.ndim != 1 or not np.all(np.isfinite(vector)):
-                raise IndexFormatError("vector is not a finite 1-d array", lineno)
-            if abs(float(np.linalg.norm(vector)) - 1.0) > 1e-6:
-                raise IndexFormatError("vector is not unit-norm", lineno)
-            entries.append(entry)
+                row = (record["ref_id"], record["kind"], record["text"])
+                row_dim, row_indices, row_values = (record["dim"], record["indices"],
+                                                    record["values"])
+            except KeyError as exc:
+                raise IndexFormatError(f"missing field {exc}", lineno) from None
+            if type(row_dim) is not int or row_dim < 1:
+                raise IndexFormatError(f"dim {row_dim!r} is not a positive integer", lineno)
+            if dim is None:
+                dim = row_dim
+            elif row_dim != dim:
+                raise IndexFormatError(f"dim {row_dim} differs from the first row's {dim}",
+                                       lineno)
+            if type(row_indices) is not list or type(row_values) is not list:
+                raise IndexFormatError("indices and values must be lists", lineno)
+            lines.append(lineno)
+            rows.append(row)
+            indices.append(row_indices)
+            values.append(row_values)
+    if dim is None:
+        return EmbeddingIndex([], embedder)
+    wanted = getattr(embedder, "dim", None)
+    if wanted is not None and wanted != dim:
+        raise IndexFormatError(f"index dim {dim} does not match the embedder's dim "
+                               f"{wanted} (run index again)", lines[0])
+
+    def refuse(bad_rows: np.ndarray, message: str) -> None:
+        if bad_rows.size:
+            raise IndexFormatError(message, lines[int(bad_rows[0])])
+
+    n = len(rows)
+    counts = np.fromiter(map(len, indices), dtype=np.intp, count=n)
+    refuse(np.flatnonzero(counts != np.fromiter(map(len, values), dtype=np.intp, count=n)),
+           "indices and values differ in length")
+    columns = _flatten(lines, indices, {int}, np.intp, "indices must be integers")
+    data = _flatten(lines, values, {int, float}, np.float64, "values must be numbers")
+    row_of = np.repeat(np.arange(n), counts)
+    refuse(row_of[(columns < 0) | (columns >= dim)], f"index outside [0, {dim})")
+    # Positions where a row's index does not rise from the one before it.
+    no_rise = np.flatnonzero((row_of[1:] == row_of[:-1]) & (columns[1:] <= columns[:-1]))
+    refuse(row_of[no_rise + 1], "indices are not strictly ascending")
+    refuse(row_of[~np.isfinite(data)], "vector is not finite")
+    with np.errstate(over="ignore"):
+        norms = np.sqrt(np.bincount(row_of, weights=data * data, minlength=n))
+    refuse(np.flatnonzero(np.abs(norms - 1.0) > 1e-6), "vector is not unit-norm")
+    matrix = np.zeros((n, dim))
+    matrix[row_of, columns] = data
+    entries = []
+    for line, (ref_id, kind, text), vector in zip(lines, rows, matrix):
+        try:
+            entries.append(IndexEntry(ref_id, kind, text, vector))
+        except (TypeError, ValueError) as exc:
+            raise IndexFormatError(str(exc), line) from None
     return EmbeddingIndex(entries, embedder)

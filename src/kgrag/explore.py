@@ -16,8 +16,8 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Sequence, Union
 
-from .embedding import KIND_RELATIONSHIP, NODE_KINDS, EmbeddingIndex
-from .graph import EdgeRecord, KnowledgeGraph
+from .embedding import KIND_RELATIONSHIP, NODE_KINDS, EmbeddingIndex, StaleIndexError
+from .graph import EdgeRecord, KnowledgeGraph, UnknownNodeError
 from .llm import (
     TAG_EVALUATE,
     TAG_PLAN,
@@ -395,6 +395,12 @@ class CoEngine:
             logger.error("provider failure during exploration: %s", exc)
             self.trace.emit({"event": "result", "type": "failure",
                              "cause": f"provider error: {exc}"})
+            return Failure()
+        except (StaleIndexError, UnknownNodeError) as exc:
+            # The index names a label or a node the graph does not have.
+            logger.error("index does not match graph: %s", exc)
+            self.trace.emit({"event": "result", "type": "failure",
+                             "cause": f"stale index: {exc} (run index again)"})
             return Failure()
 
     def _run(self, question: str) -> RetrievalResult:

@@ -10,13 +10,18 @@ from __future__ import annotations
 import hashlib
 import json
 import logging
+import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Sequence
-
-import requests
+from typing import Callable, Iterable, Sequence
 
 logger = logging.getLogger(__name__)
+
+# Delay before the first repeat of a transient HTTP failure; each further
+# repeat waits twice as long. A numeric Retry-After from the server replaces
+# the computed delay. No wait exceeds MAX_RETRY_DELAY_S.
+RETRY_BASE_DELAY_S = 0.5
+MAX_RETRY_DELAY_S = 30.0
 
 # Call-site labels used by the pipeline.
 TAG_EXTRACT = "extract"
@@ -164,6 +169,8 @@ def _walk_path(data, path: str):
 def _is_transient(exc: Exception) -> bool:
     """Whether a failed HTTP call may succeed if repeated: a connection
     failure, a timeout, or status 408, 429 or 5xx."""
+    import requests  # deferred: offline runs never pay for importing it
+
     if isinstance(exc, (requests.ConnectionError, requests.Timeout)):
         return True
     if isinstance(exc, requests.HTTPError) and exc.response is not None:
@@ -172,15 +179,57 @@ def _is_transient(exc: Exception) -> bool:
     return False
 
 
+def _retry_delay(exc: Exception, failures: int) -> float:
+    """Seconds to wait after the ``failures``-th failed attempt: the server's
+    numeric Retry-After if it sent one, else exponential backoff."""
+    delay = RETRY_BASE_DELAY_S * 2 ** (failures - 1)
+    response = getattr(exc, "response", None)
+    if response is not None:
+        try:
+            asked = float(response.headers.get("Retry-After", ""))
+        except ValueError:
+            asked = -1.0
+        if asked >= 0:  # false for NaN
+            delay = asked
+    return min(delay, MAX_RETRY_DELAY_S)
+
+
+def post_json(endpoint: str, payload: dict, headers: dict, timeout: float,
+              retries: int, sleep: Callable[[float], None], what: str):
+    """POST ``payload`` as JSON and return ``(status, decoded body)``. Up to
+    ``retries`` repeats follow a transient failure, each after
+    :func:`_retry_delay` seconds; any other failure, or the last one, raises
+    :class:`ProviderError` naming ``what`` and the number of attempts."""
+    import requests  # deferred: offline runs never pay for importing it
+
+    attempts = 0
+    while True:
+        attempts += 1
+        try:
+            response = requests.post(endpoint, json=payload, headers=headers,
+                                     timeout=timeout)
+            response.raise_for_status()
+            return response.status_code, response.json()
+        except (requests.RequestException, ValueError) as exc:
+            logger.warning("%s attempt %d failed: %s", what, attempts, exc)
+            if attempts > retries or not _is_transient(exc):
+                noun = "attempt" if attempts == 1 else "attempts"
+                raise ProviderError(f"{what} failed after {attempts} {noun}: "
+                                    f"{exc}") from exc
+            sleep(_retry_delay(exc, attempts))
+
+
 class HttpChatProvider:
     """POSTs ``{"messages": [...], "temperature": N}`` and pulls the reply
     text out via a configurable JSON path (default: first choice content).
-    Up to ``retries`` repeats follow a transient failure; any other failure
-    is final at once."""
+    Up to ``retries`` repeats follow a transient failure, with backoff (see
+    :func:`post_json`); any other failure is final at once. ``sleep`` does
+    the waiting between attempts."""
 
     def __init__(self, endpoint: str, api_key: str | None = None,
                  content_path: str = "choices.0.message.content",
-                 timeout: float = 60.0, retries: int = 1):
+                 timeout: float = 60.0, retries: int = 1,
+                 sleep: Callable[[float], None] = time.sleep):
         if not endpoint:
             raise ValueError("endpoint must be non-empty")
         self.endpoint = endpoint
@@ -188,6 +237,7 @@ class HttpChatProvider:
         self.content_path = content_path
         self.timeout = timeout
         self.retries = max(0, retries)
+        self.sleep = sleep
 
     def complete(self, request: LmRequest) -> LmResponse:
         payload = {
@@ -197,21 +247,8 @@ class HttpChatProvider:
         headers = {"Content-Type": "application/json"}
         if self.api_key:
             headers["Authorization"] = f"Bearer {self.api_key}"
-        attempts = 0
-        while True:
-            attempts += 1
-            try:
-                response = requests.post(self.endpoint, json=payload,
-                                         headers=headers, timeout=self.timeout)
-                response.raise_for_status()
-                data = response.json()
-                break
-            except (requests.RequestException, ValueError) as exc:
-                logger.warning("LM call attempt %d failed: %s", attempts, exc)
-                if attempts > self.retries or not _is_transient(exc):
-                    noun = "attempt" if attempts == 1 else "attempts"
-                    raise ProviderError(f"LM endpoint failed after {attempts} {noun}: "
-                                        f"{exc}") from exc
+        status, data = post_json(self.endpoint, payload, headers, self.timeout,
+                                 self.retries, self.sleep, "LM endpoint")
         try:
             content = _walk_path(data, self.content_path)
         except KeyError as exc:
@@ -219,7 +256,7 @@ class HttpChatProvider:
                 f"response JSON has no {self.content_path!r} (missing {exc})") from None
         if not isinstance(content, str):
             raise ProviderError(f"content at {self.content_path!r} is not text")
-        return LmResponse(content, {"provider": "http", "status": response.status_code})
+        return LmResponse(content, {"provider": "http", "status": status})
 
 
 class RecordingProvider:

@@ -13,7 +13,8 @@ def stub_server(responder):
     """Serve POST requests on a random localhost port.
 
     ``responder(payload, headers) -> (status, body)`` where body is a dict
-    (JSON-encoded) or raw bytes. Yields ``(base_url, captured)`` with
+    (JSON-encoded) or raw bytes; a third item, a dict, adds response
+    headers. Yields ``(base_url, captured)`` with
     ``captured`` collecting one dict per request.
     """
     captured: list[dict] = []
@@ -28,10 +29,12 @@ def stub_server(responder):
                 "payload": payload,
                 "headers": {k.lower(): v for k, v in self.headers.items()},
             })
-            status, body = responder(payload, self.headers)
+            status, body, *extra = responder(payload, self.headers)
             data = body if isinstance(body, bytes) else json.dumps(body).encode("utf-8")
             self.send_response(status)
             self.send_header("Content-Type", "application/json")
+            for name, value in (extra[0] if extra else {}).items():
+                self.send_header(name, value)
             self.send_header("Content-Length", str(len(data)))
             self.end_headers()
             self.wfile.write(data)

@@ -249,6 +249,33 @@ def test_query_with_another_graphs_index_fails(tmp_path, capsys):
         assert capsys.readouterr().err == MISMATCH
 
 
+def test_query_with_an_older_dense_index_fails(tmp_path, capsys):
+    graph_path, index_path, script_path = taylor_setup(tmp_path)
+    with open(index_path, encoding="utf-8") as f:
+        rows = [json.loads(line) for line in f]
+    dense = []
+    for row in rows:
+        vector = [0.0] * row["dim"]
+        for i, value in zip(row["indices"], row["values"]):
+            vector[i] = value
+        dense.append({"kind": row["kind"], "ref_id": row["ref_id"], "text": row["text"],
+                      "vector": vector})
+    with open(index_path, "w", encoding="utf-8") as f:
+        f.writelines(json.dumps(row, sort_keys=True) + "\n" for row in dense)
+    code = main(["query", TAYLOR_QUESTION, "--graph", graph_path, "--index", index_path,
+                 "--script", script_path])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: unreadable index file ")
+    assert err.endswith(': line 1: dense "vector" row of an older index format '
+                        "(run index again)\n")
+    assert main(["index", "--graph", graph_path, "--index", index_path]) == 0
+    capsys.readouterr()
+    assert main(["query", TAYLOR_QUESTION, "--graph", graph_path, "--index", index_path,
+                 "--script", script_path]) == 0
+    assert capsys.readouterr().out == TAYLOR_ANSWER + "\n"
+
+
 def test_query_after_reingest_needs_index_again(tmp_path, capsys):
     doc, _, graph_path = ingest_setup(tmp_path)
     more = tmp_path / "more.txt"

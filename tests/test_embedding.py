@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+import io
+import json
 import random
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from kgrag import (
@@ -29,6 +31,7 @@ from kgrag.embedding import (
     KIND_RELATIONSHIP,
     NODE_KINDS,
 )
+from kgrag.llm import RETRY_BASE_DELAY_S
 from http_stub import stub_server
 
 EMBEDDER = HashingEmbedder()
@@ -292,6 +295,78 @@ def test_save_load_roundtrip(tmp_path):
         [(e.ref_id, s) for e, s in loaded.search(query, 5)]
 
 
+def test_saved_rows_are_sparse(tmp_path):
+    index = index_graph(sample_graph(), EMBEDDER)
+    buffer = io.StringIO()
+    save_index(index, buffer)
+    for line, entry in zip(buffer.getvalue().splitlines(), index.entries):
+        row = json.loads(line)
+        assert list(row) == ["dim", "indices", "kind", "ref_id", "text", "values"]
+        assert row["dim"] == DEFAULT_DIM
+        assert row["indices"] == np.flatnonzero(entry.vector).tolist()
+        assert row["values"] == entry.vector[row["indices"]].tolist()
+
+
+_UNIT_VECTOR_COMPONENTS = st.one_of(
+    st.sampled_from([0.0, -0.0]),
+    st.floats(-1e3, 1e3, allow_nan=False, allow_subnormal=False))
+
+
+@st.composite
+def _unit_rows(draw) -> tuple[int, list[IndexEntry]]:
+    dim = draw(st.integers(1, 12))
+    entries = []
+    for i in range(draw(st.integers(0, 6))):
+        vector = np.array(draw(st.lists(_UNIT_VECTOR_COMPONENTS, min_size=dim,
+                                        max_size=dim)))
+        norm = np.linalg.norm(vector)
+        assume(norm > 1e-6)
+        kind = draw(st.sampled_from(_SEARCH_KINDS))
+        text = draw(st.text(min_size=1, max_size=6).filter(str.strip))
+        entries.append(IndexEntry(f"id{i}", kind, text, vector / norm))
+    return dim, entries
+
+
+@settings(max_examples=200, deadline=None)
+@given(_unit_rows())
+def test_save_load_reproduces_rows_and_matrix(dim_and_entries):
+    dim, entries = dim_and_entries
+    embedder = HashingEmbedder(dim=dim)
+    index = EmbeddingIndex(entries, embedder)
+    first = io.StringIO()
+    save_index(index, first)
+    loaded = load_index(io.StringIO(first.getvalue()), embedder)
+    assert [(e.ref_id, e.kind, e.text) for e in loaded.entries] == \
+        [(e.ref_id, e.kind, e.text) for e in entries]
+    if entries:
+        # Bytes, not ``np.array_equal``, so that -0.0 and 0.0 differ.
+        assert np.stack([e.vector for e in loaded.entries]).tobytes() == \
+            np.stack([e.vector for e in entries]).tobytes()
+    again = io.StringIO()
+    save_index(loaded, again)
+    assert again.getvalue() == first.getvalue()
+
+
+def test_load_reproduces_the_built_matrix_bit_for_bit(tmp_path):
+    index = index_graph(sample_graph(), EMBEDDER)
+    path = tmp_path / "index.jsonl"
+    save_index(index, path)
+    built = np.stack([e.vector for e in index.entries])
+    loaded = np.stack([e.vector for e in load_index(path, EMBEDDER).entries])
+    assert built.tobytes() == loaded.tobytes()
+
+
+def test_save_load_keeps_negative_zero():
+    embedder = HashingEmbedder(dim=3)
+    index = EmbeddingIndex([IndexEntry("a", KIND_NODE, "a", np.array([-0.0, 1.0, 0.0]))],
+                           embedder)
+    buffer = io.StringIO()
+    save_index(index, buffer)
+    assert json.loads(buffer.getvalue())["indices"] == [0, 1]
+    vector = load_index(io.StringIO(buffer.getvalue()), embedder).entries[0].vector
+    assert np.signbit(vector).tolist() == [True, False, False]
+
+
 def test_load_rejects_bad_lines(tmp_path):
     path = tmp_path / "bad.jsonl"
     path.write_text("not json\n", encoding="utf-8")
@@ -300,31 +375,84 @@ def test_load_rejects_bad_lines(tmp_path):
     assert exc_info.value.line == 1
 
 
+def _row(**fields) -> str:
+    row = {"dim": 2, "indices": [0], "kind": "node", "ref_id": "x", "text": "a",
+           "values": [1.0]}
+    row.update(fields)
+    return json.dumps({k: v for k, v in row.items() if v is not None})
+
+
 def test_load_rejects_non_unit_vector(tmp_path):
     path = tmp_path / "bad.jsonl"
-    path.write_text(
-        '{"ref_id": "x", "kind": "node", "text": "a", "vector": [1.0, 1.0]}\n',
-        encoding="utf-8",
-    )
+    path.write_text(_row(indices=[0, 1], values=[1.0, 1.0]) + "\n", encoding="utf-8")
     with pytest.raises(IndexFormatError, match="unit"):
-        load_index(path, EMBEDDER)
+        load_index(path, HashingEmbedder(dim=2))
 
 
 def test_load_rejects_unknown_kind(tmp_path):
     path = tmp_path / "bad.jsonl"
-    path.write_text(
-        '{"ref_id": "x", "kind": "mystery", "text": "a", "vector": [1.0, 0.0]}\n',
-        encoding="utf-8",
-    )
+    path.write_text(_row(kind="mystery") + "\n", encoding="utf-8")
     with pytest.raises(IndexFormatError):
-        load_index(path, EMBEDDER)
+        load_index(path, HashingEmbedder(dim=2))
 
 
 def test_load_rejects_missing_field(tmp_path):
     path = tmp_path / "bad.jsonl"
-    path.write_text('{"ref_id": "x", "kind": "node", "text": "a"}\n', encoding="utf-8")
+    path.write_text(_row(values=None) + "\n", encoding="utf-8")
     with pytest.raises(IndexFormatError):
-        load_index(path, EMBEDDER)
+        load_index(path, HashingEmbedder(dim=2))
+
+
+_DENSE = '{"kind": "node", "ref_id": "y", "text": "b", "vector": [0.0, 1.0]}'
+
+
+@pytest.mark.parametrize("bad, message", [
+    (_DENSE, "dense"),
+    (_row(indices=[1, 0], values=[0.6, 0.8]), "ascending"),
+    (_row(indices=[1, 1], values=[0.6, 0.8]), "ascending"),
+    (_row(indices=[2]), "outside"),
+    (_row(indices=[-1]), "outside"),
+    (_row(indices=[0, 1]), "length"),
+    (_row(values=[float("inf")]), "finite"),
+    (_row(values=[float("nan")]), "finite"),
+    (_row(indices=[0, 1], values=[0.6, 0.6]), "unit"),
+    (_row(dim=3, indices=[2]), "differs"),
+    (_row(dim=0), "positive"),
+    (_row(dim=2.0), "positive"),
+    (_row(indices=[0.0]), "integers"),
+    (_row(indices=[True]), "integers"),
+    (_row(indices=[2 ** 70]), "integers"),
+    (_row(values=["1.0"]), "numbers"),
+    (_row(values=[None]), "numbers"),
+    (_row(values=[10 ** 400]), "numbers"),
+    (_row(indices=7), "lists"),
+    ('["a", "list"]', "object"),
+], ids=["dense", "unsorted", "duplicate", "above-dim", "negative", "length-mismatch",
+        "infinite", "nan", "non-unit", "mixed-dim", "zero-dim", "float-dim",
+        "float-index", "bool-index", "huge-index", "string-value", "null-value",
+        "huge-value", "index-not-list", "not-object"])
+def test_load_refuses_bad_row_at_its_line(tmp_path, bad, message):
+    good = [_row(ref_id="g1"), _row(ref_id="g2", indices=[1])]
+    path = tmp_path / "bad.jsonl"
+    path.write_text("\n".join([good[0], "", bad, good[1]]) + "\n", encoding="utf-8")
+    with pytest.raises(IndexFormatError, match=message) as exc_info:
+        load_index(path, HashingEmbedder(dim=2))
+    assert exc_info.value.line == 3
+    assert str(exc_info.value).startswith("line 3: ")
+
+
+def test_load_refuses_dim_unlike_the_embedders(tmp_path):
+    path = tmp_path / "index.jsonl"
+    path.write_text("\n".join([_row(ref_id="a"), _row(ref_id="b", indices=[1])]) + "\n",
+                    encoding="utf-8")
+    with pytest.raises(IndexFormatError, match="dim 2 .* embedder's dim 256") as exc_info:
+        load_index(path, HashingEmbedder())
+    assert exc_info.value.line == 1
+    assert "\n" not in str(exc_info.value)
+    # An embedder whose dim is not known yet takes the index's.
+    http = HttpEmbeddingProvider("http://127.0.0.1:9/unused")
+    assert len(load_index(path, http)) == 2
+    assert http.dim is None
 
 
 # ----------------------------------------------------------- HTTP backend
@@ -366,7 +494,7 @@ def test_http_embedder_batches_requests():
 def test_http_embedder_error_paths():
     with stub_server(lambda payload, headers: (500, {"error": "down"})) as (url, _):
         with pytest.raises(ProviderError):
-            HttpEmbeddingProvider(url).embed("x")
+            HttpEmbeddingProvider(url, sleep=lambda seconds: None).embed("x")
 
     with stub_server(lambda payload, headers: (200, {"wrong": []})) as (url, _):
         with pytest.raises(ProviderError):
@@ -382,6 +510,49 @@ def test_http_embedder_error_paths():
     with stub_server(lambda payload, headers: (200, {"vectors": [[0.0, 0.0]]})) as (url, _):
         with pytest.raises(ProviderError):
             HttpEmbeddingProvider(url).embed("x")
+
+
+def _fails_once(*failure):
+    """A responder that sends ``failure`` to the first call and vectors after."""
+    state = {"calls": 0}
+
+    def responder(payload, headers):
+        state["calls"] += 1
+        if state["calls"] == 1:
+            return failure
+        return 200, {"vectors": [[1.0, 0.0] for _ in payload["texts"]]}
+
+    return responder
+
+
+@pytest.mark.parametrize("failure, delay", [
+    ((503, {"error": "busy"}), RETRY_BASE_DELAY_S),
+    ((429, {"error": "slow down"}, {"Retry-After": "3"}), 3.0),
+])
+def test_http_embedder_retries_a_transient_failure_after_a_wait(failure, delay):
+    delays = []
+    with stub_server(_fails_once(*failure)) as (url, captured):
+        provider = HttpEmbeddingProvider(url, sleep=delays.append)
+        assert np.array_equal(provider.embed("x"), [1.0, 0.0])
+    assert len(captured) == 2
+    assert delays == [delay]
+
+
+def test_http_embedder_gives_up_like_the_chat_provider():
+    delays = []
+    with stub_server(lambda payload, headers: (503, {"error": "down"})) as (url, captured):
+        with pytest.raises(ProviderError, match="after 2 attempts"):
+            HttpEmbeddingProvider(url, sleep=delays.append).embed("x")
+    assert len(captured) == 2
+    assert delays == [RETRY_BASE_DELAY_S]
+    with stub_server(lambda payload, headers: (400, {"error": "bad"})) as (url, captured):
+        with pytest.raises(ProviderError, match="after 1 attempt:"):
+            HttpEmbeddingProvider(url, sleep=delays.append).embed("x")
+    assert len(captured) == 1
+    assert delays == [RETRY_BASE_DELAY_S]
+    with stub_server(lambda payload, headers: (200, {"vectors": [[1.0], [1.0, 2.0]]})) as (url, _):
+        with pytest.raises(ProviderError, match="unreadable vectors"):
+            HttpEmbeddingProvider(url).embed_batch(["x", "y"])
 
 
 def test_http_embedder_locks_dimension():

@@ -54,8 +54,10 @@ from coe_fixtures import (
     REFINE_QUESTION,
     TAYLOR_PLAN,
     TAYLOR_QUESTION,
+    TAYLOR_TRIPLES,
     _STEP1,
     _STEP2,
+    build_graph,
     refinement_fixture,
     taylor_fixture,
 )
@@ -472,6 +474,28 @@ def test_provider_error_mid_run_degrades_to_failure():
     assert isinstance(result, Failure)
     assert result.message == FAILURE_MESSAGE
     assert trace.events[-1]["cause"].startswith("provider error")
+
+
+def test_stale_index_degrades_to_failure():
+    graph, index, rules = taylor_fixture()
+    # A label added after indexing has no relationship row in the index.
+    graph.upsert_triple(parse_triple("(Elizabeth Taylor)-[adopted]->(Maria Burton)"))
+    trace = TraceRecorder()
+    result = CoEngine(graph, index, ScriptedProvider(rules), trace=trace).run(TAYLOR_QUESTION)
+    assert result == Failure()
+    assert trace.events[-1]["type"] == "failure"
+    assert trace.events[-1]["cause"].startswith("stale index:")
+    assert "'adopted'" in trace.events[-1]["cause"]
+
+
+def test_index_naming_a_missing_node_degrades_to_failure():
+    _, index, rules = taylor_fixture()
+    # The index still has "Liz Taylor", which step 1 selects; this graph does not.
+    graph = build_graph([t for t in TAYLOR_TRIPLES if "Liz Taylor" not in t])
+    trace = TraceRecorder()
+    result = CoEngine(graph, index, ScriptedProvider(rules), trace=trace).run(TAYLOR_QUESTION)
+    assert result == Failure()
+    assert trace.events[-1]["cause"].startswith("stale index: unknown node id")
 
 
 def test_empty_provider_degrades_to_failure():

@@ -3,6 +3,11 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import pytest
 
@@ -18,7 +23,12 @@ from kgrag import (
     read_transcript,
     save_script,
 )
+from kgrag.llm import MAX_RETRY_DELAY_S, RETRY_BASE_DELAY_S
 from http_stub import stub_server
+
+
+def no_wait(seconds: float) -> None:
+    """Stands in for ``time.sleep`` so retry tests make no real waits."""
 
 
 def req(text: str, tag: str = "plan", temperature: float = 1.0) -> LmRequest:
@@ -195,10 +205,12 @@ def test_http_provider_retries_then_succeeds():
             return 500, {"error": "transient"}
         return 200, _chat_body("recovered")
 
+    delays = []
     with stub_server(responder) as (url, _):
-        provider = HttpChatProvider(url, retries=1)
+        provider = HttpChatProvider(url, retries=1, sleep=delays.append)
         assert provider.complete(req("hi")).content == "recovered"
     assert state["calls"] == 2
+    assert delays == [RETRY_BASE_DELAY_S]
 
 
 def test_http_provider_exhausts_retries():
@@ -208,10 +220,12 @@ def test_http_provider_exhausts_retries():
         state["calls"] += 1
         return 500, {"error": "down"}
 
+    delays = []
     with stub_server(responder) as (url, _):
         with pytest.raises(ProviderError, match="after 2 attempts"):
-            HttpChatProvider(url, retries=1).complete(req("hi"))
+            HttpChatProvider(url, retries=1, sleep=delays.append).complete(req("hi"))
     assert state["calls"] == 2
+    assert delays == [RETRY_BASE_DELAY_S]   # no wait after the last attempt
 
 
 @pytest.mark.parametrize("status", [400, 401, 404, 422])
@@ -222,10 +236,12 @@ def test_http_provider_does_not_retry_client_errors(status):
         state["calls"] += 1
         return status, {"error": "bad request"}
 
+    delays = []
     with stub_server(responder) as (url, _):
         with pytest.raises(ProviderError, match="after 1 attempt:"):
-            HttpChatProvider(url, retries=3).complete(req("hi"))
+            HttpChatProvider(url, retries=3, sleep=delays.append).complete(req("hi"))
     assert state["calls"] == 1
+    assert delays == []
 
 
 @pytest.mark.parametrize("status", [408, 429, 503])
@@ -239,8 +255,50 @@ def test_http_provider_retries_transient_statuses(status):
         return 200, _chat_body("recovered")
 
     with stub_server(responder) as (url, _):
-        assert HttpChatProvider(url, retries=2).complete(req("hi")).content == "recovered"
+        provider = HttpChatProvider(url, retries=2, sleep=no_wait)
+        assert provider.complete(req("hi")).content == "recovered"
     assert state["calls"] == 3
+
+
+def test_http_provider_backs_off_exponentially():
+    state = {"calls": 0}
+
+    def responder(payload, headers):
+        state["calls"] += 1
+        if state["calls"] <= 3:
+            return 503, {"error": "busy"}
+        return 200, _chat_body("recovered")
+
+    delays = []
+    with stub_server(responder) as (url, _):
+        provider = HttpChatProvider(url, retries=3, sleep=delays.append)
+        assert provider.complete(req("hi")).content == "recovered"
+    assert delays == [RETRY_BASE_DELAY_S, 2 * RETRY_BASE_DELAY_S, 4 * RETRY_BASE_DELAY_S]
+
+
+@pytest.mark.parametrize("retry_after, expected", [
+    ("7", 7.0),
+    ("0.25", 0.25),
+    ("0", 0.0),
+    ("86400", MAX_RETRY_DELAY_S),
+    ("Wed, 21 Oct 2015 07:28:00 GMT", RETRY_BASE_DELAY_S),
+    ("-3", RETRY_BASE_DELAY_S),
+    ("nan", RETRY_BASE_DELAY_S),
+])
+def test_http_provider_honours_numeric_retry_after(retry_after, expected):
+    state = {"calls": 0}
+
+    def responder(payload, headers):
+        state["calls"] += 1
+        if state["calls"] == 1:
+            return 429, {"error": "slow down"}, {"Retry-After": retry_after}
+        return 200, _chat_body("recovered")
+
+    delays = []
+    with stub_server(responder) as (url, _):
+        provider = HttpChatProvider(url, retries=1, sleep=delays.append)
+        assert provider.complete(req("hi")).content == "recovered"
+    assert delays == [expected]
 
 
 def test_http_provider_does_not_retry_malformed_body():
@@ -259,8 +317,10 @@ def test_http_provider_does_not_retry_malformed_body():
 def test_http_provider_retries_connection_errors():
     with stub_server(lambda payload, headers: (200, _chat_body("x"))) as (url, _):
         pass  # the server is gone: nothing listens on its port any more
+    delays = []
     with pytest.raises(ProviderError, match="after 2 attempts"):
-        HttpChatProvider(url, retries=1, timeout=5).complete(req("hi"))
+        HttpChatProvider(url, retries=1, timeout=5, sleep=delays.append).complete(req("hi"))
+    assert delays == [RETRY_BASE_DELAY_S]
 
 
 def test_http_provider_rejects_malformed_body():
@@ -285,3 +345,32 @@ def test_http_provider_rejects_non_text_content():
 def test_http_provider_requires_endpoint():
     with pytest.raises(ValueError):
         HttpChatProvider("")
+
+
+# ------------------------------------------------------------- imports
+
+def test_offline_runs_never_import_requests():
+    """``requests`` costs a tenth of a second to import; only an HTTP call
+    may pay it."""
+    code = textwrap.dedent("""
+        import io
+        import sys
+        import kgrag
+        assert "requests" not in sys.modules, "import kgrag"
+        from coe_fixtures import TAYLOR_ANSWER, TAYLOR_QUESTION, taylor_fixture
+        graph, index, rules = taylor_fixture()
+        saved = io.StringIO()
+        kgrag.save_index(index, saved)
+        index = kgrag.load_index(io.StringIO(saved.getvalue()), kgrag.HashingEmbedder())
+        engine = kgrag.CoEngine(graph, index, kgrag.ScriptedProvider(rules))
+        result = engine.run(TAYLOR_QUESTION)
+        answer = kgrag.generate_answer(engine.provider, TAYLOR_QUESTION, result)
+        assert answer.answer == TAYLOR_ANSWER, answer
+        assert "requests" not in sys.modules, "scripted run"
+    """)
+    tests = Path(__file__).resolve().parent
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join([str(tests.parent / "src"), str(tests)])}
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
