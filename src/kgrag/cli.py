@@ -31,7 +31,7 @@ from .extraction import (
     ExtractionReport,
     extract_and_store,
 )
-from .graph import GraphFormatError, KnowledgeGraph, load_graph, save_graph
+from .graph import GraphFormatError, GraphIntegrityError, KnowledgeGraph, load_graph, save_graph
 from .llm import HttpChatProvider, ProviderError, ScriptedProvider
 from .metrics import evaluate_dataset, load_dataset
 
@@ -53,7 +53,10 @@ def build_provider(args) -> ScriptedProvider | HttpChatProvider:
             raise ConfigError("--provider scripted requires --script")
         if not Path(args.script).exists():
             raise ConfigError(f"script file not found: {args.script}")
-        return ScriptedProvider.from_jsonl(args.script)
+        try:
+            return ScriptedProvider.from_jsonl(args.script)
+        except ValueError as exc:
+            raise ConfigError(f"unreadable script file {args.script}: {exc}") from None
     endpoint = args.endpoint or os.environ.get(ENV_LM_ENDPOINT)
     if not endpoint:
         raise ConfigError(f"--provider http requires --endpoint or ${ENV_LM_ENDPOINT}")
@@ -76,7 +79,7 @@ def _load_graph_or_fail(path: str) -> KnowledgeGraph:
         raise ConfigError(f"graph file not found: {path} (run ingest first)")
     try:
         return load_graph(path)
-    except GraphFormatError as exc:
+    except (GraphFormatError, UnicodeDecodeError) as exc:
         raise ConfigError(f"unreadable graph file {path}: {exc}") from exc
 
 
@@ -86,19 +89,22 @@ def _read_documents(paths: list[str]) -> list[tuple[str, str]]:
         path = Path(path_text)
         if not path.exists():
             raise ConfigError(f"input file not found: {path}")
-        if path.suffix == ".jsonl":
-            with open(path, encoding="utf-8") as f:
-                for lineno, raw in enumerate(f, 1):
-                    line = raw.strip()
-                    if not line:
-                        continue
-                    try:
-                        record = json.loads(line)
-                        documents.append((str(record["doc_id"]), str(record["text"])))
-                    except (json.JSONDecodeError, KeyError, TypeError) as exc:
-                        raise ConfigError(f"{path}:{lineno}: bad document record: {exc}") from None
-        else:
-            documents.append((path.name, path.read_text(encoding="utf-8")))
+        try:
+            text = path.read_text(encoding="utf-8")
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"unreadable input file {path}: {exc}") from None
+        if path.suffix != ".jsonl":
+            documents.append((path.name, text))
+            continue
+        for lineno, raw in enumerate(text.split("\n"), 1):
+            line = raw.strip()
+            if not line:
+                continue
+            try:
+                record = json.loads(line)
+                documents.append((str(record["doc_id"]), str(record["text"])))
+            except (json.JSONDecodeError, KeyError, TypeError) as exc:
+                raise ConfigError(f"{path}:{lineno}: bad document record: {exc}") from None
     return documents
 
 
@@ -106,7 +112,7 @@ def cmd_ingest(args) -> int:
     provider = build_provider(args)
     documents = _read_documents(args.inputs)
     graph_path = Path(args.graph)
-    graph = load_graph(graph_path) if graph_path.exists() else KnowledgeGraph()
+    graph = _load_graph_or_fail(args.graph) if graph_path.exists() else KnowledgeGraph()
     report = ExtractionReport()
     halted: ExtractionHalted | None = None
     for doc_id, text in documents:
@@ -127,7 +133,10 @@ def cmd_ingest(args) -> int:
 
 def cmd_index(args) -> int:
     graph = _load_graph_or_fail(args.graph)
-    graph.audit()
+    try:
+        graph.audit()
+    except GraphIntegrityError as exc:
+        raise ConfigError(f"graph file {args.graph} fails its audit: {exc}") from None
     embedder = build_embedder(args)
     try:
         index = index_graph(graph, embedder)
@@ -146,7 +155,7 @@ def _build_engine(args, trace_stream=None) -> CoEngine:
         raise ConfigError(f"index file not found: {args.index} (run index first)")
     try:
         index = load_index(args.index, build_embedder(args))
-    except IndexFormatError as exc:
+    except (IndexFormatError, UnicodeDecodeError) as exc:
         raise ConfigError(f"unreadable index file {args.index}: {exc}") from exc
     if [(e.ref_id, e.kind, e.text) for e in index.entries] != plan_index(graph):
         raise ConfigError("index does not match graph (run index again)")
@@ -177,7 +186,10 @@ def cmd_query(args) -> int:
 def cmd_eval(args) -> int:
     if not Path(args.dataset).exists():
         raise ConfigError(f"dataset not found: {args.dataset}")
-    examples, problems = load_dataset(args.dataset)
+    try:
+        examples, problems = load_dataset(args.dataset)
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"unreadable dataset {args.dataset}: {exc}") from None
     for problem in problems:
         logger.warning("skipping dataset %s", problem)
 
@@ -204,6 +216,18 @@ def cmd_stats(args) -> int:
     graph = _load_graph_or_fail(args.graph)
     _print_json(graph.stats().to_dict())
     return 0
+
+
+def _check_numbers(args) -> None:
+    """Refuse numeric options that no command can run with."""
+    if args.topk < 1:
+        raise ConfigError(f"--topk must be at least 1, not {args.topk}")
+    if args.command == "ingest":
+        if args.overlap_chars < 0:
+            raise ConfigError(f"--overlap-chars must not be negative, not {args.overlap_chars}")
+        if args.chunk_chars <= args.overlap_chars:
+            raise ConfigError(f"--chunk-chars ({args.chunk_chars}) must exceed "
+                              f"--overlap-chars ({args.overlap_chars})")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -266,6 +290,7 @@ def main(argv: list[str] | None = None) -> int:
     logging.basicConfig(level=logging.INFO if args.verbose else logging.WARNING,
                         format="%(levelname)s %(name)s: %(message)s")
     try:
+        _check_numbers(args)
         return args.func(args)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -44,8 +44,9 @@ class IndexFormatError(Exception):
 
 
 class StaleIndexError(ValueError):
-    """A search named a ref_id the index has no entry for: the index was
-    built from another graph, or before the graph last changed."""
+    """A search named a ref_id the index has no entry for, or embedded its
+    query to another width than the index's: the index was built from
+    another graph or embedder, or before the graph last changed."""
 
 
 class Embedder(Protocol):
@@ -145,13 +146,12 @@ class IndexEntry:
     """One embedded item: a node, a hypernode, or a relationship label.
 
     ``ref_id`` is the node id for node entries and the canonical label for
-    relationship entries.
+    relationship entries. Its vector is its row of the index's ``matrix``.
     """
 
     ref_id: str
     kind: str
     text: str
-    vector: np.ndarray
     canonical: str = field(init=False)
 
     def __post_init__(self):
@@ -161,8 +161,8 @@ class IndexEntry:
 
 
 class EmbeddingIndex:
-    """Exact-scan dot-product search. Ties break by canonical text ascending,
-    then by entry order.
+    """Exact-scan dot-product search over ``matrix`` (one row per entry,
+    used as given). Ties break by canonical text ascending, then entry order.
 
     Each search is one matrix-vector product (over every entry, or over only
     the rows of the requested ref_ids), a partition that finds the k-th best
@@ -170,13 +170,12 @@ class EmbeddingIndex:
     that much (the top k and any ties with them).
     """
 
-    def __init__(self, entries: Sequence[IndexEntry], embedder: Embedder):
+    def __init__(self, entries: Sequence[IndexEntry], matrix: np.ndarray, embedder: Embedder):
         self.entries = list(entries)
+        if matrix.ndim != 2 or len(matrix) != len(self.entries):
+            raise ValueError(f"matrix of shape {matrix.shape} for {len(self.entries)} entries")
+        self.matrix = matrix
         self.embedder = embedder
-        if self.entries:
-            self._matrix = np.stack([e.vector for e in self.entries])
-        else:
-            self._matrix = np.zeros((0, getattr(embedder, "dim", None) or 0))
         self._entry_kinds = np.array([e.kind for e in self.entries], dtype=str)
         # Ascending row numbers, and the rows of each ref_id, for each
         # requested set of kinds.
@@ -211,7 +210,8 @@ class EmbeddingIndex:
                ref_ids: Iterable[str] | None = None) -> list[tuple[IndexEntry, float]]:
         """Top k entries of the wanted kinds; with ``ref_ids``, only among
         the entries of those ref_ids. A ref_id with no entry of the wanted
-        kinds raises :class:`StaleIndexError`."""
+        kinds, or a query vector of another width than the matrix's, raises
+        :class:`StaleIndexError`."""
         if k < 1:
             raise ValueError("k must be at least 1")
         key = frozenset(_ENTRY_KINDS if kinds is None else kinds).intersection(_ENTRY_KINDS)
@@ -219,9 +219,12 @@ class EmbeddingIndex:
         if len(rows) == 0:
             return []
         query = self.embedder.embed(query_text)
+        if query.shape != self.matrix.shape[1:]:
+            raise StaleIndexError(f"query vector of shape {query.shape} does not fit "
+                                  f"the index's dim {self.matrix.shape[1]}")
         # A few named rows are gathered before the product; a whole kind is
         # scored in place, without copying the matrix.
-        scores = (self._matrix @ query)[rows] if ref_ids is None else self._matrix[rows] @ query
+        scores = (self.matrix @ query)[rows] if ref_ids is None else self.matrix[rows] @ query
         cut = max(len(scores) - k, 0)
         picked = np.flatnonzero(scores >= np.partition(scores, cut)[cut])
         # ``sorted`` is stable and the rows ascend, so equal (score, canonical)
@@ -252,21 +255,21 @@ def plan_index(graph: KnowledgeGraph) -> list[tuple[str, str, str]]:
 
 
 def index_graph(graph: KnowledgeGraph, embedder: Embedder) -> EmbeddingIndex:
-    """Embed every entry of :func:`plan_index`. On provider failure the
-    raised error carries how many entries had been built already."""
+    """Embed every entry of :func:`plan_index` into one matrix. On provider
+    failure the raised error carries how many entries had been built already."""
     planned = plan_index(graph)
-    entries: list[IndexEntry] = []
+    matrix = np.zeros((0, 0))
     batch = 128
     for start in range(0, len(planned), batch):
-        part = planned[start:start + batch]
         try:
-            vectors = embedder.embed_batch([text for _, _, text in part])
+            vectors = embedder.embed_batch([text for _, _, text in planned[start:start + batch]])
         except ProviderError as exc:
-            exc.entries_built = len(entries)  # type: ignore[attr-defined]
+            exc.entries_built = start  # type: ignore[attr-defined]
             raise
-        for (ref_id, kind, text), vector in zip(part, vectors):
-            entries.append(IndexEntry(ref_id, kind, text, vector))
-    return EmbeddingIndex(entries, embedder)
+        if not start:
+            matrix = np.empty((len(planned), vectors.shape[1]))
+        matrix[start:start + batch] = vectors
+    return EmbeddingIndex([IndexEntry(*row) for row in planned], matrix, embedder)
 
 
 def save_index(index: EmbeddingIndex, sink) -> None:
@@ -275,7 +278,7 @@ def save_index(index: EmbeddingIndex, sink) -> None:
     are the ascending positions of the vector's non-zero components and
     ``values`` those components, so the file holds no zeros but ``-0.0``,
     kept so that the loaded matrix is bit-identical to this one."""
-    matrix = index._matrix
+    matrix = index.matrix
     rows, columns = np.nonzero((matrix != 0.0) | np.signbit(matrix))
     values = matrix[rows, columns].tolist()
     bounds = np.searchsorted(rows, np.arange(len(index) + 1)).tolist()
@@ -362,7 +365,7 @@ def load_index(source, embedder: Embedder) -> EmbeddingIndex:
             indices.append(row_indices)
             values.append(row_values)
     if dim is None:
-        return EmbeddingIndex([], embedder)
+        return EmbeddingIndex([], np.zeros((0, 0)), embedder)
     wanted = getattr(embedder, "dim", None)
     if wanted is not None and wanted != dim:
         raise IndexFormatError(f"index dim {dim} does not match the embedder's dim "
@@ -390,9 +393,9 @@ def load_index(source, embedder: Embedder) -> EmbeddingIndex:
     matrix = np.zeros((n, dim))
     matrix[row_of, columns] = data
     entries = []
-    for line, (ref_id, kind, text), vector in zip(lines, rows, matrix):
+    for line, row in zip(lines, rows):
         try:
-            entries.append(IndexEntry(ref_id, kind, text, vector))
+            entries.append(IndexEntry(*row))
         except (TypeError, ValueError) as exc:
             raise IndexFormatError(str(exc), line) from None
-    return EmbeddingIndex(entries, embedder)
+    return EmbeddingIndex(entries, matrix, embedder)

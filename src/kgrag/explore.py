@@ -397,7 +397,8 @@ class CoEngine:
                              "cause": f"provider error: {exc}"})
             return Failure()
         except (StaleIndexError, UnknownNodeError) as exc:
-            # The index names a label or a node the graph does not have.
+            # The index names a label or a node the graph does not have, or
+            # has another width than the embedder's vectors.
             logger.error("index does not match graph: %s", exc)
             self.trace.emit({"event": "result", "type": "failure",
                              "cause": f"stale index: {exc} (run index again)"})

@@ -217,10 +217,9 @@ def test_criterion_5_search_exactness():
             if canonical and canonical not in seen:
                 seen.add(canonical)
                 labels.append(label)
-        entries = [IndexEntry(f"n{i:04d}", "node", label, embedder.embed(label))
-                   for i, label in enumerate(labels)]
-        index = EmbeddingIndex(entries, embedder)
-        matrix = np.stack([e.vector for e in entries])
+        entries = [IndexEntry(f"n{i:04d}", "node", label) for i, label in enumerate(labels)]
+        matrix = np.stack([embedder.embed(label) for label in labels])
+        index = EmbeddingIndex(entries, matrix, embedder)
 
         for _ in range(100):
             query = "".join(rng.choice(alphabet) for _ in range(rng.randint(2, 10)))

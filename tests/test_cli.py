@@ -368,3 +368,90 @@ def test_ingest_rejects_bad_jsonl_document(tmp_path, capsys):
                  "--script", script])
     assert code == 1
     assert "bad document record" in capsys.readouterr().err
+
+
+def _dataset(tmp_path):
+    dataset = tmp_path / "dataset.jsonl"
+    dataset.write_text(json.dumps({"id": "q1", "question": TAYLOR_QUESTION,
+                                   "answers": [TAYLOR_ANSWER]}) + "\n", encoding="utf-8")
+    return str(dataset)
+
+
+def _query_args(tmp_path):
+    graph_path, index_path, script_path = taylor_setup(tmp_path)
+    return ["--graph", graph_path, "--index", index_path, "--script", script_path]
+
+
+def _ingest_args(tmp_path):
+    doc, script, graph_path = ingest_setup(tmp_path)
+    return [str(doc), "--graph", str(graph_path), "--script", script]
+
+
+def _non_utf8(path):
+    path.write_bytes(b"\xff\xfe not UTF-8\n")
+    return str(path)
+
+
+def _graph_without_subject_edge(tmp_path):
+    doc, script, graph_path = ingest_setup(tmp_path)
+    assert main(["ingest", str(doc), "--graph", str(graph_path), "--script", script]) == 0
+    lines = graph_path.read_text(encoding="utf-8").splitlines(keepends=True)
+    subject_edges = [line for line in lines if '"label": "_subject"' in line]
+    assert len(subject_edges) == 1
+    graph_path.write_text("".join(line for line in lines if line not in subject_edges),
+                          encoding="utf-8")
+    load_graph(graph_path)  # still loads; only the audit refuses it
+    return ["index", "--graph", str(graph_path), "--index", str(tmp_path / "index.jsonl")]
+
+
+def _malformed_script(tmp_path):
+    paths = _query_args(tmp_path)[:4]
+    script = tmp_path / "bad-script.jsonl"
+    script.write_text('{"tag": "extract"}\n', encoding="utf-8")
+    return ["query", TAYLOR_QUESTION] + paths + ["--script", str(script)]
+
+
+BAD_INPUTS = {
+    "query-topk-0": lambda tmp: ["query", TAYLOR_QUESTION, "--topk", "0"] + _query_args(tmp),
+    "eval-topk-0": lambda tmp: ["eval", _dataset(tmp), "--topk", "0"] + _query_args(tmp),
+    "ingest-chunk-0": lambda tmp: ["ingest", "--chunk-chars", "0"] + _ingest_args(tmp),
+    "ingest-negative-overlap": lambda tmp: ["ingest", "--overlap-chars", "-1"]
+    + _ingest_args(tmp),
+    "ingest-chunk-not-above-overlap": lambda tmp: [
+        "ingest", "--chunk-chars", "50", "--overlap-chars", "50"] + _ingest_args(tmp),
+    "malformed-script": _malformed_script,
+    "non-utf8-document": lambda tmp: ["ingest", _non_utf8(tmp / "bad-doc.txt"),
+                                      "--graph", str(tmp / "graph.jsonl"),
+                                      "--script", ingest_setup(tmp)[1]],
+    "non-utf8-dataset": lambda tmp: ["eval", _non_utf8(tmp / "dataset.jsonl")]
+    + _query_args(tmp),
+    "non-utf8-graph": lambda tmp: ["stats", "--graph", _non_utf8(tmp / "graph.jsonl")],
+    "non-utf8-index": lambda tmp: ["query", TAYLOR_QUESTION] + _query_args(tmp)[:2]
+    + ["--index", _non_utf8(tmp / "bad-index.jsonl"), "--script", str(tmp / "script.jsonl")],
+    "graph-fails-audit": _graph_without_subject_edge,
+}
+
+# What the one error line must name: the bad option or file.
+BAD_INPUT_NAMES = {
+    "query-topk-0": "--topk", "eval-topk-0": "--topk", "ingest-chunk-0": "--chunk-chars",
+    "ingest-negative-overlap": "--overlap-chars",
+    "ingest-chunk-not-above-overlap": "--chunk-chars", "malformed-script": "bad-script.jsonl",
+    "non-utf8-document": "bad-doc.txt", "non-utf8-dataset": "dataset.jsonl",
+    "non-utf8-graph": "graph.jsonl", "non-utf8-index": "bad-index.jsonl",
+    "graph-fails-audit": "graph.jsonl",
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_INPUTS))
+def test_bad_input_ends_in_one_error_line(tmp_path, capsys, case):
+    argv = BAD_INPUTS[case](tmp_path)
+    capsys.readouterr()
+    graph_files = sorted(tmp_path.glob("*graph*"))
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1
+    assert err.startswith("error: ")
+    assert BAD_INPUT_NAMES[case] in err
+    assert "Traceback" not in err
+    # refused before any work: no graph file written, none removed
+    assert sorted(tmp_path.glob("*graph*")) == graph_files

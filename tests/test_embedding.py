@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import gc
 import io
 import json
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -19,6 +21,7 @@ from kgrag import (
     IndexFormatError,
     KnowledgeGraph,
     ProviderError,
+    StaleIndexError,
     index_graph,
     load_index,
     parse_triple,
@@ -112,9 +115,15 @@ def test_index_graph_covers_nodes_and_labels():
     assert not any(e.text.startswith("_") for e in index.entries)
 
 
+def _index(rows, embedder) -> EmbeddingIndex:
+    """An index over ``(ref_id, kind, text, vector)`` rows."""
+    matrix = np.array([vector for *_, vector in rows]).reshape(len(rows), embedder.dim)
+    return EmbeddingIndex([IndexEntry(*row[:3]) for row in rows], matrix, embedder)
+
+
 def test_index_entry_validation():
     with pytest.raises(ValueError):
-        IndexEntry("x", "mystery", "text", np.zeros(4))
+        IndexEntry("x", "mystery", "text")
 
 
 def test_search_returns_scored_entries():
@@ -145,12 +154,12 @@ def test_search_k_bounds():
 
 def test_search_tie_break_is_canonical_ascending():
     vector = HashingEmbedder(dim=8).embed("shared")
-    entries = [
-        IndexEntry("n3", KIND_NODE, "delta", vector),
-        IndexEntry("n1", KIND_NODE, "beta", vector),
-        IndexEntry("n2", KIND_NODE, "alpha", vector),
+    rows = [
+        ("n3", KIND_NODE, "delta", vector),
+        ("n1", KIND_NODE, "beta", vector),
+        ("n2", KIND_NODE, "alpha", vector),
     ]
-    index = EmbeddingIndex(entries, HashingEmbedder(dim=8))
+    index = _index(rows, HashingEmbedder(dim=8))
     results = index.search("shared", k=3)
     assert [e.text for e, _ in results] == ["alpha", "beta", "delta"]
     assert len({score for _, score in results}) == 1
@@ -161,16 +170,18 @@ def test_search_matches_brute_force_oracle():
     alphabet = "abcdefghij "
     labels = sorted({"".join(rng.choice(alphabet) for _ in range(rng.randint(3, 12))).strip()
                      for _ in range(80)} - {""})
-    entries = [IndexEntry(f"id{i}", KIND_NODE, label, EMBEDDER.embed(label))
-               for i, label in enumerate(labels)]
-    index = EmbeddingIndex(entries, EMBEDDER)
+    vectors = [EMBEDDER.embed(label) for label in labels]
+    index = _index([(f"id{i}", KIND_NODE, label, vector)
+                    for i, (label, vector) in enumerate(zip(labels, vectors))], EMBEDDER)
+    entries = index.entries
     for _ in range(25):
         query = "".join(rng.choice(alphabet) for _ in range(6)).strip() or "abc"
         k = rng.randint(1, 12)
         got = [(e.ref_id, score) for e, score in index.search(query, k)]
         qv = EMBEDDER.embed(query)
         scored = sorted(
-            ((float(e.vector @ qv), e.canonical, e.ref_id) for e in entries),
+            ((float(vector @ qv), e.canonical, e.ref_id)
+             for e, vector in zip(entries, vectors)),
             key=lambda t: (-t[0], t[1]),
         )
         expected = [(ref_id, score) for score, _, ref_id in scored[:k]]
@@ -182,11 +193,11 @@ def test_search_matches_brute_force_oracle():
 def test_search_keeps_ties_at_the_cutoff():
     small = HashingEmbedder(dim=8)
     tied = small.embed("shared")
-    entries = [IndexEntry("top", KIND_NODE, "shared", tied)] + [
-        IndexEntry(f"t{i}", KIND_NODE, label, tied)
+    rows = [("top", KIND_NODE, "shared", tied)] + [
+        (f"t{i}", KIND_NODE, label, tied)
         for i, label in enumerate(["echo", "Delta", "bravo", "charlie", "alpha"])
-    ] + [IndexEntry("far", KIND_NODE, "zzzz", small.embed("zzzz"))]
-    index = EmbeddingIndex(entries, small)
+    ] + [("far", KIND_NODE, "zzzz", small.embed("zzzz"))]
+    index = _index(rows, small)
     # six rows tie for first; the cut at k=3 falls inside the tie
     got = [e.text for e, _ in index.search("shared", k=3)]
     assert got == ["alpha", "bravo", "charlie"]
@@ -201,32 +212,33 @@ _SEARCH_REFS = ["r0", "r1", "r2", "r3", "r4"]
 
 
 @st.composite
-def _tied_entries(draw) -> list[IndexEntry]:
-    """Groups of entries sharing one vector under distinct labels; labels
-    from a tiny alphabet, so canonical texts also collide across groups.
-    Ref_ids come from a small pool, so one ref_id can name several rows of
-    several kinds."""
+def _tied_rows(draw) -> list[tuple]:
+    """Groups of ``(ref_id, kind, text, vector)`` rows sharing one vector
+    under distinct labels; labels from a tiny alphabet, so canonical texts
+    also collide across groups. Ref_ids come from a small pool, so one
+    ref_id can name several rows of several kinds."""
     labels = st.text(alphabet="abAB ", min_size=1, max_size=3).filter(str.strip)
-    entries = []
+    rows = []
     for base in draw(st.lists(st.sampled_from(_SEARCH_BASES), max_size=8)):
         vector = _SMALL.embed(base)
         for label in draw(st.lists(labels, min_size=1, max_size=4, unique=True)):
             kind = draw(st.sampled_from(_SEARCH_KINDS))
             ref_id = draw(st.sampled_from(_SEARCH_REFS))
-            entries.append(IndexEntry(ref_id, kind, label, vector))
-    return entries
+            rows.append((ref_id, kind, label, vector))
+    return rows
 
 
 @settings(max_examples=300, deadline=None)
-@given(_tied_entries(), st.sampled_from(_SEARCH_BASES + ["abba"]),
+@given(_tied_rows(), st.sampled_from(_SEARCH_BASES + ["abba"]),
        st.one_of(st.none(), st.lists(st.sampled_from(_SEARCH_KINDS + ("unknown",)),
                                      max_size=4)),
        st.one_of(st.none(), st.lists(st.sampled_from(_SEARCH_REFS + ["unknown"]),
                                      max_size=4)),
        st.data())
-def test_search_matches_sorting_every_row(entries, query, kinds, ref_ids, data):
-    k = data.draw(st.integers(1, len(entries) + 2), label="k")
-    index = EmbeddingIndex(entries, _SMALL)
+def test_search_matches_sorting_every_row(tied_rows, query, kinds, ref_ids, data):
+    k = data.draw(st.integers(1, len(tied_rows) + 2), label="k")
+    index = _index(tied_rows, _SMALL)
+    entries = index.entries
     # Oracle: keep the rows of the wanted kinds (and ref_ids), score them
     # all, sort them all.
     wanted = set(_SEARCH_KINDS) if kinds is None else set(kinds)
@@ -241,12 +253,12 @@ def test_search_matches_sorting_every_row(entries, query, kinds, ref_ids, data):
     # Only ref_id rows are multiplied on their own; their scores may differ
     # in the last bit from those of the full product.
     product_rows = range(len(entries)) if ref_ids is None else rows
-    scores = dict(zip(product_rows, (np.stack([entries[i].vector for i in product_rows])
+    scores = dict(zip(product_rows, (np.stack([tied_rows[i][3] for i in product_rows])
                                      @ _SMALL.embed(query)).tolist())) if product_rows else {}
     rows.sort(key=lambda i: (-scores[i], entries[i].canonical))
     assert [e for e, _ in got] == [entries[i] for i in rows[:k]]
     for (entry, score), i in zip(got, rows):
-        assert score == pytest.approx(float(entry.vector @ _SMALL.embed(query)), abs=1e-12)
+        assert score == pytest.approx(float(tied_rows[i][3] @ _SMALL.embed(query)), abs=1e-12)
         assert score == scores[i]
 
 
@@ -265,17 +277,53 @@ def test_search_ref_ids_restrict_within_kinds():
 def test_search_ref_ids_ties_keep_entry_order():
     small = HashingEmbedder(dim=8)
     vector = small.embed("same")
-    entries = [IndexEntry(f"r{i}", KIND_RELATIONSHIP, text, vector)
-               for i, text in enumerate(["same", "SAME", "Same", "sAme", "saMe", "samE"])]
-    index = EmbeddingIndex(entries, small)
+    index = _index([(f"r{i}", KIND_RELATIONSHIP, text, vector)
+                    for i, text in enumerate(["same", "SAME", "Same", "sAme", "saMe", "samE"])],
+                   small)
     got = index.search("same", k=6, ref_ids=[f"r{i}" for i in reversed(range(6))])
     assert [e.ref_id for e, _ in got] == [f"r{i}" for i in range(6)]
 
 
+def test_index_refuses_a_matrix_without_one_row_per_entry():
+    entries = [IndexEntry("a", KIND_NODE, "a"), IndexEntry("b", KIND_NODE, "b")]
+    for matrix in (np.zeros((3, 8)), np.zeros((0, 8)), np.zeros(2), np.zeros((2, 8, 1))):
+        with pytest.raises(ValueError, match="matrix of shape"):
+            EmbeddingIndex(entries, matrix, _SMALL)
+
+
+def test_index_searches_the_matrix_it_was_given():
+    matrix = np.stack([_SMALL.embed("alpha"), _SMALL.embed("beta")])
+    index = EmbeddingIndex([IndexEntry("a", KIND_NODE, "alpha"),
+                            IndexEntry("b", KIND_NODE, "beta")], matrix, _SMALL)
+    assert index.matrix is matrix
+    assert [e.ref_id for e, _ in index.search("beta", k=1)] == ["b"]
+
+
+def test_search_refuses_a_query_of_another_width():
+    index = index_graph(sample_graph(), HashingEmbedder(dim=8))
+    other = EmbeddingIndex(index.entries, index.matrix, HashingEmbedder(dim=4))
+    with pytest.raises(StaleIndexError, match=r"shape \(4,\) .* dim 8"):
+        other.search("Family Guy", k=3)
+    with pytest.raises(StaleIndexError):
+        other.search("created", k=3, kinds=[KIND_RELATIONSHIP], ref_ids=["created"])
+
+
 def test_empty_index_searches_empty():
-    index = EmbeddingIndex([], EMBEDDER)
+    index = EmbeddingIndex([], np.zeros((0, DEFAULT_DIM)), EMBEDDER)
     assert index.search("anything", k=5) == []
     assert len(index) == 0
+
+
+def test_empty_graph_and_empty_file_give_empty_indexes(tmp_path):
+    index = index_graph(KnowledgeGraph(), EMBEDDER)
+    assert len(index) == 0 and index.matrix.shape[0] == 0
+    assert index.search("anything", k=5) == []
+    path = tmp_path / "index.jsonl"
+    save_index(index, path)
+    assert path.read_bytes() == b""
+    loaded = load_index(path, EMBEDDER)
+    assert len(loaded) == 0 and loaded.matrix.shape[0] == 0
+    assert loaded.search("anything", k=5) == []
 
 
 # ------------------------------------------------------------ persistence
@@ -289,7 +337,7 @@ def test_save_load_roundtrip(tmp_path):
     for original, restored in zip(index.entries, loaded.entries):
         assert (original.ref_id, original.kind, original.text) == \
             (restored.ref_id, restored.kind, restored.text)
-        assert np.allclose(original.vector, restored.vector)
+    assert np.allclose(index.matrix, loaded.matrix)
     query = "Family Guy"
     assert [(e.ref_id, pytest.approx(s)) for e, s in index.search(query, 5)] == \
         [(e.ref_id, s) for e, s in loaded.search(query, 5)]
@@ -299,12 +347,12 @@ def test_saved_rows_are_sparse(tmp_path):
     index = index_graph(sample_graph(), EMBEDDER)
     buffer = io.StringIO()
     save_index(index, buffer)
-    for line, entry in zip(buffer.getvalue().splitlines(), index.entries):
+    for line, vector in zip(buffer.getvalue().splitlines(), index.matrix):
         row = json.loads(line)
         assert list(row) == ["dim", "indices", "kind", "ref_id", "text", "values"]
         assert row["dim"] == DEFAULT_DIM
-        assert row["indices"] == np.flatnonzero(entry.vector).tolist()
-        assert row["values"] == entry.vector[row["indices"]].tolist()
+        assert row["indices"] == np.flatnonzero(vector).tolist()
+        assert row["values"] == vector[row["indices"]].tolist()
 
 
 _UNIT_VECTOR_COMPONENTS = st.one_of(
@@ -313,9 +361,9 @@ _UNIT_VECTOR_COMPONENTS = st.one_of(
 
 
 @st.composite
-def _unit_rows(draw) -> tuple[int, list[IndexEntry]]:
+def _unit_rows(draw) -> tuple[int, list[tuple]]:
     dim = draw(st.integers(1, 12))
-    entries = []
+    rows = []
     for i in range(draw(st.integers(0, 6))):
         vector = np.array(draw(st.lists(_UNIT_VECTOR_COMPONENTS, min_size=dim,
                                         max_size=dim)))
@@ -323,16 +371,17 @@ def _unit_rows(draw) -> tuple[int, list[IndexEntry]]:
         assume(norm > 1e-6)
         kind = draw(st.sampled_from(_SEARCH_KINDS))
         text = draw(st.text(min_size=1, max_size=6).filter(str.strip))
-        entries.append(IndexEntry(f"id{i}", kind, text, vector / norm))
-    return dim, entries
+        rows.append((f"id{i}", kind, text, vector / norm))
+    return dim, rows
 
 
 @settings(max_examples=200, deadline=None)
 @given(_unit_rows())
-def test_save_load_reproduces_rows_and_matrix(dim_and_entries):
-    dim, entries = dim_and_entries
+def test_save_load_reproduces_rows_and_matrix(dim_and_rows):
+    dim, rows = dim_and_rows
     embedder = HashingEmbedder(dim=dim)
-    index = EmbeddingIndex(entries, embedder)
+    index = _index(rows, embedder)
+    entries = index.entries
     first = io.StringIO()
     save_index(index, first)
     loaded = load_index(io.StringIO(first.getvalue()), embedder)
@@ -340,8 +389,7 @@ def test_save_load_reproduces_rows_and_matrix(dim_and_entries):
         [(e.ref_id, e.kind, e.text) for e in entries]
     if entries:
         # Bytes, not ``np.array_equal``, so that -0.0 and 0.0 differ.
-        assert np.stack([e.vector for e in loaded.entries]).tobytes() == \
-            np.stack([e.vector for e in entries]).tobytes()
+        assert loaded.matrix.tobytes() == index.matrix.tobytes()
     again = io.StringIO()
     save_index(loaded, again)
     assert again.getvalue() == first.getvalue()
@@ -351,19 +399,67 @@ def test_load_reproduces_the_built_matrix_bit_for_bit(tmp_path):
     index = index_graph(sample_graph(), EMBEDDER)
     path = tmp_path / "index.jsonl"
     save_index(index, path)
-    built = np.stack([e.vector for e in index.entries])
-    loaded = np.stack([e.vector for e in load_index(path, EMBEDDER).entries])
-    assert built.tobytes() == loaded.tobytes()
+    loaded = load_index(path, EMBEDDER)
+    assert loaded.matrix.shape == index.matrix.shape
+    assert loaded.matrix.tobytes() == index.matrix.tobytes()
+
+
+def _traced(build):
+    """What ``build()`` returns, the bytes it leaves allocated, and the
+    most bytes it held at once."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        result = build()
+        gc.collect()
+        current, peak = tracemalloc.get_traced_memory()
+        return result, current - before, peak - before
+    finally:
+        tracemalloc.stop()
+
+
+def test_index_holds_each_vector_once(tmp_path):
+    """Built or loaded, the index keeps one matrix and no second copy of
+    its rows: what it retains stays well under two matrices, and so does
+    what building holds at its peak."""
+    graph = KnowledgeGraph()
+    for i in range(1000):
+        graph.upsert_triple(parse_triple(f"(entity {i})-[relation {i % 50}]->(value {i})"))
+    index, built, built_peak = _traced(lambda: index_graph(graph, EMBEDDER))
+    assert index.matrix.shape == (2050, DEFAULT_DIM)
+    path = tmp_path / "index.jsonl"
+    save_index(index, path)
+    loaded, read, _ = _traced(lambda: load_index(path, EMBEDDER))
+    assert loaded.matrix.shape == index.matrix.shape
+    assert built < 1.5 * index.matrix.nbytes
+    assert built_peak < 1.5 * index.matrix.nbytes
+    assert read < 1.5 * loaded.matrix.nbytes
+
+
+def test_index_graph_embeds_in_the_same_batches():
+    graph = KnowledgeGraph()
+    for i in range(150):
+        graph.upsert_triple(parse_triple(f"(entity {i})-[relation {i % 7}]->(value {i})"))
+    sizes = []
+
+    class Recording(HashingEmbedder):
+        def embed_batch(self, texts):
+            sizes.append(len(texts))
+            return super().embed_batch(texts)
+
+    index = index_graph(graph, Recording())
+    assert sizes == [128, 128, 51]
+    assert index.matrix.tobytes() == EMBEDDER.embed_batch([e.text for e in index.entries]).tobytes()
 
 
 def test_save_load_keeps_negative_zero():
     embedder = HashingEmbedder(dim=3)
-    index = EmbeddingIndex([IndexEntry("a", KIND_NODE, "a", np.array([-0.0, 1.0, 0.0]))],
-                           embedder)
+    index = _index([("a", KIND_NODE, "a", np.array([-0.0, 1.0, 0.0]))], embedder)
     buffer = io.StringIO()
     save_index(index, buffer)
     assert json.loads(buffer.getvalue())["indices"] == [0, 1]
-    vector = load_index(io.StringIO(buffer.getvalue()), embedder).entries[0].vector
+    vector = load_index(io.StringIO(buffer.getvalue()), embedder).matrix[0]
     assert np.signbit(vector).tolist() == [True, False, False]
 
 

@@ -15,6 +15,7 @@ from kgrag import (
     EmbeddingIndex,
     Entity,
     HashingEmbedder,
+    HttpEmbeddingProvider,
     KnowledgeGraph,
     Limits,
     LmResponse,
@@ -26,9 +27,11 @@ from kgrag import (
     TraceRecorder,
     TripleStatement,
     index_graph,
+    load_index,
     normalize_label,
     parse_triple,
     run_coe,
+    save_index,
 )
 from kgrag.embedding import KIND_RELATIONSHIP
 from kgrag.explore import (
@@ -61,6 +64,7 @@ from coe_fixtures import (
     refinement_fixture,
     taylor_fixture,
 )
+from http_stub import stub_server
 
 NODE = StepKind.NODE_EXPLORATION
 REL = StepKind.RELATIONSHIP_EXPLORATION
@@ -271,7 +275,7 @@ class CountingEmbedder:
 def test_relationship_step_embeds_once_and_scans_once():
     graph, index, rules = taylor_fixture()
     embedder = CountingEmbedder()
-    engine = CoEngine(graph, EmbeddingIndex(index.entries, embedder), ScriptedProvider(rules))
+    engine = CoEngine(graph, EmbeddingIndex(index.entries, index.matrix, embedder), ScriptedProvider(rules))
     state = TraversalState()
     engine.explore_nodes(state, ExplorationStep(1, NODE, _STEP1), TAYLOR_QUESTION)
     embedder.calls.clear()
@@ -496,6 +500,29 @@ def test_index_naming_a_missing_node_degrades_to_failure():
     result = CoEngine(graph, index, ScriptedProvider(rules), trace=trace).run(TAYLOR_QUESTION)
     assert result == Failure()
     assert trace.events[-1]["cause"].startswith("stale index: unknown node id")
+
+
+def test_embedder_of_another_width_degrades_to_failure(tmp_path):
+    graph, index, rules = taylor_fixture()
+    path = tmp_path / "index.jsonl"
+    save_index(index, path)
+
+    def responder(payload, headers):
+        return 200, {"vectors": [[1.0, 2.0, 2.0] for _ in payload["texts"]]}
+
+    with stub_server(responder) as (url, captured):
+        # The HTTP embedder learns its width only on its first call, so
+        # loading cannot refuse the 256-d index; the first search does.
+        loaded = load_index(path, HttpEmbeddingProvider(url))
+        assert loaded.matrix.shape[1] == 256
+        trace = TraceRecorder()
+        result = CoEngine(graph, loaded, ScriptedProvider(rules), trace=trace).run(
+            TAYLOR_QUESTION)
+    assert result == Failure()
+    assert len(captured) == 1
+    assert trace.events[-1]["type"] == "failure"
+    assert trace.events[-1]["cause"].startswith(
+        "stale index: query vector of shape (3,) does not fit the index's dim 256")
 
 
 def test_empty_provider_degrades_to_failure():
