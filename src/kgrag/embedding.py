@@ -178,7 +178,11 @@ class EmbeddingIndex:
         self.embedder = embedder
         self._entry_kinds = np.array([e.kind for e in self.entries], dtype=str)
         # Ascending row numbers, and the rows of each ref_id, for each
-        # requested set of kinds.
+        # requested set of kinds. ``eval --jobs N`` threads fill these
+        # without a lock. That is safe in CPython: each value is built
+        # whole before one dict store publishes it, so a reader sees the
+        # finished value or none, and the worst case is two threads
+        # building the same value. Built lazily, so start-up pays nothing.
         self._rows_by_kinds: dict[frozenset[str], np.ndarray] = {}
         self._rows_by_ref: dict[frozenset[str], dict[str, list[int]]] = {}
 

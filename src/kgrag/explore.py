@@ -320,9 +320,10 @@ class CoEngine:
                               question: str) -> None:
         if not state.current_nodes:
             raise EmptySelection("no current nodes to explore from")
-        edges = self.graph.neighbors(state.current_nodes, "out")
-        ranked = relationship_candidates(self.index, edges, step.instruction,
-                                         self.limits.relationship_candidates)
+        groups = self.graph.label_groups(state.current_nodes)
+        # Each label is shown as its group's first edge.
+        ranked = relationship_candidates(self.index, [group[0] for group in groups.values()],
+                                         step.instruction, self.limits.relationship_candidates)
         if not ranked:
             raise EmptySelection("current nodes have no outgoing relationships")
         self.trace.emit({
@@ -342,8 +343,8 @@ class CoEngine:
         if not picks:
             raise EmptySelection("model selected no relationship labels")
         selected = [ranked[i - 1][0] for i in picks]
-        wanted = {edge.canonical for edge in selected}
-        followed = [edge for edge in edges if edge.canonical in wanted]
+        wanted = sorted({edge.canonical for edge in selected})
+        followed = [edge for canonical in wanted for edge in groups[canonical]]
         targets = sorted(map(self.graph.node, {edge.target for edge in followed}),
                          key=lambda n: n.canonical)
         if len(targets) > self.limits.max_current_nodes:

@@ -14,8 +14,11 @@ import logging
 import os
 import threading
 import unicodedata
+from bisect import bisect_left
 from contextlib import contextmanager
 from dataclasses import dataclass
+from itertools import islice
+from operator import attrgetter
 from pathlib import Path
 from typing import IO, Iterable, Iterator
 
@@ -134,18 +137,27 @@ def _edge_id(source: str, canonical_label: str, target: str) -> str:
     return digest.hexdigest()[:16]
 
 
+_target_of = attrgetter("target")
+
+
 class KnowledgeGraph:
     """In-memory graph. Mutations serialize through a single writer lock;
-    concurrent readers are safe once a mutation has returned."""
+    concurrent readers are safe once a mutation has returned.
+
+    Each edge is held twice, as the same record: in its source's out-group
+    for its canonical label (``_out[source][canonical]``, in target order)
+    and in its target's in-list (``_in[target]``). A node has neither until
+    it has an edge."""
 
     def __init__(self, max_depth: int = 4):
         self.max_depth = max_depth
         self._nodes: dict[str, NodeRecord] = {}
-        self._edges: dict[str, EdgeRecord] = {}
         self._by_canonical: dict[str, str] = {}
-        self._edge_by_key: dict[tuple[str, str, str], str] = {}
-        self._out: dict[str, list[str]] = {}
-        self._in: dict[str, list[str]] = {}
+        self._out: dict[str, dict[str, list[EdgeRecord]]] = {}
+        self._in: dict[str, list[EdgeRecord]] = {}
+        # Each distinct edge label text and its canonical form, computed once
+        # and shared by every edge that carries the text.
+        self._labels: dict[str, tuple[str, str]] = {}
         self._write_lock = threading.Lock()
 
     # ------------------------------------------------------------- access
@@ -156,7 +168,8 @@ class KnowledgeGraph:
 
     @property
     def edges(self) -> Iterator[EdgeRecord]:
-        return iter(self._edges.values())
+        return (edge for groups in self._out.values()
+                for group in groups.values() for edge in group)
 
     def node(self, node_id: str) -> NodeRecord:
         try:
@@ -219,30 +232,65 @@ class KnowledgeGraph:
         node_id = _node_id(kind, canonical)
         self._nodes[node_id] = NodeRecord(node_id, display, canonical, kind)
         self._by_canonical[canonical] = node_id
-        self._out.setdefault(node_id, [])
-        self._in.setdefault(node_id, [])
         outcome.created.append(node_id)
         return node_id
 
     def _upsert_edge(self, source: str, label: str, target: str,
                      structural: bool, outcome: UpsertOutcome) -> str:
-        display = label.strip()
-        canonical = normalize_label(display)
+        display, canonical = self._edge_label(label.strip())
         if not canonical:
             raise ValueError("edge label is empty after normalization")
-        key = (source, canonical, target)
-        existing = self._edge_by_key.get(key)
+        group, at, existing = self._slot(source, canonical, target)
         if existing is not None:
-            outcome.reused.append(existing)
-            return existing
-        edge_id = _edge_id(source, canonical, target)
-        self._edges[edge_id] = EdgeRecord(edge_id, source, target, display, canonical,
-                                          structural)
-        self._edge_by_key[key] = edge_id
-        self._out[source].append(edge_id)
-        self._in[target].append(edge_id)
-        outcome.created.append(edge_id)
-        return edge_id
+            outcome.reused.append(existing.id)
+            return existing.id
+        edge = EdgeRecord(_edge_id(source, canonical, target), source, target, display,
+                          canonical, structural)
+        self._add(group, at, edge)
+        outcome.created.append(edge.id)
+        return edge.id
+
+    def _slot(self, source: str, canonical: str, target: str
+              ) -> tuple[list[EdgeRecord] | None, int, EdgeRecord | None]:
+        """The out-group of ``source`` for ``canonical`` (None if it has no
+        edge yet), where an edge to ``target`` is or belongs in it (groups
+        are kept in target order), and that edge if it exists. The last
+        place needs no search: it is where each edge goes as ``graph.jsonl``
+        is read, and where a repeated upsert finds the one edge of most
+        groups."""
+        groups = self._out.get(source)
+        group = groups.get(canonical) if groups else None
+        if not group:
+            return None, 0, None
+        last = group[-1].target
+        if last < target:
+            return group, len(group), None
+        at = len(group) - 1 if last == target else bisect_left(group, target, key=_target_of)
+        return group, at, (group[at] if group[at].target == target else None)
+
+    def _edge_label(self, text: str) -> tuple[str, str]:
+        """``text`` and ``normalize_label(text)``, as the string objects
+        that every edge labelled ``text`` shares."""
+        known = self._labels.get(text)
+        if known is None:
+            known = self._labels[text] = (text, normalize_label(text))
+        return known
+
+    def _add(self, group: list[EdgeRecord] | None, at: int, edge: EdgeRecord) -> None:
+        """Put ``edge`` at ``at`` in ``group`` as given by :meth:`_slot`, and
+        in its target's in-list. A new list holds exactly its one edge: on a
+        sparse graph most groups never grow."""
+        if group is not None:
+            group.insert(at, edge)
+        elif edge.source in self._out:
+            self._out[edge.source][edge.canonical] = [edge]
+        else:
+            self._out[edge.source] = {edge.canonical: [edge]}
+        in_edges = self._in.get(edge.target)
+        if in_edges is None:
+            self._in[edge.target] = [edge]
+        else:
+            in_edges.append(edge)
 
     # ---------------------------------------------------------- traversal
 
@@ -256,36 +304,65 @@ class KnowledgeGraph:
         for node_id in ids:
             if node_id not in self._nodes:
                 raise UnknownNodeError(f"unknown node id {node_id!r}")
-        edge_ids: set[str] = set()
-        for node_id in ids:
-            if direction in ("out", "both"):
-                edge_ids.update(self._out.get(node_id, ()))
-            if direction in ("in", "both"):
-                edge_ids.update(self._in.get(node_id, ()))
-        edges = [self._edges[e] for e in edge_ids]
+        id_set = set(ids)
+        edges: list[EdgeRecord] = []
+        if direction != "in":
+            for node_id in id_set:
+                for group in self._out.get(node_id, {}).values():
+                    edges.extend(group)
+        if direction != "out":
+            for node_id in id_set:
+                # Under "both", an edge from a node of the set is already in.
+                edges.extend(edge for edge in self._in.get(node_id, ())
+                             if direction == "in" or edge.source not in id_set)
         if not include_structural:
             edges = [e for e in edges if not e.structural]
         edges.sort(key=lambda e: (e.canonical, e.source, e.target))
         return edges
+
+    def label_groups(self, node_ids: Iterable[str]) -> dict[str, list[EdgeRecord]]:
+        """The non-structural out-edges of the id set, grouped by canonical
+        label, each group in (source, target) order; the keys come in no
+        set order. A group may be the graph's own list: do not change it.
+
+        Reads each node's groups, not its edges, and copies a group only
+        when several nodes of the set share its label."""
+        groups: dict[str, list[EdgeRecord]] = {}
+        for node_id in sorted(set(node_ids)):
+            if node_id not in self._nodes:
+                raise UnknownNodeError(f"unknown node id {node_id!r}")
+            for canonical, group in self._out.get(node_id, {}).items():
+                if canonical in RESERVED_EDGE_LABELS:
+                    continue
+                before = groups.get(canonical)
+                groups[canonical] = group if before is None else before + group
+        return groups
 
     # -------------------------------------------------------------- stats
 
     def stats(self) -> GraphStats:
         entity_count = sum(1 for n in self._nodes.values() if n.kind == KIND_ENTITY)
         hypernode_count = len(self._nodes) - entity_count
-        labels = {e.canonical for e in self._edges.values() if not e.structural}
+        labels = {canonical for groups in self._out.values() for canonical in groups
+                  if canonical not in RESERVED_EDGE_LABELS}
         return GraphStats(
             node_count=len(self._nodes),
             entity_count=entity_count,
             hypernode_count=hypernode_count,
-            edge_count=len(self._edges),
+            edge_count=sum(len(edges) for edges in self._in.values()),
             distinct_relationship_labels=len(labels),
         )
 
     # -------------------------------------------------------------- audit
 
     def audit(self) -> None:
-        """Verify structural invariants; raises :class:`GraphIntegrityError`."""
+        """Verify structural invariants; raises :class:`GraphIntegrityError`.
+
+        Every id must be the hash of its record's content. Each edge must sit
+        once in the out-group of its source and label, in target order, and
+        once in the in-list of its target; each hypernode must have exactly
+        one ``_subject`` and one ``_object`` edge. One pass over the nodes,
+        the out-groups and the in-lists."""
         seen_canonical: set[str] = set()
         for node in self._nodes.values():
             if node.canonical != normalize_label(node.label):
@@ -295,38 +372,61 @@ class KnowledgeGraph:
             seen_canonical.add(node.canonical)
             if node.kind not in (KIND_ENTITY, KIND_HYPERNODE):
                 raise GraphIntegrityError(f"node {node.id}: bad kind {node.kind!r}")
-        seen_keys: set[tuple[str, str, str]] = set()
-        for edge in self._edges.values():
-            if edge.source not in self._nodes or edge.target not in self._nodes:
-                raise GraphIntegrityError(f"edge {edge.id}: dangling endpoint")
-            if edge.canonical != normalize_label(edge.label):
-                raise GraphIntegrityError(f"edge {edge.id}: canonical does not match label")
-            if edge.structural != (edge.canonical in RESERVED_EDGE_LABELS):
-                raise GraphIntegrityError(f"edge {edge.id}: structural flag does not match label")
-            key = (edge.source, edge.canonical, edge.target)
-            if key in seen_keys:
-                raise GraphIntegrityError(f"duplicate edge {key!r}")
-            seen_keys.add(key)
-            if edge.id not in self._out.get(edge.source, ()):
-                raise GraphIntegrityError(f"edge {edge.id} missing from out-adjacency")
-            if edge.id not in self._in.get(edge.target, ()):
-                raise GraphIntegrityError(f"edge {edge.id} missing from in-adjacency")
-        for node_id, edge_ids in list(self._out.items()) + list(self._in.items()):
-            for edge_id in edge_ids:
-                if edge_id not in self._edges:
-                    raise GraphIntegrityError(f"adjacency references unknown edge {edge_id!r}")
-            if node_id not in self._nodes:
-                raise GraphIntegrityError(f"adjacency references unknown node {node_id!r}")
+            if node.id != _node_id(node.kind, node.canonical):
+                raise GraphIntegrityError(f"node {node.id}: id is not the hash of its content")
+        # Object identities of the records in out-groups, then in in-lists.
+        out_records: set[int] = set()
+        for source, groups in self._out.items():
+            if source not in self._nodes:
+                raise GraphIntegrityError(f"adjacency references unknown node {source!r}")
+            for canonical, group in groups.items():
+                if not group:
+                    raise GraphIntegrityError(
+                        f"empty out-adjacency group {canonical!r} of node {source}")
+                previous = None
+                for edge in group:
+                    if edge.target not in self._nodes:
+                        raise GraphIntegrityError(f"edge {edge.id}: dangling endpoint")
+                    if edge.canonical != normalize_label(edge.label):
+                        raise GraphIntegrityError(
+                            f"edge {edge.id}: canonical does not match label")
+                    if edge.source != source or edge.canonical != canonical:
+                        raise GraphIntegrityError(
+                            f"edge {edge.id} is in the out-adjacency of another node or label")
+                    if edge.structural != (canonical in RESERVED_EDGE_LABELS):
+                        raise GraphIntegrityError(
+                            f"edge {edge.id}: structural flag does not match label")
+                    if previous is not None and edge.target <= previous:
+                        raise GraphIntegrityError(
+                            f"duplicate or unordered edge {(source, canonical, edge.target)!r}")
+                    previous = edge.target
+                    if edge.id != _edge_id(source, canonical, edge.target):
+                        raise GraphIntegrityError(
+                            f"edge {edge.id}: id is not the hash of its content")
+                    out_records.add(id(edge))
+        in_records: set[int] = set()
+        for target, edges in self._in.items():
+            if target not in self._nodes:
+                raise GraphIntegrityError(f"adjacency references unknown node {target!r}")
+            for edge in edges:
+                if (edge.target != target or id(edge) not in out_records
+                        or id(edge) in in_records):
+                    raise GraphIntegrityError(
+                        f"edge {edge.id} in in-adjacency is not once in out-adjacency")
+                in_records.add(id(edge))
+        if len(in_records) != len(out_records):
+            raise GraphIntegrityError(
+                f"{len(out_records) - len(in_records)} edge(s) missing from in-adjacency")
         for node in self._nodes.values():
             if node.kind != KIND_HYPERNODE:
                 continue
-            structural = [self._edges[e] for e in self._out[node.id] if self._edges[e].structural]
-            subjects = [e for e in structural if e.label == STRUCTURAL_SUBJECT]
-            objects = [e for e in structural if e.label == STRUCTURAL_OBJECT]
-            if len(subjects) != 1 or len(objects) != 1:
+            groups = self._out.get(node.id, {})
+            subjects = len(groups.get(STRUCTURAL_SUBJECT, ()))
+            objects = len(groups.get(STRUCTURAL_OBJECT, ()))
+            if subjects != 1 or objects != 1:
                 raise GraphIntegrityError(
-                    f"hypernode {node.label!r} has {len(subjects)} _subject and "
-                    f"{len(objects)} _object edges; expected exactly one of each"
+                    f"hypernode {node.label!r} has {subjects} _subject and "
+                    f"{objects} _object edges; expected exactly one of each"
                 )
 
 
@@ -390,35 +490,74 @@ def save_graph(graph: KnowledgeGraph, sink) -> None:
                 ensure_ascii=False, sort_keys=True) + "\n")
 
 
+# Lines parsed by one json.loads in load_graph; a whole file at once would
+# raise the peak memory of a load.
+_CHUNK_LINES = 256
+
+
 def load_graph(source, max_depth: int = 4) -> KnowledgeGraph:
     """Rebuild a graph from JSONL; any malformed or inconsistent line raises
-    :class:`GraphFormatError` with its line number."""
+    :class:`GraphFormatError` with its line number. Ids are not checked
+    against their content here; :meth:`KnowledgeGraph.audit` does that."""
     graph = KnowledgeGraph(max_depth=max_depth)
+    edge_ids: set[str] = set()
     with _maybe_open(source) as f:
-        for lineno, raw in enumerate(f, 1):
-            line = raw.strip()
-            if not line:
-                continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise GraphFormatError(f"invalid JSON: {exc}", lineno) from None
-            if not isinstance(record, dict):
-                raise GraphFormatError("record is not an object", lineno)
-            kind = record.get("type")
-            if kind == "node":
-                _load_node(graph, record, lineno)
-            elif kind == "edge":
-                _load_edge(graph, record, lineno)
-            else:
-                raise GraphFormatError(f"unknown record type {kind!r}", lineno)
+        lines = _numbered_lines(f)
+        while chunk := list(islice(lines, _CHUNK_LINES)):
+            for (lineno, _), record in zip(chunk, _parse_chunk(chunk)):
+                if not isinstance(record, dict):
+                    raise GraphFormatError("record is not an object", lineno)
+                kind = record.get("type")
+                if kind == "node":
+                    _load_node(graph, record, lineno)
+                elif kind == "edge":
+                    _load_edge(graph, record, lineno, edge_ids)
+                else:
+                    raise GraphFormatError(f"unknown record type {kind!r}", lineno)
     return graph
+
+
+def _numbered_lines(f) -> Iterator[tuple[int, str]]:
+    """Each non-blank line, stripped, with its 1-based number."""
+    for lineno, raw in enumerate(f, 1):
+        line = raw.strip()
+        if line:
+            yield lineno, line
+
+
+def _parse_chunk(chunk: list[tuple[int, str]]) -> Iterable:
+    """The JSON value of each numbered line: by one ``json.loads`` over the
+    chunk when that is sure to give what the lines give one by one, else
+    line by line as they are consumed, so that the first bad line, of
+    whatever fault, is the one reported. In the joined text a value cannot
+    run on into the next line: not inside a string (a raw newline is refused
+    there), not inside an object (the next line starts with ``{``, not a
+    key) and not inside a list (there is no ``[``)."""
+    text = ",\n".join(line for _, line in chunk)
+    if text.startswith("{") and text.count("\n{") == len(chunk) - 1 and "[" not in text:
+        try:
+            values = json.loads("[" + text + "]")
+        except json.JSONDecodeError:
+            values = None
+        if values is not None and len(values) == len(chunk):
+            return values
+    return (_parse_line(line, lineno) for lineno, line in chunk)
+
+
+def _parse_line(line: str, lineno: int):
+    try:
+        return json.loads(line)
+    except json.JSONDecodeError as exc:
+        raise GraphFormatError(f"invalid JSON: {exc}", lineno) from None
 
 
 def _require(record: dict, fields: tuple[str, ...], lineno: int) -> None:
     for name in fields:
-        if name not in record:
+        value = record.get(name)
+        if value is None:
             raise GraphFormatError(f"missing field {name!r}", lineno)
+        if type(value) is not str:
+            raise GraphFormatError(f"field {name!r} is not a string", lineno)
 
 
 def _load_node(graph: KnowledgeGraph, record: dict, lineno: int) -> None:
@@ -435,23 +574,28 @@ def _load_node(graph: KnowledgeGraph, record: dict, lineno: int) -> None:
     node = NodeRecord(record["id"], record["label"], canonical, record["kind"])
     graph._nodes[node.id] = node
     graph._by_canonical[canonical] = node.id
-    graph._out.setdefault(node.id, [])
-    graph._in.setdefault(node.id, [])
 
 
-def _load_edge(graph: KnowledgeGraph, record: dict, lineno: int) -> None:
-    _require(record, ("id", "source", "target", "label", "structural"), lineno)
-    if record["source"] not in graph._nodes or record["target"] not in graph._nodes:
+def _load_edge(graph: KnowledgeGraph, record: dict, lineno: int,
+               edge_ids: set[str]) -> None:
+    _require(record, ("id", "source", "target", "label"), lineno)
+    if "structural" not in record:
+        raise GraphFormatError("missing field 'structural'", lineno)
+    source_node = graph._nodes.get(record["source"])
+    target_node = graph._nodes.get(record["target"])
+    if source_node is None or target_node is None:
         raise GraphFormatError("edge references an unknown node", lineno)
-    canonical = normalize_label(record["label"])
-    if bool(record["structural"]) != (canonical in RESERVED_EDGE_LABELS):
+    # The edge shares its nodes' id strings, as upserted edges do.
+    source, target = source_node.id, target_node.id
+    label, canonical = graph._edge_label(record["label"])
+    structural = bool(record["structural"])
+    if structural != (canonical in RESERVED_EDGE_LABELS):
         raise GraphFormatError("structural flag does not match label", lineno)
-    key = (record["source"], canonical, record["target"])
-    if key in graph._edge_by_key:
+    group, at, existing = graph._slot(source, canonical, target)
+    if existing is not None:
         raise GraphFormatError("duplicate edge", lineno)
-    edge = EdgeRecord(record["id"], record["source"], record["target"],
-                      record["label"], canonical, bool(record["structural"]))
-    graph._edges[edge.id] = edge
-    graph._edge_by_key[key] = edge.id
-    graph._out[edge.source].append(edge.id)
-    graph._in[edge.target].append(edge.id)
+    if record["id"] in edge_ids:
+        raise GraphFormatError(f"duplicate edge id {record['id']!r}", lineno)
+    edge_ids.add(record["id"])
+    graph._add(group, at, EdgeRecord(record["id"], source, target, label, canonical,
+                                     structural))

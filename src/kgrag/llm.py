@@ -118,7 +118,10 @@ class ScriptedProvider:
                     record = json.loads(line)
                     rules.append(ScriptRule(record["tag"], record["match_substring"],
                                             record["response"]))
-                except (json.JSONDecodeError, KeyError, TypeError) as exc:
+                except KeyError as exc:
+                    raise ValueError(f"bad script rule on line {lineno}: "
+                                     f"missing field {exc.args[0]!r}") from None
+                except (json.JSONDecodeError, TypeError) as exc:
                     raise ValueError(f"bad script rule on line {lineno}: {exc}") from None
         return cls(rules)
 

@@ -404,6 +404,27 @@ def _graph_without_subject_edge(tmp_path):
     return ["index", "--graph", str(graph_path), "--index", str(tmp_path / "index.jsonl")]
 
 
+def _graph_with_edited_edge(tmp_path, edit):
+    """``index`` over an ingested graph whose last edge line ``edit`` changed."""
+    doc, script, graph_path = ingest_setup(tmp_path)
+    assert main(["ingest", str(doc), "--graph", str(graph_path), "--script", script]) == 0
+    lines = graph_path.read_text(encoding="utf-8").splitlines()
+    edges = [json.loads(line) for line in lines if '"type": "edge"' in line]
+    lines[-1] = json.dumps(edit(edges[-1], edges[0]), sort_keys=True)
+    graph_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return ["index", "--graph", str(graph_path), "--index", str(tmp_path / "index.jsonl")]
+
+
+def _graph_with_duplicate_edge_id(tmp_path):
+    return _graph_with_edited_edge(tmp_path, lambda edge, first: {**edge, "id": first["id"]})
+
+
+def _graph_with_wrong_edge_id(tmp_path):
+    argv = _graph_with_edited_edge(tmp_path, lambda edge, _: {**edge, "id": "not-a-hash"})
+    load_graph(argv[2])  # still loads; only the audit refuses it
+    return argv
+
+
 def _malformed_script(tmp_path):
     paths = _query_args(tmp_path)[:4]
     script = tmp_path / "bad-script.jsonl"
@@ -429,6 +450,8 @@ BAD_INPUTS = {
     "non-utf8-index": lambda tmp: ["query", TAYLOR_QUESTION] + _query_args(tmp)[:2]
     + ["--index", _non_utf8(tmp / "bad-index.jsonl"), "--script", str(tmp / "script.jsonl")],
     "graph-fails-audit": _graph_without_subject_edge,
+    "graph-duplicate-edge-id": _graph_with_duplicate_edge_id,
+    "graph-wrong-edge-id": _graph_with_wrong_edge_id,
 }
 
 # What the one error line must name: the bad option or file.
@@ -438,7 +461,8 @@ BAD_INPUT_NAMES = {
     "ingest-chunk-not-above-overlap": "--chunk-chars", "malformed-script": "bad-script.jsonl",
     "non-utf8-document": "bad-doc.txt", "non-utf8-dataset": "dataset.jsonl",
     "non-utf8-graph": "graph.jsonl", "non-utf8-index": "bad-index.jsonl",
-    "graph-fails-audit": "graph.jsonl",
+    "graph-fails-audit": "graph.jsonl", "graph-duplicate-edge-id": "graph.jsonl",
+    "graph-wrong-edge-id": "graph.jsonl",
 }
 
 
@@ -455,3 +479,20 @@ def test_bad_input_ends_in_one_error_line(tmp_path, capsys, case):
     assert "Traceback" not in err
     # refused before any work: no graph file written, none removed
     assert sorted(tmp_path.glob("*graph*")) == graph_files
+
+
+@pytest.mark.parametrize("case, message", [
+    ("graph-duplicate-edge-id", "line 9: duplicate edge id"),
+    ("graph-wrong-edge-id", "id is not the hash of its content"),
+])
+def test_bad_edge_ids_are_named(tmp_path, capsys, case, message):
+    argv = BAD_INPUTS[case](tmp_path)
+    capsys.readouterr()
+    assert main(argv) == 1
+    assert message in capsys.readouterr().err
+
+
+def test_script_rule_without_a_field_names_it(tmp_path, capsys):
+    assert main(_malformed_script(tmp_path)) == 1
+    err = capsys.readouterr().err
+    assert "bad script rule on line 1: missing field 'match_substring'" in err

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import io
 from collections import Counter
 
 import pytest
@@ -27,10 +28,12 @@ from kgrag import (
     TraceRecorder,
     TripleStatement,
     index_graph,
+    load_graph,
     load_index,
     normalize_label,
     parse_triple,
     run_coe,
+    save_graph,
     save_index,
 )
 from kgrag.embedding import KIND_RELATIONSHIP
@@ -230,6 +233,85 @@ def test_relationship_candidates_match_brute_force(facts, instruction, m, data):
     assert got == [(shown[canonicals[i]], float(scores[i])) for i in order[:m]]
 
 
+@st.composite
+def _statement(draw, depth: int = 0) -> TripleStatement:
+    """A fact over a few entities whose labels vary in case; a term may
+    itself be a fact, one level deep."""
+    def term():
+        if depth < 1 and draw(st.integers(0, 4)) == 0:
+            return draw(_statement(depth + 1))
+        return Entity(draw(st.sampled_from(["a", "A", "b", "c d", "C  D", "e"])))
+    return TripleStatement(term(), draw(_variant_label()), term())
+
+
+class _Picks:
+    """A provider that answers a selection with fixed ordinals."""
+
+    def __init__(self, ordinals: list[int]):
+        self.content = ",".join(map(str, ordinals)) or "none"
+
+    def complete(self, request):
+        return LmResponse(self.content)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(_statement(), max_size=8), st.lists(_statement(), max_size=8),
+       st.sampled_from(_REL_STEPS), st.data())
+def test_relationship_step_matches_sorted_out_edges(first, more, instruction, data):
+    """Upserts, a save and load, then more upserts, so that labels and
+    targets arrive out of order. The label groups, their first edges and the
+    followed edges equal a sort of all out-edges by (canonical, source,
+    target)."""
+    graph = KnowledgeGraph()
+    for statement in first:
+        graph.upsert_triple(statement)
+    buffer = io.StringIO()
+    save_graph(graph, buffer)
+    graph = load_graph(io.StringIO(buffer.getvalue()))
+    for statement in more:
+        graph.upsert_triple(statement)
+    graph.audit()
+    fresh = KnowledgeGraph()
+    for statement in first + more:
+        fresh.upsert_triple(statement)
+    saved, saved_fresh = io.StringIO(), io.StringIO()
+    save_graph(graph, saved)
+    save_graph(fresh, saved_fresh)
+    assert saved.getvalue() == saved_fresh.getvalue()
+    node_ids = sorted(node.id for node in graph.nodes)
+    if not node_ids:
+        return
+    current = data.draw(st.lists(st.sampled_from(node_ids), min_size=1, max_size=5),
+                        label="current")
+    everything = sorted((e for e in graph.edges if e.source in current and not e.structural),
+                        key=lambda e: (e.canonical, e.source, e.target))
+    by_label: dict[str, list] = {}
+    for edge in everything:
+        by_label.setdefault(edge.canonical, []).append(edge)
+    assert graph.label_groups(current) == by_label
+
+    # The step itself: candidates shown as each label's first edge, and
+    # the hops of the picked labels in sorted order.
+    index = index_graph(graph, HashingEmbedder())
+    ranked = relationship_candidates(index, everything, instruction, 100)
+    picks = data.draw(st.lists(st.integers(1, max(len(ranked), 1)), unique=True),
+                      label="picks") if ranked else []
+    trace = TraceRecorder()
+    engine = CoEngine(graph, index, _Picks(picks), Limits(10, 100, 1000), trace)
+    state = TraversalState(current_nodes=list(current))
+    step = ExplorationStep(2, REL, instruction)
+    if not ranked or not picks:
+        with pytest.raises(EmptySelection):
+            engine.explore_relationships(state, step, "q")
+        return
+    engine.explore_relationships(state, step, "q")
+    assert trace.events[0]["labels"] == [{"label": edge.label, "score": round(score, 6)}
+                                         for edge, score in ranked]
+    wanted = {ranked[i - 1][0].canonical for i in picks}
+    assert [h for h in state.path_traveled if isinstance(h, HopElement)] == [
+        HopElement(e.source, e.label, e.target) for e in everything if e.canonical in wanted]
+
+
 # ------------------------------------------------- single-step transitions
 
 def taylor_engine(trace: TraceRecorder | None = None) -> tuple[CoEngine, KnowledgeGraph]:
@@ -279,13 +361,15 @@ def test_relationship_step_embeds_once_and_scans_once():
     state = TraversalState()
     engine.explore_nodes(state, ExplorationStep(1, NODE, _STEP1), TAYLOR_QUESTION)
     embedder.calls.clear()
-    scans = []
-    neighbors = graph.neighbors
-    graph.neighbors = lambda *args, **kwargs: scans.append(args) or neighbors(*args, **kwargs)
+    reads = Counter()
+    for name in ("label_groups", "neighbors"):
+        method = getattr(graph, name)
+        setattr(graph, name, lambda *args, _name=name, _method=method, **kwargs:
+                reads.update([_name]) or _method(*args, **kwargs))
     engine.explore_relationships(state, ExplorationStep(2, REL, _STEP2), TAYLOR_QUESTION)
     assert len(state.current_nodes) == 3
     assert embedder.calls == Counter(embed=1)
-    assert len(scans) == 1
+    assert reads == Counter(label_groups=1)
 
 
 def test_explore_relationships_requires_current_nodes():

@@ -5,14 +5,17 @@ from __future__ import annotations
 import dataclasses
 import io
 import json
+import time
 
 import pytest
 
 from kgrag import (
     DepthError,
+    Entity,
     GraphFormatError,
     GraphIntegrityError,
     KnowledgeGraph,
+    TripleStatement,
     UnknownNodeError,
     flatten_label,
     load_graph,
@@ -236,6 +239,22 @@ def test_neighbors_validates_input():
         graph.neighbors([graph.find_node("a").id], "sideways")
 
 
+def test_label_groups_group_out_edges_by_canonical_label():
+    graph = build("(hub)-[LINKS  to]->(beta)", "(hub)-[links to]->(alpha)",
+                  "(hub)-[other]->(gamma)", "(spoke)-[links to]->(alpha)", NESTED_LINE)
+    hub, spoke = graph.find_node("hub").id, graph.find_node("spoke").id
+    groups = graph.label_groups([spoke, hub, hub])
+    assert sorted(groups) == ["links to", "other"]
+    assert [(e.source, e.target) for e in groups["links to"]] == sorted(
+        (e.source, e.target) for e in graph.neighbors([hub, spoke], "out")
+        if e.canonical == "links to")
+    hyper = graph.find_node("Seth MacFarlane created Family Guy").id
+    assert list(graph.label_groups([hyper])) == ["in"]    # structural groups left out
+    assert graph.label_groups([graph.find_node("gamma").id]) == {}
+    with pytest.raises(UnknownNodeError):
+        graph.label_groups([hub, "no-such-id"])
+
+
 def test_target_nodes_matches_labels_canonically():
     graph = build("(hub)-[LINKS  to]->(beta)", "(hub)-[links to]->(alpha)",
                   "(hub)-[other]->(gamma)")
@@ -257,6 +276,13 @@ def test_node_lookup_errors():
 
 # ------------------------------------------------------------------ audit
 
+def replace_edge(graph: KnowledgeGraph, edge, **changes) -> None:
+    """Swap ``edge`` for a changed copy in its out-group and its in-list."""
+    changed = dataclasses.replace(edge, **changes)
+    for edges in (graph._out[edge.source][edge.canonical], graph._in[edge.target]):
+        edges[edges.index(edge)] = changed
+
+
 def test_audit_passes_on_clean_graph():
     build(NESTED_LINE, FLAT_LINE, "(Family Guy)-[aired on]->(Fox)").audit()
 
@@ -273,7 +299,7 @@ def test_audit_detects_duplicate_canonical():
 def test_audit_detects_structural_flag_mismatch():
     graph = build(NESTED_LINE)
     edge = next(e for e in graph.edges if e.structural)
-    graph._edges[edge.id] = dataclasses.replace(edge, structural=False)
+    replace_edge(graph, edge, structural=False)
     with pytest.raises(GraphIntegrityError, match="structural"):
         graph.audit()
 
@@ -281,7 +307,7 @@ def test_audit_detects_structural_flag_mismatch():
 def test_audit_detects_edge_canonical_mismatch():
     graph = chain_graph()
     edge = next(iter(graph.edges))
-    graph._edges[edge.id] = dataclasses.replace(edge, canonical=edge.canonical + "x")
+    replace_edge(graph, edge, canonical=edge.canonical + "x")
     with pytest.raises(GraphIntegrityError, match="canonical does not match"):
         graph.audit()
 
@@ -289,7 +315,33 @@ def test_audit_detects_edge_canonical_mismatch():
 def test_audit_detects_broken_adjacency():
     graph = chain_graph()
     edge = next(iter(graph.edges))
-    graph._out[edge.source].remove(edge.id)
+    graph._out[edge.source][edge.canonical].remove(edge)
+    with pytest.raises(GraphIntegrityError, match="adjacency"):
+        graph.audit()
+
+
+def _drop_from_in_list(graph, edge):
+    graph._in[edge.target].remove(edge)
+
+
+def _copy_in_in_list(graph, edge):
+    edges = graph._in[edge.target]
+    edges[edges.index(edge)] = dataclasses.replace(edge)
+
+
+def _twice_in_in_list(graph, edge):
+    graph._in[edge.target].append(edge)
+
+
+def _drop_from_out_group(graph, edge):
+    graph._out[edge.source][edge.canonical].remove(edge)
+
+
+@pytest.mark.parametrize("damage", [_drop_from_in_list, _copy_in_in_list, _twice_in_in_list,
+                                    _drop_from_out_group])
+def test_audit_detects_each_record_not_held_once_by_each_store(damage):
+    graph = build("(a)-[r]->(b)", "(a)-[r]->(c)", "(c)-[s]->(b)")
+    damage(graph, graph.label_groups([graph.find_node("a").id])["r"][0])
     with pytest.raises(GraphIntegrityError, match="adjacency"):
         graph.audit()
 
@@ -297,12 +349,41 @@ def test_audit_detects_broken_adjacency():
 def test_audit_enforces_hypernode_anchor_law():
     graph = build(NESTED_LINE)
     edge = next(e for e in graph.edges if e.label == STRUCTURAL_SUBJECT)
-    del graph._edges[edge.id]
-    graph._out[edge.source].remove(edge.id)
-    graph._in[edge.target].remove(edge.id)
-    del graph._edge_by_key[(edge.source, STRUCTURAL_SUBJECT, edge.target)]
+    del graph._out[edge.source][STRUCTURAL_SUBJECT]
+    graph._in[edge.target].remove(edge)
     with pytest.raises(GraphIntegrityError, match="hypernode"):
         graph.audit()
+
+
+def test_audit_refuses_ids_that_are_not_content_hashes():
+    graph = chain_graph()
+    node = graph.find_node("c")
+    del graph._nodes[node.id]
+    graph._nodes["not-a-hash"] = dataclasses.replace(node, id="not-a-hash")
+    with pytest.raises(GraphIntegrityError, match="node not-a-hash: id is not the hash"):
+        graph.audit()
+    graph = chain_graph()
+    edge = next(iter(graph.edges))
+    replace_edge(graph, edge, id="not-a-hash")
+    with pytest.raises(GraphIntegrityError, match="edge not-a-hash: id is not the hash"):
+        graph.audit()
+
+
+def test_audit_detects_unordered_out_group():
+    graph = build("(a)-[r]->(b)", "(a)-[r]->(c)")
+    graph._out[graph.find_node("a").id]["r"].reverse()
+    with pytest.raises(GraphIntegrityError, match="unordered"):
+        graph.audit()
+
+
+def test_audit_is_linear_in_out_degree():
+    graph = KnowledgeGraph()
+    for i in range(16_000):
+        graph.upsert_triple(TripleStatement(Entity("hub"), f"label {i % 400}",
+                                            Entity(f"target {i}")))
+    start = time.perf_counter()
+    graph.audit()
+    assert time.perf_counter() - start < 1.0
 
 
 # ------------------------------------------------------------ persistence
@@ -374,6 +455,16 @@ def test_save_preserves_non_ascii(tmp_path):
      1, "bad node kind"),
     (['{"type": "edge", "id": "e1", "source": "x", "target": "y", '
       '"label": "r", "structural": false}'], 1, "unknown node"),
+    (['{"type": "node", "id": "n1", "label": 5, "canonical": "a", "kind": "entity"}'],
+     1, "'label' is not a string"),
+    (['{"type": "node", "id": ["n1"], "label": "a", "canonical": "a", "kind": "entity"}'],
+     1, "'id' is not a string"),
+    (['{"type": "node", "id": "n1", "label": "a", "canonical": "a", "kind": "entity"}',
+      '{"type": "node", "id": "n2", "label": "b", "canonical": "b", "kind": "entity"}',
+      '{"type": "edge", "id": "e1", "source": "n1", "target": "n2", '
+      '"label": "r", "structural": false}',
+      '{"type": "edge", "id": "e1", "source": "n1", "target": "n2", '
+      '"label": "s", "structural": false}'], 4, "duplicate edge id 'e1'"),
 ])
 def test_load_rejects_malformed_lines(lines, line_no, message, tmp_path):
     path = tmp_path / "bad.jsonl"
@@ -415,3 +506,73 @@ def test_load_rejects_structural_mismatch(tmp_path):
     with pytest.raises(GraphFormatError, match="structural") as exc_info:
         load_graph(path)
     assert exc_info.value.line == 3
+
+
+def test_loaded_edges_share_node_ids_and_label_texts():
+    buffer = io.StringIO()
+    save_graph(build("(a)-[Links To]->(b)", "(b)-[Links To]->(c)", "(c)-[links  to]->(a)"),
+                buffer)
+    graph = load_graph(io.StringIO(buffer.getvalue()))
+    edges = sorted(graph.edges, key=lambda e: e.label)
+    assert all(e.source is graph.node(e.source).id and e.target is graph.node(e.target).id
+               for e in edges)
+    assert edges[0].label is edges[1].label
+    assert edges[0].canonical is edges[1].canonical
+
+
+def _many_lines_graph(tmp_path) -> tuple:
+    """A saved graph of 600 lines, two chunks and more, with a blank line 3."""
+    graph = build(*(f"(a{i:03d})-[r]->(b{i:03d})" for i in range(200)))
+    path = tmp_path / "graph.jsonl"
+    save_graph(graph, path)
+    lines = path.read_text(encoding="utf-8").splitlines()
+    return graph, path, lines[:2] + [""] + lines[2:]
+
+
+def test_load_in_chunks_matches_the_saved_graph(tmp_path):
+    graph, path, lines = _many_lines_graph(tmp_path)
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    loaded = load_graph(path)
+    loaded.audit()
+    assert set(loaded.nodes) == set(graph.nodes)
+    assert set(loaded.edges) == set(graph.edges)
+
+
+def test_load_names_a_bad_line_in_a_later_chunk(tmp_path):
+    _, path, lines = _many_lines_graph(tmp_path)
+    lines[450] = lines[450][:-1]           # line 451: an object left open
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with pytest.raises(GraphFormatError, match="invalid JSON") as exc_info:
+        load_graph(path)
+    assert exc_info.value.line == 451
+
+
+def test_load_reports_the_first_bad_line_of_a_chunk(tmp_path):
+    _, path, lines = _many_lines_graph(tmp_path)
+    edge = json.loads(lines[420])
+    edge["source"] = "no-such-node"
+    lines[420] = json.dumps(edge)           # line 421: a record fault
+    lines[430] = "{not json"                # line 431: a JSON fault
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with pytest.raises(GraphFormatError, match="unknown node") as exc_info:
+        load_graph(path)
+    assert exc_info.value.line == 421
+
+
+_NODE = '"type": "node", "id": "n{0}", "label": "a{0}", "canonical": "a{0}", "kind": "entity"'
+
+
+@pytest.mark.parametrize("first, second", [
+    ("{" + _NODE.format(1) + ', "x": [{"y": 1}', '{"z": 2}]}'),      # a list left open
+    ("{" + _NODE.format(1).rsplit(",", 1)[0], '"kind": "entity"}'),  # an object left open
+    ("{" + _NODE.format(1) + ', "x": "y', '{z"}'),                    # a string left open
+])
+def test_load_refuses_lines_that_parse_only_together(first, second, tmp_path):
+    """Each pair of lines is one record when joined; with a line holding two
+    records after them, a chunk has as many values as lines."""
+    two_records = "{" + _NODE.format(2) + "},{" + _NODE.format(3) + "}"
+    path = tmp_path / "graph.jsonl"
+    path.write_text("\n".join([first, second, two_records]) + "\n", encoding="utf-8")
+    with pytest.raises(GraphFormatError, match="invalid JSON") as exc_info:
+        load_graph(path)
+    assert exc_info.value.line == 1
