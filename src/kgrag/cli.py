@@ -1,7 +1,8 @@
 """Command-line interface: ingest documents, build the index, query, eval.
 
 Exit code 0 means the pipeline completed (a no-answer reply included);
-exit code 1 means a configuration, IO, or provider fault.
+exit code 1 means a configuration, IO, or provider fault, or an ``eval``
+in which some question's pipeline raised.
 """
 
 from __future__ import annotations
@@ -207,6 +208,9 @@ def cmd_eval(args) -> int:
         if args.out:
             Path(args.out).write_text(text + "\n", encoding="utf-8")
         print(text)
+        if report.errors:
+            print(f"error: {report.errors} of {report.n} questions raised", file=sys.stderr)
+            return 1
         return 0
 
     return _with_trace(args, run)

@@ -14,7 +14,8 @@ import logging
 import re
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Sequence, Union
+from itertools import islice
+from typing import Iterator, Sequence, Union
 
 from .embedding import KIND_RELATIONSHIP, NODE_KINDS, EmbeddingIndex, StaleIndexError
 from .graph import EdgeRecord, KnowledgeGraph, UnknownNodeError
@@ -42,6 +43,9 @@ FAILURE_MESSAGE = "I am sorry, I could not find an answer to your question."
 MAX_FAILED_TRIES = 3
 # Longest plan accepted; with MAX_FAILED_TRIES it bounds the model calls per run.
 MAX_PLAN_STEPS = 16
+# Most chains a run returns, so the answer prompt stays bounded however
+# many start-to-end routes the traveled hops allow.
+MAX_CHAINS = 100
 
 
 class StepKind(Enum):
@@ -462,7 +466,11 @@ class CoEngine:
             elif outcome.verdict is Verdict.CONTINUE:
                 state.current_step += 1
             else:  # RESPOND
-                chains = assemble_chains(state.path_traveled, state.current_nodes)
+                chains = tuple(islice(iter_chains(state.path_traveled, state.current_nodes),
+                                      MAX_CHAINS + 1))
+                if len(chains) > MAX_CHAINS:
+                    chains = chains[:MAX_CHAINS]
+                    self.trace.emit({"event": "chains_cut", "kept": MAX_CHAINS})
                 result = Paths(chains, steps_taken=state.current_step)
                 self.trace.emit({"event": "result", "type": "paths",
                                  "steps_taken": result.steps_taken,
@@ -475,8 +483,16 @@ class CoEngine:
 
 def assemble_chains(path: Sequence[PathElement],
                     current_nodes: Sequence[str]) -> tuple[tuple[PathElement, ...], ...]:
+    """The first :data:`MAX_CHAINS` chains of :func:`iter_chains`."""
+    return tuple(islice(iter_chains(path, current_nodes), MAX_CHAINS))
+
+
+def iter_chains(path: Sequence[PathElement],
+                current_nodes: Sequence[str]) -> Iterator[tuple[PathElement, ...]]:
     """Connected chains from a step-1 node to a current node, using only the
-    hops actually traveled. Chains alternate NodeElement and HopElement."""
+    hops actually traveled, produced lazily in depth-first order: by start,
+    then by the order the hops were traveled. Chains alternate NodeElement
+    and HopElement, and none visits a node twice."""
     labels: dict[str, str] = {}
     starts: list[str] = []
     before_first_hop = True
@@ -493,34 +509,46 @@ def assemble_chains(path: Sequence[PathElement],
             if key not in seen_hops and element.source in labels:
                 seen_hops.add(key)
                 hops.append(element)
+    ends = set(current_nodes)
+    # Only hops into nodes from which some end can be reached: no branch of
+    # the search below runs into a dead end of the hop graph.
+    sources: dict[str, list[str]] = {}
+    for hop in hops:
+        sources.setdefault(hop.target, []).append(hop.source)
+    live = ends & labels.keys()
+    frontier = list(live)
+    while frontier:
+        for source in sources.get(frontier.pop(), ()):
+            if source not in live:
+                live.add(source)
+                frontier.append(source)
     adjacency: dict[str, list[HopElement]] = {}
     for hop in hops:
-        if hop.target in labels:
+        if hop.target in live:
             adjacency.setdefault(hop.source, []).append(hop)
-    ends = set(current_nodes)
-    chains: list[tuple[PathElement, ...]] = []
-    emitted: set[tuple] = set()
-
-    def extend(node_id: str, trail: list[PathElement], visited: set[str]) -> None:
-        if node_id in ends:
-            chain = tuple(trail)
-            if chain not in emitted:
-                emitted.add(chain)
-                chains.append(chain)
-        for hop in adjacency.get(node_id, ()):
+    # Distinct starts and distinct hops make every chain distinct.
+    for start in starts:
+        trail: list[PathElement] = [NodeElement(start, labels[start])]
+        visited = {start}
+        if start in ends:
+            yield tuple(trail)
+        pending = [iter(adjacency.get(start, ()))]
+        while pending:
+            hop = next(pending[-1], None)
+            if hop is None:
+                pending.pop()
+                if pending:   # back out of the node this iterator belonged to
+                    visited.discard(trail[-1].node_id)
+                    del trail[-2:]
+                continue
             if hop.target in visited:
                 continue
             trail.append(hop)
             trail.append(NodeElement(hop.target, labels[hop.target]))
             visited.add(hop.target)
-            extend(hop.target, trail, visited)
-            visited.discard(hop.target)
-            trail.pop()
-            trail.pop()
-
-    for start in starts:
-        extend(start, [NodeElement(start, labels[start])], {start})
-    return tuple(chains)
+            if hop.target in ends:
+                yield tuple(trail)
+            pending.append(iter(adjacency.get(hop.target, ())))
 
 
 def run_coe(provider, graph: KnowledgeGraph, index: EmbeddingIndex, question: str,

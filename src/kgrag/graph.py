@@ -474,20 +474,24 @@ def _open_for_write(sink):
         raise
 
 
+# One encoder for every saved row; ``json.dumps`` with options builds one per call.
+_ROW_ENCODER = json.JSONEncoder(ensure_ascii=False, sort_keys=True)
+
+
 def save_graph(graph: KnowledgeGraph, sink) -> None:
     """Write nodes then edges as JSONL, deterministically ordered so the
     same graph always produces byte-identical files."""
+    encode = _ROW_ENCODER.encode
     with _open_for_write(sink) as f:
         for node in sorted(graph.nodes, key=lambda n: (n.kind, n.canonical)):
-            f.write(json.dumps(
+            f.write(encode(
                 {"type": "node", "id": node.id, "label": node.label,
-                 "canonical": node.canonical, "kind": node.kind},
-                ensure_ascii=False, sort_keys=True) + "\n")
+                 "canonical": node.canonical, "kind": node.kind}) + "\n")
         for edge in sorted(graph.edges, key=lambda e: (e.canonical, e.source, e.target)):
-            f.write(json.dumps(
+            f.write(encode(
                 {"type": "edge", "id": edge.id, "source": edge.source,
-                 "target": edge.target, "label": edge.label, "structural": edge.structural},
-                ensure_ascii=False, sort_keys=True) + "\n")
+                 "target": edge.target, "label": edge.label,
+                 "structural": edge.structural}) + "\n")
 
 
 # Lines parsed by one json.loads in load_graph; a whole file at once would
@@ -581,6 +585,9 @@ def _load_edge(graph: KnowledgeGraph, record: dict, lineno: int,
     _require(record, ("id", "source", "target", "label"), lineno)
     if "structural" not in record:
         raise GraphFormatError("missing field 'structural'", lineno)
+    structural = record["structural"]
+    if type(structural) is not bool:
+        raise GraphFormatError("field 'structural' is not a boolean", lineno)
     source_node = graph._nodes.get(record["source"])
     target_node = graph._nodes.get(record["target"])
     if source_node is None or target_node is None:
@@ -588,7 +595,6 @@ def _load_edge(graph: KnowledgeGraph, record: dict, lineno: int,
     # The edge shares its nodes' id strings, as upserted edges do.
     source, target = source_node.id, target_node.id
     label, canonical = graph._edge_label(record["label"])
-    structural = bool(record["structural"])
     if structural != (canonical in RESERVED_EDGE_LABELS):
         raise GraphFormatError("structural flag does not match label", lineno)
     group, at, existing = graph._slot(source, canonical, target)

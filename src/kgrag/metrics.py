@@ -12,7 +12,7 @@ import logging
 import string
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Callable, Sequence
 
@@ -123,6 +123,9 @@ class ExampleScore:
     f1: float
     accuracy: int
     hallucination: int
+    # What the pipeline raised on this question ("Type: message"), else None.
+    # Such a row is scored as the failure message, but it is not an answer.
+    error: str | None = None
 
     def to_dict(self) -> dict:
         return {
@@ -133,6 +136,7 @@ class ExampleScore:
             "f1": self.f1,
             "accuracy": self.accuracy,
             "hallucination": self.hallucination,
+            "error": self.error,
         }
 
 
@@ -144,11 +148,13 @@ class MetricReport:
     accuracy_pct: float
     hallucination_pct: float
     per_example: tuple[ExampleScore, ...]
+    errors: int = 0         # questions whose pipeline raised
 
     def to_dict(self) -> dict:
         return {
             "aggregate": {
                 "n": self.n,
+                "errors": self.errors,
                 "em_pct": self.em_pct,
                 "f1_pct": self.f1_pct,
                 "accuracy_pct": self.accuracy_pct,
@@ -172,16 +178,18 @@ def score_example(example: QaExample, answer: str) -> ExampleScore:
 
 def evaluate_dataset(pipeline: Callable[[str], str], examples: Sequence[QaExample],
                      jobs: int = 1) -> MetricReport:
-    """Run the pipeline over every example. A crashing example is recorded
-    with the standard failure message, never aborting the run. Per-example
-    rows are sorted by id so job count cannot change the report."""
+    """Run the pipeline over every example. A crashing example is scored
+    as the standard failure message and marked with its error, never
+    aborting the run; ``errors`` counts such rows. Per-example rows are
+    sorted by id so job count cannot change the report."""
 
     def run_one(example: QaExample) -> ExampleScore:
         try:
             answer = pipeline(example.question)
-        except Exception:
+        except Exception as exc:
             logger.exception("pipeline failed on example %r", example.id)
-            answer = FAILURE_MESSAGE
+            return replace(score_example(example, FAILURE_MESSAGE),
+                           error=f"{type(exc).__name__}: {exc}")
         return score_example(example, answer)
 
     if jobs > 1 and len(examples) > 1:
@@ -202,6 +210,7 @@ def evaluate_dataset(pipeline: Callable[[str], str], examples: Sequence[QaExampl
         accuracy_pct=pct(s.accuracy for s in scores),
         hallucination_pct=pct(s.hallucination for s in scores),
         per_example=tuple(scores),
+        errors=sum(s.error is not None for s in scores),
     )
 
 

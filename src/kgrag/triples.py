@@ -5,13 +5,15 @@ be a parenthesized statement, which nests the fact::
 
     ((Seth MacFarlane)-[created]->(Family Guy))-[in]->(1999)
 
-Disambiguation after ``(`` is statement-first: a full statement parse is
-attempted and entity-label scanning is the fallback, so unescaped structural
-characters never hide inside labels.
+After ``(``, the next non-space character decides: ``(`` opens a nested
+statement, anything else an entity label, so unescaped structural
+characters never hide inside labels. A line is parsed in one pass, and a
+valid line raises no exception on the way.
 """
 
 from __future__ import annotations
 
+import re
 import unicodedata
 from dataclasses import dataclass
 from typing import Union
@@ -75,110 +77,124 @@ def statement_depth(statement: TripleStatement) -> int:
     return 1 + max(term_depth(statement.subject), term_depth(statement.object))
 
 
+# A run of label characters: everything up to the next structural character
+# or escape. Labels are scanned run by run, looping only at an escape.
+_label_run = re.compile(r"[^()\[\]\\]*").match
+# Whitespace between tokens; ``\s`` matches exactly what ``str.isspace`` does.
+_space_run = re.compile(r"\s*").match
+
+
 class _Parser:
+    """One pass over one line. Positions are passed in and returned, and an
+    exception is raised only for text that does not parse.
+
+    After ``(`` the next non-space character decides: ``(`` opens a nested
+    statement, anything else an entity label. On malformed text, where a
+    node could be read either as a nested statement or as an entity, the
+    error is that of the reading that got further, the statement winning
+    ties (see :meth:`_entity_error`).
+    """
+
     def __init__(self, text: str, max_depth: int):
         self.text = text
-        self.pos = 0
         self.max_depth = max_depth
 
-    def error(self, message: str, position: int | None = None) -> TripleSyntaxError:
-        pos = self.pos if position is None else position
-        return TripleSyntaxError(message, self.text, pos)
+    def error(self, message: str, position: int) -> TripleSyntaxError:
+        return TripleSyntaxError(message, self.text, position)
 
-    def at_end(self) -> bool:
-        return self.pos >= len(self.text)
-
-    def peek(self) -> str:
-        return "" if self.at_end() else self.text[self.pos]
-
-    def skip_ws(self) -> None:
-        while not self.at_end() and self.text[self.pos].isspace():
-            self.pos += 1
-
-    def parse_statement(self, level: int) -> TripleStatement:
+    def statement(self, pos: int, level: int) -> tuple[TripleStatement, int]:
+        text = self.text
         if level > self.max_depth:
-            raise self.error(f"nesting depth exceeds {self.max_depth}")
-        subject = self.parse_node(level)
-        self.skip_ws()
-        if self.peek() not in _MINUS:
-            raise self.error("expected '-[' after subject")
-        self.pos += 1
-        self.skip_ws()
-        if self.peek() != "[":
-            raise self.error("expected '[' to open the predicate")
-        self.pos += 1
-        predicate = self.scan_label("]")
-        self.skip_ws()
-        self.expect_arrow_tail()
-        self.skip_ws()
-        obj = self.parse_node(level)
-        return TripleStatement(subject, predicate, obj)
+            raise self.error(f"nesting depth exceeds {self.max_depth}", pos)
+        subject, pos = self.node(pos, level)
+        pos = _space_run(text, pos).end()
+        if pos == len(text):
+            # Nothing follows the subject: the grammar has always reported
+            # this one character beyond the end of the text.
+            raise self.error("expected '[' to open the predicate", pos + 1)
+        if text[pos] not in _MINUS:
+            raise self.error("expected '-[' after subject", pos)
+        pos = _space_run(text, pos + 1).end()
+        if text[pos:pos + 1] != "[":
+            raise self.error("expected '[' to open the predicate", pos)
+        predicate, pos = self.label(pos + 1, "]")
+        pos = _space_run(text, pos).end()
+        if text[pos:pos + 1] == _RIGHT_ARROW:
+            pos += 1
+        elif text[pos:pos + 1] in _MINUS and text[pos + 1:pos + 2] == ">":
+            pos += 2
+        else:
+            raise self.error("expected '->' after predicate", pos)
+        obj, pos = self.node(pos, level)
+        return TripleStatement(subject, predicate, obj), pos
 
-    def expect_arrow_tail(self) -> None:
-        # "]" was consumed by scan_label; now "->" (or the arrow character).
-        c = self.peek()
-        if c == _RIGHT_ARROW:
-            self.pos += 1
-            return
-        if c in _MINUS and self.pos + 1 < len(self.text) and self.text[self.pos + 1] == ">":
-            self.pos += 2
-            return
-        raise self.error("expected '->' after predicate")
-
-    def parse_node(self, level: int) -> TripleTerm:
-        self.skip_ws()
-        if self.peek() != "(":
-            raise self.error("expected '(' to open a node")
-        self.pos += 1
-        saved = self.pos
-        statement_error: TripleSyntaxError | None = None
+    def node(self, pos: int, level: int) -> tuple[TripleTerm, int]:
+        text = self.text
+        pos = _space_run(text, pos).end()
+        if text[pos:pos + 1] != "(":
+            raise self.error("expected '(' to open a node", pos)
+        start = pos + 1
+        ahead = _space_run(text, start).end()
+        if text[ahead:ahead + 1] == "(":
+            if level >= self.max_depth:
+                # Read as an entity, the node stops at this "(".
+                raise self._entity_error(self.error("unescaped '(' inside a label", ahead),
+                                         start, ahead, level)
+            inner, pos = self.statement(ahead, level + 1)
+            pos = _space_run(text, pos).end()
+            if text[pos:pos + 1] != ")":
+                raise self.error("expected ')' to close the nested statement", pos)
+            return inner, pos + 1
         try:
-            inner = self.parse_statement(level + 1)
-            self.skip_ws()
-            if self.peek() != ")":
-                raise self.error("expected ')' to close the nested statement")
-            self.pos += 1
-            return inner
+            label, pos = self.label(start, ")")
         except TripleSyntaxError as exc:
-            statement_error = exc
-            self.pos = saved
-        try:
-            label = self.scan_label(")")
-        except TripleSyntaxError as entity_error:
-            # Surface whichever attempt got further; the statement error wins
-            # ties so depth violations are reported as such.
-            if statement_error is not None and statement_error.position >= entity_error.position:
-                raise statement_error from None
-            raise
-        return Entity(label)
+            raise self._entity_error(exc, start, ahead, level) from None
+        return Entity(label), pos
 
-    def scan_label(self, closing: str) -> str:
-        start = self.pos
-        chars: list[str] = []
+    def _entity_error(self, exc: TripleSyntaxError, start: int, ahead: int,
+                      level: int) -> TripleSyntaxError:
+        """The error for a node whose entity reading failed with ``exc``:
+        the statement reading's error (depth at ``start``, or no "(" at
+        ``ahead``) if it got at least as far as ``exc``, else ``exc``."""
+        if level >= self.max_depth:
+            position, message = start, f"nesting depth exceeds {self.max_depth}"
+        else:
+            position, message = ahead, "expected '(' to open a node"
+        if position >= exc.position:
+            return self.error(message, position)
+        return exc
+
+    def label(self, pos: int, closing: str) -> tuple[str, int]:
+        text = self.text
+        start = pos
+        parts: list[str] = []
         while True:
-            if self.at_end():
+            end = _label_run(text, pos).end()
+            if end == len(text):
                 raise self.error(f"unterminated label, expected '{closing}'", start)
-            c = self.text[self.pos]
-            if c == "\\":
-                if self.pos + 1 >= len(self.text):
-                    raise self.error("dangling escape at end of input")
-                nxt = self.text[self.pos + 1]
-                if nxt not in ESCAPABLE:
-                    raise self.error(f"invalid escape '\\{nxt}'")
-                chars.append(nxt)
-                self.pos += 2
-                continue
+            c = text[end]
             if c == closing:
-                self.pos += 1
                 break
-            if c in "()[]":
-                raise self.error(f"unescaped '{c}' inside a label")
-            chars.append(c)
-            self.pos += 1
-        label = unicodedata.normalize("NFC", "".join(chars)).strip()
+            if c != "\\":
+                raise self.error(f"unescaped '{c}' inside a label", end)
+            if end + 1 == len(text):
+                raise self.error("dangling escape at end of input", end)
+            escaped = text[end + 1]
+            if escaped not in ESCAPABLE:
+                raise self.error(f"invalid escape '\\{escaped}'", end)
+            parts.append(text[pos:end])
+            parts.append(escaped)
+            pos = end + 2
+        label = text[pos:end]
+        if parts:
+            parts.append(label)
+            label = "".join(parts)
+        if not label.isascii():   # ASCII text is already NFC
+            label = unicodedata.normalize("NFC", label)
+        label = label.strip()
         if not label:
             raise self.error("empty label", start)
-        return label
+        return label, end + 1
 
 
 def parse_triple(text: str, max_depth: int = DEFAULT_MAX_DEPTH) -> TripleStatement:
@@ -188,11 +204,10 @@ def parse_triple(text: str, max_depth: int = DEFAULT_MAX_DEPTH) -> TripleStateme
     Trailing non-whitespace after the statement is an error.
     """
     parser = _Parser(text, max_depth)
-    parser.skip_ws()
-    statement = parser.parse_statement(1)
-    parser.skip_ws()
-    if not parser.at_end():
-        raise parser.error("trailing text after statement")
+    statement, pos = parser.statement(_space_run(text).end(), 1)
+    pos = _space_run(text, pos).end()
+    if pos < len(text):
+        raise parser.error("trailing text after statement", pos)
     return statement
 
 

@@ -179,6 +179,67 @@ def test_eval_scores_dataset(tmp_path, capsys):
     assert json.loads(out_path.read_text(encoding="utf-8")) == report
 
 
+def _three_question_dataset(tmp_path):
+    dataset = tmp_path / "dataset.jsonl"
+    dataset.write_text("".join(
+        json.dumps({"id": f"q{i}", "question": f"{TAYLOR_QUESTION} ({i})",
+                    "answers": [TAYLOR_ANSWER]}) + "\n" for i in (1, 2, 3)),
+        encoding="utf-8")
+    return str(dataset)
+
+
+@pytest.mark.parametrize("jobs", ["1", "3"])
+@pytest.mark.parametrize("failing, expected_errors", [("(2)", 1), ("", 3)])
+def test_eval_exits_1_when_a_question_raises(tmp_path, capsys, monkeypatch, jobs,
+                                             failing, expected_errors):
+    """A pipeline that raises is an error, not an abstention: the report is
+    still written, with the rows marked, and eval says so and exits 1."""
+    import kgrag.cli
+
+    answer = kgrag.cli.generate_answer
+
+    def generate_or_raise(provider, question, result):
+        if failing in question:
+            raise RuntimeError("fault in answering")
+        return answer(provider, question, result)
+
+    monkeypatch.setattr(kgrag.cli, "generate_answer", generate_or_raise)
+    out_path = tmp_path / "report.json"
+    code = main(["eval", _three_question_dataset(tmp_path), "--jobs", jobs,
+                 "--out", str(out_path)] + _query_args(tmp_path))
+    assert code == 1
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == [f"error: {expected_errors} of 3 questions raised"]
+    report = json.loads(captured.out)
+    assert json.loads(out_path.read_text(encoding="utf-8")) == report
+    assert report["aggregate"]["errors"] == expected_errors
+    errors = {row["id"]: row["error"] for row in report["per_example"]}
+    assert sum(e == "RuntimeError: fault in answering" for e in errors.values()) == \
+        expected_errors
+    if expected_errors == 1:
+        assert errors == {"q1": None, "q2": "RuntimeError: fault in answering", "q3": None}
+
+
+def test_eval_report_bytes_do_not_depend_on_jobs(tmp_path, capsys, monkeypatch):
+    import kgrag.cli
+
+    answer = kgrag.cli.generate_answer
+
+    def generate_or_raise(provider, question, result):
+        if "(2)" in question:
+            raise RuntimeError("fault in answering")
+        return answer(provider, question, result)
+
+    monkeypatch.setattr(kgrag.cli, "generate_answer", generate_or_raise)
+    dataset = _three_question_dataset(tmp_path)
+    args = _query_args(tmp_path)
+    outputs = []
+    for jobs in ("1", "3"):
+        assert main(["eval", dataset, "--jobs", jobs] + args) == 1
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1]
+
+
 # -------------------------------------------------------------- http paths
 
 def test_ingest_through_http_provider(tmp_path, capsys, monkeypatch):
@@ -425,6 +486,18 @@ def _graph_with_wrong_edge_id(tmp_path):
     return argv
 
 
+def _graph_with_string_structural_flag(tmp_path):
+    """``stats`` over an ingested graph whose first structural edge says
+    ``"false"``: a string, which ``bool()`` would read as true."""
+    doc, script, graph_path = ingest_setup(tmp_path)
+    assert main(["ingest", str(doc), "--graph", str(graph_path), "--script", script]) == 0
+    text = graph_path.read_text(encoding="utf-8")
+    assert '"structural": true' in text
+    graph_path.write_text(text.replace('"structural": true', '"structural": "false"', 1),
+                          encoding="utf-8")
+    return ["stats", "--graph", str(graph_path)]
+
+
 def _malformed_script(tmp_path):
     paths = _query_args(tmp_path)[:4]
     script = tmp_path / "bad-script.jsonl"
@@ -452,6 +525,7 @@ BAD_INPUTS = {
     "graph-fails-audit": _graph_without_subject_edge,
     "graph-duplicate-edge-id": _graph_with_duplicate_edge_id,
     "graph-wrong-edge-id": _graph_with_wrong_edge_id,
+    "graph-string-structural-flag": _graph_with_string_structural_flag,
 }
 
 # What the one error line must name: the bad option or file.
@@ -462,7 +536,7 @@ BAD_INPUT_NAMES = {
     "non-utf8-document": "bad-doc.txt", "non-utf8-dataset": "dataset.jsonl",
     "non-utf8-graph": "graph.jsonl", "non-utf8-index": "bad-index.jsonl",
     "graph-fails-audit": "graph.jsonl", "graph-duplicate-edge-id": "graph.jsonl",
-    "graph-wrong-edge-id": "graph.jsonl",
+    "graph-wrong-edge-id": "graph.jsonl", "graph-string-structural-flag": "graph.jsonl",
 }
 
 
@@ -484,6 +558,7 @@ def test_bad_input_ends_in_one_error_line(tmp_path, capsys, case):
 @pytest.mark.parametrize("case, message", [
     ("graph-duplicate-edge-id", "line 9: duplicate edge id"),
     ("graph-wrong-edge-id", "id is not the hash of its content"),
+    ("graph-string-structural-flag", "field 'structural' is not a boolean"),
 ])
 def test_bad_edge_ids_are_named(tmp_path, capsys, case, message):
     argv = BAD_INPUTS[case](tmp_path)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import io
+import time
 from collections import Counter
 
 import pytest
@@ -42,6 +43,7 @@ from kgrag.explore import (
     ExplorationStep,
     HopElement,
     NodeElement,
+    MAX_CHAINS,
     MAX_FAILED_TRIES,
     MAX_PLAN_STEPS,
     PlanParseError,
@@ -50,6 +52,7 @@ from kgrag.explore import (
     Verdict,
     assemble_chains,
     format_path_elements,
+    iter_chains,
     node_candidates,
     parse_ordinals,
     parse_plan,
@@ -775,3 +778,123 @@ def test_assemble_chains_single_node_start_is_also_end():
     path = [NodeElement("a", "A")]
     chains = assemble_chains(path, ["a"])
     assert chains == ((NodeElement("a", "A"),),)
+
+
+def _recursive_chains(path, current_nodes):
+    """The recursive depth-first enumeration chains were once built by, as an
+    oracle for their order: every chain, deduplicated, none cut."""
+    labels, starts, hops, seen = {}, [], [], set()
+    before_first_hop = True
+    for element in path:
+        if isinstance(element, NodeElement):
+            labels[element.node_id] = element.label
+            if before_first_hop and element.node_id not in starts:
+                starts.append(element.node_id)
+        else:
+            before_first_hop = False
+            key = (element.source, element.label, element.target)
+            if key not in seen and element.source in labels:
+                seen.add(key)
+                hops.append(element)
+    adjacency = {}
+    for hop in hops:
+        if hop.target in labels:
+            adjacency.setdefault(hop.source, []).append(hop)
+    ends = set(current_nodes)
+    chains, emitted = [], set()
+
+    def extend(node_id, trail, visited):
+        if node_id in ends and tuple(trail) not in emitted:
+            emitted.add(tuple(trail))
+            chains.append(tuple(trail))
+        for hop in adjacency.get(node_id, ()):
+            if hop.target not in visited:
+                extend(hop.target, trail + [hop, NodeElement(hop.target, labels[hop.target])],
+                       visited | {hop.target})
+
+    for start in starts:
+        extend(start, [NodeElement(start, labels[start])], {start})
+    return chains
+
+
+_ids = st.sampled_from("abcdef")
+_path_elements = st.one_of(
+    _ids.map(lambda i: NodeElement(i, i.upper())),
+    st.builds(HopElement, _ids, st.sampled_from("rs"), _ids),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_path_elements, max_size=30), st.lists(_ids, max_size=4))
+def test_chains_come_lazily_in_depth_first_order(path, current_nodes):
+    expected = _recursive_chains(path, current_nodes)
+    assert list(iter_chains(path, current_nodes)) == expected
+    assert assemble_chains(path, current_nodes) == tuple(expected[:MAX_CHAINS])
+
+
+def _layered_path(width: int, layers: int) -> list:
+    """Every node of a layer linked to every node of the next: width ** layers
+    start-to-end chains."""
+    path = [NodeElement(f"0-{i}", f"N0-{i}") for i in range(width)]
+    for layer in range(1, layers + 1):
+        path += [HopElement(f"{layer - 1}-{i}", "r", f"{layer}-{j}")
+                 for i in range(width) for j in range(width)]
+        path += [NodeElement(f"{layer}-{j}", f"N{layer}-{j}") for j in range(width)]
+    return path
+
+
+def test_assemble_chains_stops_at_the_cap():
+    path = _layered_path(10, 6)           # a million chains in full
+    ends = [f"6-{j}" for j in range(10)]
+    chains = assemble_chains(path, ends)
+    assert len(chains) == MAX_CHAINS
+    assert chains[0] == tuple(_recursive_chains(_layered_path(1, 6), ["6-0"])[0])
+    assert [chain[-1].node_id for chain in chains[:10]] == ends
+
+
+def test_assemble_chains_skips_dead_ends_quickly():
+    """The first start fans out into a million routes that reach no current
+    node; the one chain comes from the second start."""
+    path = _layered_path(10, 6)
+    path.insert(10, NodeElement("s", "S"))
+    path += [HopElement("s", "r", "e"), NodeElement("e", "E")]
+    started = time.perf_counter()
+    chains = assemble_chains(path, ["e"])
+    assert time.perf_counter() - started < 1.0
+    assert chains == ((NodeElement("s", "S"), HopElement("s", "r", "e"), NodeElement("e", "E")),)
+
+
+def test_run_records_a_cut_chain_list_in_the_trace(monkeypatch):
+    width, steps = 4, 4                  # 4 ** 5 = 1024 chains in full
+    graph = KnowledgeGraph()
+    for layer in range(steps):
+        for i in range(width):
+            for j in range(width):
+                graph.upsert_triple(TripleStatement(
+                    Entity(f"layer{layer} node{i}"), "next", Entity(f"layer{layer + 1} node{j}")))
+    index = index_graph(graph, HashingEmbedder())
+    plan = "\n".join(["NODE: layer0 node"] + ["REL: next"] * steps)
+    everything = " ".join(map(str, range(1, 11)))
+    provider = ScriptedProvider([
+        ScriptRule("plan", "", plan),
+        ScriptRule("select_nodes", "", everything),
+        ScriptRule("select_rels", "", "1"),
+        ScriptRule("evaluate", "", "continue"),
+        ScriptRule("evaluate", f"Current step: {steps + 1} of", "respond"),
+    ])
+    consumed = []
+
+    def counted_chains(path, current_nodes):
+        for chain in iter_chains(path, current_nodes):
+            consumed.append(chain)
+            yield chain
+
+    monkeypatch.setattr("kgrag.explore.iter_chains", counted_chains)
+    trace = TraceRecorder()
+    limits = Limits(node_candidates=width, relationship_candidates=10, max_current_nodes=width)
+    result = CoEngine(graph, index, provider, limits, trace).run("from layer0 to layer4?")
+    assert isinstance(result, Paths)
+    assert len(result.chains) == MAX_CHAINS
+    assert len(consumed) == MAX_CHAINS + 1      # enough to tell that the list was cut
+    assert {"event": "chains_cut", "kept": MAX_CHAINS} in trace.events
+    assert trace.events[-1]["chains"] == MAX_CHAINS

@@ -412,16 +412,16 @@ def test_failed_save_leaves_previous_file_intact(tmp_path, monkeypatch):
     path = tmp_path / "graph.jsonl"
     save_graph(build(FLAT_LINE), path)
     before = path.read_bytes()
-    dumps = json.dumps
+    encode = json.JSONEncoder.encode
     written = []
 
-    def dumps_then_fail(*args, **kwargs):
+    def encode_then_fail(*args, **kwargs):
         written.append(args)
         if len(written) == 4:
             raise OSError("disk full")
-        return dumps(*args, **kwargs)
+        return encode(*args, **kwargs)
 
-    monkeypatch.setattr(json, "dumps", dumps_then_fail)
+    monkeypatch.setattr(json.JSONEncoder, "encode", encode_then_fail)
     with pytest.raises(OSError, match="disk full"):
         save_graph(build(NESTED_LINE, FLAT_LINE), path)
     assert path.read_bytes() == before
@@ -465,6 +465,10 @@ def test_save_preserves_non_ascii(tmp_path):
       '"label": "r", "structural": false}',
       '{"type": "edge", "id": "e1", "source": "n1", "target": "n2", '
       '"label": "s", "structural": false}'], 4, "duplicate edge id 'e1'"),
+    (['{"type": "node", "id": "n1", "label": "a", "canonical": "a", "kind": "entity"}',
+      '{"type": "node", "id": "n2", "label": "b", "canonical": "b", "kind": "entity"}',
+      '{"type": "edge", "id": "e1", "source": "n1", "target": "n2", '
+      '"label": "_subject", "structural": "false"}'], 3, "'structural' is not a boolean"),
 ])
 def test_load_rejects_malformed_lines(lines, line_no, message, tmp_path):
     path = tmp_path / "bad.jsonl"

@@ -252,6 +252,40 @@ def test_evaluate_dataset_records_pipeline_crashes():
     assert by_id["q2"].em == 1
 
 
+@pytest.mark.parametrize("jobs", [1, 3])
+def test_evaluate_dataset_marks_and_counts_errors(jobs):
+    def pipeline(question):
+        if question == "Where?":
+            raise RuntimeError("boom")
+        return "Michael Wilding"
+
+    report = evaluate_dataset(pipeline, _examples(), jobs=jobs)
+    rows = {row["id"]: row for row in report.to_dict()["per_example"]}
+    assert rows["q1"]["error"] == "RuntimeError: boom"
+    assert rows["q1"]["answer"] == FAILURE_MESSAGE
+    assert rows["q2"]["error"] is None and rows["q3"]["error"] is None
+    assert report.errors == 1
+    assert report.to_dict()["aggregate"]["errors"] == 1
+    assert report.to_dict() == evaluate_dataset(pipeline, _examples(), jobs=1).to_dict()
+
+
+@pytest.mark.parametrize("jobs", [1, 3])
+def test_evaluate_dataset_counts_a_fault_on_every_question(jobs):
+    def pipeline(question):
+        raise ValueError("k must be at least 1")
+
+    report = evaluate_dataset(pipeline, _examples(), jobs=jobs)
+    assert report.n == 3 and report.errors == 3
+    assert {s.error for s in report.per_example} == {"ValueError: k must be at least 1"}
+    assert report.em_pct == 0.0 and report.hallucination_pct == 0.0
+
+
+def test_evaluate_dataset_without_faults_counts_no_errors():
+    report = evaluate_dataset(lambda q: "Michael Wilding", _examples())
+    assert report.errors == 0
+    assert all(row["error"] is None for row in report.to_dict()["per_example"])
+
+
 def test_evaluate_dataset_empty():
     report = evaluate_dataset(lambda q: "x", [])
     agg = report.to_dict()["aggregate"]

@@ -18,6 +18,7 @@ from kgrag import (
     serialize_triple,
     statement_depth,
 )
+from triples_oracle import oracle_parse_extraction_block, oracle_parse_triple
 
 
 def test_parse_flat_triple():
@@ -247,3 +248,107 @@ def test_mutations_never_crash(statement, data):
         parse_triple(mutated)
     except TripleSyntaxError:
         pass  # the only acceptable failure mode
+
+
+# ------------------------------------------- equivalence with the oracle
+
+def _outcome(parse, text: str, max_depth: int):
+    """What a parse gives: the statement, or the error's message, character
+    position, byte offset and line."""
+    try:
+        return parse(text, max_depth)
+    except TripleSyntaxError as exc:
+        return ("error", str(exc), exc.position, exc.offset, exc.line)
+
+
+def _block_outcome(parse_block, text: str, max_depth: int):
+    statements, errors = parse_block(text, max_depth)
+    return statements, [(str(e), e.position, e.offset, e.line) for e in errors]
+
+
+# Mostly the characters that steer the grammar: delimiters, their
+# typographic variants, escapes, several kinds of space, and combining
+# marks that NFC folds ("e" + U+0301 is "é").
+_glyphs = st.sampled_from(
+    list("()[]-\u2212>\u2192\\") + ["->", "\u2212>"]
+    + [" ", "  ", "\t", "\u00a0", "\u3000", "a", "Bc", "e\u0301", "\u00e9", "\u0301"]
+)
+_fragments = st.one_of(
+    _glyphs, _glyphs, _glyphs,
+    _statements(5).map(serialize_triple),
+    st.text(st.characters(blacklist_categories=("Cs",)), max_size=4),
+)
+_texts = st.lists(_fragments, max_size=16).map("".join)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_texts, st.integers(1, 5))
+def test_parse_triple_equals_oracle(text, max_depth):
+    assert _outcome(parse_triple, text, max_depth) == \
+        _outcome(oracle_parse_triple, text, max_depth)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(_texts, max_size=6).map("\n".join), st.integers(1, 5))
+def test_parse_extraction_block_equals_oracle(text, max_depth):
+    assert _block_outcome(parse_extraction_block, text, max_depth) == \
+        _block_outcome(oracle_parse_extraction_block, text, max_depth)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_statements(5), st.data(), st.integers(1, 5))
+def test_mutated_statements_equal_oracle(statement, data, max_depth):
+    """Valid lines with a few edits: the errors that sit deep in a line, where
+    the two parsers' routes differ most."""
+    text = serialize_triple(statement)
+    for _ in range(data.draw(st.integers(0, 3))):
+        position = data.draw(st.integers(0, len(text)))
+        glyph = data.draw(_glyphs)
+        cut = data.draw(st.integers(0, 1))
+        text = text[:position] + glyph + text[position + cut:]
+    assert _outcome(parse_triple, text, max_depth) == \
+        _outcome(oracle_parse_triple, text, max_depth)
+
+
+@pytest.mark.parametrize("text, max_depth", [
+    ("(A)", 4),                          # error one past the end of the text
+    ("(A)  ", 4),
+    ("((A)-[r]->(B))-[s]->(C)", 1),      # depth error at the "("
+    ("( (A)-[r]->(B))-[s]->(C)", 1),     # the entity attempt got further
+    ("(a\\x)-[r]->(B)", 1),
+    ("(  \\x)-[r]->(B)", 4),
+    ("(\\x)-[r]->(B)", 1),
+    ("(a", 1),
+    ("( )-[r]->(B)", 1),
+    ("((A)-[r]->(B) x)-[s]->(C)", 4),
+    ("(e\u0301)-[r]->(B)", 4),
+    ("(A)\u2212[r]\u2212>(B)", 4),
+    ("(A)-[r]\u2212 >(B)", 4),
+])
+def test_edge_cases_equal_oracle(text, max_depth):
+    assert _outcome(parse_triple, text, max_depth) == \
+        _outcome(oracle_parse_triple, text, max_depth)
+
+
+def test_valid_lines_build_no_syntax_error(monkeypatch):
+    """A valid line is parsed without raising, catching or building any
+    TripleSyntaxError, flat, nested to depth 4, escaped or spaced out."""
+    lines = [
+        "(Seth MacFarlane)-[created]->(Family Guy)",
+        "((((A)-[a]->(B))-[b]->(C))-[c]->(D))-[d]->(E)",
+        "(a)-[r]->((b)-[s]->((c)-[t]->((d)-[u]->(e))))",
+        "( ( Ce\u0301ligny )−[ lies in ]→( Geneva ) )-[since]->( 1815 )",
+        r"(Family \(Guy\))-[has \[episode\]]->(a\-b c\\d)",
+        "(A)\u2212[r]\u2212>(B)",
+    ]
+    built = []
+    init = TripleSyntaxError.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(TripleSyntaxError, "__init__", counting_init)
+    statements, errors = parse_extraction_block("\n".join(lines * 20))
+    assert len(statements) == 120 and errors == []
+    assert built == []
