@@ -156,7 +156,7 @@ def _build_engine(args, trace_stream=None) -> CoEngine:
         raise ConfigError(f"index file not found: {args.index} (run index first)")
     try:
         index = load_index(args.index, build_embedder(args))
-    except (IndexFormatError, UnicodeDecodeError) as exc:
+    except IndexFormatError as exc:
         raise ConfigError(f"unreadable index file {args.index}: {exc}") from exc
     if [(e.ref_id, e.kind, e.text) for e in index.entries] != plan_index(graph):
         raise ConfigError("index does not match graph (run index again)")
@@ -244,7 +244,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="log at INFO instead of WARNING")
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--graph", default="graph.jsonl", help="graph JSONL path")
-    common.add_argument("--index", default="index.jsonl", help="index JSONL path")
+    common.add_argument("--index", default="index.bin", help="index file path")
     common.add_argument("--provider", choices=("scripted", "http"), default="scripted",
                         help="LM backend (default: scripted)")
     common.add_argument("--script", help="JSONL rule file for the scripted provider")

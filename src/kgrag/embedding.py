@@ -10,17 +10,21 @@ approximation anywhere, so results are reproducible byte for byte.
 
 from __future__ import annotations
 
+import io
 import json
 import logging
 import time
+import warnings
 import zlib
 from dataclasses import dataclass, field
 from itertools import chain
+from pathlib import Path
+from tokenize import TokenError
 from typing import Callable, Iterable, Protocol, Sequence
 
 import numpy as np
 
-from .graph import KIND_HYPERNODE, KnowledgeGraph, _maybe_open, _open_for_write, normalize_label
+from .graph import KIND_HYPERNODE, KnowledgeGraph, _open_for_write, normalize_label
 from .llm import ProviderError, post_json
 
 logger = logging.getLogger(__name__)
@@ -35,12 +39,17 @@ _ENTRY_KINDS = (KIND_NODE, KIND_HYPERNODE_ENTRY, KIND_RELATIONSHIP)
 NODE_KINDS = (KIND_NODE, KIND_HYPERNODE_ENTRY)
 
 
-class IndexFormatError(Exception):
-    """A persisted index file is malformed. Carries the offending line number."""
+INDEX_FORMAT = "kgrag-index/2"
 
-    def __init__(self, message: str, line: int):
-        self.line = line
-        super().__init__(f"line {line}: {message}")
+
+class IndexFormatError(Exception):
+    """A persisted index file is malformed. ``entry`` is the 1-based number
+    of the offending entry, or ``None`` for a fault in the header or in an
+    array as a whole."""
+
+    def __init__(self, message: str, entry: int | None = None):
+        self.entry = entry
+        super().__init__(message if entry is None else f"entry {entry}: {message}")
 
 
 class StaleIndexError(ValueError):
@@ -277,129 +286,147 @@ def index_graph(graph: KnowledgeGraph, embedder: Embedder) -> EmbeddingIndex:
 
 
 def save_index(index: EmbeddingIndex, sink) -> None:
-    """Write one JSON row per entry, in entry order, with sorted keys:
-    ``{"dim", "indices", "kind", "ref_id", "text", "values"}``. ``indices``
-    are the ascending positions of the vector's non-zero components and
-    ``values`` those components, so the file holds no zeros but ``-0.0``,
-    kept so that the loaded matrix is bit-identical to this one."""
+    """Write ``index`` in the ``kgrag-index/2`` layout, to a path or a
+    binary stream. Line 1 is a compact UTF-8 JSON header with sorted keys,
+    ``{"dim", "entries": [[ref_id, kind, text], ...], "format"}``, in entry
+    order. Three ``.npy`` arrays follow and hold the matrix as compressed
+    sparse rows: row offsets (``<i8``, one more than the entries), columns
+    (``<i4``) and values (``<f8``). A row keeps its non-zero components and
+    any ``-0.0``, so the loaded matrix is bit-identical to this one. An
+    empty index is an empty file."""
     matrix = index.matrix
-    rows, columns = np.nonzero((matrix != 0.0) | np.signbit(matrix))
-    values = matrix[rows, columns].tolist()
-    bounds = np.searchsorted(rows, np.arange(len(index) + 1)).tolist()
-    columns = columns.tolist()
-    dim = matrix.shape[1]
-    with _open_for_write(sink) as f:
-        for entry, lo, hi in zip(index.entries, bounds, bounds[1:]):
-            f.write(json.dumps({"dim": dim, "indices": columns[lo:hi], "kind": entry.kind,
-                                "ref_id": entry.ref_id, "text": entry.text,
-                                "values": values[lo:hi]},
-                               ensure_ascii=False, sort_keys=True) + "\n")
+    with _open_for_write(sink, binary=True) as f:
+        if not len(index):
+            return
+        header = {"dim": matrix.shape[1], "format": INDEX_FORMAT,
+                  "entries": [[e.ref_id, e.kind, e.text] for e in index.entries]}
+        text = json.dumps(header, ensure_ascii=False, sort_keys=True, separators=(",", ":"))
+        f.write(text.encode("utf-8") + b"\n")
+        rows, columns = np.nonzero((matrix != 0.0) | np.signbit(matrix))
+        offsets = np.searchsorted(rows, np.arange(len(index) + 1))
+        for array, dtype in ((offsets, "<i8"), (columns, "<i4"), (matrix[rows, columns], "<f8")):
+            np.lib.format.write_array(f, array.astype(dtype, copy=False), allow_pickle=False)
 
 
-def _flatten(lines: list[int], lists: list[list], types: set[type], dtype,
-             message: str) -> np.ndarray:
-    """Every row's list, concatenated into one array of ``dtype``. The first
-    row holding an item not of ``types``, or too large for ``dtype``, is
-    refused with ``message``."""
+def _read_header(line: bytes, known_dim: int | None) -> tuple[int, list[IndexEntry]]:
+    """The ``dim`` and the entries of an index's header line."""
+    try:
+        header = json.loads(line.decode("utf-8"))
+    except UnicodeDecodeError:
+        raise IndexFormatError("header is not UTF-8") from None
+    except (ValueError, RecursionError) as exc:
+        raise IndexFormatError(f"header is not JSON: {exc}") from None
+    if not isinstance(header, dict):
+        raise IndexFormatError("header is not a JSON object")
+    if "format" not in header:
+        raise IndexFormatError("older index format (run index again)")
+    if header["format"] != INDEX_FORMAT:
+        raise IndexFormatError(f"unknown index format {header['format']!r}")
+    dim, rows = header.get("dim"), header.get("entries")
+    if type(dim) is not int or dim < 1:
+        raise IndexFormatError(f"dim {dim!r} is not a positive integer")
+    if known_dim is not None and known_dim != dim:
+        raise IndexFormatError(f"index dim {dim} does not match the embedder's dim "
+                               f"{known_dim} (run index again)")
+    if type(rows) is not list:
+        raise IndexFormatError("entries is not a list")
+    # All entries are checked at once; only a fault is looked for row by row.
+    if not (set(map(type, rows)) <= {list} and set(map(len, rows)) <= {3}
+            and set(map(type, chain.from_iterable(rows))) <= {str}
+            and {row[1] for row in rows} <= set(_ENTRY_KINDS)):
+        for number, row in enumerate(rows, 1):
+            if (type(row) is not list or len(row) != 3
+                    or any(type(item) is not str for item in row)):
+                raise IndexFormatError("entry is not a list of three strings", number)
+            if row[1] not in _ENTRY_KINDS:
+                raise IndexFormatError(f"unknown kind {row[1]!r}", number)
+    return dim, [IndexEntry(*row) for row in rows]
 
-    def convert(items: list) -> np.ndarray | None:
-        if set(map(type, items)) <= types:
-            try:
-                return np.array(items, dtype=dtype)
-            except OverflowError:
-                pass
-        return None
 
-    flat = convert(list(chain.from_iterable(lists)))
-    if flat is not None:
-        return flat
-    line = next(line for line, items in zip(lines, lists) if convert(items) is None)
-    raise IndexFormatError(message, line)
+def _read_array(stream: io.BytesIO, data: bytes, name: str, dtype: str,
+                length: int) -> np.ndarray:
+    """The ``.npy`` array at ``stream``'s position, a view of ``data``, the
+    bytes under ``stream``: version 1.0, 1-d, C order, ``dtype`` and
+    ``length`` items. Every check runs before a data byte is read, so an
+    object array is never unpickled. (``np.lib.format.read_array`` would
+    hide a 1-d array's Fortran flag, and allocate for the header's shape
+    before it finds the file shorter.)"""
+    try:
+        with warnings.catch_warnings():
+            # numpy warns when a header parses only as Python 2 wrote them.
+            warnings.simplefilter("ignore")
+            version = np.lib.format.read_magic(stream)
+            if version != (1, 0):
+                raise ValueError(f"unsupported .npy version {version}")
+            shape, fortran_order, found = np.lib.format.read_array_header_1_0(stream)
+    # numpy's header parser raises ValueError for most faults, and SyntaxError,
+    # TokenError, TypeError or RecursionError for some malformed headers.
+    except (ValueError, SyntaxError, TokenError, TypeError, RecursionError) as exc:
+        raise IndexFormatError(f"{name} array: {exc}") from None
+    if found.hasobject:
+        raise IndexFormatError(f"{name} array holds Python objects")
+    if found.str != dtype:
+        raise IndexFormatError(f"{name} array has dtype {found.str}, not {dtype}")
+    if fortran_order:
+        raise IndexFormatError(f"{name} array is in Fortran order")
+    if len(shape) != 1:
+        raise IndexFormatError(f"{name} array has rank {len(shape)}, not 1")
+    if shape[0] != length:
+        raise IndexFormatError(f"{name} array has {shape[0]} items, not {length}")
+    start = stream.tell()
+    end = start + length * found.itemsize
+    if end > len(data):
+        raise IndexFormatError(f"{name} array is truncated")
+    stream.seek(end)
+    return np.frombuffer(data, dtype, count=length, offset=start)
 
 
 def load_index(source, embedder: Embedder) -> EmbeddingIndex:
-    """Read an index written by :func:`save_index` into one matrix.
+    """Read an index written by :func:`save_index`, from a path or a binary
+    stream, into one matrix.
 
-    Every row needs every field. ``dim`` must be a positive integer, the
-    same on every row, and equal to the embedder's ``dim`` when that is
-    known. ``indices`` and ``values`` must be lists of one length; indices
-    must be integers in ``[0, dim)``, strictly ascending; values must be
-    finite numbers and the row unit-norm; ``kind`` must be known. Each check
-    runs over all rows at once, in that order, and the first row failing it
-    raises :class:`IndexFormatError` with its line number. A dense
-    ``"vector"`` row, the format of older versions, is refused the same
-    way: run ``kgrag index`` again.
+    The header must be a UTF-8 JSON object of this format (a first line
+    with no ``format`` key is an older index: run ``kgrag index`` again);
+    ``dim`` a positive integer equal to the embedder's ``dim`` when that is
+    known; each entry a list of three strings of a known kind. Each array
+    must have its dtype, rank 1, C order and its length: the offsets one
+    more than the entries, starting at 0, never falling, and ending at the
+    length of the columns and of the values. Nothing may follow the
+    arrays. Then each row's columns must lie in ``[0, dim)`` and rise
+    strictly, and its values be finite and unit-norm. A fault raises
+    :class:`IndexFormatError`, naming the first entry failing the check
+    when it lies in one entry. An empty file is an empty index.
     """
-    lines: list[int] = []
-    rows: list[tuple] = []
-    indices: list[list] = []
-    values: list[list] = []
-    dim = None
-    with _maybe_open(source) as f:
-        for lineno, raw in enumerate(f, 1):
-            line = raw.strip()
-            if not line:
-                continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise IndexFormatError(f"invalid JSON: {exc}", lineno) from None
-            if not isinstance(record, dict):
-                raise IndexFormatError("row is not a JSON object", lineno)
-            if "vector" in record:
-                raise IndexFormatError('dense "vector" row of an older index format '
-                                       "(run index again)", lineno)
-            try:
-                row = (record["ref_id"], record["kind"], record["text"])
-                row_dim, row_indices, row_values = (record["dim"], record["indices"],
-                                                    record["values"])
-            except KeyError as exc:
-                raise IndexFormatError(f"missing field {exc}", lineno) from None
-            if type(row_dim) is not int or row_dim < 1:
-                raise IndexFormatError(f"dim {row_dim!r} is not a positive integer", lineno)
-            if dim is None:
-                dim = row_dim
-            elif row_dim != dim:
-                raise IndexFormatError(f"dim {row_dim} differs from the first row's {dim}",
-                                       lineno)
-            if type(row_indices) is not list or type(row_values) is not list:
-                raise IndexFormatError("indices and values must be lists", lineno)
-            lines.append(lineno)
-            rows.append(row)
-            indices.append(row_indices)
-            values.append(row_values)
-    if dim is None:
+    data = source.read() if hasattr(source, "read") else Path(source).read_bytes()
+    if not data:
         return EmbeddingIndex([], np.zeros((0, 0)), embedder)
-    wanted = getattr(embedder, "dim", None)
-    if wanted is not None and wanted != dim:
-        raise IndexFormatError(f"index dim {dim} does not match the embedder's dim "
-                               f"{wanted} (run index again)", lines[0])
+    stream = io.BytesIO(data)
+    dim, entries = _read_header(stream.readline(), getattr(embedder, "dim", None))
+    n = len(entries)
+    offsets = _read_array(stream, data, "offsets", "<i8", n + 1)
+    if offsets[0] != 0:
+        raise IndexFormatError("offsets do not start at 0")
+    counts = np.diff(offsets)
+    if np.any(counts < 0):
+        raise IndexFormatError("offsets do not rise")
+    columns = _read_array(stream, data, "columns", "<i4", int(offsets[-1]))
+    values = _read_array(stream, data, "values", "<f8", len(columns))
+    if stream.tell() != len(data):
+        raise IndexFormatError(f"{len(data) - stream.tell()} trailing byte(s) after the arrays")
 
     def refuse(bad_rows: np.ndarray, message: str) -> None:
         if bad_rows.size:
-            raise IndexFormatError(message, lines[int(bad_rows[0])])
+            raise IndexFormatError(message, int(bad_rows[0]) + 1)
 
-    n = len(rows)
-    counts = np.fromiter(map(len, indices), dtype=np.intp, count=n)
-    refuse(np.flatnonzero(counts != np.fromiter(map(len, values), dtype=np.intp, count=n)),
-           "indices and values differ in length")
-    columns = _flatten(lines, indices, {int}, np.intp, "indices must be integers")
-    data = _flatten(lines, values, {int, float}, np.float64, "values must be numbers")
     row_of = np.repeat(np.arange(n), counts)
-    refuse(row_of[(columns < 0) | (columns >= dim)], f"index outside [0, {dim})")
-    # Positions where a row's index does not rise from the one before it.
+    refuse(row_of[(columns < 0) | (columns >= dim)], f"column outside [0, {dim})")
+    # Positions where a row's column does not rise from the one before it.
     no_rise = np.flatnonzero((row_of[1:] == row_of[:-1]) & (columns[1:] <= columns[:-1]))
-    refuse(row_of[no_rise + 1], "indices are not strictly ascending")
-    refuse(row_of[~np.isfinite(data)], "vector is not finite")
+    refuse(row_of[no_rise + 1], "columns do not rise strictly")
+    refuse(row_of[~np.isfinite(values)], "vector is not finite")
     with np.errstate(over="ignore"):
-        norms = np.sqrt(np.bincount(row_of, weights=data * data, minlength=n))
+        norms = np.sqrt(np.bincount(row_of, weights=values * values, minlength=n))
     refuse(np.flatnonzero(np.abs(norms - 1.0) > 1e-6), "vector is not unit-norm")
     matrix = np.zeros((n, dim))
-    matrix[row_of, columns] = data
-    entries = []
-    for line, row in zip(lines, rows):
-        try:
-            entries.append(IndexEntry(*row))
-        except (TypeError, ValueError) as exc:
-            raise IndexFormatError(str(exc), line) from None
+    matrix[row_of, columns] = values
     return EmbeddingIndex(entries, matrix, embedder)

@@ -454,17 +454,18 @@ def _maybe_open(source):
 
 
 @contextmanager
-def _open_for_write(sink):
-    """Write to ``sink``, a stream or a path. A path is written through a
-    temporary file in its directory, flushed, fsynced and renamed over the
-    target, so an interrupted write leaves the previous file intact."""
+def _open_for_write(sink, binary: bool = False):
+    """Write to ``sink``, a stream or a path (as UTF-8 text, or as bytes
+    when ``binary``). A path is written through a temporary file in its
+    directory, flushed, fsynced and renamed over the target, so an
+    interrupted write leaves the previous file intact."""
     if hasattr(sink, "write"):
         yield sink
         return
     path = Path(sink)
     temp = path.with_name(f".{path.name}.{os.getpid()}.{threading.get_ident()}.tmp")
     try:
-        with open(temp, "w", encoding="utf-8") as handle:
+        with (open(temp, "wb") if binary else open(temp, "w", encoding="utf-8")) as handle:
             yield handle
             handle.flush()
             os.fsync(handle.fileno())

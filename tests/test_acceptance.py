@@ -327,7 +327,7 @@ def test_criterion_8_determinism():
             graph = KnowledgeGraph()
             provider = ScriptedProvider([ScriptRule("extract", SENTENCE, NESTED_LINE)])
             extract_and_store(graph, provider, "doc-1", SENTENCE)
-            graph_buf, index_buf = io.StringIO(), io.StringIO()
+            graph_buf, index_buf = io.StringIO(), io.BytesIO()
             save_graph(graph, graph_buf)
             save_index(index_graph(graph, HashingEmbedder()), index_buf)
             ingest_blobs.append((graph_buf.getvalue(), index_buf.getvalue()))

@@ -3,12 +3,16 @@
 from __future__ import annotations
 
 import json
+from pathlib import Path
 
+import numpy as np
 import pytest
 
 from kgrag import (
+    HashingEmbedder,
     ScriptRule,
     load_graph,
+    load_index,
     save_graph,
     save_index,
     save_script,
@@ -103,7 +107,7 @@ def test_index_writes_entry_count(tmp_path, capsys):
     doc, script, graph_path = ingest_setup(tmp_path)
     main(["ingest", str(doc), "--graph", str(graph_path), "--script", script])
     capsys.readouterr()
-    index_path = tmp_path / "index.jsonl"
+    index_path = tmp_path / "index.bin"
     code = main(["index", "--graph", str(graph_path), "--index", str(index_path)])
     assert code == 0
     assert json.loads(capsys.readouterr().out) == {"entries": 7}
@@ -113,7 +117,7 @@ def test_index_writes_entry_count(tmp_path, capsys):
 def taylor_setup(tmp_path):
     graph, index, rules = taylor_fixture()
     graph_path = tmp_path / "graph.jsonl"
-    index_path = tmp_path / "index.jsonl"
+    index_path = tmp_path / "index.bin"
     script_path = tmp_path / "script.jsonl"
     save_graph(graph, graph_path)
     save_index(index, index_path)
@@ -153,7 +157,7 @@ def test_query_is_deterministic(tmp_path, capsys):
 def test_eval_scores_dataset(tmp_path, capsys):
     graph, index, rules, examples, _ = benchmark_fixture()
     graph_path = tmp_path / "graph.jsonl"
-    index_path = tmp_path / "index.jsonl"
+    index_path = tmp_path / "index.bin"
     script_path = tmp_path / "script.jsonl"
     save_graph(graph, graph_path)
     save_index(index, index_path)
@@ -267,7 +271,7 @@ def test_index_through_http_embedder(tmp_path, capsys):
     def responder(payload, headers):
         return 200, {"vectors": [[1.0, float(len(t))] for t in payload["texts"]]}
 
-    index_path = tmp_path / "index.jsonl"
+    index_path = tmp_path / "index.bin"
     with stub_server(responder) as (url, _):
         code = main(["index", "--graph", str(graph_path),
                      "--index", str(index_path), "--embed-endpoint", url])
@@ -287,7 +291,7 @@ def test_query_without_graph_fails(tmp_path, capsys):
 def test_query_without_index_fails(tmp_path, capsys):
     graph_path, _, script_path = taylor_setup(tmp_path)
     code = main(["query", "who?", "--graph", graph_path,
-                 "--index", str(tmp_path / "missing-index.jsonl"),
+                 "--index", str(tmp_path / "missing-index.bin"),
                  "--script", script_path])
     assert code == 1
     assert "index file not found" in capsys.readouterr().err
@@ -312,24 +316,24 @@ def test_query_with_another_graphs_index_fails(tmp_path, capsys):
 
 def test_query_with_an_older_dense_index_fails(tmp_path, capsys):
     graph_path, index_path, script_path = taylor_setup(tmp_path)
-    with open(index_path, encoding="utf-8") as f:
-        rows = [json.loads(line) for line in f]
-    dense = []
-    for row in rows:
-        vector = [0.0] * row["dim"]
-        for i, value in zip(row["indices"], row["values"]):
-            vector[i] = value
-        dense.append({"kind": row["kind"], "ref_id": row["ref_id"], "text": row["text"],
-                      "vector": vector})
-    with open(index_path, "w", encoding="utf-8") as f:
-        f.writelines(json.dumps(row, sort_keys=True) + "\n" for row in dense)
-    code = main(["query", TAYLOR_QUESTION, "--graph", graph_path, "--index", index_path,
-                 "--script", script_path])
-    assert code == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error: unreadable index file ")
-    assert err.endswith(': line 1: dense "vector" row of an older index format '
-                        "(run index again)\n")
+    index = load_index(index_path, HashingEmbedder())
+    dense, sparse = [], []
+    for entry, vector in zip(index.entries, index.matrix):
+        fields = {"kind": entry.kind, "ref_id": entry.ref_id, "text": entry.text}
+        dense.append({**fields, "vector": vector.tolist()})
+        columns = np.flatnonzero(vector)
+        sparse.append({**fields, "dim": len(vector), "indices": columns.tolist(),
+                       "values": vector[columns].tolist()})
+    # The two JSONL layouts of older versions: dense vectors, and sparse rows.
+    for rows in (dense, sparse):
+        with open(index_path, "w", encoding="utf-8") as f:
+            f.writelines(json.dumps(row, sort_keys=True) + "\n" for row in rows)
+        code = main(["query", TAYLOR_QUESTION, "--graph", graph_path, "--index", index_path,
+                     "--script", script_path])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: unreadable index file ")
+        assert err.endswith(": older index format (run index again)\n")
     assert main(["index", "--graph", graph_path, "--index", index_path]) == 0
     capsys.readouterr()
     assert main(["query", TAYLOR_QUESTION, "--graph", graph_path, "--index", index_path,
@@ -346,7 +350,7 @@ def test_query_after_reingest_needs_index_again(tmp_path, capsys):
     script = write_script(tmp_path / "extract.jsonl", [
         ScriptRule("extract", SENTENCE, TWO_LINE_OUTPUT),
         ScriptRule("extract", more_text, "(Family Guy)-[created by]->(Seth MacFarlane)")])
-    index_path = tmp_path / "index.jsonl"
+    index_path = tmp_path / "index.bin"
     paths = ["--graph", str(graph_path), "--index", str(index_path), "--script", script]
     assert main(["ingest", str(doc)] + paths) == 0
     assert main(["index"] + paths) == 0
@@ -462,7 +466,7 @@ def _graph_without_subject_edge(tmp_path):
     graph_path.write_text("".join(line for line in lines if line not in subject_edges),
                           encoding="utf-8")
     load_graph(graph_path)  # still loads; only the audit refuses it
-    return ["index", "--graph", str(graph_path), "--index", str(tmp_path / "index.jsonl")]
+    return ["index", "--graph", str(graph_path), "--index", str(tmp_path / "index.bin")]
 
 
 def _graph_with_edited_edge(tmp_path, edit):
@@ -473,7 +477,7 @@ def _graph_with_edited_edge(tmp_path, edit):
     edges = [json.loads(line) for line in lines if '"type": "edge"' in line]
     lines[-1] = json.dumps(edit(edges[-1], edges[0]), sort_keys=True)
     graph_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    return ["index", "--graph", str(graph_path), "--index", str(tmp_path / "index.jsonl")]
+    return ["index", "--graph", str(graph_path), "--index", str(tmp_path / "index.bin")]
 
 
 def _graph_with_duplicate_edge_id(tmp_path):
@@ -496,6 +500,14 @@ def _graph_with_string_structural_flag(tmp_path):
     graph_path.write_text(text.replace('"structural": true', '"structural": "false"', 1),
                           encoding="utf-8")
     return ["stats", "--graph", str(graph_path)]
+
+
+def _truncated_index(tmp_path):
+    """``query`` with an index file cut short inside its values array."""
+    argv = ["query", TAYLOR_QUESTION] + _query_args(tmp_path)
+    index_path = Path(argv[argv.index("--index") + 1])
+    index_path.write_bytes(index_path.read_bytes()[:-100])
+    return argv
 
 
 def _malformed_script(tmp_path):
@@ -521,7 +533,8 @@ BAD_INPUTS = {
     + _query_args(tmp),
     "non-utf8-graph": lambda tmp: ["stats", "--graph", _non_utf8(tmp / "graph.jsonl")],
     "non-utf8-index": lambda tmp: ["query", TAYLOR_QUESTION] + _query_args(tmp)[:2]
-    + ["--index", _non_utf8(tmp / "bad-index.jsonl"), "--script", str(tmp / "script.jsonl")],
+    + ["--index", _non_utf8(tmp / "bad-index.bin"), "--script", str(tmp / "script.jsonl")],
+    "truncated-index": _truncated_index,
     "graph-fails-audit": _graph_without_subject_edge,
     "graph-duplicate-edge-id": _graph_with_duplicate_edge_id,
     "graph-wrong-edge-id": _graph_with_wrong_edge_id,
@@ -534,9 +547,10 @@ BAD_INPUT_NAMES = {
     "ingest-negative-overlap": "--overlap-chars",
     "ingest-chunk-not-above-overlap": "--chunk-chars", "malformed-script": "bad-script.jsonl",
     "non-utf8-document": "bad-doc.txt", "non-utf8-dataset": "dataset.jsonl",
-    "non-utf8-graph": "graph.jsonl", "non-utf8-index": "bad-index.jsonl",
+    "non-utf8-graph": "graph.jsonl", "non-utf8-index": "bad-index.bin",
     "graph-fails-audit": "graph.jsonl", "graph-duplicate-edge-id": "graph.jsonl",
     "graph-wrong-edge-id": "graph.jsonl", "graph-string-structural-flag": "graph.jsonl",
+    "truncated-index": "index.bin",
 }
 
 
@@ -559,6 +573,7 @@ def test_bad_input_ends_in_one_error_line(tmp_path, capsys, case):
     ("graph-duplicate-edge-id", "line 9: duplicate edge id"),
     ("graph-wrong-edge-id", "id is not the hash of its content"),
     ("graph-string-structural-flag", "field 'structural' is not a boolean"),
+    ("truncated-index", "values array is truncated"),
 ])
 def test_bad_edge_ids_are_named(tmp_path, capsys, case, message):
     argv = BAD_INPUTS[case](tmp_path)

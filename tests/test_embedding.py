@@ -7,6 +7,7 @@ import io
 import json
 import random
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -29,6 +30,7 @@ from kgrag import (
 )
 from kgrag.embedding import (
     DEFAULT_DIM,
+    INDEX_FORMAT,
     KIND_HYPERNODE_ENTRY,
     KIND_NODE,
     KIND_RELATIONSHIP,
@@ -318,7 +320,7 @@ def test_empty_graph_and_empty_file_give_empty_indexes(tmp_path):
     index = index_graph(KnowledgeGraph(), EMBEDDER)
     assert len(index) == 0 and index.matrix.shape[0] == 0
     assert index.search("anything", k=5) == []
-    path = tmp_path / "index.jsonl"
+    path = tmp_path / "index.bin"
     save_index(index, path)
     assert path.read_bytes() == b""
     loaded = load_index(path, EMBEDDER)
@@ -330,7 +332,7 @@ def test_empty_graph_and_empty_file_give_empty_indexes(tmp_path):
 
 def test_save_load_roundtrip(tmp_path):
     index = index_graph(sample_graph(), EMBEDDER)
-    path = tmp_path / "index.jsonl"
+    path = tmp_path / "index.bin"
     save_index(index, path)
     loaded = load_index(path, EMBEDDER)
     assert len(loaded) == len(index)
@@ -343,16 +345,28 @@ def test_save_load_roundtrip(tmp_path):
         [(e.ref_id, s) for e, s in loaded.search(query, 5)]
 
 
-def test_saved_rows_are_sparse(tmp_path):
+def _read_saved(data: bytes) -> tuple[dict, list[np.ndarray]]:
+    """The header and the three arrays of a saved index, read back by numpy."""
+    stream = io.BytesIO(data)
+    header = json.loads(stream.readline())
+    arrays = [np.lib.format.read_array(stream, allow_pickle=False) for _ in range(3)]
+    assert stream.read() == b""
+    return header, arrays
+
+
+def test_saved_rows_are_sparse():
     index = index_graph(sample_graph(), EMBEDDER)
-    buffer = io.StringIO()
+    buffer = io.BytesIO()
     save_index(index, buffer)
-    for line, vector in zip(buffer.getvalue().splitlines(), index.matrix):
-        row = json.loads(line)
-        assert list(row) == ["dim", "indices", "kind", "ref_id", "text", "values"]
-        assert row["dim"] == DEFAULT_DIM
-        assert row["indices"] == np.flatnonzero(vector).tolist()
-        assert row["values"] == vector[row["indices"]].tolist()
+    header, (offsets, columns, values) = _read_saved(buffer.getvalue())
+    assert list(header) == ["dim", "entries", "format"]
+    assert header["dim"] == DEFAULT_DIM and header["format"] == INDEX_FORMAT
+    assert header["entries"] == [[e.ref_id, e.kind, e.text] for e in index.entries]
+    assert [a.dtype.str for a in (offsets, columns, values)] == ["<i8", "<i4", "<f8"]
+    assert len(offsets) == len(index) + 1 and offsets[0] == 0
+    for lo, hi, vector in zip(offsets, offsets[1:], index.matrix):
+        assert columns[lo:hi].tolist() == np.flatnonzero(vector).tolist()
+        assert values[lo:hi].tolist() == vector[columns[lo:hi]].tolist()
 
 
 _UNIT_VECTOR_COMPONENTS = st.one_of(
@@ -382,22 +396,22 @@ def test_save_load_reproduces_rows_and_matrix(dim_and_rows):
     embedder = HashingEmbedder(dim=dim)
     index = _index(rows, embedder)
     entries = index.entries
-    first = io.StringIO()
+    first = io.BytesIO()
     save_index(index, first)
-    loaded = load_index(io.StringIO(first.getvalue()), embedder)
+    loaded = load_index(io.BytesIO(first.getvalue()), embedder)
     assert [(e.ref_id, e.kind, e.text) for e in loaded.entries] == \
         [(e.ref_id, e.kind, e.text) for e in entries]
     if entries:
         # Bytes, not ``np.array_equal``, so that -0.0 and 0.0 differ.
         assert loaded.matrix.tobytes() == index.matrix.tobytes()
-    again = io.StringIO()
+    again = io.BytesIO()
     save_index(loaded, again)
     assert again.getvalue() == first.getvalue()
 
 
 def test_load_reproduces_the_built_matrix_bit_for_bit(tmp_path):
     index = index_graph(sample_graph(), EMBEDDER)
-    path = tmp_path / "index.jsonl"
+    path = tmp_path / "index.bin"
     save_index(index, path)
     loaded = load_index(path, EMBEDDER)
     assert loaded.matrix.shape == index.matrix.shape
@@ -428,7 +442,7 @@ def test_index_holds_each_vector_once(tmp_path):
         graph.upsert_triple(parse_triple(f"(entity {i})-[relation {i % 50}]->(value {i})"))
     index, built, built_peak = _traced(lambda: index_graph(graph, EMBEDDER))
     assert index.matrix.shape == (2050, DEFAULT_DIM)
-    path = tmp_path / "index.jsonl"
+    path = tmp_path / "index.bin"
     save_index(index, path)
     loaded, read, _ = _traced(lambda: load_index(path, EMBEDDER))
     assert loaded.matrix.shape == index.matrix.shape
@@ -456,99 +470,319 @@ def test_index_graph_embeds_in_the_same_batches():
 def test_save_load_keeps_negative_zero():
     embedder = HashingEmbedder(dim=3)
     index = _index([("a", KIND_NODE, "a", np.array([-0.0, 1.0, 0.0]))], embedder)
-    buffer = io.StringIO()
+    buffer = io.BytesIO()
     save_index(index, buffer)
-    assert json.loads(buffer.getvalue())["indices"] == [0, 1]
-    vector = load_index(io.StringIO(buffer.getvalue()), embedder).matrix[0]
+    _, (_, columns, _) = _read_saved(buffer.getvalue())
+    assert columns.tolist() == [0, 1]
+    vector = load_index(io.BytesIO(buffer.getvalue()), embedder).matrix[0]
     assert np.signbit(vector).tolist() == [True, False, False]
 
 
-def test_load_rejects_bad_lines(tmp_path):
-    path = tmp_path / "bad.jsonl"
-    path.write_text("not json\n", encoding="utf-8")
-    with pytest.raises(IndexFormatError) as exc_info:
-        load_index(path, EMBEDDER)
-    assert exc_info.value.line == 1
+def _row(ref_id="x", kind="node", text="a", columns=(0,), values=(1.0,)) -> tuple:
+    return ref_id, kind, text, list(columns), list(values)
 
 
-def _row(**fields) -> str:
-    row = {"dim": 2, "indices": [0], "kind": "node", "ref_id": "x", "text": "a",
-           "values": [1.0]}
-    row.update(fields)
-    return json.dumps({k: v for k, v in row.items() if v is not None})
+def _npy(array: np.ndarray, **header) -> bytes:
+    """``array`` as a version 1.0 ``.npy`` block whose header fields
+    (``descr``, ``fortran_order``, ``shape``) ``header`` may override."""
+    out = io.BytesIO()
+    fields = {"descr": np.lib.format.dtype_to_descr(array.dtype), "fortran_order": False,
+              "shape": array.shape, **header}
+    np.lib.format.write_array_header_1_0(out, fields)
+    out.write(array.tobytes())
+    return out.getvalue()
 
 
-def test_load_rejects_non_unit_vector(tmp_path):
-    path = tmp_path / "bad.jsonl"
-    path.write_text(_row(indices=[0, 1], values=[1.0, 1.0]) + "\n", encoding="utf-8")
-    with pytest.raises(IndexFormatError, match="unit"):
-        load_index(path, HashingEmbedder(dim=2))
+def _index_file(rows: list[tuple], header: dict | None = None, arrays: dict | None = None,
+                tail: bytes = b"") -> bytes:
+    """An index file at dim 2 holding ``rows`` of :func:`_row`. ``header``
+    fields and whole ``arrays`` (by name, as an array or as raw bytes)
+    replace the ones built from the rows, and ``tail`` follows the arrays."""
+    fields = {"dim": 2, "entries": [list(row[:3]) for row in rows], "format": INDEX_FORMAT,
+              **(header or {})}
+    built = {"offsets": np.cumsum([0] + [len(row[3]) for row in rows]).astype("<i8"),
+             "columns": np.array([c for row in rows for c in row[3]], dtype="<i4"),
+             "values": np.array([v for row in rows for v in row[4]], dtype="<f8"),
+             **(arrays or {})}
+    out = io.BytesIO()
+    out.write(json.dumps(fields).encode("utf-8") + b"\n")
+    for name in ("offsets", "columns", "values"):
+        array = built[name]
+        if isinstance(array, bytes):
+            out.write(array)
+        else:
+            np.lib.format.write_array(out, array, allow_pickle=True)
+    return out.getvalue() + tail
 
 
-def test_load_rejects_unknown_kind(tmp_path):
-    path = tmp_path / "bad.jsonl"
-    path.write_text(_row(kind="mystery") + "\n", encoding="utf-8")
-    with pytest.raises(IndexFormatError):
-        load_index(path, HashingEmbedder(dim=2))
+def _around(bad: tuple = _row(), **changes) -> bytes:
+    """An index file whose entry 2 of 3 is ``bad``, between two good ones."""
+    return _index_file([_row("g1"), bad, _row("g2", columns=[1])], **changes)
 
 
-def test_load_rejects_missing_field(tmp_path):
-    path = tmp_path / "bad.jsonl"
-    path.write_text(_row(values=None) + "\n", encoding="utf-8")
-    with pytest.raises(IndexFormatError):
-        load_index(path, HashingEmbedder(dim=2))
+def _load_bytes(data: bytes, dim: int = 2) -> EmbeddingIndex:
+    return load_index(io.BytesIO(data), HashingEmbedder(dim=dim))
 
 
-_DENSE = '{"kind": "node", "ref_id": "y", "text": "b", "vector": [0.0, 1.0]}'
+def test_hand_built_index_files_load():
+    index = _load_bytes(_around())
+    assert [e.ref_id for e in index.entries] == ["g1", "x", "g2"]
+    assert index.matrix.tolist() == [[1.0, 0.0], [1.0, 0.0], [0.0, 1.0]]
+    saved = io.BytesIO()
+    save_index(index, saved)
+    assert _load_bytes(saved.getvalue()).matrix.tobytes() == index.matrix.tobytes()
 
 
-@pytest.mark.parametrize("bad, message", [
-    (_DENSE, "dense"),
-    (_row(indices=[1, 0], values=[0.6, 0.8]), "ascending"),
-    (_row(indices=[1, 1], values=[0.6, 0.8]), "ascending"),
-    (_row(indices=[2]), "outside"),
-    (_row(indices=[-1]), "outside"),
-    (_row(indices=[0, 1]), "length"),
-    (_row(values=[float("inf")]), "finite"),
-    (_row(values=[float("nan")]), "finite"),
-    (_row(indices=[0, 1], values=[0.6, 0.6]), "unit"),
-    (_row(dim=3, indices=[2]), "differs"),
-    (_row(dim=0), "positive"),
-    (_row(dim=2.0), "positive"),
-    (_row(indices=[0.0]), "integers"),
-    (_row(indices=[True]), "integers"),
-    (_row(indices=[2 ** 70]), "integers"),
-    (_row(values=["1.0"]), "numbers"),
-    (_row(values=[None]), "numbers"),
-    (_row(values=[10 ** 400]), "numbers"),
-    (_row(indices=7), "lists"),
-    ('["a", "list"]', "object"),
+def test_load_rejects_bad_lines():
+    with pytest.raises(IndexFormatError, match="header is not JSON") as exc_info:
+        _load_bytes(b"not json\n")
+    assert exc_info.value.entry is None
+
+
+def test_load_rejects_non_unit_vector():
+    with pytest.raises(IndexFormatError, match="unit") as exc_info:
+        _load_bytes(_index_file([_row(columns=[0, 1], values=[1.0, 1.0])]))
+    assert exc_info.value.entry == 1
+
+
+def test_load_rejects_unknown_kind():
+    with pytest.raises(IndexFormatError, match="unknown kind 'mystery'") as exc_info:
+        _load_bytes(_index_file([_row(kind="mystery")]))
+    assert exc_info.value.entry == 1
+
+
+def test_load_rejects_missing_field():
+    complete = _index_file([_row()])
+    header = json.loads(complete.split(b"\n", 1)[0])
+    for field, message in [("dim", "dim None"), ("entries", "entries is not a list"),
+                           ("format", "older index format")]:
+        line = json.dumps({k: v for k, v in header.items() if k != field}).encode("utf-8")
+        with pytest.raises(IndexFormatError, match=message):
+            _load_bytes(line + b"\n" + complete.split(b"\n", 1)[1])
+    without_values = complete[:complete.rindex(b"\x93NUMPY")]
+    with pytest.raises(IndexFormatError, match="values array: EOF"):
+        _load_bytes(without_values)
+
+
+_DENSE = b'{"kind": "node", "ref_id": "y", "text": "b", "vector": [0.0, 1.0]}\n'
+
+
+# The counterparts of the faults a JSONL row could have. A fault in one
+# entry's data names entry 2; one in the header or a whole array names none.
+@pytest.mark.parametrize("data, message, entry", [
+    (_DENSE, "older index format", None),
+    (_around(_row(columns=[1, 0], values=[0.6, 0.8])), "rise strictly", 2),
+    (_around(_row(columns=[1, 1], values=[0.6, 0.8])), "rise strictly", 2),
+    (_around(_row(columns=[2])), "outside", 2),
+    (_around(_row(columns=[-1])), "outside", 2),
+    (_around(arrays={"values": np.ones(4)}), "values array has 4 items, not 3", None),
+    (_around(_row(values=[float("inf")])), "finite", 2),
+    (_around(_row(values=[float("nan")])), "finite", 2),
+    (_around(_row(columns=[0, 1], values=[0.6, 0.6])), "unit", 2),
+    (_around(header={"dim": 3}), "index dim 3 does not match the embedder's dim 2", None),
+    (_around(header={"dim": 0}), "positive", None),
+    (_around(header={"dim": 2.0}), "positive", None),
+    (_around(arrays={"columns": np.array([0.0, 0.0, 1.0])}), "dtype <f8, not <i4", None),
+    (_around(arrays={"columns": np.array([False, False, True])}), "dtype |b1", None),
+    (_around(arrays={"columns": np.array([0, 2 ** 40, 1])}), "dtype <i8, not <i4", None),
+    (_around(arrays={"values": np.array(["1.0"] * 3)}), "dtype <U3, not <f8", None),
+    (_around(arrays={"values": np.array([None] * 3)}), "Python objects", None),
+    # The square of a value past 1e154 is infinite, so its norm is too.
+    (_around(_row(values=[1e300])), "unit", 2),
+    (_around(arrays={"columns": np.array([[0], [0], [1]], dtype="<i4")}), "rank 2", None),
+    (b'["a", "list"]\n', "object", None),
 ], ids=["dense", "unsorted", "duplicate", "above-dim", "negative", "length-mismatch",
         "infinite", "nan", "non-unit", "mixed-dim", "zero-dim", "float-dim",
         "float-index", "bool-index", "huge-index", "string-value", "null-value",
         "huge-value", "index-not-list", "not-object"])
-def test_load_refuses_bad_row_at_its_line(tmp_path, bad, message):
-    good = [_row(ref_id="g1"), _row(ref_id="g2", indices=[1])]
-    path = tmp_path / "bad.jsonl"
-    path.write_text("\n".join([good[0], "", bad, good[1]]) + "\n", encoding="utf-8")
+def test_load_refuses_bad_row_at_its_line(data, message, entry):
     with pytest.raises(IndexFormatError, match=message) as exc_info:
-        load_index(path, HashingEmbedder(dim=2))
-    assert exc_info.value.line == 3
-    assert str(exc_info.value).startswith("line 3: ")
+        _load_bytes(data)
+    assert exc_info.value.entry == entry
+    assert str(exc_info.value).startswith("entry ") == (entry is not None)
+    assert str(exc_info.value).startswith(f"entry {entry}: ") == (entry is not None)
+
+
+_ENTRIES = [["g1", "node", "a"], ["x", "node", "a"], ["g2", "node", "a"]]
+
+
+def _utf16_header(data: bytes) -> bytes:
+    """``data`` with its header line in UTF-16, which ``json.loads`` reads
+    from bytes as readily as UTF-8."""
+    header, arrays = data.split(b"\n", 1)
+    return (header + b"\n").decode("utf-8").encode("utf-16-be") + arrays
+
+
+def _with_entry_2(entry) -> dict:
+    return {"entries": [_ENTRIES[0], entry, _ENTRIES[2]]}
+
+
+@pytest.mark.parametrize("data, message, entry", [
+    (b"\xff\xfe not UTF-8\n", "header is not UTF-8", None),
+    # UTF-16 of ASCII is UTF-8 too, with a NUL byte before each character.
+    (_utf16_header(_around()), "header is not JSON", None),
+    (b'{"dim": 2, "indices": [0], "kind": "node", "ref_id": "x", "text": "a", '
+     b'"values": [1.0]}\n', "older index format \\(run index again\\)", None),
+    (_around(header={"format": "kgrag-index/1"}), "unknown index format 'kgrag-index/1'", None),
+    (_around(header={"dim": True}), "positive", None),
+    (_around(header={"dim": "2"}), "positive", None),
+    (_around(header={"entries": {"x": 1}}), "entries is not a list", None),
+    (_around(header=_with_entry_2([7, "node", "a"])), "list of three strings", 2),
+    (_around(header=_with_entry_2(["x", "node", None])), "list of three strings", 2),
+    (_around(header=_with_entry_2(["x", "node"])), "list of three strings", 2),
+    (_around(header=_with_entry_2(["x", "node", "a", "b"])), "list of three strings", 2),
+    (_around(header=_with_entry_2("x")), "list of three strings", 2),
+    (_around(header=_with_entry_2(["x", "mystery", "a"])), "unknown kind 'mystery'", 2),
+    (b"[" * 100_000 + b"\n", "header is not JSON", None),
+], ids=["not-utf8", "utf16", "older-sparse", "unknown-format", "bool-dim", "string-dim",
+        "entries-not-list", "number-ref-id", "null-text", "two-strings", "four-strings",
+        "string-entry", "unknown-kind", "deep-nesting"])
+def test_load_refuses_a_bad_header(data, message, entry):
+    with pytest.raises(IndexFormatError, match=message) as exc_info:
+        _load_bytes(data)
+    assert exc_info.value.entry == entry
+
+
+_COLUMNS = np.array([0, 0, 1], dtype="<i4")
+_GOOD_FILE = _around()
+_VALUES_AT = _GOOD_FILE.rindex(b"\x93NUMPY")
+
+
+@pytest.mark.parametrize("data, message", [
+    (_around(arrays={"offsets": np.array([1, 1, 2, 3])}), "offsets do not start at 0"),
+    (_around(arrays={"offsets": np.array([0, 2, 1, 3])}), "offsets do not rise"),
+    (_around(arrays={"offsets": np.array([0, 1, 3])}), "offsets array has 3 items, not 4"),
+    (_around(arrays={"offsets": np.array([0, 1, 2, 4])}), "columns array has 3 items, not 4"),
+    (_around(arrays={"offsets": np.array([0, 1, 2, 3], dtype="<i4")}), "dtype <i4, not <i8"),
+    (_around(arrays={"values": np.ones(3, dtype=">f8")}), "dtype >f8, not <f8"),
+    (_around(arrays={"columns": _npy(_COLUMNS, fortran_order=True)}), "Fortran order"),
+    (_around(arrays={"columns": _npy(_COLUMNS, shape=(3, 1))}), "rank 2"),
+    (_around(arrays={"columns": _npy(_COLUMNS, shape=(4,))}), "columns array has 4 items"),
+    (_around(arrays={"columns": _npy(_COLUMNS)[:-1]}), "values array: .*magic"),
+    (_around(arrays={"columns": b"NOTNUMPY" + _npy(_COLUMNS)[8:]}), "columns array: .*magic"),
+    (_around(arrays={"columns": _npy(_COLUMNS).replace(b"'descr'", b"'dexcr'")}),
+     "columns array: .*keys"),
+    (_around(arrays={"columns": _npy(_COLUMNS).replace(b"'descr'", b"{[]: 1}")}),
+     "columns array: unhashable"),
+    (_around(arrays={"columns": _npy(_COLUMNS).replace(b"'descr'", b"'" * 3 + b"open")}),
+     "columns array: .*EOF in multi-line string"),
+    (_around(arrays={"columns": _npy(_COLUMNS).replace(b"'<i4'", b"',i4'")}),
+     "columns array: "),
+    (_around(arrays={"columns": b"\x93NUMPY\x01\x00\xb9\x0b" + b"-" * 3000 + b"1"}),
+     "columns array: maximum recursion depth"),
+    (_GOOD_FILE[:_GOOD_FILE.index(b"\n") + 1], "offsets array: EOF"),
+    (_GOOD_FILE[:_VALUES_AT + 4], "values array: EOF"),
+    (_GOOD_FILE[:_VALUES_AT + 40], "values array: EOF"),
+    (_GOOD_FILE[:-1], "values array is truncated"),
+    (_GOOD_FILE[:-8], "values array is truncated"),
+    (_around(tail=b"\0"), "1 trailing byte"),
+    (_around(tail=_npy(_COLUMNS)), "trailing byte"),
+], ids=["offsets-not-from-0", "offsets-falling", "offsets-short", "offsets-end",
+        "offsets-dtype", "values-big-endian", "fortran", "rank", "columns-overlong",
+        "columns-short", "bad-magic", "bad-header-key", "unhashable-header-key",
+        "header-open-string", "comma-descr", "deep-header", "no-arrays", "cut-in-magic",
+        "cut-in-header", "values-short", "values-missing-item", "trailing-byte",
+        "trailing-array"])
+def test_load_refuses_a_bad_array(data, message):
+    with pytest.raises(IndexFormatError, match=message) as exc_info:
+        _load_bytes(data)
+    assert exc_info.value.entry is None
+
+
+def test_load_reads_a_python_2_npy_header_without_a_warning():
+    # numpy reads "3L" by filtering the header as Python 2 wrote it, and warns.
+    columns = _npy(_COLUMNS).replace(b"(3,), }", b"(3L,),}")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        index = _load_bytes(_around(arrays={"columns": columns}))
+    assert index.matrix.tobytes() == _load_bytes(_around()).matrix.tobytes()
+
+
+def test_load_refuses_other_npy_versions():
+    buffer = io.BytesIO()
+    np.lib.format.write_array(buffer, _COLUMNS, version=(2, 0))
+    with pytest.raises(IndexFormatError, match=r"columns array: unsupported .npy version"):
+        _load_bytes(_around(arrays={"columns": buffer.getvalue()}))
 
 
 def test_load_refuses_dim_unlike_the_embedders(tmp_path):
-    path = tmp_path / "index.jsonl"
-    path.write_text("\n".join([_row(ref_id="a"), _row(ref_id="b", indices=[1])]) + "\n",
-                    encoding="utf-8")
+    path = tmp_path / "index.bin"
+    path.write_bytes(_index_file([_row("a"), _row("b", columns=[1])]))
     with pytest.raises(IndexFormatError, match="dim 2 .* embedder's dim 256") as exc_info:
         load_index(path, HashingEmbedder())
-    assert exc_info.value.line == 1
+    assert exc_info.value.entry is None
     assert "\n" not in str(exc_info.value)
     # An embedder whose dim is not known yet takes the index's.
     http = HttpEmbeddingProvider("http://127.0.0.1:9/unused")
     assert len(load_index(path, http)) == 2
     assert http.dim is None
+
+
+# Set by _Payload when its pickle is loaded.
+_UNPICKLED: list[bool] = []
+
+
+def _record_unpickling() -> None:
+    _UNPICKLED.append(True)
+
+
+class _Payload:
+    def __reduce__(self):
+        return _record_unpickling, ()
+
+
+def test_load_never_unpickles_an_object_array():
+    buffer = io.BytesIO()
+    np.lib.format.write_array(buffer, np.array([_Payload()] * 3, dtype=object),
+                              allow_pickle=True)
+    payload = buffer.getvalue()
+    # The payload works: a reader that allows pickles runs it.
+    np.lib.format.read_array(io.BytesIO(payload), allow_pickle=True)
+    assert _UNPICKLED == [True]
+    _UNPICKLED.clear()
+    for name in ("offsets", "columns", "values"):
+        with pytest.raises(IndexFormatError, match=f"{name} array holds Python objects"):
+            _load_bytes(_around(arrays={name: payload}))
+    assert _UNPICKLED == []
+
+
+def _small_saved_index() -> tuple[bytes, HashingEmbedder]:
+    embedder = HashingEmbedder(dim=8)
+    buffer = io.BytesIO()
+    save_index(index_graph(sample_graph(), embedder), buffer)
+    return buffer.getvalue(), embedder
+
+
+def _assert_sound(index: EmbeddingIndex, embedder: HashingEmbedder) -> None:
+    """``index`` passes every check :func:`load_index` makes."""
+    assert index.matrix.shape == (len(index), embedder.dim)
+    assert all(type(f) is str for e in index.entries for f in (e.ref_id, e.kind, e.text))
+    assert {e.kind for e in index.entries} <= set(_SEARCH_KINDS)
+    assert np.isfinite(index.matrix).all()
+    assert np.allclose(np.linalg.norm(index.matrix, axis=1), 1.0, rtol=0, atol=1e-6)
+
+
+def test_every_truncation_is_refused():
+    data, embedder = _small_saved_index()
+    assert len(load_index(io.BytesIO(data), embedder)) == 7
+    for cut in range(1, len(data)):
+        with pytest.raises(IndexFormatError):
+            load_index(io.BytesIO(data[:cut]), embedder)
+
+
+_SMALL_SAVED, _SMALL_EMBEDDER = _small_saved_index()
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.integers(0, len(_SMALL_SAVED) - 1), st.integers(1, 255))
+def test_a_flipped_byte_is_refused_or_loads_sound(position, flip):
+    data = bytearray(_SMALL_SAVED)
+    data[position] ^= flip
+    try:
+        index = load_index(io.BytesIO(bytes(data)), _SMALL_EMBEDDER)
+    except IndexFormatError:
+        return
+    _assert_sound(index, _SMALL_EMBEDDER)
 
 
 # ----------------------------------------------------------- HTTP backend

@@ -591,7 +591,7 @@ def test_index_naming_a_missing_node_degrades_to_failure():
 
 def test_embedder_of_another_width_degrades_to_failure(tmp_path):
     graph, index, rules = taylor_fixture()
-    path = tmp_path / "index.jsonl"
+    path = tmp_path / "index.bin"
     save_index(index, path)
 
     def responder(payload, headers):

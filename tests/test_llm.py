@@ -359,9 +359,9 @@ def test_offline_runs_never_import_requests():
         assert "requests" not in sys.modules, "import kgrag"
         from coe_fixtures import TAYLOR_ANSWER, TAYLOR_QUESTION, taylor_fixture
         graph, index, rules = taylor_fixture()
-        saved = io.StringIO()
+        saved = io.BytesIO()
         kgrag.save_index(index, saved)
-        index = kgrag.load_index(io.StringIO(saved.getvalue()), kgrag.HashingEmbedder())
+        index = kgrag.load_index(io.BytesIO(saved.getvalue()), kgrag.HashingEmbedder())
         engine = kgrag.CoEngine(graph, index, kgrag.ScriptedProvider(rules))
         result = engine.run(TAYLOR_QUESTION)
         answer = kgrag.generate_answer(engine.provider, TAYLOR_QUESTION, result)
