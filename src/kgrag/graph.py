@@ -12,6 +12,7 @@ import hashlib
 import json
 import logging
 import os
+import re
 import threading
 import unicodedata
 from bisect import bisect_left
@@ -79,7 +80,7 @@ def flatten_label(statement: TripleStatement) -> str:
     )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class NodeRecord:
     id: str
     label: str          # display text, first seen
@@ -475,24 +476,25 @@ def _open_for_write(sink, binary: bool = False):
         raise
 
 
-# One encoder for every saved row; ``json.dumps`` with options builds one per call.
-_ROW_ENCODER = json.JSONEncoder(ensure_ascii=False, sort_keys=True)
-
-
 def save_graph(graph: KnowledgeGraph, sink) -> None:
     """Write nodes then edges as JSONL, deterministically ordered so the
-    same graph always produces byte-identical files."""
-    encode = _ROW_ENCODER.encode
+    same graph always produces byte-identical files.
+
+    Each row is one format string, in the bytes that
+    ``json.JSONEncoder(ensure_ascii=False, sort_keys=True)`` gives for the
+    record: keys sorted, ``", "`` and ``": "`` separators, each string
+    escaped by the same escaper that encoder uses."""
+    escape = json.encoder.encode_basestring
     with _open_for_write(sink) as f:
-        for node in sorted(graph.nodes, key=lambda n: (n.kind, n.canonical)):
-            f.write(encode(
-                {"type": "node", "id": node.id, "label": node.label,
-                 "canonical": node.canonical, "kind": node.kind}) + "\n")
-        for edge in sorted(graph.edges, key=lambda e: (e.canonical, e.source, e.target)):
-            f.write(encode(
-                {"type": "edge", "id": edge.id, "source": edge.source,
-                 "target": edge.target, "label": edge.label,
-                 "structural": edge.structural}) + "\n")
+        f.writelines(
+            f'{{"canonical": {escape(n.canonical)}, "id": {escape(n.id)}, '
+            f'"kind": {escape(n.kind)}, "label": {escape(n.label)}, "type": "node"}}\n'
+            for n in sorted(graph.nodes, key=lambda n: (n.kind, n.canonical)))
+        f.writelines(
+            f'{{"id": {escape(e.id)}, "label": {escape(e.label)}, '
+            f'"source": {escape(e.source)}, "structural": {"true" if e.structural else "false"}, '
+            f'"target": {escape(e.target)}, "type": "edge"}}\n'
+            for e in sorted(graph.edges, key=lambda e: (e.canonical, e.source, e.target)))
 
 
 # Lines parsed by one json.loads in load_graph; a whole file at once would
@@ -509,9 +511,16 @@ def load_graph(source, max_depth: int = 4) -> KnowledgeGraph:
     with _maybe_open(source) as f:
         lines = _numbered_lines(f)
         while chunk := list(islice(lines, _CHUNK_LINES)):
-            for (lineno, _), record in zip(chunk, _parse_chunk(chunk)):
+            text = ",\n".join(line for _, line in chunk)
+            # A lone surrogate comes \u-escaped from a file; a text stream
+            # may also hold one as itself. A one-character ``in`` is a
+            # memchr, far faster over a chunk than a search for "\\u".
+            suspect = "\\" in text or (not text.isascii() and _SURROGATE.search(text))
+            for (lineno, _), record in zip(chunk, _parse_chunk(chunk, text)):
                 if not isinstance(record, dict):
                     raise GraphFormatError("record is not an object", lineno)
+                if suspect:
+                    _refuse_lone_surrogates(record, lineno)
                 kind = record.get("type")
                 if kind == "node":
                     _load_node(graph, record, lineno)
@@ -530,15 +539,15 @@ def _numbered_lines(f) -> Iterator[tuple[int, str]]:
             yield lineno, line
 
 
-def _parse_chunk(chunk: list[tuple[int, str]]) -> Iterable:
-    """The JSON value of each numbered line: by one ``json.loads`` over the
-    chunk when that is sure to give what the lines give one by one, else
-    line by line as they are consumed, so that the first bad line, of
-    whatever fault, is the one reported. In the joined text a value cannot
-    run on into the next line: not inside a string (a raw newline is refused
-    there), not inside an object (the next line starts with ``{``, not a
-    key) and not inside a list (there is no ``[``)."""
-    text = ",\n".join(line for _, line in chunk)
+def _parse_chunk(chunk: list[tuple[int, str]], text: str) -> Iterable:
+    """The JSON value of each numbered line, given ``text``, the lines
+    joined by ``",\\n"``: by one ``json.loads`` over the chunk when that is
+    sure to give what the lines give one by one, else line by line as they
+    are consumed, so that the first bad line, of whatever fault, is the one
+    reported. In the joined text a value cannot run on into the next line:
+    not inside a string (a raw newline is refused there), not inside an
+    object (the next line starts with ``{``, not a key) and not inside a
+    list (there is no ``[``)."""
     if text.startswith("{") and text.count("\n{") == len(chunk) - 1 and "[" not in text:
         try:
             values = json.loads("[" + text + "]")
@@ -556,6 +565,17 @@ def _parse_line(line: str, lineno: int):
         raise GraphFormatError(f"invalid JSON: {exc}", lineno) from None
 
 
+# A code point that UTF-8 cannot encode. ``json.loads`` joins an escaped
+# pair into one character, so one left in a string is a lone surrogate.
+_SURROGATE = re.compile("[\ud800-\udfff]")
+
+
+def _refuse_lone_surrogates(record: dict, lineno: int) -> None:
+    for name, value in record.items():
+        if type(value) is str and not value.isascii() and _SURROGATE.search(value):
+            raise GraphFormatError(f"field {name!r} holds a lone surrogate", lineno)
+
+
 def _require(record: dict, fields: tuple[str, ...], lineno: int) -> None:
     for name in fields:
         value = record.get(name)
@@ -565,8 +585,20 @@ def _require(record: dict, fields: tuple[str, ...], lineno: int) -> None:
             raise GraphFormatError(f"field {name!r} is not a string", lineno)
 
 
+def _extra_field(record: dict, fields: frozenset[str], lineno: int) -> GraphFormatError:
+    """The error for a ``record`` that holds every field of ``fields`` and more."""
+    name = next(name for name in record if name not in fields)
+    return GraphFormatError(f"unexpected field {name!r}", lineno)
+
+
+_NODE_FIELDS = frozenset({"type", "id", "label", "canonical", "kind"})
+_EDGE_FIELDS = frozenset({"type", "id", "source", "target", "label", "structural"})
+
+
 def _load_node(graph: KnowledgeGraph, record: dict, lineno: int) -> None:
     _require(record, ("id", "label", "canonical", "kind"), lineno)
+    if len(record) != len(_NODE_FIELDS):
+        raise _extra_field(record, _NODE_FIELDS, lineno)
     if record["kind"] not in (KIND_ENTITY, KIND_HYPERNODE):
         raise GraphFormatError(f"bad node kind {record['kind']!r}", lineno)
     canonical = record["canonical"]
@@ -589,6 +621,8 @@ def _load_edge(graph: KnowledgeGraph, record: dict, lineno: int,
     structural = record["structural"]
     if type(structural) is not bool:
         raise GraphFormatError("field 'structural' is not a boolean", lineno)
+    if len(record) != len(_EDGE_FIELDS):
+        raise _extra_field(record, _EDGE_FIELDS, lineno)
     source_node = graph._nodes.get(record["source"])
     target_node = graph._nodes.get(record["target"])
     if source_node is None or target_node is None:

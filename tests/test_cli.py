@@ -502,6 +502,37 @@ def _graph_with_string_structural_flag(tmp_path):
     return ["stats", "--graph", str(graph_path)]
 
 
+def _with_lone_surrogate(graph_path):
+    """Give the first node of the graph file a label and canonical ending in
+    an escaped lone surrogate, which UTF-8 cannot encode."""
+    lines = graph_path.read_text(encoding="utf-8").splitlines()
+    node = json.loads(lines[0])
+    node["label"] += "\ud800"
+    node["canonical"] += "\ud800"
+    lines[0] = json.dumps(node, sort_keys=True)
+    assert "\\ud800" in lines[0]
+    graph_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+def _index_graph_with_lone_surrogate(tmp_path):
+    doc, script, graph_path = ingest_setup(tmp_path)
+    assert main(["ingest", str(doc), "--graph", str(graph_path), "--script", script]) == 0
+    _with_lone_surrogate(graph_path)
+    return ["index", "--graph", str(graph_path), "--index", str(tmp_path / "index.bin")]
+
+
+def _query_graph_with_lone_surrogate(tmp_path):
+    argv = ["query", TAYLOR_QUESTION] + _query_args(tmp_path)
+    _with_lone_surrogate(Path(argv[argv.index("--graph") + 1]))
+    return argv
+
+
+def _eval_graph_with_lone_surrogate(tmp_path):
+    argv = ["eval", _dataset(tmp_path)] + _query_args(tmp_path)
+    _with_lone_surrogate(Path(argv[argv.index("--graph") + 1]))
+    return argv
+
+
 def _truncated_index(tmp_path):
     """``query`` with an index file cut short inside its values array."""
     argv = ["query", TAYLOR_QUESTION] + _query_args(tmp_path)
@@ -539,6 +570,9 @@ BAD_INPUTS = {
     "graph-duplicate-edge-id": _graph_with_duplicate_edge_id,
     "graph-wrong-edge-id": _graph_with_wrong_edge_id,
     "graph-string-structural-flag": _graph_with_string_structural_flag,
+    "index-graph-lone-surrogate": _index_graph_with_lone_surrogate,
+    "query-graph-lone-surrogate": _query_graph_with_lone_surrogate,
+    "eval-graph-lone-surrogate": _eval_graph_with_lone_surrogate,
 }
 
 # What the one error line must name: the bad option or file.
@@ -550,7 +584,8 @@ BAD_INPUT_NAMES = {
     "non-utf8-graph": "graph.jsonl", "non-utf8-index": "bad-index.bin",
     "graph-fails-audit": "graph.jsonl", "graph-duplicate-edge-id": "graph.jsonl",
     "graph-wrong-edge-id": "graph.jsonl", "graph-string-structural-flag": "graph.jsonl",
-    "truncated-index": "index.bin",
+    "truncated-index": "index.bin", "index-graph-lone-surrogate": "graph.jsonl",
+    "query-graph-lone-surrogate": "graph.jsonl", "eval-graph-lone-surrogate": "graph.jsonl",
 }
 
 
@@ -574,6 +609,7 @@ def test_bad_input_ends_in_one_error_line(tmp_path, capsys, case):
     ("graph-wrong-edge-id", "id is not the hash of its content"),
     ("graph-string-structural-flag", "field 'structural' is not a boolean"),
     ("truncated-index", "values array is truncated"),
+    ("index-graph-lone-surrogate", "line 1: field 'canonical' holds a lone surrogate"),
 ])
 def test_bad_edge_ids_are_named(tmp_path, capsys, case, message):
     argv = BAD_INPUTS[case](tmp_path)

@@ -8,7 +8,10 @@ import json
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from graph_oracle import edge_row, node_row, saved_text
 from kgrag import (
     DepthError,
     Entity,
@@ -29,6 +32,7 @@ from kgrag.graph import (
     STRUCTURAL_OBJECT,
     STRUCTURAL_SUBJECT,
 )
+from kgrag.triples import statement_depth
 
 NESTED_LINE = "((Seth MacFarlane)-[created]->(Family Guy))-[in]->(1999)"
 FLAT_LINE = "(Seth MacFarlane)-[is creator of]->(Family Guy)"
@@ -412,16 +416,16 @@ def test_failed_save_leaves_previous_file_intact(tmp_path, monkeypatch):
     path = tmp_path / "graph.jsonl"
     save_graph(build(FLAT_LINE), path)
     before = path.read_bytes()
-    encode = json.JSONEncoder.encode
-    written = []
+    escape = json.encoder.encode_basestring
+    escaped = []
 
-    def encode_then_fail(*args, **kwargs):
-        written.append(args)
-        if len(written) == 4:
+    def escape_then_fail(text):
+        escaped.append(text)
+        if len(escaped) == 20:   # the 4 node rows take 16 calls: fail in the first edge row
             raise OSError("disk full")
-        return encode(*args, **kwargs)
+        return escape(text)
 
-    monkeypatch.setattr(json.JSONEncoder, "encode", encode_then_fail)
+    monkeypatch.setattr(json.encoder, "encode_basestring", escape_then_fail)
     with pytest.raises(OSError, match="disk full"):
         save_graph(build(NESTED_LINE, FLAT_LINE), path)
     assert path.read_bytes() == before
@@ -442,6 +446,75 @@ def test_save_preserves_non_ascii(tmp_path):
     save_graph(graph, path)
     assert "Céligny" in path.read_text(encoding="utf-8")
     assert load_graph(path).find_node("céligny") is not None
+
+
+# Characters a row writer can get wrong: JSON's own escapes, the C0 controls,
+# DEL, the JavaScript line separators, NBSP, combining marks, non-BMP
+# characters, and a few that make labels collide canonically.
+_TRICKY_CHARS = st.sampled_from(
+    ['"', "\\", "/", *map(chr, range(0x20)), "\x7f", "\u2028", "\u2029", "\xa0",
+     "\u0301", "\u0327", "\U0001f600", "\U00020000", "\u00e9", "\u4e2d", "a", "A", " "])
+_TEXT = st.text(st.one_of(_TRICKY_CHARS, st.characters(blacklist_categories=("Cs",))),
+                min_size=1, max_size=6)
+_LABEL = _TEXT.filter(
+    lambda text: normalize_label(text) not in ("", STRUCTURAL_SUBJECT, STRUCTURAL_OBJECT))
+_ENTITY = _LABEL.map(Entity)
+_STATEMENT = st.recursive(
+    st.builds(TripleStatement, _ENTITY, _LABEL, _ENTITY),
+    lambda inner: st.builds(TripleStatement, _ENTITY | inner, _LABEL, _ENTITY | inner),
+    max_leaves=4,
+).filter(lambda statement: statement_depth(statement) <= 4)
+
+
+def _graph_of(statements: list[TripleStatement]) -> KnowledgeGraph:
+    graph = KnowledgeGraph()
+    for statement in statements:
+        graph.upsert_triple(statement)
+    return graph
+
+
+_GRAPHS = st.lists(_STATEMENT, min_size=1, max_size=6).map(_graph_of)
+
+
+def _saved(graph: KnowledgeGraph) -> str:
+    buffer = io.StringIO()
+    save_graph(graph, buffer)
+    return buffer.getvalue()
+
+
+@settings(max_examples=200, deadline=None)
+@given(_GRAPHS)
+def test_saved_rows_match_the_encoder_oracle(graph):
+    text = _saved(graph)
+    assert text.encode("utf-8") == saved_text(graph).encode("utf-8")
+    assert _saved(load_graph(io.StringIO(text))) == text
+
+
+@settings(max_examples=100, deadline=None)
+@given(_GRAPHS, st.data())
+def test_saved_rows_match_the_encoder_oracle_for_any_ids(graph, data):
+    """A loaded graph keeps the ids its file gave, whatever their text
+    (only the audit checks them), so ids, sources and targets are escaped
+    like labels."""
+    nodes, edges = list(graph.nodes), list(graph.edges)
+    names = data.draw(st.lists(_TEXT, min_size=len(nodes) + len(edges),
+                               max_size=len(nodes) + len(edges), unique=True))
+    node_ids = {node.id: name for node, name in zip(nodes, names)}
+    rows = [node_row(dataclasses.replace(node, id=node_ids[node.id])) for node in nodes]
+    rows += [edge_row(dataclasses.replace(edge, id=name, source=node_ids[edge.source],
+                                          target=node_ids[edge.target]))
+             for edge, name in zip(edges, names[len(nodes):])]
+    loaded = load_graph(io.StringIO("".join(rows)))
+    assert sorted(node.id for node in loaded.nodes) == sorted(node_ids.values())
+    assert _saved(loaded).encode("utf-8") == saved_text(loaded).encode("utf-8")
+
+
+def test_saved_file_bytes_match_the_encoder_oracle(tmp_path):
+    graph = build(NESTED_LINE, FLAT_LINE, '(Céligny "\\\\" \t\x01)-[lies\u2028in]->(中 \U0001f600)')
+    path = tmp_path / "graph.jsonl"
+    save_graph(graph, path)
+    assert path.read_bytes() == saved_text(graph).encode("utf-8")
+    assert b'"structural": true' in path.read_bytes()
 
 
 @pytest.mark.parametrize("lines, line_no, message", [
@@ -580,3 +653,75 @@ def test_load_refuses_lines_that_parse_only_together(first, second, tmp_path):
     with pytest.raises(GraphFormatError, match="invalid JSON") as exc_info:
         load_graph(path)
     assert exc_info.value.line == 1
+
+
+_PAIR = ('{"type": "node", "id": "n1", "label": "a", "canonical": "a", "kind": "entity"}\n'
+         '{"type": "node", "id": "n2", "label": "b", "canonical": "b", "kind": "entity"}\n')
+
+
+@pytest.mark.parametrize("text, line_no, field", [
+    ('{"type": "node", "id": "n1", "label": "A\\ud800", "canonical": "a\\ud800", '
+     '"kind": "entity"}\n', 1, "label"),
+    ('{"type": "node", "id": "n1", "label": "\\uDC00", "canonical": "\\udc00", '
+     '"kind": "entity"}\n', 1, "label"),
+    ('{"type": "node", "id": "n\\udfff", "label": "a", "canonical": "a", "kind": "entity"}\n',
+     1, "id"),
+    ('{"type": "node", "id": "n1", "label": "\\ude00\\ud83d", "canonical": "\\ude00\\ud83d", '
+     '"kind": "entity"}\n', 1, "label"),
+    (_PAIR + '{"type": "edge", "id": "e1", "source": "n1", "target": "n2", '
+     '"label": "r\\ud83d", "structural": false}\n', 3, "label"),
+    (_PAIR + '{"type": "edge", "id": "e\\ud800", "source": "n1", "target": "n2", '
+     '"label": "r", "structural": false}\n', 3, "id"),
+], ids=["high", "low-upper-case", "node-id", "pair-reversed", "edge-label", "edge-id"])
+def test_load_refuses_a_lone_surrogate(text, line_no, field, tmp_path):
+    """UTF-8 cannot encode a lone surrogate, so a graph holding one could
+    not be audited, indexed or saved."""
+    path = tmp_path / "graph.jsonl"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(GraphFormatError, match=f"field '{field}' holds a lone surrogate") \
+            as exc_info:
+        load_graph(path)
+    assert exc_info.value.line == line_no
+
+
+def test_load_refuses_a_lone_surrogate_in_a_text_stream():
+    stream = io.StringIO(_PAIR.replace('"label": "b", "canonical": "b"',
+                                       '"label": "b\ud800", "canonical": "b\ud800"'))
+    with pytest.raises(GraphFormatError, match="'label' holds a lone surrogate") as exc_info:
+        load_graph(stream)
+    assert exc_info.value.line == 2
+
+
+def test_load_refuses_a_lone_surrogate_in_a_later_chunk(tmp_path):
+    _, path, lines = _many_lines_graph(tmp_path)
+    edge = json.loads(lines[500])
+    edge["id"] += "\ud800"
+    lines[500] = json.dumps(edge)           # line 501, escaped by ensure_ascii
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with pytest.raises(GraphFormatError, match="'id' holds a lone surrogate") as exc_info:
+        load_graph(path)
+    assert exc_info.value.line == 501
+
+
+def test_load_reads_escaped_surrogate_pairs(tmp_path):
+    graph = build("(\U0001f600 Smile)-[is \U00010348]->(\U00020000)")
+    text = _saved(graph)
+    escaped = "".join(json.dumps(json.loads(line), sort_keys=True) + "\n"
+                      for line in text.splitlines())
+    assert "\\ud83d\\ude00" in escaped
+    loaded = load_graph(io.StringIO(escaped))
+    loaded.audit()
+    assert _saved(loaded) == text
+
+
+@pytest.mark.parametrize("line_no", [1, 3], ids=["node", "edge"])
+def test_load_refuses_an_extra_field(line_no, tmp_path):
+    """A field the graph does not keep would be lost by the next save."""
+    lines = _saved(build("(a)-[r]->(b)")).splitlines()
+    record = json.loads(lines[line_no - 1])
+    lines[line_no - 1] = json.dumps({"note": "kept?", **record})
+    path = tmp_path / "graph.jsonl"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with pytest.raises(GraphFormatError, match="unexpected field 'note'") as exc_info:
+        load_graph(path)
+    assert exc_info.value.line == line_no
