@@ -233,19 +233,15 @@ def node_candidates(index: EmbeddingIndex, instruction: str, k: int):
     return index.search(instruction, k, kinds=NODE_KINDS)
 
 
-def relationship_candidates(index: EmbeddingIndex, edges: Sequence[EdgeRecord],
+def relationship_candidates(index: EmbeddingIndex, groups: dict[str, list[EdgeRecord]],
                             instruction: str, m: int) -> list[tuple[EdgeRecord, float]]:
-    """The distinct non-structural labels of ``edges``, each as its first
-    edge, ranked against a step instruction by the label's indexed vector
-    and truncated to the top m."""
-    first: dict[str, EdgeRecord] = {}
-    for edge in edges:
-        if not edge.structural:
-            first.setdefault(edge.canonical, edge)
-    if not first:
+    """The labels of ``groups``, as :meth:`KnowledgeGraph.label_groups`
+    gives them, each shown as its group's first edge, ranked against a step
+    instruction by the label's indexed vector and truncated to the top m."""
+    if not groups:
         return []
-    ranked = index.search(instruction, m, kinds=(KIND_RELATIONSHIP,), ref_ids=first)
-    return [(first[entry.ref_id], score) for entry, score in ranked]
+    ranked = index.search(instruction, m, kinds=(KIND_RELATIONSHIP,), ref_ids=groups)
+    return [(groups[entry.ref_id][0], score) for entry, score in ranked]
 
 
 class CoEngine:
@@ -325,9 +321,8 @@ class CoEngine:
         if not state.current_nodes:
             raise EmptySelection("no current nodes to explore from")
         groups = self.graph.label_groups(state.current_nodes)
-        # Each label is shown as its group's first edge.
-        ranked = relationship_candidates(self.index, [group[0] for group in groups.values()],
-                                         step.instruction, self.limits.relationship_candidates)
+        ranked = relationship_candidates(self.index, groups, step.instruction,
+                                         self.limits.relationship_candidates)
         if not ranked:
             raise EmptySelection("current nodes have no outgoing relationships")
         self.trace.emit({

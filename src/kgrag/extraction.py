@@ -2,15 +2,12 @@
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass, field
 
 from .graph import DepthError, KnowledgeGraph
 from .llm import TAG_EXTRACT, ChatMessage, LmRequest, ProviderError
 from .prompts import EXTRACTION_EXAMPLES, EXTRACTION_SYSTEM
 from .triples import parse_extraction_block
-
-logger = logging.getLogger(__name__)
 
 DEFAULT_CHUNK_CHARS = 2000
 DEFAULT_OVERLAP_CHARS = 200
@@ -32,12 +29,16 @@ class ExtractionReport:
     # the same document therefore reports 0 here.
     triples_upserted: int = 0
     parse_errors: list[dict] = field(default_factory=list)
+    # Parsed triples the graph refused to store (reserved predicate, too
+    # deep, a label it cannot hold), one {doc_id, chunk_seq, message} each.
+    rejected: list[dict] = field(default_factory=list)
 
     def merge(self, other: "ExtractionReport") -> None:
         self.chunks_processed += other.chunks_processed
         self.triples_extracted += other.triples_extracted
         self.triples_upserted += other.triples_upserted
         self.parse_errors.extend(other.parse_errors)
+        self.rejected.extend(other.rejected)
 
     def to_dict(self) -> dict:
         return {
@@ -45,6 +46,7 @@ class ExtractionReport:
             "triples_extracted": self.triples_extracted,
             "triples_upserted": self.triples_upserted,
             "parse_errors": self.parse_errors,
+            "rejected": self.rejected,
         }
 
 
@@ -106,9 +108,9 @@ def build_extraction_prompt(chunk: TextChunk) -> LmRequest:
 def extract_and_store(graph: KnowledgeGraph, provider, doc_id: str, text: str,
                       chunk_chars: int = DEFAULT_CHUNK_CHARS,
                       overlap_chars: int = DEFAULT_OVERLAP_CHARS) -> ExtractionReport:
-    """Chunk, prompt, parse, upsert. Parse failures are recorded per line and
-    never abort the batch; a provider failure halts with the partial report
-    attached to :class:`ExtractionHalted`."""
+    """Chunk, prompt, parse, upsert. Parse failures and triples the graph
+    refuses are recorded and never abort the batch; a provider failure
+    halts with the partial report attached to :class:`ExtractionHalted`."""
     report = ExtractionReport()
     for chunk in chunk_text(doc_id, text, chunk_chars, overlap_chars):
         request = build_extraction_prompt(chunk)
@@ -131,8 +133,8 @@ def extract_and_store(graph: KnowledgeGraph, provider, doc_id: str, text: str,
             try:
                 outcome = graph.upsert_triple(statement)
             except (DepthError, ValueError) as exc:
-                logger.warning("dropping rejected triple in %s chunk %d: %s",
-                               chunk.doc_id, chunk.seq, exc)
+                report.rejected.append({"doc_id": chunk.doc_id, "chunk_seq": chunk.seq,
+                                        "message": str(exc)})
                 continue
             if outcome.created_any:
                 report.triples_upserted += 1

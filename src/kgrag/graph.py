@@ -34,8 +34,6 @@ STRUCTURAL_SUBJECT = "_subject"
 STRUCTURAL_OBJECT = "_object"
 RESERVED_EDGE_LABELS = frozenset({STRUCTURAL_SUBJECT, STRUCTURAL_OBJECT})
 
-_DIRECTIONS = ("out", "in", "both")
-
 
 class GraphError(Exception):
     pass
@@ -118,10 +116,9 @@ class GraphStats:
 
 @dataclass
 class UpsertOutcome:
-    """Ids touched by one upsert, split by whether they were newly created."""
+    """Ids of the nodes and edges one upsert created."""
 
     created: list[str]
-    reused: list[str]
 
     @property
     def created_any(self) -> bool:
@@ -145,17 +142,15 @@ class KnowledgeGraph:
     """In-memory graph. Mutations serialize through a single writer lock;
     concurrent readers are safe once a mutation has returned.
 
-    Each edge is held twice, as the same record: in its source's out-group
-    for its canonical label (``_out[source][canonical]``, in target order)
-    and in its target's in-list (``_in[target]``). A node has neither until
-    it has an edge."""
+    Each edge is held once: in its source's out-group for its canonical
+    label (``_out[source][canonical]``, in target order). A node has no
+    out-groups until it is the source of an edge."""
 
     def __init__(self, max_depth: int = 4):
         self.max_depth = max_depth
         self._nodes: dict[str, NodeRecord] = {}
         self._by_canonical: dict[str, str] = {}
         self._out: dict[str, dict[str, list[EdgeRecord]]] = {}
-        self._in: dict[str, list[EdgeRecord]] = {}
         # Each distinct edge label text and its canonical form, computed once
         # and shared by every edge that carries the text.
         self._labels: dict[str, tuple[str, str]] = {}
@@ -190,12 +185,12 @@ class KnowledgeGraph:
 
     def upsert_triple(self, statement: TripleStatement) -> UpsertOutcome:
         """Idempotently store a statement, materializing hypernodes for
-        nested terms. Returns the created/reused node and edge ids."""
+        nested terms. Returns the ids of the nodes and edges it created."""
         depth = statement_depth(statement)
         if depth > self.max_depth:
             raise DepthError(f"statement depth {depth} exceeds max {self.max_depth}")
         _reject_reserved(statement)
-        outcome = UpsertOutcome(created=[], reused=[])
+        outcome = UpsertOutcome(created=[])
         with self._write_lock:
             self._upsert_statement(statement, outcome)
         return outcome
@@ -228,7 +223,6 @@ class KnowledgeGraph:
             raise ValueError("node label is empty after normalization")
         existing = self._by_canonical.get(canonical)
         if existing is not None:
-            outcome.reused.append(existing)
             return existing
         node_id = _node_id(kind, canonical)
         self._nodes[node_id] = NodeRecord(node_id, display, canonical, kind)
@@ -243,7 +237,6 @@ class KnowledgeGraph:
             raise ValueError("edge label is empty after normalization")
         group, at, existing = self._slot(source, canonical, target)
         if existing is not None:
-            outcome.reused.append(existing.id)
             return existing.id
         edge = EdgeRecord(_edge_id(source, canonical, target), source, target, display,
                           canonical, structural)
@@ -278,48 +271,17 @@ class KnowledgeGraph:
         return known
 
     def _add(self, group: list[EdgeRecord] | None, at: int, edge: EdgeRecord) -> None:
-        """Put ``edge`` at ``at`` in ``group`` as given by :meth:`_slot`, and
-        in its target's in-list. A new list holds exactly its one edge: on a
-        sparse graph most groups never grow."""
+        """Put ``edge`` at ``at`` in ``group`` as given by :meth:`_slot`. A
+        new list holds exactly its one edge: on a sparse graph most groups
+        never grow."""
         if group is not None:
             group.insert(at, edge)
         elif edge.source in self._out:
             self._out[edge.source][edge.canonical] = [edge]
         else:
             self._out[edge.source] = {edge.canonical: [edge]}
-        in_edges = self._in.get(edge.target)
-        if in_edges is None:
-            self._in[edge.target] = [edge]
-        else:
-            in_edges.append(edge)
 
     # ---------------------------------------------------------- traversal
-
-    def neighbors(self, node_ids: Iterable[str], direction: str = "out",
-                  include_structural: bool = False) -> list[EdgeRecord]:
-        """Deduplicated edges incident to the id set, deterministically
-        ordered by (canonical label, source, target)."""
-        if direction not in _DIRECTIONS:
-            raise ValueError(f"direction must be one of {_DIRECTIONS}, got {direction!r}")
-        ids = list(node_ids)
-        for node_id in ids:
-            if node_id not in self._nodes:
-                raise UnknownNodeError(f"unknown node id {node_id!r}")
-        id_set = set(ids)
-        edges: list[EdgeRecord] = []
-        if direction != "in":
-            for node_id in id_set:
-                for group in self._out.get(node_id, {}).values():
-                    edges.extend(group)
-        if direction != "out":
-            for node_id in id_set:
-                # Under "both", an edge from a node of the set is already in.
-                edges.extend(edge for edge in self._in.get(node_id, ())
-                             if direction == "in" or edge.source not in id_set)
-        if not include_structural:
-            edges = [e for e in edges if not e.structural]
-        edges.sort(key=lambda e: (e.canonical, e.source, e.target))
-        return edges
 
     def label_groups(self, node_ids: Iterable[str]) -> dict[str, list[EdgeRecord]]:
         """The non-structural out-edges of the id set, grouped by canonical
@@ -350,7 +312,8 @@ class KnowledgeGraph:
             node_count=len(self._nodes),
             entity_count=entity_count,
             hypernode_count=hypernode_count,
-            edge_count=sum(len(edges) for edges in self._in.values()),
+            edge_count=sum(len(group) for groups in self._out.values()
+                           for group in groups.values()),
             distinct_relationship_labels=len(labels),
         )
 
@@ -360,10 +323,9 @@ class KnowledgeGraph:
         """Verify structural invariants; raises :class:`GraphIntegrityError`.
 
         Every id must be the hash of its record's content. Each edge must sit
-        once in the out-group of its source and label, in target order, and
-        once in the in-list of its target; each hypernode must have exactly
-        one ``_subject`` and one ``_object`` edge. One pass over the nodes,
-        the out-groups and the in-lists."""
+        in the out-group of its source and label, in target order; each
+        hypernode must have exactly one ``_subject`` and one ``_object``
+        edge. One pass over the nodes and the out-groups."""
         seen_canonical: set[str] = set()
         for node in self._nodes.values():
             if node.canonical != normalize_label(node.label):
@@ -375,8 +337,6 @@ class KnowledgeGraph:
                 raise GraphIntegrityError(f"node {node.id}: bad kind {node.kind!r}")
             if node.id != _node_id(node.kind, node.canonical):
                 raise GraphIntegrityError(f"node {node.id}: id is not the hash of its content")
-        # Object identities of the records in out-groups, then in in-lists.
-        out_records: set[int] = set()
         for source, groups in self._out.items():
             if source not in self._nodes:
                 raise GraphIntegrityError(f"adjacency references unknown node {source!r}")
@@ -404,20 +364,6 @@ class KnowledgeGraph:
                     if edge.id != _edge_id(source, canonical, edge.target):
                         raise GraphIntegrityError(
                             f"edge {edge.id}: id is not the hash of its content")
-                    out_records.add(id(edge))
-        in_records: set[int] = set()
-        for target, edges in self._in.items():
-            if target not in self._nodes:
-                raise GraphIntegrityError(f"adjacency references unknown node {target!r}")
-            for edge in edges:
-                if (edge.target != target or id(edge) not in out_records
-                        or id(edge) in in_records):
-                    raise GraphIntegrityError(
-                        f"edge {edge.id} in in-adjacency is not once in out-adjacency")
-                in_records.add(id(edge))
-        if len(in_records) != len(out_records):
-            raise GraphIntegrityError(
-                f"{len(out_records) - len(in_records)} edge(s) missing from in-adjacency")
         for node in self._nodes.values():
             if node.kind != KIND_HYPERNODE:
                 continue

@@ -95,6 +95,9 @@ class ScriptRule:
     response: str
 
 
+_SCRIPT_FIELDS = ("tag", "match_substring", "response")
+
+
 class ScriptedProvider:
     """Pure function of (tag, messages): most specific matching rule wins,
     specificity being substring length, ties broken by registration order.
@@ -116,13 +119,17 @@ class ScriptedProvider:
                     continue
                 try:
                     record = json.loads(line)
-                    rules.append(ScriptRule(record["tag"], record["match_substring"],
-                                            record["response"]))
+                    values = [record[name] for name in _SCRIPT_FIELDS]
                 except KeyError as exc:
                     raise ValueError(f"bad script rule on line {lineno}: "
                                      f"missing field {exc.args[0]!r}") from None
                 except (json.JSONDecodeError, TypeError) as exc:
                     raise ValueError(f"bad script rule on line {lineno}: {exc}") from None
+                for name, value in zip(_SCRIPT_FIELDS, values):
+                    if type(value) is not str:
+                        raise ValueError(f"bad script rule on line {lineno}: "
+                                         f"field {name!r} is not a string")
+                rules.append(ScriptRule(*values))
         return cls(rules)
 
     def complete(self, request: LmRequest) -> LmResponse:

@@ -83,7 +83,7 @@ def rel_pick(graph: KnowledgeGraph, index: EmbeddingIndex, current_labels: list[
              instruction: str, wanted: list[str],
              m: int = LIMITS.relationship_candidates) -> str:
     node_ids = [graph.find_node(label).id for label in current_labels]
-    ranked = relationship_candidates(index, graph.neighbors(node_ids, "out"), instruction, m)
+    ranked = relationship_candidates(index, graph.label_groups(node_ids), instruction, m)
     shown = [edge.label for edge, _ in ranked]
     picks = []
     for label in wanted:

@@ -548,6 +548,15 @@ def _malformed_script(tmp_path):
     return ["query", TAYLOR_QUESTION] + paths + ["--script", str(script)]
 
 
+def _script_with_a_number_substring(tmp_path):
+    """``ingest`` with a script rule whose ``match_substring`` is a number."""
+    doc, _, graph_path = ingest_setup(tmp_path)
+    script = tmp_path / "bad-script.jsonl"
+    script.write_text('{"tag": "extract", "match_substring": 5, "response": ""}\n',
+                      encoding="utf-8")
+    return ["ingest", str(doc), "--graph", str(graph_path), "--script", str(script)]
+
+
 BAD_INPUTS = {
     "query-topk-0": lambda tmp: ["query", TAYLOR_QUESTION, "--topk", "0"] + _query_args(tmp),
     "eval-topk-0": lambda tmp: ["eval", _dataset(tmp), "--topk", "0"] + _query_args(tmp),
@@ -557,6 +566,7 @@ BAD_INPUTS = {
     "ingest-chunk-not-above-overlap": lambda tmp: [
         "ingest", "--chunk-chars", "50", "--overlap-chars", "50"] + _ingest_args(tmp),
     "malformed-script": _malformed_script,
+    "script-number-substring": _script_with_a_number_substring,
     "non-utf8-document": lambda tmp: ["ingest", _non_utf8(tmp / "bad-doc.txt"),
                                       "--graph", str(tmp / "graph.jsonl"),
                                       "--script", ingest_setup(tmp)[1]],
@@ -580,6 +590,7 @@ BAD_INPUT_NAMES = {
     "query-topk-0": "--topk", "eval-topk-0": "--topk", "ingest-chunk-0": "--chunk-chars",
     "ingest-negative-overlap": "--overlap-chars",
     "ingest-chunk-not-above-overlap": "--chunk-chars", "malformed-script": "bad-script.jsonl",
+    "script-number-substring": "bad-script.jsonl",
     "non-utf8-document": "bad-doc.txt", "non-utf8-dataset": "dataset.jsonl",
     "non-utf8-graph": "graph.jsonl", "non-utf8-index": "bad-index.bin",
     "graph-fails-audit": "graph.jsonl", "graph-duplicate-edge-id": "graph.jsonl",
@@ -610,6 +621,8 @@ def test_bad_input_ends_in_one_error_line(tmp_path, capsys, case):
     ("graph-string-structural-flag", "field 'structural' is not a boolean"),
     ("truncated-index", "values array is truncated"),
     ("index-graph-lone-surrogate", "line 1: field 'canonical' holds a lone surrogate"),
+    ("script-number-substring",
+     "bad script rule on line 1: field 'match_substring' is not a string"),
 ])
 def test_bad_edge_ids_are_named(tmp_path, capsys, case, message):
     argv = BAD_INPUTS[case](tmp_path)

@@ -171,28 +171,27 @@ def test_node_candidates_rank_matching_label_first():
 def test_relationship_candidates_are_distinct_outgoing_labels():
     graph, index, _ = taylor_fixture()
     liz = graph.find_node("Elizabeth Taylor").id
-    ranked = relationship_candidates(index, graph.neighbors([liz], "out"), _STEP2, 10)
+    ranked = relationship_candidates(index, graph.label_groups([liz]), _STEP2, 10)
     labels = [edge.label for edge, _ in ranked]
     assert set(labels) >= {"married", "married to", "co-starred with"}
     assert len(labels) == len(set(labels))
     # structural labels stay hidden even for ids with hypernode involvement
     assert all(not label.startswith("_") for label in labels)
     hyper = graph.find_node("Elizabeth Taylor married Michael Wilding").id
-    ranked = relationship_candidates(
-        index, graph.neighbors([hyper], "out", include_structural=True), _STEP2, 10)
+    ranked = relationship_candidates(index, graph.label_groups([hyper]), _STEP2, 10)
     assert [edge.label for edge, _ in ranked] == ["in"]
 
 
 def test_relationship_candidates_truncate_to_m():
     graph, index, _ = taylor_fixture()
     liz = graph.find_node("Elizabeth Taylor").id
-    assert len(relationship_candidates(index, graph.neighbors([liz], "out"), _STEP2, 2)) == 2
+    assert len(relationship_candidates(index, graph.label_groups([liz]), _STEP2, 2)) == 2
 
 
 def test_relationship_candidates_empty_for_leaf():
     graph, index, _ = taylor_fixture()
     leaf = graph.find_node("Chichester, West Sussex").id
-    assert relationship_candidates(index, graph.neighbors([leaf], "out"), "anything", 10) == []
+    assert relationship_candidates(index, graph.label_groups([leaf]), "anything", 10) == []
 
 
 _REL_WORDS = ["married to", "died in", "born in", "works as", "in"]
@@ -220,12 +219,14 @@ def test_relationship_candidates_match_brute_force(facts, instruction, m, data):
     index = index_graph(graph, embedder)
     sources = data.draw(st.lists(st.sampled_from(sorted({s for s, _, _ in facts})),
                                  min_size=1, unique=True), label="sources")
-    edges = graph.neighbors([graph.find_node(s).id for s in sources], "out")
+    source_ids = {graph.find_node(s).id for s in sources}
     got = [(edge.label, score) for edge, score in
-           relationship_candidates(index, edges, instruction, m)]
+           relationship_candidates(index, graph.label_groups(source_ids), instruction, m)]
     # Oracle: embed each candidate canonical's indexed text, score it
     # against the instruction and sort by (-score, canonical); show the
-    # label of the first edge that carries it.
+    # label of the first edge that carries it, in (source, target) order.
+    edges = sorted((e for e in graph.edges if e.source in source_ids and not e.structural),
+                   key=lambda e: (e.canonical, e.source, e.target))
     shown: dict[str, str] = {}
     for edge in edges:
         shown.setdefault(normalize_label(edge.label), edge.label)
@@ -296,7 +297,7 @@ def test_relationship_step_matches_sorted_out_edges(first, more, instruction, da
     # The step itself: candidates shown as each label's first edge, and
     # the hops of the picked labels in sorted order.
     index = index_graph(graph, HashingEmbedder())
-    ranked = relationship_candidates(index, everything, instruction, 100)
+    ranked = relationship_candidates(index, by_label, instruction, 100)
     picks = data.draw(st.lists(st.integers(1, max(len(ranked), 1)), unique=True),
                       label="picks") if ranked else []
     trace = TraceRecorder()
@@ -357,7 +358,7 @@ class CountingEmbedder:
         return self.inner.embed_batch(texts)
 
 
-def test_relationship_step_embeds_once_and_scans_once():
+def test_relationship_step_embeds_once_and_scans_once(monkeypatch):
     graph, index, rules = taylor_fixture()
     embedder = CountingEmbedder()
     engine = CoEngine(graph, EmbeddingIndex(index.entries, index.matrix, embedder), ScriptedProvider(rules))
@@ -365,10 +366,11 @@ def test_relationship_step_embeds_once_and_scans_once():
     engine.explore_nodes(state, ExplorationStep(1, NODE, _STEP1), TAYLOR_QUESTION)
     embedder.calls.clear()
     reads = Counter()
-    for name in ("label_groups", "neighbors"):
-        method = getattr(graph, name)
-        setattr(graph, name, lambda *args, _name=name, _method=method, **kwargs:
-                reads.update([_name]) or _method(*args, **kwargs))
+    label_groups, edges = graph.label_groups, KnowledgeGraph.edges
+    monkeypatch.setattr(graph, "label_groups", lambda *args: reads.update(["label_groups"])
+                        or label_groups(*args))
+    monkeypatch.setattr(KnowledgeGraph, "edges", property(
+        lambda self: reads.update(["edges"]) or edges.fget(self)))
     engine.explore_relationships(state, ExplorationStep(2, REL, _STEP2), TAYLOR_QUESTION)
     assert len(state.current_nodes) == 3
     assert embedder.calls == Counter(embed=1)

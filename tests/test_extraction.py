@@ -178,6 +178,20 @@ def test_extract_and_store_drops_reserved_predicates():
     assert graph.find_node("c") is not None
 
 
+def test_extract_and_store_reports_refused_triples():
+    graph = KnowledgeGraph()
+    provider = scripted((SENTENCE, "(A\ud800)-[r]->(B)\n(C)-[s]->(D)\n(E)-[_subject]->(F)"))
+    report = extract_and_store(graph, provider, "doc", SENTENCE)
+    assert report.triples_extracted == 3
+    assert report.triples_upserted == 1
+    assert report.parse_errors == []
+    assert [(r["doc_id"], r["chunk_seq"]) for r in report.rejected] == [("doc", 0), ("doc", 0)]
+    assert "surrogates not allowed" in report.rejected[0]["message"]
+    assert report.rejected[1]["message"] == "predicate '_subject' is reserved for structural edges"
+    assert report.to_dict()["rejected"] == report.rejected
+    assert [node.label for node in graph.nodes] == ["C", "D"]
+
+
 def test_extract_and_store_empty_response():
     graph = KnowledgeGraph()
     provider = scripted((SENTENCE, ""))
@@ -205,11 +219,13 @@ def test_provider_failure_halts_with_partial_report():
 def test_report_merge_accumulates():
     from kgrag import ExtractionReport
     a = ExtractionReport(chunks_processed=1, triples_extracted=2,
-                         triples_upserted=2, parse_errors=[{"line": 1}])
+                         triples_upserted=2, parse_errors=[{"line": 1}],
+                         rejected=[{"message": "first"}])
     b = ExtractionReport(chunks_processed=2, triples_extracted=3,
-                         triples_upserted=0, parse_errors=[])
+                         triples_upserted=0, parse_errors=[], rejected=[{"message": "second"}])
     a.merge(b)
     assert a.chunks_processed == 3
     assert a.triples_extracted == 5
     assert a.triples_upserted == 2
     assert a.to_dict()["parse_errors"] == [{"line": 1}]
+    assert a.to_dict()["rejected"] == [{"message": "first"}, {"message": "second"}]
