@@ -36,9 +36,7 @@ from .explore import (
     TraceRecorder,
     TraversalState,
     Verdict,
-    assemble_chains,
     parse_plan,
-    run_coe,
 )
 from .extraction import (
     ExtractionHalted,

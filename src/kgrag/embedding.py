@@ -170,20 +170,28 @@ class IndexEntry:
 
 
 class EmbeddingIndex:
-    """Exact-scan dot-product search over ``matrix`` (one row per entry,
-    used as given). Ties break by canonical text ascending, then entry order.
+    """Exact-scan dot-product search over ``matrix``, one row per entry,
+    held column-major (Fortran order) so that each vector component's
+    values over all entries lie in one contiguous line. A Fortran-ordered
+    matrix is used as given; another is copied once into that order. Ties
+    break by canonical text ascending, then entry order.
 
-    Each search is one matrix-vector product (over every entry, or over only
-    the rows of the requested ref_ids), a partition that finds the k-th best
-    score among the wanted rows, and a sort of only the rows scoring at least
-    that much (the top k and any ties with them).
+    A row's score is the sum of the query's non-zero components times the
+    row's, added left to right in ascending component order; a query with
+    no non-zero component scores every row 0.0. So a row scores the same to
+    the bit whichever rows are scored with it, and identical vectors tie.
+    Each search reads the line of each of the query's non-zero components
+    once: all of it, or only the values of the rows of the requested
+    ref_ids. Then a partition finds the k-th best score among the wanted
+    rows, and only the rows scoring at least that much (the top k and any
+    ties with them) are sorted.
     """
 
     def __init__(self, entries: Sequence[IndexEntry], matrix: np.ndarray, embedder: Embedder):
         self.entries = list(entries)
         if matrix.ndim != 2 or len(matrix) != len(self.entries):
             raise ValueError(f"matrix of shape {matrix.shape} for {len(self.entries)} entries")
-        self.matrix = matrix
+        self.matrix = np.asfortranarray(matrix)
         self.embedder = embedder
         self._entry_kinds = np.array([e.kind for e in self.entries], dtype=str)
         # Ascending row numbers, and the rows of each ref_id, for each
@@ -235,9 +243,24 @@ class EmbeddingIndex:
         if query.shape != self.matrix.shape[1:]:
             raise StaleIndexError(f"query vector of shape {query.shape} does not fit "
                                   f"the index's dim {self.matrix.shape[1]}")
-        # A few named rows are gathered before the product; a whole kind is
-        # scored in place, without copying the matrix.
-        scores = (self.matrix @ query)[rows] if ref_ids is None else self.matrix[rows] @ query
+        components = np.flatnonzero(query)
+        weights = query[components]
+        # Both paths add each row's terms left to right in ascending
+        # component order. A whole kind is scored in place, one pass per
+        # component's line. For a few named rows, only their values of the
+        # query's components are gathered, and one accumulate down the
+        # components adds the terms in that same order.
+        if not len(components):
+            scores = np.zeros(len(rows))
+        elif ref_ids is None:
+            lines = self.matrix.T
+            scores = lines[components[0]] * weights[0]
+            for component, weight in zip(components[1:].tolist(), weights[1:].tolist()):
+                scores += lines[component] * weight
+            scores = scores[rows]
+        else:
+            block = self.matrix.ravel("F").take(components[:, None] * len(self.entries) + rows)
+            scores = np.add.accumulate(block * weights[:, None], axis=0)[-1]
         cut = max(len(scores) - k, 0)
         picked = np.flatnonzero(scores >= np.partition(scores, cut)[cut])
         # ``sorted`` is stable and the rows ascend, so equal (score, canonical)
@@ -280,7 +303,7 @@ def index_graph(graph: KnowledgeGraph, embedder: Embedder) -> EmbeddingIndex:
             exc.entries_built = start  # type: ignore[attr-defined]
             raise
         if not start:
-            matrix = np.empty((len(planned), vectors.shape[1]))
+            matrix = np.empty((len(planned), vectors.shape[1]), order="F")
         matrix[start:start + batch] = vectors
     return EmbeddingIndex([IndexEntry(*row) for row in planned], matrix, embedder)
 
@@ -427,6 +450,6 @@ def load_index(source, embedder: Embedder) -> EmbeddingIndex:
     with np.errstate(over="ignore"):
         norms = np.sqrt(np.bincount(row_of, weights=values * values, minlength=n))
     refuse(np.flatnonzero(np.abs(norms - 1.0) > 1e-6), "vector is not unit-norm")
-    matrix = np.zeros((n, dim))
+    matrix = np.zeros((n, dim), order="F")
     matrix[row_of, columns] = values
     return EmbeddingIndex(entries, matrix, embedder)

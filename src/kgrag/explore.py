@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 import logging
 import re
+import threading
 from dataclasses import dataclass, field
 from enum import Enum
 from itertools import islice
@@ -140,16 +141,20 @@ class Limits:
 
 
 class TraceRecorder:
-    """Collects run events; optionally mirrors them to a JSONL stream."""
+    """Collects run events; optionally mirrors them to a JSONL stream. Safe
+    to share between the threads of ``eval --jobs N``: each event is
+    appended and written whole, one at a time."""
 
     def __init__(self, stream=None):
         self.events: list[dict] = []
         self._stream = stream
+        self._lock = threading.Lock()
 
     def emit(self, event: dict) -> None:
-        self.events.append(event)
-        if self._stream is not None:
-            self._stream.write(json.dumps(event, ensure_ascii=False, sort_keys=True) + "\n")
+        with self._lock:
+            self.events.append(event)
+            if self._stream is not None:
+                self._stream.write(json.dumps(event, ensure_ascii=False, sort_keys=True) + "\n")
 
 
 class _DiscardingRecorder(TraceRecorder):
@@ -476,12 +481,6 @@ class CoEngine:
         return Failure()
 
 
-def assemble_chains(path: Sequence[PathElement],
-                    current_nodes: Sequence[str]) -> tuple[tuple[PathElement, ...], ...]:
-    """The first :data:`MAX_CHAINS` chains of :func:`iter_chains`."""
-    return tuple(islice(iter_chains(path, current_nodes), MAX_CHAINS))
-
-
 def iter_chains(path: Sequence[PathElement],
                 current_nodes: Sequence[str]) -> Iterator[tuple[PathElement, ...]]:
     """Connected chains from a step-1 node to a current node, using only the
@@ -544,10 +543,3 @@ def iter_chains(path: Sequence[PathElement],
             if hop.target in ends:
                 yield tuple(trail)
             pending.append(iter(adjacency.get(hop.target, ())))
-
-
-def run_coe(provider, graph: KnowledgeGraph, index: EmbeddingIndex, question: str,
-            limits: Limits | None = None,
-            trace: TraceRecorder | None = None) -> RetrievalResult:
-    """Convenience wrapper over :class:`CoEngine` for one-shot runs."""
-    return CoEngine(graph, index, provider, limits, trace).run(question)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -181,6 +182,38 @@ def test_eval_scores_dataset(tmp_path, capsys):
     assert report["skipped_lines"] == 1
     assert [row["id"] for row in report["per_example"]] == ["q01", "q02", "q03"]
     assert json.loads(out_path.read_text(encoding="utf-8")) == report
+
+
+def test_eval_trace_lines_stay_whole_under_jobs(tmp_path, capsys):
+    """The pool threads share one trace stream: at --jobs 4 every line is
+    one whole event, and the lines are those of --jobs 1 in another order."""
+    graph, index, rules, examples, absent = benchmark_fixture()
+    save_graph(graph, tmp_path / "graph.jsonl")
+    save_index(index, tmp_path / "index.bin")
+    save_script(rules, tmp_path / "script.jsonl")
+    dataset = tmp_path / "dataset.jsonl"
+    dataset.write_text("".join(
+        json.dumps({"id": f"{e.id}-{n}", "question": e.question,
+                    "answers": list(e.gold_answers)}) + "\n"
+        for n in range(40) for e in examples + absent), encoding="utf-8")
+    traces = []
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)   # switch threads often, so writes interleave
+    try:
+        for jobs in ("1", "4"):
+            trace_path = tmp_path / f"trace-{jobs}.jsonl"
+            assert main(["eval", str(dataset), "--jobs", jobs,
+                         "--graph", str(tmp_path / "graph.jsonl"),
+                         "--index", str(tmp_path / "index.bin"),
+                         "--script", str(tmp_path / "script.jsonl"),
+                         "--trace", str(trace_path)]) == 0
+            traces.append(trace_path.read_text(encoding="utf-8").splitlines())
+    finally:
+        sys.setswitchinterval(interval)
+    capsys.readouterr()
+    for line in traces[1]:
+        json.loads(line)
+    assert sorted(traces[1]) == sorted(traces[0])
 
 
 def _three_question_dataset(tmp_path):

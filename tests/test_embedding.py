@@ -212,6 +212,28 @@ _SMALL = HashingEmbedder(dim=8)
 
 _SEARCH_REFS = ["r0", "r1", "r2", "r3", "r4"]
 
+# A query text that ``_ZeroQueryEmbedder`` embeds to the zero vector.
+_ZERO_QUERY = "\x00"
+
+
+class _ZeroQueryEmbedder(HashingEmbedder):
+    """An embedder that, as a custom one may, gives a query vector with no
+    non-zero component."""
+
+    def embed(self, text: str) -> np.ndarray:
+        return np.zeros(self.dim) if text == _ZERO_QUERY else super().embed(text)
+
+
+def _left_sum(vector: np.ndarray, query: np.ndarray) -> float:
+    """A row's score as the index defines it: the query's non-zero
+    components times the row's, added left to right in ascending component
+    order; 0.0 when the query has none."""
+    total = None
+    for c in np.flatnonzero(query).tolist():
+        term = float(vector[c]) * float(query[c])
+        total = term if total is None else total + term
+    return 0.0 if total is None else total
+
 
 @st.composite
 def _tied_rows(draw) -> list[tuple]:
@@ -231,7 +253,7 @@ def _tied_rows(draw) -> list[tuple]:
 
 
 @settings(max_examples=300, deadline=None)
-@given(_tied_rows(), st.sampled_from(_SEARCH_BASES + ["abba"]),
+@given(_tied_rows(), st.sampled_from(_SEARCH_BASES + ["abba", _ZERO_QUERY]),
        st.one_of(st.none(), st.lists(st.sampled_from(_SEARCH_KINDS + ("unknown",)),
                                      max_size=4)),
        st.one_of(st.none(), st.lists(st.sampled_from(_SEARCH_REFS + ["unknown"]),
@@ -239,7 +261,8 @@ def _tied_rows(draw) -> list[tuple]:
        st.data())
 def test_search_matches_sorting_every_row(tied_rows, query, kinds, ref_ids, data):
     k = data.draw(st.integers(1, len(tied_rows) + 2), label="k")
-    index = _index(tied_rows, _SMALL)
+    embedder = _ZeroQueryEmbedder(dim=8)
+    index = _index(tied_rows, embedder)
     entries = index.entries
     # Oracle: keep the rows of the wanted kinds (and ref_ids), score them
     # all, sort them all.
@@ -252,16 +275,15 @@ def test_search_matches_sorting_every_row(tied_rows, query, kinds, ref_ids, data
             return
         rows = [i for i in rows if entries[i].ref_id in ref_ids]
     got = index.search(query, k, kinds=kinds, ref_ids=ref_ids)
-    # Only ref_id rows are multiplied on their own; their scores may differ
-    # in the last bit from those of the full product.
-    product_rows = range(len(entries)) if ref_ids is None else rows
-    scores = dict(zip(product_rows, (np.stack([tied_rows[i][3] for i in product_rows])
-                                     @ _SMALL.embed(query)).tolist())) if product_rows else {}
+    qv = embedder.embed(query)
+    scores = {i: _left_sum(tied_rows[i][3], qv) for i in rows}
     rows.sort(key=lambda i: (-scores[i], entries[i].canonical))
     assert [e for e, _ in got] == [entries[i] for i in rows[:k]]
+    whole_kind = dict(index.search(query, len(entries) + 1, kinds=kinds))
     for (entry, score), i in zip(got, rows):
-        assert score == pytest.approx(float(tied_rows[i][3] @ _SMALL.embed(query)), abs=1e-12)
+        assert score == pytest.approx(float(tied_rows[i][3] @ qv), abs=1e-12)
         assert score == scores[i]
+        assert score == whole_kind[entry]
 
 
 def test_search_ref_ids_restrict_within_kinds():
@@ -294,10 +316,13 @@ def test_index_refuses_a_matrix_without_one_row_per_entry():
 
 
 def test_index_searches_the_matrix_it_was_given():
+    entries = [IndexEntry("a", KIND_NODE, "alpha"), IndexEntry("b", KIND_NODE, "beta")]
     matrix = np.stack([_SMALL.embed("alpha"), _SMALL.embed("beta")])
-    index = EmbeddingIndex([IndexEntry("a", KIND_NODE, "alpha"),
-                            IndexEntry("b", KIND_NODE, "beta")], matrix, _SMALL)
-    assert index.matrix is matrix
+    fortran = np.asfortranarray(matrix)
+    assert EmbeddingIndex(entries, fortran, _SMALL).matrix is fortran
+    index = EmbeddingIndex(entries, matrix, _SMALL)
+    assert index.matrix.flags.f_contiguous
+    assert index.matrix.tobytes("C") == matrix.tobytes("C")
     assert [e.ref_id for e, _ in index.search("beta", k=1)] == ["b"]
 
 
