@@ -32,7 +32,14 @@ from .extraction import (
     ExtractionReport,
     extract_and_store,
 )
-from .graph import GraphFormatError, GraphIntegrityError, KnowledgeGraph, load_graph, save_graph
+from .graph import (
+    GraphFormatError,
+    GraphIntegrityError,
+    KnowledgeGraph,
+    _open_for_write,
+    load_graph,
+    save_graph,
+)
 from .llm import HttpChatProvider, ProviderError, ScriptedProvider
 from .metrics import evaluate_dataset, load_dataset
 
@@ -206,7 +213,8 @@ def cmd_eval(args) -> int:
         payload["skipped_lines"] = len(problems)
         text = json.dumps(payload, ensure_ascii=False, indent=2, sort_keys=True)
         if args.out:
-            Path(args.out).write_text(text + "\n", encoding="utf-8")
+            with _open_for_write(args.out) as f:
+                f.write(text + "\n")
         print(text)
         if report.errors:
             print(f"error: {report.errors} of {report.n} questions raised", file=sys.stderr)
@@ -226,6 +234,8 @@ def _check_numbers(args) -> None:
     """Refuse numeric options that no command can run with."""
     if args.topk < 1:
         raise ConfigError(f"--topk must be at least 1, not {args.topk}")
+    if args.command == "eval" and args.jobs < 1:
+        raise ConfigError(f"--jobs must be at least 1, not {args.jobs}")
     if args.command == "ingest":
         if args.overlap_chars < 0:
             raise ConfigError(f"--overlap-chars must not be negative, not {args.overlap_chars}")

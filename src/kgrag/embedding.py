@@ -36,16 +36,13 @@ KIND_HYPERNODE_ENTRY = "hypernode"
 KIND_RELATIONSHIP = "relationship_label"
 _ENTRY_KINDS = (KIND_NODE, KIND_HYPERNODE_ENTRY, KIND_RELATIONSHIP)
 
-NODE_KINDS = (KIND_NODE, KIND_HYPERNODE_ENTRY)
-
-
 INDEX_FORMAT = "kgrag-index/2"
 
 
-class IndexFormatError(Exception):
-    """A persisted index file is malformed. ``entry`` is the 1-based number
-    of the offending entry, or ``None`` for a fault in the header or in an
-    array as a whole."""
+class IndexFormatError(ValueError):
+    """An index's entries, or a persisted index file, are malformed.
+    ``entry`` is the 1-based number of the offending entry, or ``None`` for
+    a fault in the header or in an array as a whole."""
 
     def __init__(self, message: str, entry: int | None = None):
         self.entry = entry
@@ -53,9 +50,9 @@ class IndexFormatError(Exception):
 
 
 class StaleIndexError(ValueError):
-    """A search named a ref_id the index has no entry for, or embedded its
-    query to another width than the index's: the index was built from
-    another graph or embedder, or before the graph last changed."""
+    """A search named a relationship label the index has no entry for, or
+    embedded its query to another width than the index's: the index was
+    built from another graph or embedder, or before the graph last changed."""
 
 
 class Embedder(Protocol):
@@ -173,17 +170,20 @@ class EmbeddingIndex:
     """Exact-scan dot-product search over ``matrix``, one row per entry,
     held column-major (Fortran order) so that each vector component's
     values over all entries lie in one contiguous line. A Fortran-ordered
-    matrix is used as given; another is copied once into that order. Ties
-    break by canonical text ascending, then entry order.
+    matrix is used as given; another is copied once into that order. Each
+    relationship label has at most one entry.
 
-    A row's score is the sum of the query's non-zero components times the
-    row's, added left to right in ascending component order; a query with
-    no non-zero component scores every row 0.0. So a row scores the same to
-    the bit whichever rows are scored with it, and identical vectors tie.
-    Each search reads the line of each of the query's non-zero components
-    once: all of it, or only the values of the rows of the requested
-    ref_ids. Then a partition finds the k-th best score among the wanted
-    rows, and only the rows scoring at least that much (the top k and any
+    The index answers the two searches of a traversal: a node search ranks
+    the node and hypernode entries, and a label search ranks the entries of
+    the given relationship labels. Ties break by canonical text ascending,
+    then entry order. A row's score is the sum of the query's non-zero
+    components times the row's, added left to right in ascending component
+    order; a query with no non-zero component scores every row 0.0. So a
+    row scores the same to the bit whichever rows are scored with it, and
+    identical vectors tie. A search reads the line of each of the query's
+    non-zero components once: all of it for a node search, only the given
+    labels' values for a label search. Then a partition finds the k-th best
+    score, and only the rows scoring at least that much (the top k and any
     ties with them) are sorted.
     """
 
@@ -193,50 +193,36 @@ class EmbeddingIndex:
             raise ValueError(f"matrix of shape {matrix.shape} for {len(self.entries)} entries")
         self.matrix = np.asfortranarray(matrix)
         self.embedder = embedder
-        self._entry_kinds = np.array([e.kind for e in self.entries], dtype=str)
-        # Ascending row numbers, and the rows of each ref_id, for each
-        # requested set of kinds. ``eval --jobs N`` threads fill these
-        # without a lock. That is safe in CPython: each value is built
-        # whole before one dict store publishes it, so a reader sees the
-        # finished value or none, and the worst case is two threads
-        # building the same value. Built lazily, so start-up pays nothing.
-        self._rows_by_kinds: dict[frozenset[str], np.ndarray] = {}
-        self._rows_by_ref: dict[frozenset[str], dict[str, list[int]]] = {}
+        node_rows: list[int] = []
+        self._label_rows: dict[str, int] = {}
+        for row, entry in enumerate(self.entries):
+            if entry.kind != KIND_RELATIONSHIP:
+                node_rows.append(row)
+            elif self._label_rows.setdefault(entry.ref_id, row) != row:
+                raise IndexFormatError(f"second entry for relationship label "
+                                       f"{entry.ref_id!r}", row + 1)
+        self._node_rows = np.array(node_rows, dtype=np.intp)
 
     def __len__(self) -> int:
         return len(self.entries)
 
-    def _rows(self, key: frozenset[str]) -> np.ndarray:
-        rows = self._rows_by_kinds.get(key)
-        if rows is None:
-            rows = np.flatnonzero(np.isin(self._entry_kinds, list(key)))
-            self._rows_by_kinds[key] = rows
-        return rows
-
-    def _ref_rows(self, key: frozenset[str], ref_ids: Iterable[str]) -> np.ndarray:
-        by_ref = self._rows_by_ref.get(key)
-        if by_ref is None:
-            by_ref = {}
-            for row in self._rows(key).tolist():
-                by_ref.setdefault(self.entries[row].ref_id, []).append(row)
-            self._rows_by_ref[key] = by_ref
-        try:
-            rows = sorted(row for ref_id in set(ref_ids) for row in by_ref[ref_id])
-        except KeyError as exc:
-            raise StaleIndexError(f"no index entry of kinds {sorted(key)} "
-                                  f"for ref_id {exc.args[0]!r}") from None
-        return np.array(rows, dtype=np.intp)
-
-    def search(self, query_text: str, k: int, kinds: Iterable[str] | None = None,
-               ref_ids: Iterable[str] | None = None) -> list[tuple[IndexEntry, float]]:
-        """Top k entries of the wanted kinds; with ``ref_ids``, only among
-        the entries of those ref_ids. A ref_id with no entry of the wanted
-        kinds, or a query vector of another width than the matrix's, raises
+    def search(self, query_text: str, k: int,
+               labels: Iterable[str] | None = None) -> list[tuple[IndexEntry, float]]:
+        """Top k node and hypernode entries; with ``labels``, the top k of
+        those relationship labels' entries instead. A label with no entry,
+        or a query vector of another width than the matrix's, raises
         :class:`StaleIndexError`."""
         if k < 1:
             raise ValueError("k must be at least 1")
-        key = frozenset(_ENTRY_KINDS if kinds is None else kinds).intersection(_ENTRY_KINDS)
-        rows = self._rows(key) if ref_ids is None else self._ref_rows(key, ref_ids)
+        if labels is None:
+            rows = self._node_rows
+        else:
+            try:
+                rows = np.array(sorted({self._label_rows[label] for label in labels}),
+                                dtype=np.intp)
+            except KeyError as exc:
+                raise StaleIndexError(f"no index entry for relationship label "
+                                      f"{exc.args[0]!r}") from None
         if len(rows) == 0:
             return []
         query = self.embedder.embed(query_text)
@@ -246,13 +232,13 @@ class EmbeddingIndex:
         components = np.flatnonzero(query)
         weights = query[components]
         # Both paths add each row's terms left to right in ascending
-        # component order. A whole kind is scored in place, one pass per
-        # component's line. For a few named rows, only their values of the
-        # query's components are gathered, and one accumulate down the
-        # components adds the terms in that same order.
+        # component order. A node search scores every row in place, one
+        # pass per component's line. For a few labels' rows, only their
+        # values of the query's components are gathered, and one accumulate
+        # down the components adds the terms in that same order.
         if not len(components):
             scores = np.zeros(len(rows))
-        elif ref_ids is None:
+        elif labels is None:
             lines = self.matrix.T
             scores = lines[components[0]] * weights[0]
             for component, weight in zip(components[1:].tolist(), weights[1:].tolist()):

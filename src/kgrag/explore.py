@@ -18,7 +18,7 @@ from enum import Enum
 from itertools import islice
 from typing import Iterator, Sequence, Union
 
-from .embedding import KIND_RELATIONSHIP, NODE_KINDS, EmbeddingIndex, StaleIndexError
+from .embedding import EmbeddingIndex, StaleIndexError
 from .graph import EdgeRecord, KnowledgeGraph, UnknownNodeError
 from .llm import (
     TAG_EVALUATE,
@@ -233,19 +233,12 @@ def format_path_elements(elements: Sequence[PathElement]) -> str:
     return "\n".join(lines)
 
 
-def node_candidates(index: EmbeddingIndex, instruction: str, k: int):
-    """Node and hypernode entries ranked against a step instruction."""
-    return index.search(instruction, k, kinds=NODE_KINDS)
-
-
 def relationship_candidates(index: EmbeddingIndex, groups: dict[str, list[EdgeRecord]],
                             instruction: str, m: int) -> list[tuple[EdgeRecord, float]]:
     """The labels of ``groups``, as :meth:`KnowledgeGraph.label_groups`
     gives them, each shown as its group's first edge, ranked against a step
     instruction by the label's indexed vector and truncated to the top m."""
-    if not groups:
-        return []
-    ranked = index.search(instruction, m, kinds=(KIND_RELATIONSHIP,), ref_ids=groups)
+    ranked = index.search(instruction, m, labels=groups)
     return [(groups[entry.ref_id][0], score) for entry, score in ranked]
 
 
@@ -290,7 +283,7 @@ class CoEngine:
 
     def explore_nodes(self, state: TraversalState, step: ExplorationStep,
                       question: str) -> None:
-        results = node_candidates(self.index, step.instruction, self.limits.node_candidates)
+        results = self.index.search(step.instruction, self.limits.node_candidates)
         if not results:
             raise EmptySelection("vector search returned no node candidates")
         self.trace.emit({
@@ -409,6 +402,11 @@ class CoEngine:
                              "cause": f"stale index: {exc} (run index again)"})
             return Failure()
 
+    def _trace_plan(self, plan: ExplorationPlan, failed_tries: int) -> None:
+        self.trace.emit({"event": "plan", "failed_tries": failed_tries,
+                         "steps": [{"kind": s.kind.value, "instruction": s.instruction}
+                                   for s in plan.steps]})
+
     def _run(self, question: str) -> RetrievalResult:
         failed_tries = 0
         plan: ExplorationPlan | None = None
@@ -424,9 +422,7 @@ class CoEngine:
             self.trace.emit({"event": "result", "type": "failure",
                              "cause": "no usable plan"})
             return Failure()
-        self.trace.emit({"event": "plan", "failed_tries": failed_tries,
-                         "steps": [{"kind": s.kind.value, "instruction": s.instruction}
-                                   for s in plan.steps]})
+        self._trace_plan(plan, failed_tries)
 
         state = TraversalState(failed_tries=failed_tries)
         while state.current_step <= len(plan.steps) and state.failed_tries < MAX_FAILED_TRIES:
@@ -445,11 +441,7 @@ class CoEngine:
             if outcome.verdict is Verdict.NEEDS_REFINEMENT:
                 try:
                     plan = self.refine(plan, question, state)
-                    self.trace.emit({"event": "plan",
-                                     "failed_tries": state.failed_tries + 1,
-                                     "steps": [{"kind": s.kind.value,
-                                                "instruction": s.instruction}
-                                               for s in plan.steps]})
+                    self._trace_plan(plan, state.failed_tries + 1)
                 except PlanParseError as exc:
                     logger.warning("refinement produced no usable plan (%s); keeping "
                                    "the previous plan", exc)

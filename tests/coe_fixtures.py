@@ -20,7 +20,6 @@ from kgrag.embedding import EmbeddingIndex
 from kgrag.explore import (
     MAX_FAILED_TRIES,
     Limits,
-    node_candidates,
     relationship_candidates,
 )
 from kgrag.prompts import REFINE_PREAMBLE
@@ -69,7 +68,7 @@ def node_pick(index: EmbeddingIndex, instruction: str, wanted: list[str],
               k: int = LIMITS.node_candidates) -> str:
     """Ordinal reply selecting exactly the wanted labels among the live
     candidate listing for this instruction."""
-    results = node_candidates(index, instruction, k)
+    results = index.search(instruction, k)
     shown = [entry.text for entry, _ in results]
     picks = []
     for label in wanted:

@@ -211,26 +211,44 @@ def test_criterion_5_search_exactness():
         embedder = HashingEmbedder()
 
         labels, seen = [], set()
-        while len(labels) < 1000:
+        while len(labels) < 1300:
             label = "".join(rng.choice(alphabet) for _ in range(rng.randint(3, 12)))
             canonical = normalize_label(label)
             if canonical and canonical not in seen:
                 seen.add(canonical)
                 labels.append(label)
-        entries = [IndexEntry(f"n{i:04d}", "node", label) for i, label in enumerate(labels)]
+        # 1000 nodes, then 300 relationship labels keyed by their canonical.
+        entries = [IndexEntry(f"n{i:04d}", "node", label) for i, label in enumerate(labels[:1000])]
+        entries += [IndexEntry(normalize_label(label), "relationship_label", label)
+                    for label in labels[1000:]]
         matrix = np.stack([embedder.embed(label) for label in labels])
         index = EmbeddingIndex(entries, matrix, embedder)
+
+        def brute_force(query: str, k: int, rows: list[int]) -> list[tuple[str, float]]:
+            # Rank by the score as the index defines it, each row's terms
+            # added left to right in ascending component order; a BLAS
+            # product may round a near-tie the other way. Report the
+            # product's score, which the index's must match within 1e-12.
+            vector = embedder.embed(query)
+            exact = np.zeros(len(entries))
+            for c in np.flatnonzero(vector):
+                exact = exact + matrix[:, c] * vector[c]
+            scores = matrix @ vector
+            order = sorted(rows, key=lambda i: (-exact[i], entries[i].canonical))
+            return [(entries[i].ref_id, float(scores[i])) for i in order[:k]]
+
+        def check(got, want) -> None:
+            assert [e.ref_id for e, _ in got] == [ref_id for ref_id, _ in want]
+            for (_, got_score), (_, want_score) in zip(got, want):
+                assert abs(got_score - want_score) < 1e-12
 
         for _ in range(100):
             query = "".join(rng.choice(alphabet) for _ in range(rng.randint(2, 10)))
             k = rng.randint(1, 12)
-            got = index.search(query, k)
-            scores = matrix @ embedder.embed(query)
-            order = sorted(range(len(entries)),
-                           key=lambda i: (-scores[i], entries[i].canonical))
-            assert [e.ref_id for e, _ in got] == [entries[i].ref_id for i in order[:k]]
-            for (_, got_score), i in zip(got, order):
-                assert abs(got_score - float(scores[i])) < 1e-12
+            check(index.search(query, k), brute_force(query, k, list(range(1000))))
+            rows = rng.sample(range(1000, 1300), rng.randint(1, 300))
+            check(index.search(query, k, labels=[entries[i].ref_id for i in rows]),
+                  brute_force(query, k, sorted(rows)))
 
 
 # ------------------------------------------------------------ criterion 6

@@ -257,6 +257,46 @@ def test_eval_exits_1_when_a_question_raises(tmp_path, capsys, monkeypatch, jobs
         assert errors == {"q1": None, "q2": "RuntimeError: fault in answering", "q3": None}
 
 
+def test_interrupted_eval_report_write_leaves_the_previous_report(tmp_path, capsys,
+                                                                 monkeypatch):
+    import builtins
+
+    import kgrag.graph
+
+    out_path = tmp_path / "report.json"
+    argv = ["eval", _dataset(tmp_path), "--out", str(out_path)] + _query_args(tmp_path)
+    assert main(argv) == 0
+    previous = out_path.read_bytes()
+
+    class HalfWrite:
+        """A file that writes half of what it is given, then fails."""
+
+        def __init__(self, handle):
+            self.handle = handle
+
+        def write(self, text):
+            self.handle.write(text[:len(text) // 2])
+            raise OSError("No space left on device")
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.handle.close()
+
+    def open_for_half_writes(file, mode="r", *args, **kwargs):
+        handle = builtins.open(file, mode, *args, **kwargs)
+        return HalfWrite(handle) if "w" in mode else handle
+
+    monkeypatch.setattr(kgrag.graph, "open", open_for_half_writes, raising=False)
+    capsys.readouterr()
+    assert main(argv) == 1
+    assert capsys.readouterr().err == "error: No space left on device\n"
+    assert out_path.read_bytes() == previous
+    assert sorted(p.name for p in tmp_path.iterdir()) == \
+        ["dataset.jsonl", "graph.jsonl", "index.bin", "report.json", "script.jsonl"]
+
+
 def test_eval_report_bytes_do_not_depend_on_jobs(tmp_path, capsys, monkeypatch):
     import kgrag.cli
 
@@ -574,6 +614,19 @@ def _truncated_index(tmp_path):
     return argv
 
 
+def _index_with_a_duplicate_label(tmp_path):
+    """``eval`` with an index whose last relationship entry carries the
+    label of the one before it."""
+    argv = ["eval", _dataset(tmp_path)] + _query_args(tmp_path)
+    index_path = Path(argv[argv.index("--index") + 1])
+    header_line, arrays = index_path.read_bytes().split(b"\n", 1)
+    header = json.loads(header_line)
+    labels = [row for row in header["entries"] if row[1] == "relationship_label"]
+    labels[-1][0] = labels[-2][0]
+    index_path.write_bytes(json.dumps(header).encode("utf-8") + b"\n" + arrays)
+    return argv
+
+
 def _malformed_script(tmp_path):
     paths = _query_args(tmp_path)[:4]
     script = tmp_path / "bad-script.jsonl"
@@ -593,6 +646,8 @@ def _script_with_a_number_substring(tmp_path):
 BAD_INPUTS = {
     "query-topk-0": lambda tmp: ["query", TAYLOR_QUESTION, "--topk", "0"] + _query_args(tmp),
     "eval-topk-0": lambda tmp: ["eval", _dataset(tmp), "--topk", "0"] + _query_args(tmp),
+    "eval-jobs-0": lambda tmp: ["eval", _dataset(tmp), "--jobs", "0"] + _query_args(tmp),
+    "eval-jobs-negative": lambda tmp: ["eval", _dataset(tmp), "--jobs", "-2"] + _query_args(tmp),
     "ingest-chunk-0": lambda tmp: ["ingest", "--chunk-chars", "0"] + _ingest_args(tmp),
     "ingest-negative-overlap": lambda tmp: ["ingest", "--overlap-chars", "-1"]
     + _ingest_args(tmp),
@@ -609,6 +664,7 @@ BAD_INPUTS = {
     "non-utf8-index": lambda tmp: ["query", TAYLOR_QUESTION] + _query_args(tmp)[:2]
     + ["--index", _non_utf8(tmp / "bad-index.bin"), "--script", str(tmp / "script.jsonl")],
     "truncated-index": _truncated_index,
+    "index-duplicate-label": _index_with_a_duplicate_label,
     "graph-fails-audit": _graph_without_subject_edge,
     "graph-duplicate-edge-id": _graph_with_duplicate_edge_id,
     "graph-wrong-edge-id": _graph_with_wrong_edge_id,
@@ -621,6 +677,7 @@ BAD_INPUTS = {
 # What the one error line must name: the bad option or file.
 BAD_INPUT_NAMES = {
     "query-topk-0": "--topk", "eval-topk-0": "--topk", "ingest-chunk-0": "--chunk-chars",
+    "eval-jobs-0": "--jobs", "eval-jobs-negative": "--jobs",
     "ingest-negative-overlap": "--overlap-chars",
     "ingest-chunk-not-above-overlap": "--chunk-chars", "malformed-script": "bad-script.jsonl",
     "script-number-substring": "bad-script.jsonl",
@@ -628,7 +685,8 @@ BAD_INPUT_NAMES = {
     "non-utf8-graph": "graph.jsonl", "non-utf8-index": "bad-index.bin",
     "graph-fails-audit": "graph.jsonl", "graph-duplicate-edge-id": "graph.jsonl",
     "graph-wrong-edge-id": "graph.jsonl", "graph-string-structural-flag": "graph.jsonl",
-    "truncated-index": "index.bin", "index-graph-lone-surrogate": "graph.jsonl",
+    "truncated-index": "index.bin", "index-duplicate-label": "index.bin",
+    "index-graph-lone-surrogate": "graph.jsonl",
     "query-graph-lone-surrogate": "graph.jsonl", "eval-graph-lone-surrogate": "graph.jsonl",
 }
 
@@ -653,6 +711,7 @@ def test_bad_input_ends_in_one_error_line(tmp_path, capsys, case):
     ("graph-wrong-edge-id", "id is not the hash of its content"),
     ("graph-string-structural-flag", "field 'structural' is not a boolean"),
     ("truncated-index", "values array is truncated"),
+    ("index-duplicate-label", ": second entry for relationship label "),
     ("index-graph-lone-surrogate", "line 1: field 'canonical' holds a lone surrogate"),
     ("script-number-substring",
      "bad script rule on line 1: field 'match_substring' is not a string"),

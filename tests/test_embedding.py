@@ -34,7 +34,6 @@ from kgrag.embedding import (
     KIND_HYPERNODE_ENTRY,
     KIND_NODE,
     KIND_RELATIONSHIP,
-    NODE_KINDS,
 )
 from kgrag.llm import RETRY_BASE_DELAY_S
 from http_stub import stub_server
@@ -139,16 +138,16 @@ def test_search_returns_scored_entries():
 
 def test_search_kind_filter():
     index = index_graph(sample_graph(), EMBEDDER)
-    only_nodes = index.search("created", k=10, kinds=NODE_KINDS)
-    assert all(e.kind in NODE_KINDS for e, _ in only_nodes)
-    only_rels = index.search("created", k=10, kinds=[KIND_RELATIONSHIP])
+    only_nodes = index.search("created", k=10)
+    assert sorted(e.kind for e, _ in only_nodes) == ["hypernode", "node", "node", "node"]
+    only_rels = index.search("created", k=10, labels=["in", "is creator of", "created"])
     assert only_rels[0][0].text == "created"
-    assert index.search("created", k=5, kinds=["no_such_kind"]) == []
+    assert {e.kind for e, _ in only_rels} == {KIND_RELATIONSHIP}
 
 
 def test_search_k_bounds():
     index = index_graph(sample_graph(), EMBEDDER)
-    assert len(index.search("anything", k=100)) == len(index)
+    assert len(index.search("anything", k=100)) == 4
     assert len(index.search("anything", k=1)) == 1
     with pytest.raises(ValueError):
         index.search("anything", k=0)
@@ -210,10 +209,9 @@ _SEARCH_KINDS = (KIND_NODE, KIND_HYPERNODE_ENTRY, KIND_RELATIONSHIP)
 _SMALL = HashingEmbedder(dim=8)
 
 
-_SEARCH_REFS = ["r0", "r1", "r2", "r3", "r4"]
-
 # A query text that ``_ZeroQueryEmbedder`` embeds to the zero vector.
 _ZERO_QUERY = "\x00"
+_SEARCH_QUERIES = _SEARCH_BASES + ["abba", _ZERO_QUERY]
 
 
 class _ZeroQueryEmbedder(HashingEmbedder):
@@ -239,73 +237,98 @@ def _left_sum(vector: np.ndarray, query: np.ndarray) -> float:
 def _tied_rows(draw) -> list[tuple]:
     """Groups of ``(ref_id, kind, text, vector)`` rows sharing one vector
     under distinct labels; labels from a tiny alphabet, so canonical texts
-    also collide across groups. Ref_ids come from a small pool, so one
-    ref_id can name several rows of several kinds."""
+    also collide across groups. Each row has its own ref_id, as each
+    relationship label has one entry."""
     labels = st.text(alphabet="abAB ", min_size=1, max_size=3).filter(str.strip)
     rows = []
     for base in draw(st.lists(st.sampled_from(_SEARCH_BASES), max_size=8)):
         vector = _SMALL.embed(base)
         for label in draw(st.lists(labels, min_size=1, max_size=4, unique=True)):
             kind = draw(st.sampled_from(_SEARCH_KINDS))
-            ref_id = draw(st.sampled_from(_SEARCH_REFS))
-            rows.append((ref_id, kind, label, vector))
+            rows.append((f"r{len(rows)}", kind, label, vector))
     return rows
 
 
-@settings(max_examples=300, deadline=None)
-@given(_tied_rows(), st.sampled_from(_SEARCH_BASES + ["abba", _ZERO_QUERY]),
-       st.one_of(st.none(), st.lists(st.sampled_from(_SEARCH_KINDS + ("unknown",)),
-                                     max_size=4)),
-       st.one_of(st.none(), st.lists(st.sampled_from(_SEARCH_REFS + ["unknown"]),
-                                     max_size=4)),
-       st.data())
-def test_search_matches_sorting_every_row(tied_rows, query, kinds, ref_ids, data):
-    k = data.draw(st.integers(1, len(tied_rows) + 2), label="k")
-    embedder = _ZeroQueryEmbedder(dim=8)
-    index = _index(tied_rows, embedder)
+def _check_ranking(index, tied_rows, query, k, rows, got, whole) -> None:
+    """``got``, a search's top k among ``rows``, against scoring them all
+    and sorting them all. ``whole``, the same search over more rows, must
+    give each entry the same score to the bit."""
     entries = index.entries
-    # Oracle: keep the rows of the wanted kinds (and ref_ids), score them
-    # all, sort them all.
-    wanted = set(_SEARCH_KINDS) if kinds is None else set(kinds)
-    rows = [i for i, e in enumerate(entries) if e.kind in wanted]
-    if ref_ids is not None:
-        if not set(ref_ids) <= {entries[i].ref_id for i in rows}:
-            with pytest.raises(ValueError, match="ref_id"):
-                index.search(query, k, kinds=kinds, ref_ids=ref_ids)
-            return
-        rows = [i for i in rows if entries[i].ref_id in ref_ids]
-    got = index.search(query, k, kinds=kinds, ref_ids=ref_ids)
-    qv = embedder.embed(query)
+    qv = index.embedder.embed(query)
     scores = {i: _left_sum(tied_rows[i][3], qv) for i in rows}
-    rows.sort(key=lambda i: (-scores[i], entries[i].canonical))
+    rows = sorted(rows, key=lambda i: (-scores[i], entries[i].canonical))
     assert [e for e, _ in got] == [entries[i] for i in rows[:k]]
-    whole_kind = dict(index.search(query, len(entries) + 1, kinds=kinds))
     for (entry, score), i in zip(got, rows):
         assert score == pytest.approx(float(tied_rows[i][3] @ qv), abs=1e-12)
         assert score == scores[i]
-        assert score == whole_kind[entry]
+        assert score == whole[entry]
 
 
-def test_search_ref_ids_restrict_within_kinds():
+@settings(max_examples=300, deadline=None)
+@given(_tied_rows(), st.sampled_from(_SEARCH_QUERIES), st.data())
+def test_search_matches_sorting_every_row(tied_rows, query, data):
+    k = data.draw(st.integers(1, len(tied_rows) + 2), label="k")
+    index = _index(tied_rows, _ZeroQueryEmbedder(dim=8))
+    rows = [i for i, row in enumerate(tied_rows) if row[1] != KIND_RELATIONSHIP]
+    got = index.search(query, k)
+    whole = dict(index.search(query, len(tied_rows) + 1))
+    _check_ranking(index, tied_rows, query, k, rows, got, whole)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_tied_rows(), st.sampled_from(_SEARCH_QUERIES), st.data())
+def test_label_search_matches_sorting_every_row(tied_rows, query, data):
+    index = _index(tied_rows, _ZeroQueryEmbedder(dim=8))
+    label_rows = {row[0]: i for i, row in enumerate(tied_rows) if row[1] == KIND_RELATIONSHIP}
+    labels = data.draw(st.lists(st.sampled_from(sorted(label_rows)), min_size=1, max_size=6)
+                       if label_rows else st.just([]), label="labels")
+    if data.draw(st.integers(0, 3), label="stray") == 0:
+        # A node's id is not a label: the search refuses it as it refuses "unknown".
+        stray = data.draw(st.sampled_from([row[0] for row in tied_rows] + ["unknown"]))
+        labels.insert(data.draw(st.integers(0, len(labels)), label="at"), stray)
+    k = data.draw(st.integers(1, len(set(labels)) + 1), label="k")
+    if not set(labels) <= label_rows.keys():
+        with pytest.raises(StaleIndexError, match="no index entry for relationship label"):
+            index.search(query, k, labels=labels)
+        return
+    got = index.search(query, k, labels=labels)
+    whole = dict(index.search(query, len(tied_rows) + 1, labels=label_rows))
+    rows = sorted({label_rows[label] for label in labels})
+    _check_ranking(index, tied_rows, query, k, rows, got, whole)
+
+
+def test_label_search_ranks_only_the_given_labels():
     index = index_graph(sample_graph(), EMBEDDER)
-    got = index.search("created", k=10, kinds=[KIND_RELATIONSHIP], ref_ids=["in", "created"])
+    got = index.search("created", k=10, labels=["in", "created"])
     assert [e.text for e, _ in got] == ["created", "in"]
-    assert index.search("created", k=10, kinds=[KIND_RELATIONSHIP], ref_ids=[]) == []
+    assert index.search("created", k=10, labels=["in", "in"]) == got[1:]
+    assert index.search("created", k=10, labels=[]) == []
     node_id = next(e.ref_id for e in index.entries if e.kind == KIND_NODE)
-    with pytest.raises(ValueError, match="ref_id"):
-        index.search("created", k=10, kinds=[KIND_RELATIONSHIP], ref_ids=[node_id])
-    with pytest.raises(ValueError, match="ref_id"):
-        index.search("created", k=10, kinds=[KIND_RELATIONSHIP], ref_ids=["is created of"])
+    with pytest.raises(StaleIndexError, match=repr(node_id)):
+        index.search("created", k=10, labels=[node_id])
+    with pytest.raises(StaleIndexError, match="'is created of'"):
+        index.search("created", k=10, labels=["created", "is created of"])
 
 
-def test_search_ref_ids_ties_keep_entry_order():
+def test_label_search_ties_keep_entry_order():
     small = HashingEmbedder(dim=8)
     vector = small.embed("same")
-    index = _index([(f"r{i}", KIND_RELATIONSHIP, text, vector)
-                    for i, text in enumerate(["same", "SAME", "Same", "sAme", "saMe", "samE"])],
+    texts = ["same", "SAME", "Same", "sAme", "saMe", "samE"] * 3
+    index = _index([(f"r{i}", KIND_RELATIONSHIP, text, vector) for i, text in enumerate(texts)],
                    small)
-    got = index.search("same", k=6, ref_ids=[f"r{i}" for i in reversed(range(6))])
-    assert [e.ref_id for e, _ in got] == [f"r{i}" for i in range(6)]
+    # Rows 16 and 14 lie in a Python set in that order.
+    for rows in (list(reversed(range(6))), [16, 14], [17, 9, 1]):
+        got = index.search("same", k=6, labels=[f"r{i}" for i in rows])
+        assert [e.ref_id for e, _ in got] == [f"r{i}" for i in sorted(rows)]
+
+
+def test_index_refuses_a_second_entry_for_one_label():
+    entries = [IndexEntry("in", KIND_RELATIONSHIP, "in"), IndexEntry("n1", KIND_NODE, "in"),
+               IndexEntry("in", KIND_RELATIONSHIP, "IN")]
+    matrix = np.stack([_SMALL.embed(e.text) for e in entries])
+    with pytest.raises(ValueError, match="entry 3: second entry for relationship label 'in'"):
+        EmbeddingIndex(entries, matrix, _SMALL)
+    assert len(EmbeddingIndex(entries[:2], matrix[:2], _SMALL)) == 2
 
 
 def test_index_refuses_a_matrix_without_one_row_per_entry():
@@ -332,7 +355,7 @@ def test_search_refuses_a_query_of_another_width():
     with pytest.raises(StaleIndexError, match=r"shape \(4,\) .* dim 8"):
         other.search("Family Guy", k=3)
     with pytest.raises(StaleIndexError):
-        other.search("created", k=3, kinds=[KIND_RELATIONSHIP], ref_ids=["created"])
+        other.search("created", k=3, labels=["created"])
 
 
 def test_empty_index_searches_empty():
@@ -568,6 +591,15 @@ def test_load_rejects_non_unit_vector():
     with pytest.raises(IndexFormatError, match="unit") as exc_info:
         _load_bytes(_index_file([_row(columns=[0, 1], values=[1.0, 1.0])]))
     assert exc_info.value.entry == 1
+
+
+def test_load_refuses_a_second_entry_for_one_label():
+    label = _row("in", kind=KIND_RELATIONSHIP)
+    with pytest.raises(IndexFormatError,
+                       match="second entry for relationship label 'in'") as exc_info:
+        _load_bytes(_index_file([label, _row("g1"), label]))
+    assert exc_info.value.entry == 3
+    assert len(_load_bytes(_index_file([label, _row("in")]))) == 2
 
 
 def test_load_rejects_unknown_kind():

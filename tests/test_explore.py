@@ -52,7 +52,6 @@ from kgrag.explore import (
     Verdict,
     format_path_elements,
     iter_chains,
-    node_candidates,
     parse_ordinals,
     parse_plan,
     parse_verdict,
@@ -161,7 +160,7 @@ def test_format_path_elements():
 
 def test_node_candidates_rank_matching_label_first():
     graph, index, _ = taylor_fixture()
-    results = node_candidates(index, _STEP1, 10)
+    results = index.search(_STEP1, 10)
     assert results[0][0].text == "Elizabeth Taylor"
     assert len(results) == 10
     assert all(entry.kind in ("node", "hypernode") for entry, _ in results)
