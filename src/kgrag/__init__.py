@@ -67,11 +67,9 @@ from .llm import (
     LmRequest,
     LmResponse,
     ProviderError,
-    RecordingProvider,
     ScriptMiss,
     ScriptRule,
     ScriptedProvider,
-    read_transcript,
     save_script,
 )
 from .metrics import (

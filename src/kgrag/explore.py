@@ -141,9 +141,10 @@ class Limits:
 
 
 class TraceRecorder:
-    """Collects run events; optionally mirrors them to a JSONL stream. Safe
-    to share between the threads of ``eval --jobs N``: each event is
-    appended and written whole, one at a time."""
+    """Collects run events in ``events``, or, given a stream, writes each as
+    one JSONL line and keeps none, so a long ``eval --trace`` holds no events
+    in memory. Safe to share between the threads of ``eval --jobs N``: each
+    event is kept or written whole, one at a time."""
 
     def __init__(self, stream=None):
         self.events: list[dict] = []
@@ -152,8 +153,9 @@ class TraceRecorder:
 
     def emit(self, event: dict) -> None:
         with self._lock:
-            self.events.append(event)
-            if self._stream is not None:
+            if self._stream is None:
+                self.events.append(event)
+            else:
                 self._stream.write(json.dumps(event, ensure_ascii=False, sort_keys=True) + "\n")
 
 
@@ -254,30 +256,47 @@ class CoEngine:
         self.limits = limits or Limits()
         self.trace = trace if trace is not None else _DiscardingRecorder()
 
+    # ------------------------------------------------------ asking the model
+
+    def _ask(self, tag: str, system: str, user: str) -> str:
+        """The model's reply to one system + user request; every request the
+        engine sends is built here."""
+        request = LmRequest([ChatMessage("system", system), ChatMessage("user", user)],
+                            tag=tag)
+        return self.provider.complete(request).content
+
+    def _select(self, tag: str, system: str, step: ExplorationStep, question: str,
+                candidate_texts: Sequence[str], what: str) -> list[int]:
+        """0-based positions of the candidates the model picks from the
+        numbered listing, in reply order; no pick raises EmptySelection."""
+        listing = "\n".join(f"{i}. {text}" for i, text in enumerate(candidate_texts, 1))
+        reply = self._ask(tag, system, f"Question: {question}\nStep: {step.instruction}\n"
+                                       f"Candidates:\n{listing}")
+        picks = parse_ordinals(reply, len(candidate_texts))
+        if not picks:
+            raise EmptySelection(f"model selected no {what}")
+        return [i - 1 for i in picks]
+
+    def _cut(self, items: list, what: str) -> list:
+        """At most ``max_current_nodes`` of ``items``, warning when some go."""
+        limit = self.limits.max_current_nodes
+        if len(items) > limit:
+            logger.warning("truncating %s from %d to %d", what, len(items), limit)
+        return items[:limit]
+
     # ------------------------------------------------------------ planning
 
     def plan(self, question: str) -> ExplorationPlan:
-        request = LmRequest(
-            [ChatMessage("system", PLAN_SYSTEM + "\n" + PLAN_EXAMPLES),
-             ChatMessage("user", f"Question: {question}")],
-            tag=TAG_PLAN,
-        )
-        response = self.provider.complete(request)
-        return parse_plan(response.content)
+        return parse_plan(self._ask(TAG_PLAN, PLAN_SYSTEM + "\n" + PLAN_EXAMPLES,
+                                    f"Question: {question}"))
 
     def refine(self, plan: ExplorationPlan, question: str,
                state: TraversalState) -> ExplorationPlan:
         path_text = format_path_elements(state.path_traveled) or "(nothing traveled)"
-        request = LmRequest(
-            [ChatMessage("system", PLAN_SYSTEM),
-             ChatMessage("user",
-                         f"{REFINE_PREAMBLE}\n\nQuestion: {question}\n"
-                         f"Failed plan:\n{plan.text()}\n"
-                         f"Path traveled before failing:\n{path_text}")],
-            tag=TAG_PLAN,
-        )
-        response = self.provider.complete(request)
-        return parse_plan(response.content)
+        return parse_plan(self._ask(TAG_PLAN, PLAN_SYSTEM,
+                                    f"{REFINE_PREAMBLE}\n\nQuestion: {question}\n"
+                                    f"Failed plan:\n{plan.text()}\n"
+                                    f"Path traveled before failing:\n{path_text}"))
 
     # ------------------------------------------------------- exploration
 
@@ -290,23 +309,9 @@ class CoEngine:
             "event": "node_candidates", "step": step.ordinal,
             "candidates": [{"label": e.text, "score": round(s, 6)} for e, s in results],
         })
-        listing = "\n".join(f"{i}. {entry.text}" for i, (entry, _) in enumerate(results, 1))
-        request = LmRequest(
-            [ChatMessage("system", SELECT_NODES_SYSTEM),
-             ChatMessage("user",
-                         f"Question: {question}\nStep: {step.instruction}\n"
-                         f"Candidates:\n{listing}")],
-            tag=TAG_SELECT_NODES,
-        )
-        response = self.provider.complete(request)
-        picks = parse_ordinals(response.content, len(results))
-        if not picks:
-            raise EmptySelection("model selected no node candidates")
-        selected = [results[i - 1][0] for i in picks]
-        if len(selected) > self.limits.max_current_nodes:
-            logger.warning("truncating node selection from %d to %d",
-                           len(selected), self.limits.max_current_nodes)
-            selected = selected[: self.limits.max_current_nodes]
+        picks = self._select(TAG_SELECT_NODES, SELECT_NODES_SYSTEM, step, question,
+                             [entry.text for entry, _ in results], "node candidates")
+        selected = self._cut([results[i][0] for i in picks], "node selection")
         state.current_nodes = [entry.ref_id for entry in selected]
         state.path_traveled.extend(NodeElement(e.ref_id, e.text) for e in selected)
         self.trace.emit({
@@ -327,27 +332,13 @@ class CoEngine:
             "event": "relationship_candidates", "step": step.ordinal,
             "labels": [{"label": e.label, "score": round(s, 6)} for e, s in ranked],
         })
-        listing = "\n".join(f"{i}. {edge.label}" for i, (edge, _) in enumerate(ranked, 1))
-        request = LmRequest(
-            [ChatMessage("system", SELECT_RELS_SYSTEM),
-             ChatMessage("user",
-                         f"Question: {question}\nStep: {step.instruction}\n"
-                         f"Candidates:\n{listing}")],
-            tag=TAG_SELECT_RELS,
-        )
-        response = self.provider.complete(request)
-        picks = parse_ordinals(response.content, len(ranked))
-        if not picks:
-            raise EmptySelection("model selected no relationship labels")
-        selected = [ranked[i - 1][0] for i in picks]
+        picks = self._select(TAG_SELECT_RELS, SELECT_RELS_SYSTEM, step, question,
+                             [edge.label for edge, _ in ranked], "relationship labels")
+        selected = [ranked[i][0] for i in picks]
         wanted = sorted({edge.canonical for edge in selected})
         followed = [edge for canonical in wanted for edge in groups[canonical]]
-        targets = sorted(map(self.graph.node, {edge.target for edge in followed}),
-                         key=lambda n: n.canonical)
-        if len(targets) > self.limits.max_current_nodes:
-            logger.warning("truncating target set from %d to %d",
-                           len(targets), self.limits.max_current_nodes)
-            targets = targets[: self.limits.max_current_nodes]
+        targets = self._cut(sorted(map(self.graph.node, {edge.target for edge in followed}),
+                                   key=lambda n: n.canonical), "target set")
         kept_ids = {n.id for n in targets}
         hops = [HopElement(edge.source, edge.label, edge.target)
                 for edge in followed if edge.target in kept_ids]
@@ -366,23 +357,18 @@ class CoEngine:
                  plan: ExplorationPlan) -> EvalOutcome:
         path_text = format_path_elements(state.path_traveled) or "(nothing traveled)"
         current_labels = [self.graph.node(i).label for i in state.current_nodes]
-        request = LmRequest(
-            [ChatMessage("system", EVALUATE_SYSTEM),
-             ChatMessage("user",
-                         f"Question: {question}\n"
-                         f"Plan:\n{plan.text()}\n"
-                         f"Current step: {state.current_step} of {len(plan.steps)}\n"
-                         f"Path traveled:\n{path_text}\n"
-                         f"Current nodes: {', '.join(current_labels)}")],
-            tag=TAG_EVALUATE,
-        )
-        response = self.provider.complete(request)
-        verdict = parse_verdict(response.content)
+        reply = self._ask(TAG_EVALUATE, EVALUATE_SYSTEM,
+                          f"Question: {question}\n"
+                          f"Plan:\n{plan.text()}\n"
+                          f"Current step: {state.current_step} of {len(plan.steps)}\n"
+                          f"Path traveled:\n{path_text}\n"
+                          f"Current nodes: {', '.join(current_labels)}")
+        verdict = parse_verdict(reply)
         if verdict is None:
             # Unreadable judgment: treat as a failed direction, not a crash.
             return EvalOutcome(Verdict.NEEDS_REFINEMENT,
-                               f"unparseable evaluation: {response.content.strip()!r}")
-        return EvalOutcome(verdict, response.content.strip())
+                               f"unparseable evaluation: {reply.strip()!r}")
+        return EvalOutcome(verdict, reply.strip())
 
     # --------------------------------------------------------------- run
 

@@ -497,7 +497,7 @@ def _parse_chunk(chunk: list[tuple[int, str]], text: str) -> Iterable:
     if text.startswith("{") and text.count("\n{") == len(chunk) - 1 and "[" not in text:
         try:
             values = json.loads("[" + text + "]")
-        except json.JSONDecodeError:
+        except (json.JSONDecodeError, RecursionError):
             values = None
         if values is not None and len(values) == len(chunk):
             return values
@@ -507,7 +507,7 @@ def _parse_chunk(chunk: list[tuple[int, str]], text: str) -> Iterable:
 def _parse_line(line: str, lineno: int):
     try:
         return json.loads(line)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise GraphFormatError(f"invalid JSON: {exc}", lineno) from None
 
 

@@ -7,6 +7,7 @@ any chat-completion style HTTP endpoint.
 
 from __future__ import annotations
 
+import bisect
 import hashlib
 import json
 import logging
@@ -98,16 +99,26 @@ class ScriptRule:
 _SCRIPT_FIELDS = ("tag", "match_substring", "response")
 
 
+def _try_order(rule: ScriptRule) -> int:
+    return -len(rule.match_substring)
+
+
 class ScriptedProvider:
     """Pure function of (tag, messages): most specific matching rule wins,
     specificity being substring length, ties broken by registration order.
     No matching rule raises :class:`ScriptMiss` so fixtures fail loudly."""
 
     def __init__(self, rules: Iterable[ScriptRule] = ()):
-        self._rules: list[ScriptRule] = list(rules)
+        # Each tag's rules in try order, longest substring first; sorting is
+        # stable, so ties keep registration order.
+        self._rules: dict[str, list[ScriptRule]] = {}
+        for rule in sorted(rules, key=_try_order):
+            self._rules.setdefault(rule.tag, []).append(rule)
 
     def add_rule(self, tag: str, match_substring: str, response: str) -> None:
-        self._rules.append(ScriptRule(tag, match_substring, response))
+        # insort places a rule after those of equal length: registration order
+        bisect.insort(self._rules.setdefault(tag, []),
+                      ScriptRule(tag, match_substring, response), key=_try_order)
 
     @classmethod
     def from_jsonl(cls, source) -> "ScriptedProvider":
@@ -123,7 +134,7 @@ class ScriptedProvider:
                 except KeyError as exc:
                     raise ValueError(f"bad script rule on line {lineno}: "
                                      f"missing field {exc.args[0]!r}") from None
-                except (json.JSONDecodeError, TypeError) as exc:
+                except (json.JSONDecodeError, RecursionError, TypeError) as exc:
                     raise ValueError(f"bad script rule on line {lineno}: {exc}") from None
                 for name, value in zip(_SCRIPT_FIELDS, values):
                     if type(value) is not str:
@@ -134,21 +145,14 @@ class ScriptedProvider:
 
     def complete(self, request: LmRequest) -> LmResponse:
         text = request.text()
-        best: ScriptRule | None = None
-        best_key: tuple[int, int] | None = None
-        for position, rule in enumerate(self._rules):
-            if rule.tag != request.tag or rule.match_substring not in text:
-                continue
-            key = (len(rule.match_substring), -position)
-            if best_key is None or key > best_key:
-                best, best_key = rule, key
-        if best is None:
-            raise ScriptMiss(
-                f"no scripted response for tag={request.tag!r} "
-                f"(prompt fingerprint {request.fingerprint()})"
-            )
-        return LmResponse(best.response, {"provider": "scripted",
-                                          "matched": best.match_substring})
+        for rule in self._rules.get(request.tag, ()):
+            if rule.match_substring in text:
+                return LmResponse(rule.response, {"provider": "scripted",
+                                                  "matched": rule.match_substring})
+        raise ScriptMiss(
+            f"no scripted response for tag={request.tag!r} "
+            f"(prompt fingerprint {request.fingerprint()})"
+        )
 
 
 def save_script(rules: Iterable[ScriptRule], sink) -> None:
@@ -267,36 +271,3 @@ class HttpChatProvider:
         if not isinstance(content, str):
             raise ProviderError(f"content at {self.content_path!r} is not text")
         return LmResponse(content, {"provider": "http", "status": status})
-
-
-class RecordingProvider:
-    """Wraps a provider and appends every exchange to a JSONL transcript,
-    enough to reconstruct the full call sequence of a run."""
-
-    def __init__(self, inner, sink=None):
-        self.inner = inner
-        self.records: list[dict] = []
-        self._sink = sink
-
-    def complete(self, request: LmRequest) -> LmResponse:
-        response = self.inner.complete(request)
-        record = {
-            "tag": request.tag,
-            "temperature": request.temperature,
-            "messages": [{"role": m.role, "content": m.content} for m in request.messages],
-            "response": response.content,
-        }
-        self.records.append(record)
-        if self._sink is not None:
-            self._sink.write(json.dumps(record, ensure_ascii=False, sort_keys=True) + "\n")
-        return response
-
-
-def read_transcript(source) -> list[dict]:
-    records = []
-    with open(source, encoding="utf-8") as f:
-        for line in f:
-            line = line.strip()
-            if line:
-                records.append(json.loads(line))
-    return records

@@ -235,7 +235,8 @@ def load_dataset(source) -> tuple[list[QaExample], list[str]]:
                     gold_answers=tuple(str(a) for a in answers),
                     snippets=tuple(str(s) for s in record.get("snippets", [])),
                 )
-            except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
+            except (json.JSONDecodeError, RecursionError, KeyError, TypeError,
+                    ValueError) as exc:
                 problems.append(f"line {lineno}: {exc}")
                 continue
             examples.append(example)

@@ -57,6 +57,17 @@ _STEP4 = "Isolate the husband who died in Chichester"
 TAYLOR_PLAN = f"NODE: {_STEP1}\nREL: {_STEP2}\nREL: {_STEP3}\nNODE: {_STEP4}"
 
 
+class CapturingProvider:
+    """Answers through ``inner`` and keeps every request, in call order."""
+
+    def __init__(self, inner):
+        self.inner, self.requests = inner, []
+
+    def complete(self, request):
+        self.requests.append(request)
+        return self.inner.complete(request)
+
+
 def build_graph(triples: list[str]) -> KnowledgeGraph:
     graph = KnowledgeGraph()
     for line in triples:

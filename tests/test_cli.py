@@ -643,6 +643,34 @@ def _script_with_a_number_substring(tmp_path):
     return ["ingest", str(doc), "--graph", str(graph_path), "--script", str(script)]
 
 
+# A JSON line nested this deep overflows the parser's recursion limit.
+_DEEP_LINES = {"array": "[" * 200_000, "object": '{"a": ' * 200_000}
+
+
+def _graph_with_a_deep_line(tmp_path, opener):
+    """``stats`` over an ingested graph whose second line is nested too deep."""
+    doc, script, graph_path = ingest_setup(tmp_path)
+    assert main(["ingest", str(doc), "--graph", str(graph_path), "--script", script]) == 0
+    lines = graph_path.read_text(encoding="utf-8").splitlines()
+    lines.insert(1, _DEEP_LINES[opener])
+    graph_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return ["stats", "--graph", str(graph_path)]
+
+
+def _script_with_a_deep_line(tmp_path, opener):
+    doc, _, graph_path = ingest_setup(tmp_path)
+    script = tmp_path / "bad-script.jsonl"
+    script.write_text(_DEEP_LINES[opener] + "\n", encoding="utf-8")
+    return ["ingest", str(doc), "--graph", str(graph_path), "--script", str(script)]
+
+
+def _document_with_a_deep_line(tmp_path, opener):
+    _, script, graph_path = ingest_setup(tmp_path)
+    doc = tmp_path / "deep-doc.jsonl"
+    doc.write_text(_DEEP_LINES[opener] + "\n", encoding="utf-8")
+    return ["ingest", str(doc), "--graph", str(graph_path), "--script", script]
+
+
 BAD_INPUTS = {
     "query-topk-0": lambda tmp: ["query", TAYLOR_QUESTION, "--topk", "0"] + _query_args(tmp),
     "eval-topk-0": lambda tmp: ["eval", _dataset(tmp), "--topk", "0"] + _query_args(tmp),
@@ -672,6 +700,11 @@ BAD_INPUTS = {
     "index-graph-lone-surrogate": _index_graph_with_lone_surrogate,
     "query-graph-lone-surrogate": _query_graph_with_lone_surrogate,
     "eval-graph-lone-surrogate": _eval_graph_with_lone_surrogate,
+    **{f"{what}-deep-{opener}": lambda tmp, make=make, opener=opener: make(tmp, opener)
+       for what, make in (("graph", _graph_with_a_deep_line),
+                          ("script", _script_with_a_deep_line),
+                          ("document", _document_with_a_deep_line))
+       for opener in _DEEP_LINES},
 }
 
 # What the one error line must name: the bad option or file.
@@ -688,6 +721,10 @@ BAD_INPUT_NAMES = {
     "truncated-index": "index.bin", "index-duplicate-label": "index.bin",
     "index-graph-lone-surrogate": "graph.jsonl",
     "query-graph-lone-surrogate": "graph.jsonl", "eval-graph-lone-surrogate": "graph.jsonl",
+    **{f"{what}-deep-{opener}": name
+       for what, name in (("graph", "graph.jsonl"), ("script", "bad-script.jsonl"),
+                          ("document", "deep-doc.jsonl"))
+       for opener in _DEEP_LINES},
 }
 
 
@@ -715,12 +752,28 @@ def test_bad_input_ends_in_one_error_line(tmp_path, capsys, case):
     ("index-graph-lone-surrogate", "line 1: field 'canonical' holds a lone surrogate"),
     ("script-number-substring",
      "bad script rule on line 1: field 'match_substring' is not a string"),
+    ("graph-deep-array", "line 2: invalid JSON: maximum recursion depth exceeded"),
+    ("graph-deep-object", "line 2: invalid JSON: maximum recursion depth exceeded"),
+    ("script-deep-array", "bad script rule on line 1: maximum recursion depth exceeded"),
+    ("script-deep-object", "bad script rule on line 1: maximum recursion depth exceeded"),
+    ("document-deep-array", "deep-doc.jsonl:1: bad document record: maximum recursion"),
+    ("document-deep-object", "deep-doc.jsonl:1: bad document record: maximum recursion"),
 ])
 def test_bad_edge_ids_are_named(tmp_path, capsys, case, message):
     argv = BAD_INPUTS[case](tmp_path)
     capsys.readouterr()
     assert main(argv) == 1
     assert message in capsys.readouterr().err
+
+
+def test_eval_skips_and_counts_deeply_nested_dataset_lines(tmp_path, capsys):
+    argv = ["eval", _dataset(tmp_path)] + _query_args(tmp_path)
+    with open(argv[1], "a", encoding="utf-8") as f:
+        f.write("".join(line + "\n" for line in _DEEP_LINES.values()))
+    assert main(argv) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["aggregate"]["n"] == 1
+    assert report["skipped_lines"] == 2
 
 
 def test_script_rule_without_a_field_names_it(tmp_path, capsys):

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import hashlib
 import io
+import json
 import time
 from collections import Counter
 from itertools import islice
@@ -24,7 +26,6 @@ from kgrag import (
     LmResponse,
     Paths,
     ProviderError,
-    RecordingProvider,
     ScriptRule,
     ScriptedProvider,
     TraceRecorder,
@@ -58,6 +59,7 @@ from kgrag.explore import (
     relationship_candidates,
 )
 from coe_fixtures import (
+    CapturingProvider,
     REFINE_QUESTION,
     TAYLOR_PLAN,
     TAYLOR_QUESTION,
@@ -457,10 +459,10 @@ def test_full_run_returns_connected_chains():
 
 def test_full_run_tag_sequence():
     graph, index, rules = taylor_fixture()
-    provider = RecordingProvider(ScriptedProvider(rules))
+    provider = CapturingProvider(ScriptedProvider(rules))
     result = CoEngine(graph, index, provider).run(TAYLOR_QUESTION)
     assert isinstance(result, Paths)
-    tags = [r["tag"] for r in provider.records]
+    tags = [r.tag for r in provider.requests]
     assert tags == [
         "plan",
         "select_nodes", "evaluate",
@@ -468,6 +470,35 @@ def test_full_run_tag_sequence():
         "select_rels", "evaluate",
         "select_nodes", "evaluate",
     ]
+
+
+# sha256 of every request a fixture run sends: its tag and temperature, then
+# each message's role and content. The scripted rules match substrings, so a
+# prompt that drifted could still pass every other test.
+PINNED_REQUESTS = {
+    "taylor": (9, "404c47a6bcdd4ee6bb2cbd4820f4bc03869fd9825b003698efd7cbd4bb97763c"),
+    "refinement": (13, "f4af1c29ca2d17c1c750eb89ac25ed2fc3eda5f461973037d7680e1b31206903"),
+}
+
+
+def _request_digest(requests) -> str:
+    text = "\x00".join(
+        f"{r.tag}\x01{r.temperature}\x01"
+        + "\x01".join(f"{m.role}\x02{m.content}" for m in r.messages)
+        for r in requests)
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+@pytest.mark.parametrize("name, fixture, question", [
+    ("taylor", taylor_fixture, TAYLOR_QUESTION),
+    ("refinement", lambda: refinement_fixture(dead_ends=2), REFINE_QUESTION),
+])
+def test_engine_requests_are_pinned(name, fixture, question):
+    graph, index, rules = fixture()
+    provider = CapturingProvider(ScriptedProvider(rules))
+    assert isinstance(CoEngine(graph, index, provider).run(question), Paths)
+    assert (len(provider.requests), _request_digest(provider.requests)) == \
+        PINNED_REQUESTS[name]
 
 
 def test_run_is_stateless_across_questions():
@@ -615,11 +646,11 @@ def test_empty_provider_degrades_to_failure():
 def test_overlong_plans_count_as_failed_tries():
     graph, index, _ = taylor_fixture()
     overlong = "\n".join(["NODE: start"] * (MAX_PLAN_STEPS + 1))
-    provider = RecordingProvider(ScriptedProvider([ScriptRule("plan", "", overlong)]))
+    provider = CapturingProvider(ScriptedProvider([ScriptRule("plan", "", overlong)]))
     trace = TraceRecorder()
     result = CoEngine(graph, index, provider, trace=trace).run(TAYLOR_QUESTION)
     assert isinstance(result, Failure)
-    assert len(provider.records) == MAX_FAILED_TRIES
+    assert len(provider.requests) == MAX_FAILED_TRIES
     assert trace.events[-1]["cause"] == "no usable plan"
 
 
@@ -630,10 +661,20 @@ def test_default_engine_retains_no_events():
     assert engine.trace.events == []
 
 
+def test_stream_recorder_writes_events_and_keeps_none():
+    kept, stream = TraceRecorder(), io.StringIO()
+    for trace in (kept, TraceRecorder(stream)):
+        engine, _ = taylor_engine(trace)
+        assert isinstance(engine.run(TAYLOR_QUESTION), Paths)
+    assert engine.trace.events == []
+    assert [json.loads(line) for line in stream.getvalue().splitlines()] == kept.events
+    assert kept.events[-1]["type"] == "paths"
+
+
 def test_call_budget_is_reached_by_the_longest_refused_plans():
     graph, index, _ = taylor_fixture()
     longest = "\n".join([f"NODE: {_STEP1}"] * MAX_PLAN_STEPS)
-    provider = RecordingProvider(ScriptedProvider([
+    provider = CapturingProvider(ScriptedProvider([
         ScriptRule("plan", "", longest),
         ScriptRule("select_nodes", "", "1"),
         ScriptRule("evaluate", "", "continue"),
@@ -641,7 +682,7 @@ def test_call_budget_is_reached_by_the_longest_refused_plans():
     ]))
     result = CoEngine(graph, index, provider).run(TAYLOR_QUESTION)
     assert isinstance(result, Failure)
-    assert len(provider.records) == CALL_BUDGET
+    assert len(provider.requests) == CALL_BUDGET
 
 
 # Plan or refinement calls: one per failed try plus the one that ends the

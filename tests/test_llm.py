@@ -1,4 +1,4 @@
-"""Provider seam tests: scripted matching, HTTP backend, and recording."""
+"""Provider seam tests: scripted matching and the HTTP backend."""
 
 from __future__ import annotations
 
@@ -10,6 +10,8 @@ import textwrap
 from pathlib import Path
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from kgrag import (
     ChatMessage,
@@ -19,8 +21,6 @@ from kgrag import (
     ScriptMiss,
     ScriptRule,
     ScriptedProvider,
-    RecordingProvider,
-    read_transcript,
     save_script,
 )
 from kgrag.llm import MAX_RETRY_DELAY_S, RETRY_BASE_DELAY_S
@@ -114,6 +114,46 @@ def test_scripted_matches_across_message_boundaries():
     assert provider.complete(request).content == "found"
 
 
+def _full_scan(rules: list[ScriptRule], request: LmRequest) -> str | None:
+    """Reference for the scripted provider: scan every rule and keep the
+    longest matching substring of the request's tag, ties going to the
+    earliest registered rule; None when no rule matches."""
+    text = request.text()
+    best, best_key = None, None
+    for position, rule in enumerate(rules):
+        if rule.tag != request.tag or rule.match_substring not in text:
+            continue
+        key = (len(rule.match_substring), -position)
+        if best_key is None or key > best_key:
+            best, best_key = rule, key
+    return None if best is None else best.response
+
+
+_TAGS = st.sampled_from(["plan", "evaluate", "answer"])
+# Short substrings over two letters: the empty one and length ties are common.
+_SUBSTRINGS = st.text(alphabet="ab", max_size=3)
+
+
+@given(drawn=st.lists(st.tuples(_TAGS, _SUBSTRINGS), max_size=12),
+       in_constructor=st.integers(0, 12),
+       asked=st.lists(st.tuples(_TAGS, st.text(alphabet="ab", max_size=6)),
+                      min_size=1, max_size=4))
+def test_scripted_matches_the_full_scan(drawn, in_constructor, asked):
+    rules = [ScriptRule(tag, substring, f"reply {i}")
+             for i, (tag, substring) in enumerate(drawn)]
+    provider = ScriptedProvider(rules[:in_constructor])
+    for rule in rules[in_constructor:]:
+        provider.add_rule(rule.tag, rule.match_substring, rule.response)
+    for tag, text in asked:
+        request = req(text, tag=tag)
+        expected = _full_scan(rules, request)
+        if expected is None:
+            with pytest.raises(ScriptMiss):
+                provider.complete(request)
+        else:
+            assert provider.complete(request).content == expected
+
+
 def test_script_jsonl_roundtrip(tmp_path):
     rules = [ScriptRule("plan", "who", "NODE: find them"),
              ScriptRule("answer", "", "Michael Wilding")]
@@ -129,36 +169,6 @@ def test_script_jsonl_rejects_bad_lines(tmp_path):
     path.write_text('{"tag": "plan"}\n', encoding="utf-8")
     with pytest.raises(ValueError, match="line 1"):
         ScriptedProvider.from_jsonl(path)
-
-
-# -------------------------------------------------------------- recording
-
-def test_recording_provider_captures_exchanges(tmp_path):
-    inner = ScriptedProvider([ScriptRule("plan", "", "NODE: go")])
-    transcript_path = tmp_path / "transcript.jsonl"
-    with open(transcript_path, "w", encoding="utf-8") as sink:
-        provider = RecordingProvider(inner, sink)
-        provider.complete(req("first", temperature=0.5))
-        provider.complete(req("second"))
-    assert len(provider.records) == 2
-    assert provider.records[0]["response"] == "NODE: go"
-    assert provider.records[0]["temperature"] == 0.5
-    records = read_transcript(transcript_path)
-    assert records == provider.records
-    assert records[1]["messages"] == [{"role": "user", "content": "second"}]
-
-
-def test_recording_provider_propagates_misses():
-    provider = RecordingProvider(ScriptedProvider())
-    with pytest.raises(ScriptMiss):
-        provider.complete(req("anything"))
-    assert provider.records == []
-
-
-def test_recording_provider_without_sink():
-    provider = RecordingProvider(ScriptedProvider([ScriptRule("plan", "", "ok")]))
-    provider.complete(req("x"))
-    assert [r["tag"] for r in provider.records] == ["plan"]
 
 
 # ------------------------------------------------------------------- HTTP
