@@ -175,7 +175,7 @@ def _build_engine(args, trace_stream=None) -> CoEngine:
 
 def _with_trace(args, run):
     if args.trace:
-        with open(args.trace, "w", encoding="utf-8") as stream:
+        with _open_for_write(args.trace) as stream:
             return run(stream)
     return run(None)
 

@@ -125,11 +125,8 @@ class HttpEmbeddingProvider:
         return self.embed_batch([text])[0]
 
     def _post(self, texts: list[str]) -> np.ndarray:
-        headers = {"Content-Type": "application/json"}
-        if self.api_key:
-            headers["Authorization"] = f"Bearer {self.api_key}"
-        _, data = post_json(self.endpoint, {"texts": texts}, headers, self.timeout,
-                            1, self.sleep, "embedding endpoint")
+        data = post_json(self.endpoint, {"texts": texts}, self.api_key, self.timeout,
+                         1, self.sleep, "embedding endpoint")
         try:
             matrix = np.asarray(data["vectors"], dtype=np.float64)
         except (KeyError, TypeError, ValueError) as exc:

@@ -79,7 +79,6 @@ class ExplorationStep:
 @dataclass(frozen=True)
 class ExplorationPlan:
     steps: tuple[ExplorationStep, ...]
-    raw: str
 
     def text(self) -> str:
         prefixes = {StepKind.NODE_EXPLORATION: "NODE", StepKind.RELATIONSHIP_EXPLORATION: "REL"}
@@ -167,7 +166,11 @@ class _DiscardingRecorder(TraceRecorder):
         pass
 
 
-_PLAN_LINE = re.compile(r"^(?:step\s+)?\d*\s*[-.):*]*\s*(NODE|REL)\s*:\s*(.+)$", re.IGNORECASE)
+# An optional "step N", numbering and punctuation, then NODE: or REL:. No
+# two whitespace quantifiers meet, so a whitespace run matches one way only:
+# a run that two quantifiers could split backtracks polynomially in its length.
+_PLAN_LINE = re.compile(r"^(?:step\s+(?:\d+\s*)?|\d*\s*)(?:[-.):*]+\s*)?(NODE|REL)\s*:\s*(.+)$",
+                        re.IGNORECASE)
 
 
 def parse_plan(raw: str) -> ExplorationPlan:
@@ -191,7 +194,7 @@ def parse_plan(raw: str) -> ExplorationPlan:
         raise PlanParseError("no NODE:/REL: plan lines found")
     if steps[0].kind is not StepKind.NODE_EXPLORATION:
         raise PlanParseError("plan must begin with a NODE: step")
-    return ExplorationPlan(tuple(steps), raw)
+    return ExplorationPlan(tuple(steps))
 
 
 def parse_ordinals(text: str, count: int) -> list[int]:

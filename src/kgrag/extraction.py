@@ -118,7 +118,7 @@ def extract_and_store(graph: KnowledgeGraph, provider, doc_id: str, text: str,
             response = provider.complete(request)
         except ProviderError as exc:
             raise ExtractionHalted(report, exc) from exc
-        statements, errors = parse_extraction_block(response.content, graph.max_depth)
+        statements, errors = parse_extraction_block(response.content)
         report.chunks_processed += 1
         report.triples_extracted += len(statements)
         for error in errors:

@@ -23,7 +23,7 @@ from operator import attrgetter
 from pathlib import Path
 from typing import IO, Iterable, Iterator
 
-from .triples import Entity, TripleStatement, TripleTerm, statement_depth
+from .triples import DEFAULT_MAX_DEPTH, Entity, TripleStatement, TripleTerm, statement_depth
 
 logger = logging.getLogger(__name__)
 
@@ -146,8 +146,7 @@ class KnowledgeGraph:
     label (``_out[source][canonical]``, in target order). A node has no
     out-groups until it is the source of an edge."""
 
-    def __init__(self, max_depth: int = 4):
-        self.max_depth = max_depth
+    def __init__(self):
         self._nodes: dict[str, NodeRecord] = {}
         self._by_canonical: dict[str, str] = {}
         self._out: dict[str, dict[str, list[EdgeRecord]]] = {}
@@ -173,9 +172,6 @@ class KnowledgeGraph:
         except KeyError:
             raise UnknownNodeError(f"unknown node id {node_id!r}") from None
 
-    def has_node(self, node_id: str) -> bool:
-        return node_id in self._nodes
-
     def find_node(self, label: str) -> NodeRecord | None:
         """Look a node up by its label (compared canonically)."""
         node_id = self._by_canonical.get(normalize_label(label))
@@ -187,8 +183,8 @@ class KnowledgeGraph:
         """Idempotently store a statement, materializing hypernodes for
         nested terms. Returns the ids of the nodes and edges it created."""
         depth = statement_depth(statement)
-        if depth > self.max_depth:
-            raise DepthError(f"statement depth {depth} exceeds max {self.max_depth}")
+        if depth > DEFAULT_MAX_DEPTH:
+            raise DepthError(f"statement depth {depth} exceeds max {DEFAULT_MAX_DEPTH}")
         _reject_reserved(statement)
         outcome = UpsertOutcome(created=[])
         with self._write_lock:
@@ -448,11 +444,11 @@ def save_graph(graph: KnowledgeGraph, sink) -> None:
 _CHUNK_LINES = 256
 
 
-def load_graph(source, max_depth: int = 4) -> KnowledgeGraph:
+def load_graph(source) -> KnowledgeGraph:
     """Rebuild a graph from JSONL; any malformed or inconsistent line raises
     :class:`GraphFormatError` with its line number. Ids are not checked
     against their content here; :meth:`KnowledgeGraph.audit` does that."""
-    graph = KnowledgeGraph(max_depth=max_depth)
+    graph = KnowledgeGraph()
     edge_ids: set[str] = set()
     with _maybe_open(source) as f:
         lines = _numbered_lines(f)

@@ -7,12 +7,11 @@ any chat-completion style HTTP endpoint.
 
 from __future__ import annotations
 
-import bisect
 import hashlib
 import json
 import logging
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Iterable, Sequence
 
@@ -55,9 +54,8 @@ class LmRequest:
 
     messages: tuple[ChatMessage, ...]
     tag: str
-    temperature: float = 1.0
 
-    def __init__(self, messages: Sequence[ChatMessage], tag: str, temperature: float = 1.0):
+    def __init__(self, messages: Sequence[ChatMessage], tag: str):
         if not messages:
             raise ValueError("a request needs at least one message")
         for message in messages:
@@ -65,11 +63,8 @@ class LmRequest:
                 raise ValueError(f"bad message role {message.role!r}")
         if not tag:
             raise ValueError("tag must be non-empty")
-        if not 0.0 <= temperature <= 2.0:
-            raise ValueError(f"temperature {temperature} outside [0, 2]")
         object.__setattr__(self, "messages", tuple(messages))
         object.__setattr__(self, "tag", tag)
-        object.__setattr__(self, "temperature", temperature)
 
     def text(self) -> str:
         """All message contents joined; the scripted provider matches on this."""
@@ -83,7 +78,6 @@ class LmRequest:
 @dataclass(frozen=True)
 class LmResponse:
     content: str
-    meta: dict = field(default_factory=dict)
 
 
 @dataclass(frozen=True)
@@ -99,26 +93,17 @@ class ScriptRule:
 _SCRIPT_FIELDS = ("tag", "match_substring", "response")
 
 
-def _try_order(rule: ScriptRule) -> int:
-    return -len(rule.match_substring)
-
-
 class ScriptedProvider:
     """Pure function of (tag, messages): most specific matching rule wins,
-    specificity being substring length, ties broken by registration order.
+    specificity being substring length, ties broken by rule order.
     No matching rule raises :class:`ScriptMiss` so fixtures fail loudly."""
 
     def __init__(self, rules: Iterable[ScriptRule] = ()):
         # Each tag's rules in try order, longest substring first; sorting is
-        # stable, so ties keep registration order.
+        # stable, so ties keep the order the rules were given in.
         self._rules: dict[str, list[ScriptRule]] = {}
-        for rule in sorted(rules, key=_try_order):
+        for rule in sorted(rules, key=lambda r: -len(r.match_substring)):
             self._rules.setdefault(rule.tag, []).append(rule)
-
-    def add_rule(self, tag: str, match_substring: str, response: str) -> None:
-        # insort places a rule after those of equal length: registration order
-        bisect.insort(self._rules.setdefault(tag, []),
-                      ScriptRule(tag, match_substring, response), key=_try_order)
 
     @classmethod
     def from_jsonl(cls, source) -> "ScriptedProvider":
@@ -147,8 +132,7 @@ class ScriptedProvider:
         text = request.text()
         for rule in self._rules.get(request.tag, ()):
             if rule.match_substring in text:
-                return LmResponse(rule.response, {"provider": "scripted",
-                                                  "matched": rule.match_substring})
+                return LmResponse(rule.response)
         raise ScriptMiss(
             f"no scripted response for tag={request.tag!r} "
             f"(prompt fingerprint {request.fingerprint()})"
@@ -163,21 +147,6 @@ def save_script(rules: Iterable[ScriptRule], sink) -> None:
                 {"tag": rule.tag, "match_substring": rule.match_substring,
                  "response": rule.response},
                 ensure_ascii=False, sort_keys=True) + "\n")
-
-
-def _walk_path(data, path: str):
-    current = data
-    for part in path.split("."):
-        if isinstance(current, list):
-            try:
-                current = current[int(part)]
-            except (ValueError, IndexError):
-                raise KeyError(part) from None
-        elif isinstance(current, dict):
-            current = current[part]
-        else:
-            raise KeyError(part)
-    return current
 
 
 def _is_transient(exc: Exception) -> bool:
@@ -208,14 +177,18 @@ def _retry_delay(exc: Exception, failures: int) -> float:
     return min(delay, MAX_RETRY_DELAY_S)
 
 
-def post_json(endpoint: str, payload: dict, headers: dict, timeout: float,
+def post_json(endpoint: str, payload: dict, api_key: str | None, timeout: float,
               retries: int, sleep: Callable[[float], None], what: str):
-    """POST ``payload`` as JSON and return ``(status, decoded body)``. Up to
-    ``retries`` repeats follow a transient failure, each after
-    :func:`_retry_delay` seconds; any other failure, or the last one, raises
-    :class:`ProviderError` naming ``what`` and the number of attempts."""
+    """POST ``payload`` as JSON, with ``api_key`` as a bearer token when
+    set, and return the decoded body. Up to ``retries`` repeats follow a
+    transient failure, each after :func:`_retry_delay` seconds; any other
+    failure, or the last one, raises :class:`ProviderError` naming ``what``
+    and the number of attempts."""
     import requests  # deferred: offline runs never pay for importing it
 
+    headers = {"Content-Type": "application/json"}
+    if api_key:
+        headers["Authorization"] = f"Bearer {api_key}"
     attempts = 0
     while True:
         attempts += 1
@@ -223,7 +196,7 @@ def post_json(endpoint: str, payload: dict, headers: dict, timeout: float,
             response = requests.post(endpoint, json=payload, headers=headers,
                                      timeout=timeout)
             response.raise_for_status()
-            return response.status_code, response.json()
+            return response.json()
         except (requests.RequestException, ValueError) as exc:
             logger.warning("%s attempt %d failed: %s", what, attempts, exc)
             if attempts > retries or not _is_transient(exc):
@@ -234,21 +207,18 @@ def post_json(endpoint: str, payload: dict, headers: dict, timeout: float,
 
 
 class HttpChatProvider:
-    """POSTs ``{"messages": [...], "temperature": N}`` and pulls the reply
-    text out via a configurable JSON path (default: first choice content).
-    Up to ``retries`` repeats follow a transient failure, with backoff (see
-    :func:`post_json`); any other failure is final at once. ``sleep`` does
-    the waiting between attempts."""
+    """POSTs ``{"messages": [...], "temperature": 1.0}`` and reads the reply
+    text at ``choices.0.message.content``. Up to ``retries`` repeats follow
+    a transient failure, with backoff (see :func:`post_json`); any other
+    failure is final at once. ``sleep`` does the waiting between attempts."""
 
     def __init__(self, endpoint: str, api_key: str | None = None,
-                 content_path: str = "choices.0.message.content",
                  timeout: float = 60.0, retries: int = 1,
                  sleep: Callable[[float], None] = time.sleep):
         if not endpoint:
             raise ValueError("endpoint must be non-empty")
         self.endpoint = endpoint
         self.api_key = api_key
-        self.content_path = content_path
         self.timeout = timeout
         self.retries = max(0, retries)
         self.sleep = sleep
@@ -256,18 +226,15 @@ class HttpChatProvider:
     def complete(self, request: LmRequest) -> LmResponse:
         payload = {
             "messages": [{"role": m.role, "content": m.content} for m in request.messages],
-            "temperature": request.temperature,
+            "temperature": 1.0,
         }
-        headers = {"Content-Type": "application/json"}
-        if self.api_key:
-            headers["Authorization"] = f"Bearer {self.api_key}"
-        status, data = post_json(self.endpoint, payload, headers, self.timeout,
-                                 self.retries, self.sleep, "LM endpoint")
+        data = post_json(self.endpoint, payload, self.api_key, self.timeout,
+                         self.retries, self.sleep, "LM endpoint")
         try:
-            content = _walk_path(data, self.content_path)
-        except KeyError as exc:
-            raise ProviderError(
-                f"response JSON has no {self.content_path!r} (missing {exc})") from None
+            content = data["choices"][0]["message"]["content"]
+        except (KeyError, IndexError, TypeError) as exc:
+            raise ProviderError("response JSON has no 'choices.0.message.content': "
+                                f"{exc!r}") from None
         if not isinstance(content, str):
-            raise ProviderError(f"content at {self.content_path!r} is not text")
-        return LmResponse(content, {"provider": "http", "status": status})
+            raise ProviderError("content at 'choices.0.message.content' is not text")
+        return LmResponse(content)

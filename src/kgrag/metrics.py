@@ -107,7 +107,6 @@ class QaExample:
     id: str
     question: str
     gold_answers: tuple[str, ...]
-    snippets: tuple[str, ...] = ()
 
     def __post_init__(self):
         if not self.gold_answers:
@@ -233,7 +232,6 @@ def load_dataset(source) -> tuple[list[QaExample], list[str]]:
                     id=str(record["id"]),
                     question=str(record["question"]),
                     gold_answers=tuple(str(a) for a in answers),
-                    snippets=tuple(str(s) for s in record.get("snippets", [])),
                 )
             except (json.JSONDecodeError, RecursionError, KeyError, TypeError,
                     ValueError) as exc:

@@ -387,6 +387,31 @@ def test_query_with_another_graphs_index_fails(tmp_path, capsys):
         assert capsys.readouterr().err == MISMATCH
 
 
+@pytest.mark.parametrize("command", ["query", "eval"])
+def test_failed_setup_leaves_the_previous_trace(tmp_path, capsys, command):
+    graph_path, index_path, script_path = taylor_setup(tmp_path)
+    trace_path = tmp_path / "trace.jsonl"
+    argv = [command, TAYLOR_QUESTION if command == "query" else _dataset(tmp_path),
+            "--script", script_path, "--trace", str(trace_path)]
+    assert main(argv + ["--graph", graph_path, "--index", index_path]) == 0
+    previous = trace_path.read_bytes()
+    assert previous
+    unreadable = tmp_path / "unreadable.bin"
+    unreadable.write_bytes(b"not an index\n")
+    other_index = tmp_path / "other.bin"
+    save_index(benchmark_fixture()[1], other_index)
+    for graph, index, error in [
+        (str(tmp_path / "missing.jsonl"), index_path, "graph file not found"),
+        (graph_path, str(unreadable), "unreadable index file"),
+        (graph_path, str(other_index), "index does not match graph"),
+    ]:
+        capsys.readouterr()
+        assert main(argv + ["--graph", graph, "--index", index]) == 1
+        assert error in capsys.readouterr().err
+        assert trace_path.read_bytes() == previous
+    assert not [p.name for p in tmp_path.iterdir() if p.name.endswith(".tmp")]
+
+
 def test_query_with_an_older_dense_index_fails(tmp_path, capsys):
     graph_path, index_path, script_path = taylor_setup(tmp_path)
     index = load_index(index_path, HashingEmbedder())

