@@ -70,7 +70,6 @@ from .llm import (
     ScriptMiss,
     ScriptRule,
     ScriptedProvider,
-    save_script,
 )
 from .metrics import (
     ExampleScore,

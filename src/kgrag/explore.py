@@ -15,8 +15,8 @@ import re
 import threading
 from dataclasses import dataclass, field
 from enum import Enum
-from itertools import islice
-from typing import Iterator, Sequence, Union
+from itertools import groupby
+from typing import Generator, Sequence, Union
 
 from .embedding import EmbeddingIndex, StaleIndexError
 from .graph import EdgeRecord, KnowledgeGraph, UnknownNodeError
@@ -47,6 +47,9 @@ MAX_PLAN_STEPS = 16
 # Most chains a run returns, so the answer prompt stays bounded however
 # many start-to-end routes the traveled hops allow.
 MAX_CHAINS = 100
+# Most hops the chain walk looks at in a run. A node that two steps reach can
+# block every branch beneath it, so the walk is not bounded by its output.
+MAX_CHAIN_HOPS = 100_000
 
 
 class StepKind(Enum):
@@ -447,12 +450,19 @@ class CoEngine:
             elif outcome.verdict is Verdict.CONTINUE:
                 state.current_step += 1
             else:  # RESPOND
-                chains = tuple(islice(iter_chains(state.path_traveled, state.current_nodes),
-                                      MAX_CHAINS + 1))
-                if len(chains) > MAX_CHAINS:
-                    chains = chains[:MAX_CHAINS]
+                walk = iter_chains(state.path_traveled, state.current_nodes)
+                chains: list[tuple[PathElement, ...]] = []
+                try:
+                    while len(chains) <= MAX_CHAINS:
+                        chains.append(next(walk))
+                except StopIteration as stop:
+                    if stop.value:
+                        self.trace.emit({"event": "chains_cut", "kept": len(chains),
+                                         "cause": "hop budget"})
+                else:
+                    chains.pop()
                     self.trace.emit({"event": "chains_cut", "kept": MAX_CHAINS})
-                result = Paths(chains, steps_taken=state.current_step)
+                result = Paths(tuple(chains), steps_taken=state.current_step)
                 self.trace.emit({"event": "result", "type": "paths",
                                  "steps_taken": result.steps_taken,
                                  "chains": len(result.chains)})
@@ -462,65 +472,51 @@ class CoEngine:
         return Failure()
 
 
-def iter_chains(path: Sequence[PathElement],
-                current_nodes: Sequence[str]) -> Iterator[tuple[PathElement, ...]]:
-    """Connected chains from a step-1 node to a current node, using only the
-    hops actually traveled, produced lazily in depth-first order: by start,
-    then by the order the hops were traveled. Chains alternate NodeElement
-    and HopElement, and none visits a node twice."""
-    labels: dict[str, str] = {}
-    starts: list[str] = []
-    before_first_hop = True
-    hops: list[HopElement] = []
-    seen_hops: set[tuple[str, str, str]] = set()
-    for element in path:
-        if isinstance(element, NodeElement):
-            labels[element.node_id] = element.label
-            if before_first_hop and element.node_id not in starts:
-                starts.append(element.node_id)
-        else:
-            before_first_hop = False
-            key = (element.source, element.label, element.target)
-            if key not in seen_hops and element.source in labels:
-                seen_hops.add(key)
-                hops.append(element)
+def iter_chains(path: Sequence[PathElement], current_nodes: Sequence[str]
+                ) -> Generator[tuple[PathElement, ...], None, bool]:
+    """Chains that follow the plan: a node traveled before the first hop,
+    then one traveled hop from each later REL step, in step order, ending at
+    any current node they reach. Chains alternate NodeElement and HopElement,
+    none visits a node twice, and they come lazily in depth-first order: by
+    start, then by the order the hops were traveled. Returns True when the
+    walk stopped at :data:`MAX_CHAIN_HOPS` hops, keeping the chains found."""
+    labels = {e.node_id: e.label for e in path if isinstance(e, NodeElement)}
+    # A REL step appends its hops and then its targets, so each run of hops
+    # in the path is one step's layer.
+    runs = [(kind, list(run)) for kind, run in groupby(path, type)]
+    starts = dict.fromkeys(e.node_id for kind, run in runs[:1] if kind is NodeElement
+                           for e in run)
     ends = set(current_nodes)
-    # Only hops into nodes from which some end can be reached: no branch of
-    # the search below runs into a dead end of the hop graph.
-    sources: dict[str, list[str]] = {}
-    for hop in hops:
-        sources.setdefault(hop.target, []).append(hop.source)
-    live = ends & labels.keys()
-    frontier = list(live)
-    while frontier:
-        for source in sources.get(frontier.pop(), ()):
-            if source not in live:
-                live.add(source)
-                frontier.append(source)
-    adjacency: dict[str, list[HopElement]] = {}
-    for hop in hops:
-        if hop.target in live:
-            adjacency.setdefault(hop.source, []).append(hop)
-    # Distinct starts and distinct hops make every chain distinct.
+    # Backward over the layers: each keeps, by source, only the hops into a
+    # node from which the later layers reach an end. The last entry stands
+    # for the hops after the last layer: none.
+    onward: list[dict[str, list[HopElement]]] = [{}]
+    reach = ends
+    for kind, layer in reversed(runs):
+        if kind is HopElement:
+            by_source: dict[str, list[HopElement]] = {}
+            for hop in layer:
+                if hop.target in reach:
+                    by_source.setdefault(hop.source, []).append(hop)
+            onward.insert(0, by_source)
+            reach = ends | by_source.keys()
+    examined = 0
+
+    # One level per REL step, so the recursion is at most MAX_PLAN_STEPS deep.
+    def extend(trail: tuple[PathElement, ...], visited: set[str], depth: int):
+        nonlocal examined
+        if trail[-1].node_id in ends:
+            yield trail
+        for hop in onward[depth].get(trail[-1].node_id, ()):
+            examined += 1
+            if examined > MAX_CHAIN_HOPS:
+                return
+            if hop.target not in visited:
+                yield from extend(trail + (hop, NodeElement(hop.target, labels[hop.target])),
+                                  visited | {hop.target}, depth + 1)
+
     for start in starts:
-        trail: list[PathElement] = [NodeElement(start, labels[start])]
-        visited = {start}
-        if start in ends:
-            yield tuple(trail)
-        pending = [iter(adjacency.get(start, ()))]
-        while pending:
-            hop = next(pending[-1], None)
-            if hop is None:
-                pending.pop()
-                if pending:   # back out of the node this iterator belonged to
-                    visited.discard(trail[-1].node_id)
-                    del trail[-2:]
-                continue
-            if hop.target in visited:
-                continue
-            trail.append(hop)
-            trail.append(NodeElement(hop.target, labels[hop.target]))
-            visited.add(hop.target)
-            if hop.target in ends:
-                yield tuple(trail)
-            pending.append(iter(adjacency.get(hop.target, ())))
+        if examined > MAX_CHAIN_HOPS:
+            break
+        yield from extend((NodeElement(start, labels[start]),), {start}, 0)
+    return examined > MAX_CHAIN_HOPS

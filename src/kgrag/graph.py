@@ -172,11 +172,6 @@ class KnowledgeGraph:
         except KeyError:
             raise UnknownNodeError(f"unknown node id {node_id!r}") from None
 
-    def find_node(self, label: str) -> NodeRecord | None:
-        """Look a node up by its label (compared canonically)."""
-        node_id = self._by_canonical.get(normalize_label(label))
-        return self._nodes.get(node_id) if node_id else None
-
     # ------------------------------------------------------------- upsert
 
     def upsert_triple(self, statement: TripleStatement) -> UpsertOutcome:

@@ -12,7 +12,6 @@ import json
 import logging
 import time
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Callable, Iterable, Sequence
 
 logger = logging.getLogger(__name__)
@@ -137,16 +136,6 @@ class ScriptedProvider:
             f"no scripted response for tag={request.tag!r} "
             f"(prompt fingerprint {request.fingerprint()})"
         )
-
-
-def save_script(rules: Iterable[ScriptRule], sink) -> None:
-    path = Path(sink)
-    with open(path, "w", encoding="utf-8") as f:
-        for rule in rules:
-            f.write(json.dumps(
-                {"tag": rule.tag, "match_substring": rule.match_substring,
-                 "response": rule.response},
-                ensure_ascii=False, sort_keys=True) + "\n")
 
 
 def _is_transient(exc: Exception) -> bool:

@@ -8,6 +8,8 @@ instead of a silently wrong selection.
 
 from __future__ import annotations
 
+import json
+
 from kgrag import (
     HashingEmbedder,
     KnowledgeGraph,
@@ -23,6 +25,7 @@ from kgrag.explore import (
     relationship_candidates,
 )
 from kgrag.prompts import REFINE_PREAMBLE
+from graph_oracle import find_node
 
 LIMITS = Limits()
 
@@ -68,6 +71,17 @@ class CapturingProvider:
         return self.inner.complete(request)
 
 
+def save_script(rules: list[ScriptRule], sink) -> None:
+    """Write ``rules`` as the JSONL rule file ``ScriptedProvider.from_jsonl``
+    reads."""
+    with open(sink, "w", encoding="utf-8") as f:
+        for rule in rules:
+            f.write(json.dumps(
+                {"tag": rule.tag, "match_substring": rule.match_substring,
+                 "response": rule.response},
+                ensure_ascii=False, sort_keys=True) + "\n")
+
+
 def build_graph(triples: list[str]) -> KnowledgeGraph:
     graph = KnowledgeGraph()
     for line in triples:
@@ -92,7 +106,7 @@ def node_pick(index: EmbeddingIndex, instruction: str, wanted: list[str],
 def rel_pick(graph: KnowledgeGraph, index: EmbeddingIndex, current_labels: list[str],
              instruction: str, wanted: list[str],
              m: int = LIMITS.relationship_candidates) -> str:
-    node_ids = [graph.find_node(label).id for label in current_labels]
+    node_ids = [find_node(graph, label).id for label in current_labels]
     ranked = relationship_candidates(index, graph.label_groups(node_ids), instruction, m)
     shown = [edge.label for edge, _ in ranked]
     picks = []

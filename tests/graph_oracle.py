@@ -1,13 +1,14 @@
 """The row writer that ``kgrag.graph.save_graph`` once used, kept as a test
 oracle: one ``json.JSONEncoder(ensure_ascii=False, sort_keys=True)`` encodes
 each record as a dict. ``save_graph`` writes each row from a format string
-instead and must give the same bytes, row for row."""
+instead and must give the same bytes, row for row. Also a node lookup by
+label for the tests."""
 
 from __future__ import annotations
 
 import json
 
-from kgrag.graph import EdgeRecord, KnowledgeGraph, NodeRecord
+from kgrag.graph import EdgeRecord, KnowledgeGraph, NodeRecord, normalize_label
 
 _ROW_ENCODER = json.JSONEncoder(ensure_ascii=False, sort_keys=True)
 
@@ -23,6 +24,12 @@ def edge_row(edge: EdgeRecord) -> str:
         {"type": "edge", "id": edge.id, "source": edge.source,
          "target": edge.target, "label": edge.label,
          "structural": edge.structural}) + "\n"
+
+
+def find_node(graph: KnowledgeGraph, label: str) -> NodeRecord | None:
+    """The node whose label is ``label``, compared canonically, if any."""
+    canonical = normalize_label(label)
+    return next((node for node in graph.nodes if node.canonical == canonical), None)
 
 
 def saved_text(graph: KnowledgeGraph) -> str:

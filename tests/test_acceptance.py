@@ -61,6 +61,7 @@ from coe_fixtures import (
     refinement_fixture,
     taylor_fixture,
 )
+from graph_oracle import find_node
 
 SENTENCE = "Seth MacFarlane created Family Guy in 1999."
 NESTED_LINE = "((Seth MacFarlane)-[created]->(Family Guy))-[in]->(1999)"
@@ -184,7 +185,7 @@ def test_criterion_4_nested_fact_storage():
         assert stats.edge_count == 4
         assert stats.hypernode_count == 1
 
-        hyper = graph.find_node("Seth MacFarlane created Family Guy")
+        hyper = find_node(graph, "Seth MacFarlane created Family Guy")
         assert hyper is not None and hyper.kind == "hypernode"
         structural = [e for e in graph.edges if e.structural]
         assert sorted(e.label for e in structural) == ["_object", "_subject"]
@@ -192,8 +193,8 @@ def test_criterion_4_nested_fact_storage():
 
         inner = [e for e in graph.edges if e.label == "created"]
         assert len(inner) == 1
-        assert inner[0].source == graph.find_node("Seth MacFarlane").id
-        assert inner[0].target == graph.find_node("Family Guy").id
+        assert inner[0].source == find_node(graph, "Seth MacFarlane").id
+        assert inner[0].target == find_node(graph, "Family Guy").id
 
         outer = [e for e in graph.edges if e.label == "in"]
         assert len(outer) == 1

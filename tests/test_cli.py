@@ -16,13 +16,13 @@ from kgrag import (
     load_index,
     save_graph,
     save_index,
-    save_script,
 )
 from kgrag.cli import main
 from coe_fixtures import (
     TAYLOR_ANSWER,
     TAYLOR_QUESTION,
     benchmark_fixture,
+    save_script,
     taylor_fixture,
 )
 from http_stub import stub_server

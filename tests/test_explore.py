@@ -8,7 +8,7 @@ import json
 import re
 import time
 from collections import Counter
-from itertools import islice
+from itertools import islice, product
 from unittest.mock import patch
 
 import pytest
@@ -32,6 +32,7 @@ from kgrag import (
     ScriptedProvider,
     TraceRecorder,
     TripleStatement,
+    generate_answer,
     index_graph,
     load_graph,
     load_index,
@@ -73,6 +74,7 @@ from coe_fixtures import (
     refinement_fixture,
     taylor_fixture,
 )
+from graph_oracle import find_node
 from http_stub import stub_server
 
 NODE = StepKind.NODE_EXPLORATION
@@ -218,27 +220,27 @@ def test_node_candidates_rank_matching_label_first():
 
 def test_relationship_candidates_are_distinct_outgoing_labels():
     graph, index, _ = taylor_fixture()
-    liz = graph.find_node("Elizabeth Taylor").id
+    liz = find_node(graph, "Elizabeth Taylor").id
     ranked = relationship_candidates(index, graph.label_groups([liz]), _STEP2, 10)
     labels = [edge.label for edge, _ in ranked]
     assert set(labels) >= {"married", "married to", "co-starred with"}
     assert len(labels) == len(set(labels))
     # structural labels stay hidden even for ids with hypernode involvement
     assert all(not label.startswith("_") for label in labels)
-    hyper = graph.find_node("Elizabeth Taylor married Michael Wilding").id
+    hyper = find_node(graph, "Elizabeth Taylor married Michael Wilding").id
     ranked = relationship_candidates(index, graph.label_groups([hyper]), _STEP2, 10)
     assert [edge.label for edge, _ in ranked] == ["in"]
 
 
 def test_relationship_candidates_truncate_to_m():
     graph, index, _ = taylor_fixture()
-    liz = graph.find_node("Elizabeth Taylor").id
+    liz = find_node(graph, "Elizabeth Taylor").id
     assert len(relationship_candidates(index, graph.label_groups([liz]), _STEP2, 2)) == 2
 
 
 def test_relationship_candidates_empty_for_leaf():
     graph, index, _ = taylor_fixture()
-    leaf = graph.find_node("Chichester, West Sussex").id
+    leaf = find_node(graph, "Chichester, West Sussex").id
     assert relationship_candidates(index, graph.label_groups([leaf]), "anything", 10) == []
 
 
@@ -267,7 +269,7 @@ def test_relationship_candidates_match_brute_force(facts, instruction, m, data):
     index = index_graph(graph, embedder)
     sources = data.draw(st.lists(st.sampled_from(sorted({s for s, _, _ in facts})),
                                  min_size=1, unique=True), label="sources")
-    source_ids = {graph.find_node(s).id for s in sources}
+    source_ids = {find_node(graph, s).id for s in sources}
     got = [(edge.label, score) for edge, score in
            relationship_candidates(index, graph.label_groups(source_ids), instruction, m)]
     # Oracle: embed each candidate canonical's indexed text, score it
@@ -434,7 +436,7 @@ def test_explore_relationships_requires_current_nodes():
 
 def test_explore_relationships_dead_end_raises_empty_selection():
     engine, graph = taylor_engine()
-    leaf = graph.find_node("Chichester, West Sussex").id
+    leaf = find_node(graph, "Chichester, West Sussex").id
     state = TraversalState(current_nodes=[leaf])
     with pytest.raises(EmptySelection, match="no outgoing"):
         engine.explore_relationships(state, ExplorationStep(2, REL, _STEP2),
@@ -457,7 +459,7 @@ def test_current_nodes_capped():
     index = index_graph(graph, HashingEmbedder())
     provider = ScriptedProvider([ScriptRule("select_rels", "", "1")])
     engine = CoEngine(graph, index, provider)
-    state = TraversalState(current_nodes=[graph.find_node("hub").id])
+    state = TraversalState(current_nodes=[find_node(graph, "hub").id])
     engine.explore_relationships(state, ExplorationStep(2, REL, "follow the links"),
                                  "which items hang off the hub?")
     assert len(state.current_nodes) == 25
@@ -467,7 +469,7 @@ def test_current_nodes_capped():
 
 def test_evaluate_parses_scripted_verdict():
     engine, graph = taylor_engine()
-    state = TraversalState(current_nodes=[graph.find_node("Elizabeth Taylor").id])
+    state = TraversalState(current_nodes=[find_node(graph, "Elizabeth Taylor").id])
     plan = parse_plan(TAYLOR_PLAN)
     outcome = engine.evaluate(state, TAYLOR_QUESTION, plan)
     assert outcome.verdict is Verdict.CONTINUE
@@ -477,7 +479,7 @@ def test_evaluate_unparseable_means_refine():
     graph, index, _ = taylor_fixture()
     provider = ScriptedProvider([ScriptRule("evaluate", "", "hmm, unclear")])
     engine = CoEngine(graph, index, provider)
-    state = TraversalState(current_nodes=[graph.find_node("Elizabeth Taylor").id])
+    state = TraversalState(current_nodes=[find_node(graph, "Elizabeth Taylor").id])
     outcome = engine.evaluate(state, TAYLOR_QUESTION, parse_plan(TAYLOR_PLAN))
     assert outcome.verdict is Verdict.NEEDS_REFINEMENT
     assert "unparseable" in outcome.rationale
@@ -796,8 +798,8 @@ def test_assemble_chains_only_reaches_current_nodes():
     path = [
         NodeElement("a", "A"),
         HopElement("a", "r", "b"),
-        NodeElement("b", "B"),
         HopElement("a", "r", "c"),
+        NodeElement("b", "B"),
         NodeElement("c", "C"),
     ]
     chains = tuple(islice(iter_chains(path, ["c"]), MAX_CHAINS))
@@ -809,8 +811,8 @@ def test_assemble_chains_branching_emits_every_route():
     path = [
         NodeElement("a", "A"),
         HopElement("a", "r", "b"),
-        NodeElement("b", "B"),
         HopElement("a", "s", "c"),
+        NodeElement("b", "B"),
         NodeElement("c", "C"),
     ]
     chains = tuple(islice(iter_chains(path, ["b", "c"]), MAX_CHAINS))
@@ -844,13 +846,16 @@ def test_assemble_chains_no_connection_gives_empty():
 
 
 def test_assemble_chains_ignores_cycles():
+    # The second REL step leads back to the start as well as on to C; a
+    # last NODE step then picks C.
     path = [
         NodeElement("a", "A"),
         HopElement("a", "r", "b"),
         NodeElement("b", "B"),
         HopElement("b", "s", "a"),
-        NodeElement("a", "A"),
         HopElement("b", "t", "c"),
+        NodeElement("a", "A"),
+        NodeElement("c", "C"),
         NodeElement("c", "C"),
     ]
     chains = tuple(islice(iter_chains(path, ["c"]), MAX_CHAINS))
@@ -865,8 +870,9 @@ def test_assemble_chains_single_node_start_is_also_end():
 
 
 def _recursive_chains(path, current_nodes):
-    """The recursive depth-first enumeration chains were once built by, as an
-    oracle for their order: every chain, deduplicated, none cut."""
+    """The older search, over every simple path through the traveled hops
+    whatever their steps, recursive and uncut. Where no node is in two
+    steps, it finds the chains the layered walk finds, in the same order."""
     labels, starts, hops, seen = {}, [], [], set()
     before_first_hop = True
     for element in path:
@@ -901,20 +907,79 @@ def _recursive_chains(path, current_nodes):
     return chains
 
 
-_ids = st.sampled_from("abcdef")
-_path_elements = st.one_of(
-    _ids.map(lambda i: NodeElement(i, i.upper())),
-    st.builds(HopElement, _ids, st.sampled_from("rs"), _ids),
-)
+@st.composite
+def _traveled(draw):
+    """A path as the engine travels it, with its parts: the steps' node sets,
+    the starts, the hop layers and the current nodes. A NODE step appends the
+    nodes it selects; a REL step appends hops from the current nodes, then
+    their targets, which become the current nodes. Steps share six node ids,
+    or in half the draws each step has three ids of its own."""
+    apart = draw(st.booleans())
+
+    def ids(step: int):
+        return st.sampled_from([f"{c}{step}" for c in "abc"] if apart else list("abcdef"))
+
+    current = draw(st.lists(ids(0), min_size=1, max_size=3, unique=True))
+    path = [NodeElement(i, i.upper()) for i in current]
+    steps, starts, layers = [set(current)], list(current), []
+    for step, kind in enumerate(draw(st.lists(st.sampled_from([NODE, REL, REL]), max_size=4)), 1):
+        if kind is NODE:
+            current = draw(st.lists(ids(step), min_size=1, max_size=3, unique=True))
+            if not layers:
+                starts += current
+        else:
+            hops = draw(st.lists(st.builds(HopElement, st.sampled_from(current),
+                                           st.sampled_from("rs"), ids(step)),
+                                 min_size=1, max_size=6, unique=True))
+            current = sorted({hop.target for hop in hops})
+            path += hops
+            layers.append(hops)
+        path += [NodeElement(i, i.upper()) for i in current]
+        steps.append(set(current))
+    return path, steps, list(dict.fromkeys(starts)), layers, current
+
+
+def _product_chains(starts, layers, current_nodes):
+    """Every chain by brute force: a start and one hop from each of the first
+    j layers, for every j, kept when the hops link up, revisit no node and
+    end at a current node; sorted by the positions of their elements."""
+    found = []
+    for position, start in enumerate(starts):
+        for depth in range(len(layers) + 1):
+            for picks in product(*(enumerate(layer) for layer in layers[:depth])):
+                hops = [hop for _, hop in picks]
+                nodes = [start] + [hop.target for hop in hops]
+                if (all(hop.source == node for hop, node in zip(hops, nodes))
+                        and len(set(nodes)) == len(nodes) and nodes[-1] in current_nodes):
+                    chain = [NodeElement(start, start.upper())]
+                    for hop in hops:
+                        chain += (hop, NodeElement(hop.target, hop.target.upper()))
+                    found.append(((position, *(i for i, _ in picks)), tuple(chain)))
+    return [chain for _, chain in sorted(found)]
+
+
+def _drain(walk):
+    """All of a chain walk's chains, and what it returned."""
+    chains = []
+    while True:
+        try:
+            chains.append(next(walk))
+        except StopIteration as stop:
+            return chains, stop.value
 
 
 @settings(max_examples=300, deadline=None)
-@given(st.lists(_path_elements, max_size=30), st.lists(_ids, max_size=4))
-def test_chains_come_lazily_in_depth_first_order(path, current_nodes):
-    expected = _recursive_chains(path, current_nodes)
-    assert list(iter_chains(path, current_nodes)) == expected
+@given(_traveled())
+def test_chains_come_lazily_in_depth_first_order(traveled):
+    path, steps, starts, layers, current_nodes = traveled
+    expected = _product_chains(starts, layers, current_nodes)
+    assert _drain(iter_chains(path, current_nodes)) == (expected, False)
     assert (tuple(islice(iter_chains(path, current_nodes), MAX_CHAINS))
             == tuple(expected[:MAX_CHAINS]))
+    # With no node in two steps, every simple path over the traveled hops
+    # takes one hop per step, so the older search finds the same chains.
+    if sum(map(len, steps)) == len(set().union(*steps)):
+        assert _recursive_chains(path, current_nodes) == expected
 
 
 def _layered_path(width: int, layers: int) -> list:
@@ -938,11 +1003,14 @@ def test_assemble_chains_stops_at_the_cap():
 
 
 def test_assemble_chains_skips_dead_ends_quickly():
-    """The first start fans out into a million routes that reach no current
-    node; the one chain comes from the second start."""
-    path = _layered_path(10, 6)
+    """The first starts fan out into a million routes that reach no current
+    node; the one chain comes from the last start, whose hop the first REL
+    step travels last, and a NODE step at the end picks its target."""
+    path = _layered_path(10, 6)    # 10 starts, then each step's 100 hops and 10 targets
     path.insert(10, NodeElement("s", "S"))
-    path += [HopElement("s", "r", "e"), NodeElement("e", "E")]
+    path.insert(111, HopElement("s", "r", "e"))
+    path.insert(122, NodeElement("e", "E"))
+    path.append(NodeElement("e", "E"))
     started = time.perf_counter()
     chains = tuple(islice(iter_chains(path, ["e"]), MAX_CHAINS))
     assert time.perf_counter() - started < 1.0
@@ -983,3 +1051,85 @@ def test_run_records_a_cut_chain_list_in_the_trace(monkeypatch):
     assert len(consumed) == MAX_CHAINS + 1      # enough to tell that the list was cut
     assert {"event": "chains_cut", "kept": MAX_CHAINS} in trace.events
     assert trace.events[-1]["chains"] == MAX_CHAINS
+
+
+class _PlanFollower:
+    """An honest model: it sends ``plan``, picks the candidate that reads as
+    the step's instruction, continues, and responds at the last step."""
+
+    def __init__(self, plan: str):
+        self.plan = plan
+        self.tags = []
+
+    def complete(self, request):
+        self.tags.append(request.tag)
+        user = request.messages[-1].content
+        if request.tag == "plan":
+            return LmResponse(self.plan)
+        if request.tag == "evaluate":
+            step, of = re.search(r"Current step: (\d+) of (\d+)", user).groups()
+            return LmResponse("respond" if step == of else "continue")
+        instruction = re.search(r"^Step: (.*)$", user, re.MULTILINE).group(1)
+        listing = user.split("Candidates:\n", 1)[1].splitlines()
+        return LmResponse(next((line.split(". ", 1)[0] for line in listing
+                                if line.split(". ", 1)[1] == instruction), "none"))
+
+
+def _clique_graph(members: int) -> KnowledgeGraph:
+    """Gate manages the members, who all know each other and Gate; Alpha
+    reports to Gate, and Gate is located in Omega."""
+    names = [f"member {i}" for i in range(members)]
+    triples = ["(Alpha)-[reports to]->(Gate)", "(Gate)-[located in]->(Omega)"]
+    triples += [f"(Gate)-[manages]->({name})" for name in names]
+    triples += [f"({name})-[knows]->({other})"
+                for name in names for other in names + ["Gate"] if other != name]
+    return build_graph(triples)
+
+
+def _run_plan(graph: KnowledgeGraph, plan: list[str]):
+    provider = _PlanFollower("\n".join(plan))
+    trace = TraceRecorder()
+    engine = CoEngine(graph, index_graph(graph, HashingEmbedder()), provider, trace=trace)
+    started = time.perf_counter()
+    result = engine.run("Where is the office?")
+    return result, time.perf_counter() - started, trace, provider
+
+
+def test_clique_question_ends_quickly():
+    """Every chain from Alpha must come back through Gate before it can take
+    the last step, so none exists; the walk finds that without listing the
+    members' routes."""
+    result, seconds, trace, _ = _run_plan(_clique_graph(24), [
+        "NODE: Alpha", "REL: reports to", "REL: manages", "REL: knows", "REL: located in"])
+    assert seconds < 1.0
+    assert result == Paths((), steps_taken=5)
+    assert [e for e in trace.events if e["event"] == "chains_cut"] == []
+
+
+def test_hop_budget_ends_a_walk_with_no_chain():
+    """From Gate through the members, the only way to Omega runs back
+    through Gate, the start; every route of ten "knows" steps is walked
+    until the hop budget ends the walk."""
+    result, seconds, trace, provider = _run_plan(_clique_graph(24), [
+        "NODE: Gate", "REL: manages", *["REL: knows"] * 10, "REL: located in"])
+    assert seconds < 1.0
+    assert result == Paths((), steps_taken=13)
+    assert {"event": "chains_cut", "kept": 0, "cause": "hop budget"} in trace.events
+    assert trace.events[-1] == {"event": "result", "type": "paths", "steps_taken": 13,
+                                "chains": 0}
+    answer = generate_answer(provider, "Where is the office?", result)
+    assert answer.answer == FAILURE_MESSAGE and not answer.grounded
+    assert "answer" not in provider.tags
+
+
+# _layered_path(2, 3) has 16 chains to its last layer and a walk over it
+# looks at 28 hops: 14 from each start, 2 + 4 + 8 over its three layers. The
+# start 0-1 is also an end, which makes a 17th chain; a walk cut within the
+# first start's hops does not reach it.
+@pytest.mark.parametrize("budget, found, cut", [(28, 17, False), (27, 16, True), (9, 4, True)])
+def test_hop_budget_keeps_the_chains_found_before_it(monkeypatch, budget, found, cut):
+    monkeypatch.setattr(kgrag.explore, "MAX_CHAIN_HOPS", budget)
+    path, ends = _layered_path(2, 3), ["3-0", "3-1", "0-1"]
+    chains, was_cut = _drain(iter_chains(path, ends))
+    assert (len(chains), was_cut) == (found, cut)
+    assert chains == _recursive_chains(path, ends)[:found]

@@ -17,6 +17,7 @@ from kgrag import (
 )
 from kgrag.extraction import TextChunk
 from kgrag.prompts import EXTRACTION_EXAMPLES
+from graph_oracle import find_node
 
 SENTENCE = "Seth MacFarlane created Family Guy in 1999."
 TWO_LINE_OUTPUT = (
@@ -174,8 +175,8 @@ def test_extract_and_store_drops_reserved_predicates():
     report = extract_and_store(graph, provider, "doc", SENTENCE)
     assert report.triples_extracted == 2      # parsed fine, rejected at upsert
     assert report.triples_upserted == 1
-    assert graph.find_node("a") is None
-    assert graph.find_node("c") is not None
+    assert find_node(graph, "a") is None
+    assert find_node(graph, "c") is not None
 
 
 def test_extract_and_store_reports_refused_triples():
@@ -213,7 +214,7 @@ def test_provider_failure_halts_with_partial_report():
     report = exc_info.value.report
     assert report.chunks_processed >= 1
     assert report.triples_upserted >= 1
-    assert graph.find_node("a") is not None   # partial progress is kept
+    assert find_node(graph, "a") is not None   # partial progress is kept
 
 
 def test_report_merge_accumulates():

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from graph_oracle import edge_row, node_row, saved_text
+from graph_oracle import edge_row, find_node, node_row, saved_text
 from kgrag import (
     DepthError,
     Entity,
@@ -83,12 +83,12 @@ def test_nested_statement_materializes_hypernode():
     assert stats.edge_count == 4
     assert stats.distinct_relationship_labels == 2
 
-    hyper = graph.find_node("Seth MacFarlane created Family Guy")
+    hyper = find_node(graph, "Seth MacFarlane created Family Guy")
     assert hyper is not None and hyper.kind == KIND_HYPERNODE
 
-    seth = graph.find_node("Seth MacFarlane")
-    family_guy = graph.find_node("Family Guy")
-    year = graph.find_node("1999")
+    seth = find_node(graph, "Seth MacFarlane")
+    family_guy = find_node(graph, "Family Guy")
+    year = find_node(graph, "1999")
     assert {n.kind for n in (seth, family_guy, year)} == {KIND_ENTITY}
 
     # inner relation is an ordinary edge between the original terms
@@ -121,8 +121,8 @@ def test_double_nesting_builds_hypernode_of_hypernode():
     assert stats.node_count == 6          # a, b, c, d + two hypernodes
     assert stats.hypernode_count == 2
     assert stats.edge_count == 7          # r, s, t + four structural
-    outer = graph.find_node("a r b s c")
-    inner = graph.find_node("a r b")
+    outer = find_node(graph, "a r b s c")
+    inner = find_node(graph, "a r b")
     assert outer.kind == KIND_HYPERNODE and inner.kind == KIND_HYPERNODE
     assert targets(graph, [outer.id], STRUCTURAL_SUBJECT) == [inner.id]
     graph.audit()
@@ -131,7 +131,7 @@ def test_double_nesting_builds_hypernode_of_hypernode():
 def test_hypernode_label_collision_reuses_entity():
     graph = build("(x)-[holds]->(a r b)",        # entity whose label equals the flattening
                   "((a)-[r]->(b))-[in]->(1999)")
-    node = graph.find_node("a r b")
+    node = find_node(graph, "a r b")
     assert node.kind == KIND_ENTITY
     # no structural edges may hang off an entity node
     assert all(not e.structural for e in graph.edges if node.id in (e.source, e.target))
@@ -161,7 +161,7 @@ def test_nodes_dedup_by_canonical_label():
     graph = build("(Family Guy)-[aired on]->(Fox)",
                   "(FAMILY    guy)-[created by]->(Seth MacFarlane)")
     assert graph.stats().node_count == 3
-    node = graph.find_node("family guy")
+    node = find_node(graph, "family guy")
     assert node.label == "Family Guy"     # first-seen display text wins
 
 
@@ -213,14 +213,14 @@ def chain_graph() -> KnowledgeGraph:
 def test_label_groups_group_out_edges_by_canonical_label():
     graph = build("(hub)-[LINKS  to]->(beta)", "(hub)-[links to]->(alpha)",
                   "(hub)-[other]->(gamma)", "(spoke)-[links to]->(alpha)", NESTED_LINE)
-    hub, spoke = graph.find_node("hub").id, graph.find_node("spoke").id
+    hub, spoke = find_node(graph, "hub").id, find_node(graph, "spoke").id
     groups = graph.label_groups([spoke, hub, hub])
     assert sorted(groups) == ["links to", "other"]
     assert [(e.source, e.target) for e in groups["links to"]] == sorted(
         (e.source, e.target) for e in graph.edges if e.canonical == "links to")
-    hyper = graph.find_node("Seth MacFarlane created Family Guy").id
+    hyper = find_node(graph, "Seth MacFarlane created Family Guy").id
     assert list(graph.label_groups([hyper])) == ["in"]    # structural groups left out
-    assert graph.label_groups([graph.find_node("gamma").id]) == {}
+    assert graph.label_groups([find_node(graph, "gamma").id]) == {}
     with pytest.raises(UnknownNodeError):
         graph.label_groups([hub, "no-such-id"])
 
@@ -228,7 +228,7 @@ def test_label_groups_group_out_edges_by_canonical_label():
 def test_label_groups_match_labels_canonically():
     graph = build("(hub)-[LINKS  to]->(beta)", "(hub)-[links to]->(alpha)",
                   "(hub)-[other]->(gamma)")
-    hub = graph.find_node("hub").id
+    hub = find_node(graph, "hub").id
     groups = graph.label_groups([hub])
     assert {canonical: [(e.label, graph.node(e.target).label) for e in group]
             for canonical, group in groups.items()} == {
@@ -242,7 +242,7 @@ def test_node_lookup_errors():
     graph = chain_graph()
     with pytest.raises(UnknownNodeError):
         graph.node("absent")
-    assert graph.find_node("no such label") is None
+    assert find_node(graph, "no such label") is None
 
 
 # ------------------------------------------------------------------ audit
@@ -259,7 +259,7 @@ def test_audit_passes_on_clean_graph():
 
 def test_audit_detects_duplicate_canonical():
     graph = chain_graph()
-    node = graph.find_node("a")
+    node = find_node(graph, "a")
     clone = type(node)("deadbeef00000000", "A", "a", KIND_ENTITY)
     graph._nodes[clone.id] = clone
     with pytest.raises(GraphIntegrityError, match="duplicate canonical"):
@@ -300,7 +300,7 @@ def test_audit_enforces_hypernode_anchor_law():
 
 def test_audit_refuses_ids_that_are_not_content_hashes():
     graph = chain_graph()
-    node = graph.find_node("c")
+    node = find_node(graph, "c")
     del graph._nodes[node.id]
     graph._nodes["not-a-hash"] = dataclasses.replace(node, id="not-a-hash")
     with pytest.raises(GraphIntegrityError, match="node not-a-hash: id is not the hash"):
@@ -330,7 +330,7 @@ def _add_unknown_source(graph, node):
 
 
 def _move_edge_to_another_label(graph, node):
-    a = graph.find_node("a").id
+    a = find_node(graph, "a").id
     graph._out[a]["elsewhere"] = graph._out[a].pop("r")
 
 
@@ -343,7 +343,7 @@ def _move_edge_to_another_label(graph, node):
 ])
 def test_audit_detects_damage_to_a_node_or_group(damage, message):
     graph = build("(a)-[r]->(b)")
-    damage(graph, graph.find_node("b"))
+    damage(graph, find_node(graph, "b"))
     with pytest.raises(GraphIntegrityError, match=message):
         graph.audit()
 
@@ -352,7 +352,7 @@ def test_audit_detects_unordered_out_group():
     # Reversed, and one record held twice in its group.
     for damage in (list.reverse, lambda group: group.append(group[-1])):
         graph = build("(a)-[r]->(b)", "(a)-[r]->(c)")
-        damage(graph._out[graph.find_node("a").id]["r"])
+        damage(graph._out[find_node(graph, "a").id]["r"])
         with pytest.raises(GraphIntegrityError, match="duplicate or unordered"):
             graph.audit()
 
@@ -422,7 +422,7 @@ def test_save_preserves_non_ascii(tmp_path):
     path = tmp_path / "graph.jsonl"
     save_graph(graph, path)
     assert "Céligny" in path.read_text(encoding="utf-8")
-    assert load_graph(path).find_node("céligny") is not None
+    assert find_node(load_graph(path), "céligny") is not None
 
 
 # Characters a row writer can get wrong: JSON's own escapes, the C0 controls,

@@ -21,9 +21,9 @@ from kgrag import (
     ScriptMiss,
     ScriptRule,
     ScriptedProvider,
-    save_script,
 )
 from kgrag.llm import MAX_RETRY_DELAY_S, RETRY_BASE_DELAY_S
+from coe_fixtures import save_script
 from http_stub import stub_server
 
 
