@@ -3,9 +3,13 @@
 The default embedder is fully deterministic and offline: character 3-grams
 of the lowercased text (with fastText-style ``<`` ``>`` boundary padding so
 one and two character labels still produce grams), hashed by CRC-32 into a
-fixed number of buckets, counts L2-normalized. Scores are dot products,
-which equal cosine on unit vectors. Search is an exact scan; no
-approximation anywhere, so results are reproducible byte for byte.
+fixed number of buckets, counts L2-normalized. A batch is counted at once:
+one ``np.bincount`` over every text's ``row * dim + bucket`` fills the whole
+matrix, and each row is divided by the square root of its integer sum of
+squares, which is exact, so a row is the same to the bit however it was
+batched. Scores are dot products, which equal cosine on unit vectors.
+Search is an exact scan; no approximation anywhere, so results are
+reproducible byte for byte.
 """
 
 from __future__ import annotations
@@ -15,12 +19,12 @@ import json
 import logging
 import time
 import warnings
-import zlib
 from dataclasses import dataclass, field
 from itertools import chain
 from pathlib import Path
 from tokenize import TokenError
 from typing import Callable, Iterable, Protocol, Sequence
+from zlib import crc32
 
 import numpy as np
 
@@ -62,7 +66,13 @@ class Embedder(Protocol):
 
 
 def _l2_normalize(matrix: np.ndarray) -> np.ndarray:
-    norms = np.linalg.norm(matrix, axis=-1, keepdims=True)
+    """Each row of ``matrix`` over its L2 norm. A row holding NaN or an
+    infinity, or whose norm overflows, has no finite norm and is refused,
+    as is a zero row."""
+    with np.errstate(over="ignore"):
+        norms = np.linalg.norm(matrix, axis=-1, keepdims=True)
+    if not np.isfinite(norms).all():
+        raise ValueError("cannot normalize a vector whose norm is not finite")
     if np.any(norms == 0.0):
         raise ValueError("cannot normalize a zero vector")
     return matrix / norms
@@ -76,28 +86,34 @@ class HashingEmbedder:
             raise ValueError("dim must be positive")
         self.dim = dim
 
-    def embed(self, text: str) -> np.ndarray:
+    def _buckets(self, text: str) -> list[int]:
+        """The bucket of each 3-gram of ``text``, in text order."""
         if not text or not text.strip():
             raise ValueError("cannot embed empty text")
-        padded = "<" + text.lower() + ">"
-        vector = np.zeros(self.dim, dtype=np.float64)
-        for i in range(len(padded) - 2):
-            gram = padded[i:i + 3]
-            vector[zlib.crc32(gram.encode("utf-8")) % self.dim] += 1.0
-        return _l2_normalize(vector)
+        padded, dim = "<" + text.lower() + ">", self.dim
+        return [crc32(padded[i:i + 3].encode()) % dim for i in range(len(padded) - 2)]
+
+    def embed(self, text: str) -> np.ndarray:
+        counts = np.bincount(self._buckets(text), minlength=self.dim)
+        return counts / np.sqrt(counts @ counts)
 
     def embed_batch(self, texts: Sequence[str]) -> np.ndarray:
-        if not texts:
-            return np.zeros((0, self.dim), dtype=np.float64)
-        return np.stack([self.embed(t) for t in texts])
+        # Every text has a gram, so no row is zero. The integer sums of
+        # squares are exact, so each row's norm is the one ``embed`` takes.
+        dim = self.dim
+        cells = [row * dim + bucket for row, text in enumerate(texts)
+                 for bucket in self._buckets(text)]
+        counts = np.bincount(cells, minlength=len(texts) * dim).reshape(len(texts), dim)
+        return counts / np.sqrt(np.einsum("ij,ij->i", counts, counts))[:, None]
 
 
 class HttpEmbeddingProvider:
     """POSTs ``{"texts": [...]}`` and expects ``{"vectors": [[...], ...]}``.
     Vectors are L2-normalized on receipt so scores stay comparable with the
-    fallback embedder. A transient failure is retried once, as by
-    :class:`~kgrag.llm.HttpChatProvider`. ``dim`` is ``None`` until the
-    first reply fixes it."""
+    fallback embedder; a zero vector, or one whose values or norm are not
+    finite, raises :class:`~kgrag.llm.ProviderError`. A transient failure
+    is retried once, as by :class:`~kgrag.llm.HttpChatProvider`. ``dim`` is
+    ``None`` until the first reply fixes it."""
 
     def __init__(self, endpoint: str, api_key: str | None = None,
                  timeout: float = 60.0, batch_size: int = 64,

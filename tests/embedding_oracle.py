@@ -1,0 +1,32 @@
+"""The per-text hashing loop that ``kgrag.embedding.HashingEmbedder`` once
+used, kept as a test oracle: it adds 1.0 into a float vector once per
+character 3-gram, then divides by ``np.linalg.norm``; a batch stacks the
+rows. The embedder in ``kgrag.embedding`` counts a whole batch with one
+``np.bincount`` instead and must agree with this one byte for byte."""
+
+from __future__ import annotations
+
+import zlib
+from typing import Sequence
+
+import numpy as np
+
+
+def oracle_embed(text: str, dim: int) -> np.ndarray:
+    if not text or not text.strip():
+        raise ValueError("cannot embed empty text")
+    padded = "<" + text.lower() + ">"
+    vector = np.zeros(dim, dtype=np.float64)
+    for i in range(len(padded) - 2):
+        gram = padded[i:i + 3]
+        vector[zlib.crc32(gram.encode("utf-8")) % dim] += 1.0
+    norm = np.linalg.norm(vector)
+    if norm == 0.0:
+        raise ValueError("cannot normalize a zero vector")
+    return vector / norm
+
+
+def oracle_embed_batch(texts: Sequence[str], dim: int) -> np.ndarray:
+    if not texts:
+        return np.zeros((0, dim), dtype=np.float64)
+    return np.stack([oracle_embed(text, dim) for text in texts])

@@ -352,6 +352,27 @@ def test_index_through_http_embedder(tmp_path, capsys):
     assert json.loads(capsys.readouterr().out) == {"entries": 7}
 
 
+@pytest.mark.parametrize("bad", [b"[NaN, 1.0]", b"[Infinity, 1.0]", b"[1e308, 1e308]"])
+def test_index_refuses_vectors_that_are_not_finite(tmp_path, capsys, bad):
+    doc, script, graph_path = ingest_setup(tmp_path)
+    main(["ingest", str(doc), "--graph", str(graph_path), "--script", script])
+    capsys.readouterr()
+
+    def responder(payload, headers):
+        rows = [b"[1.0, 2.0]"] * (len(payload["texts"]) - 1) + [bad]
+        return 200, b'{"vectors": [' + b", ".join(rows) + b"]}"
+
+    index_path = tmp_path / "index.bin"
+    with stub_server(responder) as (url, _):
+        code = main(["index", "--graph", str(graph_path),
+                     "--index", str(index_path), "--embed-endpoint", url])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: indexing aborted after 0 entries: ")
+    assert "norm is not finite" in err
+    assert not index_path.exists()
+
+
 # ------------------------------------------------------------- fault paths
 
 def test_query_without_graph_fails(tmp_path, capsys):

@@ -36,6 +36,7 @@ from kgrag.embedding import (
     KIND_RELATIONSHIP,
 )
 from kgrag.llm import RETRY_BASE_DELAY_S
+from embedding_oracle import oracle_embed, oracle_embed_batch
 from http_stub import stub_server
 
 EMBEDDER = HashingEmbedder()
@@ -88,6 +89,50 @@ def test_custom_dim():
     assert small.embed("anything").shape == (16,)
     with pytest.raises(ValueError):
         HashingEmbedder(dim=0)
+
+
+# "İ" lowercases to two characters, "e\u0301" is a combining mark, and the
+# letters past U+FFFF take four UTF-8 bytes each.
+_ODD_LETTERS = "aZ -İıße\u0301\u0308日本😀𝔸\U0001f1fa\U0001f1f8"
+_TEXTS = st.one_of(
+    st.text(min_size=1, max_size=2),
+    st.text(st.sampled_from(_ODD_LETTERS), min_size=1, max_size=12),
+    st.text(max_size=40),
+).filter(str.strip)
+_BLANKS = st.text(st.sampled_from(" \t\n\r\x0b\x0c\u3000\u2028"), max_size=3)
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.sampled_from([1, 7, 256]), st.sampled_from([0, 1, 127, 128, 129]), st.data())
+def test_embedder_matches_the_per_text_loop_byte_for_byte(dim, size, data):
+    texts = data.draw(st.lists(_TEXTS, min_size=size, max_size=size), label="texts")
+    embedder = HashingEmbedder(dim)
+    expected = oracle_embed_batch(texts, dim)
+    batch = embedder.embed_batch(texts)
+    assert (batch.shape, batch.dtype) == ((size, dim), np.float64)
+    assert batch.tobytes() == expected.tobytes()
+    for text in texts[:3] + texts[-2:]:
+        single = embedder.embed(text)
+        assert (single.shape, single.dtype) == ((dim,), np.float64)
+        assert single.tobytes() == oracle_embed(text, dim).tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([1, 7, 256]), st.lists(_TEXTS, max_size=129), _BLANKS, st.data())
+def test_a_blank_text_anywhere_in_a_batch_is_refused(dim, texts, blank, data):
+    texts.insert(data.draw(st.integers(0, len(texts)), label="position"), blank)
+    with pytest.raises(ValueError, match="cannot embed empty text"):
+        oracle_embed_batch(texts, dim)
+    with pytest.raises(ValueError, match="cannot embed empty text"):
+        HashingEmbedder(dim).embed_batch(texts)
+    with pytest.raises(ValueError, match="cannot embed empty text"):
+        HashingEmbedder(dim).embed(blank)
+
+
+def test_a_long_text_matches_the_per_text_loop():
+    text = "a" * 100_000
+    for dim in (1, 7, 256):
+        assert HashingEmbedder(dim).embed(text).tobytes() == oracle_embed(text, dim).tobytes()
 
 
 # ------------------------------------------------------------------ index
@@ -897,6 +942,22 @@ def test_http_embedder_error_paths():
     with stub_server(lambda payload, headers: (200, {"vectors": [[0.0, 0.0]]})) as (url, _):
         with pytest.raises(ProviderError):
             HttpEmbeddingProvider(url).embed("x")
+
+
+# JSON as Python's json module reads it: NaN and Infinity are accepted, and
+# two values of 1e308 are finite but their norm overflows.
+_NOT_FINITE = [b"[NaN, 1.0]", b"[Infinity, 1.0]", b"[-Infinity, 0.0]", b"[1e308, 1e308]"]
+
+
+@pytest.mark.parametrize("bad", _NOT_FINITE)
+def test_http_embedder_refuses_a_vector_that_is_not_finite(bad):
+    body = b'{"vectors": [[1.0, 0.0], ' + bad + b']}'
+    with stub_server(lambda payload, headers: (200, body)) as (url, captured):
+        provider = HttpEmbeddingProvider(url, sleep=lambda seconds: None)
+        with pytest.raises(ProviderError, match="norm is not finite"):
+            provider.embed_batch(["fine", "bad"])
+    assert len(captured) == 1
+    assert provider.dim is None
 
 
 def _fails_once(*failure):

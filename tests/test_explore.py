@@ -49,6 +49,7 @@ from kgrag.explore import (
     HopElement,
     NodeElement,
     MAX_CHAINS,
+    MAX_CHAIN_HOPS,
     MAX_FAILED_TRIES,
     MAX_PLAN_STEPS,
     PlanParseError,
@@ -755,20 +756,24 @@ _REPLIES["select_rels"] = _REPLIES["select_nodes"]
 
 
 class _DrawnProvider:
-    """Draws every reply as the engine asks for it; ``None`` is a provider error."""
+    """Draws every reply as the engine asks for it: from ``replies`` by tag,
+    ``shaped`` times as often as any text and as a provider error."""
 
-    def __init__(self, data):
+    def __init__(self, data, replies=_REPLIES, shaped: int = 3):
         self.data = data
+        self.replies = replies
+        # ``st.one_of`` would draw a repeated branch no more often than
+        # another, so the odds are drawn from a list.
+        self.kinds = st.sampled_from(["shaped"] * shaped + ["text", "error"])
         self.calls = 0
 
     def complete(self, request):
         self.calls += 1
-        shaped = _REPLIES[request.tag]
-        reply = self.data.draw(st.one_of(shaped, shaped, shaped, st.text(max_size=40),
-                                         st.none()), label=request.tag)
-        if reply is None:
+        kind = self.data.draw(self.kinds, label=f"{request.tag} kind")
+        if kind == "error":
             raise ProviderError("drawn failure")
-        return LmResponse(reply)
+        shaped = self.replies[request.tag] if kind == "shaped" else st.text(max_size=40)
+        return LmResponse(self.data.draw(shaped, label=request.tag))
 
 
 @settings(max_examples=200, deadline=None)
@@ -779,6 +784,104 @@ def test_any_replies_end_in_paths_or_failure_within_budget(data):
     result = CoEngine(graph, index, provider).run(TAYLOR_QUESTION)
     assert isinstance(result, (Paths, Failure))
     assert provider.calls <= CALL_BUDGET
+
+
+class _CountingIndex:
+    """Passes the engine's searches to ``index``, counting each kind and
+    noting the widest ``k`` asked for and returned."""
+
+    def __init__(self, index: EmbeddingIndex):
+        self.index = index
+        self.searches: Counter[str] = Counter()
+        self.widest: Counter[str] = Counter()
+
+    def search(self, query_text, k, labels=None):
+        kind = "node" if labels is None else "label"
+        results = self.index.search(query_text, k, labels)
+        self.searches[kind] += 1
+        self.widest[kind] = max(self.widest[kind], k, len(results))
+        return results
+
+
+class _HopMeter(int):
+    """Stands in for MAX_CHAIN_HOPS. The walk compares its count of hops
+    with the bound after each hop it counts, and once as it ends, so the
+    largest count compared is the number of hops the walk counted."""
+
+    def __new__(cls, value: int):
+        meter = super().__new__(cls, value)
+        meter.compared = meter.most = 0
+        return meter
+
+    def __lt__(self, examined):      # ``examined > MAX_CHAIN_HOPS``
+        self.compared += 1
+        self.most = max(self.most, examined)
+        return int(self) < examined
+
+
+@st.composite
+def _work_graph(draw) -> KnowledgeGraph:
+    """A hub pointing at members who all know each other and the hub, a
+    ring of "next" edges and a few nested facts: cycles everywhere."""
+    graph = KnowledgeGraph()
+    members = [f"m{i}" for i in range(draw(st.integers(1, 6), label="members"))]
+    facts = [("hub", "links", name) for name in members]
+    facts += [(name, "knows", other) for name in members
+              for other in members + ["hub"] if other != name]
+    ring = ["r0", "r1", "r2"][:draw(st.integers(0, 3), label="ring")]
+    facts += [(name, "next", ring[(i + 1) % len(ring)]) for i, name in enumerate(ring)]
+    for source, label, target in facts:
+        graph.upsert_triple(TripleStatement(Entity(source), label, Entity(target)))
+    for statement in draw(st.lists(_statement(), max_size=5), label="facts"):
+        graph.upsert_triple(statement)
+    return graph
+
+
+# Plans over the labels of _work_graph, and picks within small limits, so
+# that many runs travel far and respond.
+_WORK_PICKS = st.lists(st.integers(1, 5), min_size=1, max_size=5, unique=True).map(
+    lambda picks: ", ".join(map(str, picks)))
+_WORK_REPLIES = {
+    "plan": st.tuples(
+        st.sampled_from(["NODE: hub", "NODE: m0", "NODE: r0"]),
+        st.lists(st.sampled_from(["REL: knows", "REL: next", "REL: links", "REL: in",
+                                  "NODE: m1", "prose"]), min_size=3, max_size=MAX_PLAN_STEPS),
+    ).map(lambda plan: "\n".join([plan[0], *plan[1]])),
+    "select_nodes": _WORK_PICKS,
+    "select_rels": _WORK_PICKS,
+    "evaluate": st.sampled_from(["continue"] * 4 + ["respond", "refine"]),
+}
+
+
+# Prompt characters are left out: the evaluate and refine prompts list every
+# traveled element, with no bound of their own yet (ROADMAP item 5).
+@settings(max_examples=300, deadline=None)
+@given(_work_graph(), st.builds(Limits, st.integers(1, 5), st.integers(1, 5), st.integers(1, 5)),
+       st.sampled_from([0, 1, 2, 5, MAX_CHAIN_HOPS]), st.data())
+def test_work_per_question_is_bounded(graph, limits, hop_budget, data):
+    index = _CountingIndex(index_graph(graph, HashingEmbedder()))
+    provider = _DrawnProvider(data, _WORK_REPLIES, shaped=12)
+    meter = _HopMeter(hop_budget)
+    trace = TraceRecorder()
+    with patch.object(kgrag.explore, "MAX_CHAIN_HOPS", meter):
+        result = CoEngine(graph, index, provider, limits, trace).run(TAYLOR_QUESTION)
+    assert isinstance(result, (Paths, Failure))
+    assert provider.calls <= CALL_BUDGET
+    # Each failed try ends one pass over at most MAX_PLAN_STEPS steps, and
+    # each step runs one search.
+    assert sum(index.searches.values()) <= MAX_FAILED_TRIES * MAX_PLAN_STEPS
+    assert index.widest["node"] <= limits.node_candidates
+    assert index.widest["label"] <= limits.relationship_candidates
+    # One walk, and only for a run that responds with paths. The walk counts
+    # a hop before it compares the count with the bound, and once past it,
+    # each level of its recursion counts one more hop on its way out without
+    # looking where it leads. A level is a REL step since the last refinement.
+    assert (meter.compared > 0) == isinstance(result, Paths)
+    levels = 0
+    for event in trace.events:
+        levels = 0 if event["event"] == "refined" else levels + (
+            event["event"] == "relationship_selection")
+    assert meter.most <= hop_budget + levels <= MAX_CHAIN_HOPS + MAX_PLAN_STEPS
 
 
 # ---------------------------------------------------------- chain assembly
