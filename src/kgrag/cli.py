@@ -111,7 +111,7 @@ def _read_documents(paths: list[str]) -> list[tuple[str, str]]:
             try:
                 record = json.loads(line)
                 documents.append((str(record["doc_id"]), str(record["text"])))
-            except (json.JSONDecodeError, RecursionError, KeyError, TypeError) as exc:
+            except (ValueError, RecursionError, KeyError, TypeError) as exc:
                 raise ConfigError(f"{path}:{lineno}: bad document record: {exc}") from None
     return documents
 

@@ -9,20 +9,19 @@ matrix, and each row is divided by the square root of its integer sum of
 squares, which is exact, so a row is the same to the bit however it was
 batched. Scores are dot products, which equal cosine on unit vectors.
 Search is an exact scan; no approximation anywhere, so results are
-reproducible byte for byte.
+reproducible byte for byte. An index is saved as one file: a JSON header
+line, then the matrix as compressed sparse rows in three arrays of raw
+little-endian bytes (see :func:`save_index`).
 """
 
 from __future__ import annotations
 
-import io
 import json
 import logging
 import time
-import warnings
 from dataclasses import dataclass, field
 from itertools import chain
 from pathlib import Path
-from tokenize import TokenError
 from typing import Callable, Iterable, Protocol, Sequence
 from zlib import crc32
 
@@ -40,7 +39,7 @@ KIND_HYPERNODE_ENTRY = "hypernode"
 KIND_RELATIONSHIP = "relationship_label"
 _ENTRY_KINDS = (KIND_NODE, KIND_HYPERNODE_ENTRY, KIND_RELATIONSHIP)
 
-INDEX_FORMAT = "kgrag-index/2"
+INDEX_FORMAT = "kgrag-index/3"
 
 
 class IndexFormatError(ValueError):
@@ -308,14 +307,15 @@ def index_graph(graph: KnowledgeGraph, embedder: Embedder) -> EmbeddingIndex:
 
 
 def save_index(index: EmbeddingIndex, sink) -> None:
-    """Write ``index`` in the ``kgrag-index/2`` layout, to a path or a
+    """Write ``index`` in the ``kgrag-index/3`` layout, to a path or a
     binary stream. Line 1 is a compact UTF-8 JSON header with sorted keys,
     ``{"dim", "entries": [[ref_id, kind, text], ...], "format"}``, in entry
-    order. Three ``.npy`` arrays follow and hold the matrix as compressed
-    sparse rows: row offsets (``<i8``, one more than the entries), columns
-    (``<i4``) and values (``<f8``). A row keeps its non-zero components and
-    any ``-0.0``, so the loaded matrix is bit-identical to this one. An
-    empty index is an empty file."""
+    order. The matrix follows as compressed sparse rows, three arrays of
+    raw little-endian bytes one after another: row offsets (``<i8``, one
+    more than the entries), then columns (``<i4``) and values (``<f8``),
+    each as many as the last offset, written from the arrays' own buffers.
+    A row keeps its non-zero components and any ``-0.0``, so the loaded
+    matrix is bit-identical to this one. An empty index is an empty file."""
     matrix = index.matrix
     with _open_for_write(sink, binary=True) as f:
         if not len(index):
@@ -327,7 +327,7 @@ def save_index(index: EmbeddingIndex, sink) -> None:
         rows, columns = np.nonzero((matrix != 0.0) | np.signbit(matrix))
         offsets = np.searchsorted(rows, np.arange(len(index) + 1))
         for array, dtype in ((offsets, "<i8"), (columns, "<i4"), (matrix[rows, columns], "<f8")):
-            np.lib.format.write_array(f, array.astype(dtype, copy=False), allow_pickle=False)
+            f.write(array.astype(dtype, copy=False).data)
 
 
 def _read_header(line: bytes, known_dim: int | None) -> tuple[int, list[IndexEntry]]:
@@ -343,7 +343,7 @@ def _read_header(line: bytes, known_dim: int | None) -> tuple[int, list[IndexEnt
     if "format" not in header:
         raise IndexFormatError("older index format (run index again)")
     if header["format"] != INDEX_FORMAT:
-        raise IndexFormatError(f"unknown index format {header['format']!r}")
+        raise IndexFormatError(f"unknown index format {header['format']!r} (run index again)")
     dim, rows = header.get("dim"), header.get("entries")
     if type(dim) is not int or dim < 1:
         raise IndexFormatError(f"dim {dim!r} is not a positive integer")
@@ -365,82 +365,53 @@ def _read_header(line: bytes, known_dim: int | None) -> tuple[int, list[IndexEnt
     return dim, [IndexEntry(*row) for row in rows]
 
 
-def _read_array(stream: io.BytesIO, data: bytes, name: str, dtype: str,
-                length: int) -> np.ndarray:
-    """The ``.npy`` array at ``stream``'s position, a view of ``data``, the
-    bytes under ``stream``: version 1.0, 1-d, C order, ``dtype`` and
-    ``length`` items. Every check runs before a data byte is read, so an
-    object array is never unpickled. (``np.lib.format.read_array`` would
-    hide a 1-d array's Fortran flag, and allocate for the header's shape
-    before it finds the file shorter.)"""
-    try:
-        with warnings.catch_warnings():
-            # numpy warns when a header parses only as Python 2 wrote them.
-            warnings.simplefilter("ignore")
-            version = np.lib.format.read_magic(stream)
-            if version != (1, 0):
-                raise ValueError(f"unsupported .npy version {version}")
-            shape, fortran_order, found = np.lib.format.read_array_header_1_0(stream)
-    # numpy's header parser raises ValueError for most faults, and SyntaxError,
-    # TokenError, TypeError or RecursionError for some malformed headers.
-    except (ValueError, SyntaxError, TokenError, TypeError, RecursionError) as exc:
-        raise IndexFormatError(f"{name} array: {exc}") from None
-    if found.hasobject:
-        raise IndexFormatError(f"{name} array holds Python objects")
-    if found.str != dtype:
-        raise IndexFormatError(f"{name} array has dtype {found.str}, not {dtype}")
-    if fortran_order:
-        raise IndexFormatError(f"{name} array is in Fortran order")
-    if len(shape) != 1:
-        raise IndexFormatError(f"{name} array has rank {len(shape)}, not 1")
-    if shape[0] != length:
-        raise IndexFormatError(f"{name} array has {shape[0]} items, not {length}")
-    start = stream.tell()
-    end = start + length * found.itemsize
-    if end > len(data):
-        raise IndexFormatError(f"{name} array is truncated")
-    stream.seek(end)
-    return np.frombuffer(data, dtype, count=length, offset=start)
-
-
 def load_index(source, embedder: Embedder) -> EmbeddingIndex:
     """Read an index written by :func:`save_index`, from a path or a binary
     stream, into one matrix.
 
-    The header must be a UTF-8 JSON object of this format (a first line
-    with no ``format`` key is an older index: run ``kgrag index`` again);
-    ``dim`` a positive integer equal to the embedder's ``dim`` when that is
-    known; each entry a list of three strings of a known kind. Each array
-    must have its dtype, rank 1, C order and its length: the offsets one
-    more than the entries, starting at 0, never falling, and ending at the
-    length of the columns and of the values. Nothing may follow the
-    arrays. Then each row's columns must lie in ``[0, dim)`` and rise
-    strictly, and its values be finite and unit-norm. A fault raises
-    :class:`IndexFormatError`, naming the first entry failing the check
-    when it lies in one entry. An empty file is an empty index.
+    The header must be a UTF-8 JSON object of this format (any other
+    ``format``, or none, is an older or unknown index: run ``kgrag index``
+    again); ``dim`` a positive integer equal to the embedder's ``dim`` when
+    that is known; each entry a list of three strings of a known kind. The
+    format fixes each array's dtype, and the entries the offsets' length,
+    one more than their count; the offsets must start at 0 and never fall,
+    and the last gives the length of the columns and of the values. The
+    file must end where the values do. Then each row's columns must lie in ``[0, dim)``
+    and rise strictly, and its values be finite and unit-norm. A fault
+    raises :class:`IndexFormatError`, naming the first entry failing the
+    check when it lies in one entry. An empty file is an empty index.
     """
     data = source.read() if hasattr(source, "read") else Path(source).read_bytes()
     if not data:
         return EmbeddingIndex([], np.zeros((0, 0)), embedder)
-    stream = io.BytesIO(data)
-    dim, entries = _read_header(stream.readline(), getattr(embedder, "dim", None))
+    at = data.find(b"\n") + 1 or len(data)
+    dim, entries = _read_header(data[:at], getattr(embedder, "dim", None))
     n = len(entries)
-    offsets = _read_array(stream, data, "offsets", "<i8", n + 1)
+    columns_at = at + 8 * (n + 1)
+    if columns_at > len(data):
+        raise IndexFormatError("offsets array is truncated")
+    offsets = np.frombuffer(data, "<i8", count=n + 1, offset=at)
     if offsets[0] != 0:
         raise IndexFormatError("offsets do not start at 0")
-    counts = np.diff(offsets)
-    if np.any(counts < 0):
+    # Compared, not subtracted, so that no difference can overflow.
+    if np.any(offsets[1:] < offsets[:-1]):
         raise IndexFormatError("offsets do not rise")
-    columns = _read_array(stream, data, "columns", "<i4", int(offsets[-1]))
-    values = _read_array(stream, data, "values", "<f8", len(columns))
-    if stream.tell() != len(data):
-        raise IndexFormatError(f"{len(data) - stream.tell()} trailing byte(s) after the arrays")
+    size = int(offsets[-1])
+    values_at = columns_at + 4 * size
+    end = values_at + 8 * size
+    if end > len(data):
+        name = "columns" if values_at > len(data) else "values"
+        raise IndexFormatError(f"{name} array is truncated")
+    if end < len(data):
+        raise IndexFormatError(f"{len(data) - end} trailing byte(s) after the arrays")
+    columns = np.frombuffer(data, "<i4", count=size, offset=columns_at)
+    values = np.frombuffer(data, "<f8", count=size, offset=values_at)
 
     def refuse(bad_rows: np.ndarray, message: str) -> None:
         if bad_rows.size:
             raise IndexFormatError(message, int(bad_rows[0]) + 1)
 
-    row_of = np.repeat(np.arange(n), counts)
+    row_of = np.repeat(np.arange(n), np.diff(offsets))
     refuse(row_of[(columns < 0) | (columns >= dim)], f"column outside [0, {dim})")
     # Positions where a row's column does not rise from the one before it.
     no_rise = np.flatnonzero((row_of[1:] == row_of[:-1]) & (columns[1:] <= columns[:-1]))

@@ -13,6 +13,7 @@ import json
 import logging
 import re
 import threading
+import unicodedata
 from dataclasses import dataclass, field
 from enum import Enum
 from itertools import groupby
@@ -200,11 +201,25 @@ def parse_plan(raw: str) -> ExplorationPlan:
     return ExplorationPlan(tuple(steps))
 
 
+def _significant(run: str) -> str:
+    """A run of decimal digits, of any script, without its leading zeros."""
+    for at, digit in enumerate(run):
+        if unicodedata.decimal(digit):
+            return run[at:]
+    return ""
+
+
 def parse_ordinals(text: str, count: int) -> list[int]:
     """Integers found in the reply, filtered to 1..count, deduplicated in
-    reply order. A reply like "none" yields an empty list."""
+    reply order. A reply like "none" yields an empty list. A run with more
+    significant digits than ``count`` is out of range and is skipped
+    unread, so no run is too long for ``int``."""
     picks: list[int] = []
+    most = len(str(count))
     for token in re.findall(r"\d+", text):
+        token = _significant(token)
+        if not token or len(token) > most:
+            continue
         value = int(token)
         if 1 <= value <= count and value not in picks:
             picks.append(value)

@@ -488,7 +488,7 @@ def _parse_chunk(chunk: list[tuple[int, str]], text: str) -> Iterable:
     if text.startswith("{") and text.count("\n{") == len(chunk) - 1 and "[" not in text:
         try:
             values = json.loads("[" + text + "]")
-        except (json.JSONDecodeError, RecursionError):
+        except (ValueError, RecursionError):
             values = None
         if values is not None and len(values) == len(chunk):
             return values
@@ -498,7 +498,7 @@ def _parse_chunk(chunk: list[tuple[int, str]], text: str) -> Iterable:
 def _parse_line(line: str, lineno: int):
     try:
         return json.loads(line)
-    except (json.JSONDecodeError, RecursionError) as exc:
+    except (ValueError, RecursionError) as exc:
         raise GraphFormatError(f"invalid JSON: {exc}", lineno) from None
 
 

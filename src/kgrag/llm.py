@@ -118,7 +118,7 @@ class ScriptedProvider:
                 except KeyError as exc:
                     raise ValueError(f"bad script rule on line {lineno}: "
                                      f"missing field {exc.args[0]!r}") from None
-                except (json.JSONDecodeError, RecursionError, TypeError) as exc:
+                except (ValueError, RecursionError, TypeError) as exc:
                     raise ValueError(f"bad script rule on line {lineno}: {exc}") from None
                 for name, value in zip(_SCRIPT_FIELDS, values):
                     if type(value) is not str:

@@ -233,8 +233,7 @@ def load_dataset(source) -> tuple[list[QaExample], list[str]]:
                     question=str(record["question"]),
                     gold_answers=tuple(str(a) for a in answers),
                 )
-            except (json.JSONDecodeError, RecursionError, KeyError, TypeError,
-                    ValueError) as exc:
+            except (ValueError, RecursionError, KeyError, TypeError) as exc:
                 problems.append(f"line {lineno}: {exc}")
                 continue
             examples.append(example)

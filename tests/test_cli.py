@@ -460,6 +460,30 @@ def test_query_with_an_older_dense_index_fails(tmp_path, capsys):
     assert capsys.readouterr().out == TAYLOR_ANSWER + "\n"
 
 
+def test_query_with_a_kgrag_index_2_file_fails(tmp_path, capsys):
+    graph_path, index_path, script_path = taylor_setup(tmp_path)
+    header, arrays = Path(index_path).read_bytes().split(b"\n", 1)
+    fields = json.loads(header)
+    offsets = np.frombuffer(arrays, "<i8", count=len(fields["entries"]) + 1)
+    size = int(offsets[-1])
+    columns = np.frombuffer(arrays, "<i4", count=size, offset=offsets.nbytes)
+    values = np.frombuffer(arrays, "<f8", count=size, offset=offsets.nbytes + columns.nbytes)
+    # The previous layout: the same header, then each array as a .npy block.
+    with open(index_path, "wb") as f:
+        f.write(json.dumps({**fields, "format": "kgrag-index/2"}).encode("utf-8") + b"\n")
+        for array in (offsets, columns, values):
+            np.lib.format.write_array(f, array, allow_pickle=False)
+    argv = ["query", TAYLOR_QUESTION, "--graph", graph_path, "--index", index_path,
+            "--script", script_path]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == (f"error: unreadable index file {index_path}: unknown "
+                                       f"index format 'kgrag-index/2' (run index again)\n")
+    assert main(["index", "--graph", graph_path, "--index", index_path]) == 0
+    capsys.readouterr()
+    assert main(argv) == 0
+    assert capsys.readouterr().out == TAYLOR_ANSWER + "\n"
+
+
 def test_query_after_reingest_needs_index_again(tmp_path, capsys):
     doc, _, graph_path = ingest_setup(tmp_path)
     more = tmp_path / "more.txt"
@@ -691,29 +715,38 @@ def _script_with_a_number_substring(tmp_path):
 
 # A JSON line nested this deep overflows the parser's recursion limit.
 _DEEP_LINES = {"array": "[" * 200_000, "object": '{"a": ' * 200_000}
+# Lines no reader can parse: too deep, or holding an integer of more digits
+# than ``int`` converts (4,300), which ``json.loads`` refuses with a plain
+# ``ValueError``.
+_UNREADABLE_LINES = {**{f"deep-{opener}": line for opener, line in _DEEP_LINES.items()},
+                     "huge-integer": '{"type": "node", "id": ' + "1" * 5000 + "}"}
 
 
-def _graph_with_a_deep_line(tmp_path, opener):
-    """``stats`` over an ingested graph whose second line is nested too deep."""
+def _insert_second_line(path: Path, line: str) -> None:
+    lines = path.read_text(encoding="utf-8").splitlines()
+    lines.insert(1, line)
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+def _graph_with_a_bad_line(tmp_path, kind):
+    """``stats`` over an ingested graph whose second line cannot be parsed."""
     doc, script, graph_path = ingest_setup(tmp_path)
     assert main(["ingest", str(doc), "--graph", str(graph_path), "--script", script]) == 0
-    lines = graph_path.read_text(encoding="utf-8").splitlines()
-    lines.insert(1, _DEEP_LINES[opener])
-    graph_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    _insert_second_line(graph_path, _UNREADABLE_LINES[kind])
     return ["stats", "--graph", str(graph_path)]
 
 
-def _script_with_a_deep_line(tmp_path, opener):
+def _script_with_a_bad_line(tmp_path, kind):
     doc, _, graph_path = ingest_setup(tmp_path)
     script = tmp_path / "bad-script.jsonl"
-    script.write_text(_DEEP_LINES[opener] + "\n", encoding="utf-8")
+    script.write_text(_UNREADABLE_LINES[kind] + "\n", encoding="utf-8")
     return ["ingest", str(doc), "--graph", str(graph_path), "--script", str(script)]
 
 
-def _document_with_a_deep_line(tmp_path, opener):
+def _document_with_a_bad_line(tmp_path, kind):
     _, script, graph_path = ingest_setup(tmp_path)
     doc = tmp_path / "deep-doc.jsonl"
-    doc.write_text(_DEEP_LINES[opener] + "\n", encoding="utf-8")
+    doc.write_text(_UNREADABLE_LINES[kind] + "\n", encoding="utf-8")
     return ["ingest", str(doc), "--graph", str(graph_path), "--script", script]
 
 
@@ -746,11 +779,11 @@ BAD_INPUTS = {
     "index-graph-lone-surrogate": _index_graph_with_lone_surrogate,
     "query-graph-lone-surrogate": _query_graph_with_lone_surrogate,
     "eval-graph-lone-surrogate": _eval_graph_with_lone_surrogate,
-    **{f"{what}-deep-{opener}": lambda tmp, make=make, opener=opener: make(tmp, opener)
-       for what, make in (("graph", _graph_with_a_deep_line),
-                          ("script", _script_with_a_deep_line),
-                          ("document", _document_with_a_deep_line))
-       for opener in _DEEP_LINES},
+    **{f"{what}-{kind}": lambda tmp, make=make, kind=kind: make(tmp, kind)
+       for what, make in (("graph", _graph_with_a_bad_line),
+                          ("script", _script_with_a_bad_line),
+                          ("document", _document_with_a_bad_line))
+       for kind in _UNREADABLE_LINES},
 }
 
 # What the one error line must name: the bad option or file.
@@ -767,10 +800,10 @@ BAD_INPUT_NAMES = {
     "truncated-index": "index.bin", "index-duplicate-label": "index.bin",
     "index-graph-lone-surrogate": "graph.jsonl",
     "query-graph-lone-surrogate": "graph.jsonl", "eval-graph-lone-surrogate": "graph.jsonl",
-    **{f"{what}-deep-{opener}": name
+    **{f"{what}-{kind}": name
        for what, name in (("graph", "graph.jsonl"), ("script", "bad-script.jsonl"),
                           ("document", "deep-doc.jsonl"))
-       for opener in _DEEP_LINES},
+       for kind in _UNREADABLE_LINES},
 }
 
 
@@ -804,12 +837,34 @@ def test_bad_input_ends_in_one_error_line(tmp_path, capsys, case):
     ("script-deep-object", "bad script rule on line 1: maximum recursion depth exceeded"),
     ("document-deep-array", "deep-doc.jsonl:1: bad document record: maximum recursion"),
     ("document-deep-object", "deep-doc.jsonl:1: bad document record: maximum recursion"),
+    ("graph-huge-integer", "line 2: invalid JSON: Exceeds the limit (4300 digits)"),
+    ("script-huge-integer", "bad script rule on line 1: Exceeds the limit (4300 digits)"),
+    ("document-huge-integer", "deep-doc.jsonl:1: bad document record: Exceeds the limit"),
 ])
 def test_bad_edge_ids_are_named(tmp_path, capsys, case, message):
     argv = BAD_INPUTS[case](tmp_path)
     capsys.readouterr()
     assert main(argv) == 1
     assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["stats", "index", "query", "eval", "ingest"])
+def test_every_graph_reader_names_a_line_with_a_huge_integer(tmp_path, capsys, command):
+    args = _query_args(tmp_path)
+    graph_path = Path(args[1])
+    _insert_second_line(graph_path, _UNREADABLE_LINES["huge-integer"])
+    doc, extract_script, _ = ingest_setup(tmp_path)
+    argv = {"stats": ["stats"] + args[:2], "index": ["index"] + args[:4],
+            "query": ["query", TAYLOR_QUESTION] + args,
+            "eval": ["eval", _dataset(tmp_path)] + args,
+            "ingest": ["ingest", str(doc), "--graph", str(graph_path),
+                       "--script", extract_script]}[command]
+    capsys.readouterr()
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1
+    assert err.startswith("error: ") and "graph.jsonl" in err
+    assert "line 2: invalid JSON: Exceeds the limit (4300 digits)" in err
 
 
 def test_eval_skips_and_counts_deeply_nested_dataset_lines(tmp_path, capsys):

@@ -183,6 +183,43 @@ def test_parse_ordinals():
     assert parse_ordinals("none", 5) == []
     assert parse_ordinals("", 5) == []
     assert parse_ordinals("0 and 6", 5) == []
+    assert parse_ordinals("003", 5) == [3]
+    assert parse_ordinals("\u0660\u0663", 5) == [3]
+    # Runs too long for ``int``.
+    assert parse_ordinals("1" * 5000, 5) == []
+    assert parse_ordinals("1" * 5000 + " then 2", 5) == [2]
+    assert parse_ordinals("0" * 5000 + "3", 5) == [3]
+
+
+def _parse_ordinals_by_int(text: str, count: int) -> list[int]:
+    """The oracle: ``int`` of every digit run, which raises on a run of
+    more than 4,300 digits."""
+    picks: list[int] = []
+    for token in re.findall(r"\d+", text):
+        value = int(token)
+        if 1 <= value <= count and value not in picks:
+            picks.append(value)
+    return picks
+
+
+# ASCII digits, and zeros and threes of the Arabic-Indic and Devanagari scripts.
+_DIGITS = "0123456789\u0660\u0663\u0966\u0969"
+_ZEROS = "0\u0660\u0966"
+_SHORT_RUNS = st.text(st.sampled_from(_DIGITS), min_size=1, max_size=6)
+_DIGIT_RUNS = st.one_of(
+    _SHORT_RUNS,
+    st.builds(lambda zeros, run: zeros + run,
+              st.text(st.sampled_from(_ZEROS), max_size=4294), _SHORT_RUNS),
+    st.builds(lambda digit, n: digit * n, st.sampled_from(_DIGITS), st.integers(1, 4300)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(_DIGIT_RUNS, st.sampled_from([" ", ", ", " and ", "\n", "x"])),
+                max_size=6),
+       st.one_of(st.integers(0, 30), st.integers(0, 10 ** 12)))
+def test_parse_ordinals_matches_int_of_every_run(pieces, count):
+    text = "".join(run + separator for run, separator in pieces)
+    assert parse_ordinals(text, count) == _parse_ordinals_by_int(text, count)
 
 
 def test_parse_verdict():
@@ -587,6 +624,22 @@ def test_refinement_recovers_after_dead_ends():
         assert event["current_step"] == 1       # traversal restarts
         assert event["path_len"] == 0           # with an empty path
     assert [e["failed_tries"] for e in refined] == [1, 2]
+
+
+@pytest.mark.parametrize("tag", ["select_nodes", "select_rels"])
+def test_a_selection_of_a_long_digit_run_refines_and_then_fails(tag):
+    graph, index, rules = taylor_fixture()
+    rules = [r for r in rules if r.tag != tag] + [ScriptRule(tag, "", "1" * 5000)]
+    trace = TraceRecorder()
+    result = CoEngine(graph, index, ScriptedProvider(rules), trace=trace).run(TAYLOR_QUESTION)
+    assert result == Failure()
+    refines = [e for e in trace.events
+               if e["event"] == "verdict" and e["verdict"] == "needs_refinement"]
+    assert len(refines) == MAX_FAILED_TRIES
+    assert all(v["rationale"].startswith("empty selection: model selected no ") for v in refines)
+    assert sum(1 for e in trace.events if e["event"] == "refined") == MAX_FAILED_TRIES
+    assert trace.events[-1] == {"event": "result", "type": "failure",
+                                "cause": "plan exhausted or too many failed tries"}
 
 
 def test_refinement_exhaustion_fails_with_fixed_message():
