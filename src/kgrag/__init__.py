@@ -33,6 +33,7 @@ from .explore import (
     Paths,
     PlanParseError,
     StepKind,
+    StepRecord,
     TraceRecorder,
     TraversalState,
     Verdict,

@@ -19,7 +19,8 @@ from __future__ import annotations
 import json
 import logging
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from itertools import chain
 from pathlib import Path
 from typing import Callable, Iterable, Protocol, Sequence
@@ -170,12 +171,15 @@ class IndexEntry:
     ref_id: str
     kind: str
     text: str
-    canonical: str = field(init=False)
 
     def __post_init__(self):
         if self.kind not in _ENTRY_KINDS:
             raise ValueError(f"bad entry kind {self.kind!r}")
-        object.__setattr__(self, "canonical", normalize_label(self.text))
+
+    @cached_property
+    def canonical(self) -> str:
+        """Computed when first read; only ties between scores read it."""
+        return normalize_label(self.text)
 
 
 class EmbeddingIndex:

@@ -2,9 +2,11 @@
 
 One run plans exploration steps, alternates node and relationship
 exploration under LM selection, and after every step asks the LM whether to
-continue, refine the plan, or respond. Refinement restarts the traversal
-from step 1 with an empty path; three failed tries end the run with the
-fixed failure message.
+continue, refine the plan, or respond. Each explored step leaves one
+:class:`StepRecord`; the evaluate and refine prompts show one bounded line
+per record, and the chains are walked from the records' hops. Refinement
+restarts the traversal from step 1 with no records; three failed tries end
+the run with the fixed failure message.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ import threading
 import unicodedata
 from dataclasses import dataclass, field
 from enum import Enum
-from itertools import groupby
+from itertools import takewhile
 from typing import Generator, Sequence, Union
 
 from .embedding import EmbeddingIndex, StaleIndexError
@@ -106,6 +108,18 @@ PathElement = Union[NodeElement, HopElement]
 
 
 @dataclass(frozen=True)
+class StepRecord:
+    """One explored step: its plan ordinal, the relationship labels it chose
+    (none for a NODE step), the hops it traveled, and the nodes it picked or
+    reached, which became the current nodes."""
+
+    ordinal: int
+    labels: tuple[str, ...]
+    hops: tuple[HopElement, ...]
+    nodes: tuple[NodeElement, ...]
+
+
+@dataclass(frozen=True)
 class EvalOutcome:
     verdict: Verdict
     rationale: str = ""
@@ -114,7 +128,7 @@ class EvalOutcome:
 @dataclass
 class TraversalState:
     current_nodes: list[str] = field(default_factory=list)
-    path_traveled: list[PathElement] = field(default_factory=list)
+    steps: list[StepRecord] = field(default_factory=list)
     current_step: int = 1
     failed_tries: int = 0
 
@@ -241,19 +255,16 @@ def parse_verdict(text: str) -> Verdict | None:
     return min(hits)[1]
 
 
-def format_path_elements(elements: Sequence[PathElement]) -> str:
-    """Human- and script-readable rendering of the traveled path, one
-    element per line."""
-    labels = {e.node_id: e.label for e in elements if isinstance(e, NodeElement)}
-    lines: list[str] = []
-    for element in elements:
-        if isinstance(element, NodeElement):
-            lines.append(f"node: {element.label}")
-        else:
-            source = labels.get(element.source, element.source)
-            target = labels.get(element.target, element.target)
-            lines.append(f"hop: ({source})-[{element.label}]->({target})")
-    return "\n".join(lines)
+def format_steps(steps: Sequence[StepRecord]) -> str:
+    """One line per step: ``N. NODE: A; B`` or ``N. REL r1, r2 -> T1; T2``.
+    A line holds at most ``relationship_candidates`` labels and
+    ``max_current_nodes`` nodes, so its length does not grow with the hops."""
+    lines = []
+    for step in steps:
+        nodes = "; ".join(node.label for node in step.nodes)
+        lines.append(f"{step.ordinal}. REL {', '.join(step.labels)} -> {nodes}" if step.labels
+                     else f"{step.ordinal}. NODE: {nodes}")
+    return "\n".join(lines) or "(nothing traveled)"
 
 
 def relationship_candidates(index: EmbeddingIndex, groups: dict[str, list[EdgeRecord]],
@@ -313,11 +324,10 @@ class CoEngine:
 
     def refine(self, plan: ExplorationPlan, question: str,
                state: TraversalState) -> ExplorationPlan:
-        path_text = format_path_elements(state.path_traveled) or "(nothing traveled)"
         return parse_plan(self._ask(TAG_PLAN, PLAN_SYSTEM,
                                     f"{REFINE_PREAMBLE}\n\nQuestion: {question}\n"
                                     f"Failed plan:\n{plan.text()}\n"
-                                    f"Path traveled before failing:\n{path_text}"))
+                                    f"Path traveled before failing:\n{format_steps(state.steps)}"))
 
     # ------------------------------------------------------- exploration
 
@@ -334,11 +344,14 @@ class CoEngine:
                              [entry.text for entry, _ in results], "node candidates")
         selected = self._cut([results[i][0] for i in picks], "node selection")
         state.current_nodes = [entry.ref_id for entry in selected]
-        state.path_traveled.extend(NodeElement(e.ref_id, e.text) for e in selected)
+        state.steps.append(StepRecord(step.ordinal, (), (),
+                                      tuple(NodeElement(e.ref_id, e.text) for e in selected)))
         self.trace.emit({
             "event": "node_selection", "step": step.ordinal,
             "selected": [e.text for e in selected],
         })
+        for entry in selected:      # a stale index ends the run before evaluation
+            self.graph.node(entry.ref_id)
 
     def explore_relationships(self, state: TraversalState, step: ExplorationStep,
                               question: str) -> None:
@@ -361,10 +374,11 @@ class CoEngine:
         targets = self._cut(sorted(map(self.graph.node, {edge.target for edge in followed}),
                                    key=lambda n: n.canonical), "target set")
         kept_ids = {n.id for n in targets}
-        hops = [HopElement(edge.source, edge.label, edge.target)
-                for edge in followed if edge.target in kept_ids]
-        state.path_traveled.extend(hops)
-        state.path_traveled.extend(NodeElement(n.id, n.label) for n in targets)
+        state.steps.append(StepRecord(
+            step.ordinal, tuple(edge.label for edge in selected),
+            tuple(HopElement(edge.source, edge.label, edge.target)
+                  for edge in followed if edge.target in kept_ids),
+            tuple(NodeElement(n.id, n.label) for n in targets)))
         state.current_nodes = [n.id for n in targets]
         self.trace.emit({
             "event": "relationship_selection", "step": step.ordinal,
@@ -376,14 +390,11 @@ class CoEngine:
 
     def evaluate(self, state: TraversalState, question: str,
                  plan: ExplorationPlan) -> EvalOutcome:
-        path_text = format_path_elements(state.path_traveled) or "(nothing traveled)"
-        current_labels = [self.graph.node(i).label for i in state.current_nodes]
         reply = self._ask(TAG_EVALUATE, EVALUATE_SYSTEM,
                           f"Question: {question}\n"
                           f"Plan:\n{plan.text()}\n"
                           f"Current step: {state.current_step} of {len(plan.steps)}\n"
-                          f"Path traveled:\n{path_text}\n"
-                          f"Current nodes: {', '.join(current_labels)}")
+                          f"Path traveled:\n{format_steps(state.steps)}")
         verdict = parse_verdict(reply)
         if verdict is None:
             # Unreadable judgment: treat as a failed direction, not a crash.
@@ -454,18 +465,15 @@ class CoEngine:
                                    "the previous plan", exc)
                     self.trace.emit({"event": "plan_rejected", "reason": str(exc),
                                      "failed_tries": state.failed_tries + 1})
-                state.current_nodes = []
-                state.path_traveled = []
-                state.current_step = 1
-                state.failed_tries += 1
+                state = TraversalState(failed_tries=state.failed_tries + 1)
                 self.trace.emit({"event": "refined",
                                  "failed_tries": state.failed_tries,
                                  "current_step": state.current_step,
-                                 "path_len": len(state.path_traveled)})
+                                 "path_len": len(state.steps)})
             elif outcome.verdict is Verdict.CONTINUE:
                 state.current_step += 1
             else:  # RESPOND
-                walk = iter_chains(state.path_traveled, state.current_nodes)
+                walk = iter_chains(state.steps, state.current_nodes)
                 chains: list[tuple[PathElement, ...]] = []
                 try:
                     while len(chains) <= MAX_CHAINS:
@@ -487,51 +495,47 @@ class CoEngine:
         return Failure()
 
 
-def iter_chains(path: Sequence[PathElement], current_nodes: Sequence[str]
+def iter_chains(steps: Sequence[StepRecord], current_nodes: Sequence[str]
                 ) -> Generator[tuple[PathElement, ...], None, bool]:
-    """Chains that follow the plan: a node traveled before the first hop,
+    """Chains that follow the plan: a node picked before the first REL step,
     then one traveled hop from each later REL step, in step order, ending at
     any current node they reach. Chains alternate NodeElement and HopElement,
     none visits a node twice, and they come lazily in depth-first order: by
     start, then by the order the hops were traveled. Returns True when the
     walk stopped at :data:`MAX_CHAIN_HOPS` hops, keeping the chains found."""
-    labels = {e.node_id: e.label for e in path if isinstance(e, NodeElement)}
-    # A REL step appends its hops and then its targets, so each run of hops
-    # in the path is one step's layer.
-    runs = [(kind, list(run)) for kind, run in groupby(path, type)]
-    starts = dict.fromkeys(e.node_id for kind, run in runs[:1] if kind is NodeElement
-                           for e in run)
+    layers = [step for step in steps if step.hops]
+    starts = {node.node_id: node for step in takewhile(lambda step: not step.hops, steps)
+              for node in step.nodes}
     ends = set(current_nodes)
     # Backward over the layers: each keeps, by source, only the hops into a
-    # node from which the later layers reach an end. The last entry stands
-    # for the hops after the last layer: none.
-    onward: list[dict[str, list[HopElement]]] = [{}]
+    # node from which the later layers reach an end, each with that node.
+    # The last entry stands for the hops after the last layer: none.
+    onward: list[dict[str, list[tuple[HopElement, NodeElement]]]] = [{}]
     reach = ends
-    for kind, layer in reversed(runs):
-        if kind is HopElement:
-            by_source: dict[str, list[HopElement]] = {}
-            for hop in layer:
-                if hop.target in reach:
-                    by_source.setdefault(hop.source, []).append(hop)
-            onward.insert(0, by_source)
-            reach = ends | by_source.keys()
+    for layer in reversed(layers):
+        targets = {node.node_id: node for node in layer.nodes}
+        by_source: dict[str, list[tuple[HopElement, NodeElement]]] = {}
+        for hop in layer.hops:
+            if hop.target in reach:
+                by_source.setdefault(hop.source, []).append((hop, targets[hop.target]))
+        onward.insert(0, by_source)
+        reach = ends | by_source.keys()
     examined = 0
 
-    # One level per REL step, so the recursion is at most MAX_PLAN_STEPS deep.
+    # One level per layer, so the recursion is at most MAX_PLAN_STEPS deep.
     def extend(trail: tuple[PathElement, ...], visited: set[str], depth: int):
         nonlocal examined
         if trail[-1].node_id in ends:
             yield trail
-        for hop in onward[depth].get(trail[-1].node_id, ()):
+        for hop, node in onward[depth].get(trail[-1].node_id, ()):
             examined += 1
             if examined > MAX_CHAIN_HOPS:
                 return
             if hop.target not in visited:
-                yield from extend(trail + (hop, NodeElement(hop.target, labels[hop.target])),
-                                  visited | {hop.target}, depth + 1)
+                yield from extend(trail + (hop, node), visited | {hop.target}, depth + 1)
 
-    for start in starts:
+    for start in starts.values():
         if examined > MAX_CHAIN_HOPS:
             break
-        yield from extend((NodeElement(start, labels[start]),), {start}, 0)
+        yield from extend((start,), {start.node_id}, 0)
     return examined > MAX_CHAIN_HOPS

@@ -171,6 +171,16 @@ def test_index_entry_validation():
         IndexEntry("x", "mystery", "text")
 
 
+def test_index_entry_canonical_is_computed_once_when_read(monkeypatch):
+    calls = []
+    monkeypatch.setattr("kgrag.embedding.normalize_label",
+                        lambda text: calls.append(text) or text.lower())
+    entry = IndexEntry("n1", KIND_NODE, "Alpha  Beta")
+    assert calls == []
+    assert entry.canonical == entry.canonical == "alpha  beta"
+    assert calls == ["Alpha  Beta"]
+
+
 def test_search_returns_scored_entries():
     index = index_graph(sample_graph(), EMBEDDER)
     results = index.search("Seth MacFarlane", k=3)

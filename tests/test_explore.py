@@ -43,8 +43,10 @@ from kgrag import (
 )
 import kgrag.explore
 from kgrag.embedding import KIND_RELATIONSHIP
+from kgrag.prompts import EVALUATE_SYSTEM, PLAN_SYSTEM, REFINE_PREAMBLE
 from kgrag.explore import (
     EmptySelection,
+    ExplorationPlan,
     ExplorationStep,
     HopElement,
     NodeElement,
@@ -54,9 +56,10 @@ from kgrag.explore import (
     MAX_PLAN_STEPS,
     PlanParseError,
     StepKind,
+    StepRecord,
     TraversalState,
     Verdict,
-    format_path_elements,
+    format_steps,
     iter_chains,
     parse_ordinals,
     parse_plan,
@@ -232,18 +235,22 @@ def test_parse_verdict():
     assert parse_verdict("") is None
 
 
-def test_format_path_elements():
-    elements = [
-        NodeElement("n1", "Elizabeth Taylor"),
-        HopElement("n1", "married", "n2"),
-        NodeElement("n2", "Michael Wilding"),
+def test_format_steps():
+    steps = [
+        StepRecord(1, (), (), (NodeElement("n1", "Elizabeth Taylor"),
+                               NodeElement("n4", "Liz Taylor"))),
+        StepRecord(2, ("married", "was married to"),
+                   (HopElement("n1", "married", "n2"), HopElement("n1", "married", "n3"),
+                    HopElement("n4", "was married to", "n2")),
+                   (NodeElement("n2", "Michael Wilding"), NodeElement("n3", "Eddie Fisher"))),
+        StepRecord(4, (), (), (NodeElement("n3", "Eddie Fisher"),)),
     ]
-    assert format_path_elements(elements) == (
-        "node: Elizabeth Taylor\n"
-        "hop: (Elizabeth Taylor)-[married]->(Michael Wilding)\n"
-        "node: Michael Wilding"
+    assert format_steps(steps) == (
+        "1. NODE: Elizabeth Taylor; Liz Taylor\n"
+        "2. REL married, was married to -> Michael Wilding; Eddie Fisher\n"
+        "4. NODE: Eddie Fisher"
     )
-    assert format_path_elements([]) == ""
+    assert format_steps([]) == "(nothing traveled)"
 
 
 # ------------------------------------------------------------- candidates
@@ -400,7 +407,7 @@ def test_relationship_step_matches_sorted_out_edges(first, more, instruction, da
     assert trace.events[0]["labels"] == [{"label": edge.label, "score": round(score, 6)}
                                          for edge, score in ranked]
     wanted = {ranked[i - 1][0].canonical for i in picks}
-    assert [h for h in state.path_traveled if isinstance(h, HopElement)] == [
+    assert [h for step in state.steps for h in step.hops] == [
         HopElement(e.source, e.label, e.target) for e in everything if e.canonical in wanted]
 
 
@@ -417,7 +424,8 @@ def test_explore_nodes_sets_current_nodes():
     engine.explore_nodes(state, ExplorationStep(1, NODE, _STEP1), TAYLOR_QUESTION)
     labels = [graph.node(i).label for i in state.current_nodes]
     assert labels == ["Elizabeth Taylor", "Liz Taylor"]
-    assert [e.label for e in state.path_traveled] == ["Elizabeth Taylor", "Liz Taylor"]
+    assert [e.label for step in state.steps for e in step.nodes] == [
+        "Elizabeth Taylor", "Liz Taylor"]
 
 
 def test_explore_relationships_moves_to_targets():
@@ -428,8 +436,10 @@ def test_explore_relationships_moves_to_targets():
     labels = [graph.node(i).label for i in state.current_nodes]
     # the three husbands, canonical order
     assert labels == ["Conrad Nicky Hilton Jr", "Eddie Fisher", "Michael Wilding"]
-    hops = [e for e in state.path_traveled if isinstance(e, HopElement)]
+    hops = [h for step in state.steps for h in step.hops]
     assert {(h.label,) for h in hops} == {("married",), ("married to",), ("was married to",)}
+    # The last step's nodes are the current nodes, so its prompt line names them.
+    assert [n.node_id for n in state.steps[-1].nodes] == state.current_nodes
 
 
 class CountingEmbedder:
@@ -565,8 +575,8 @@ def test_full_run_tag_sequence():
 # scripted rules match substrings, so a prompt that drifted could still pass
 # every other test.
 PINNED_REQUESTS = {
-    "taylor": (9, "404c47a6bcdd4ee6bb2cbd4820f4bc03869fd9825b003698efd7cbd4bb97763c"),
-    "refinement": (13, "f4af1c29ca2d17c1c750eb89ac25ed2fc3eda5f461973037d7680e1b31206903"),
+    "taylor": (9, "84ed3584db32eb34b8fd18f7afc2b4549690bafa96cd0807d53c833274db6ae7"),
+    "refinement": (13, "09d14310b9d0ce73aa2d2eeb0f47f0570b57dde6ea7aa0e96e9a1aea22cb2b87"),
 }
 
 
@@ -717,6 +727,22 @@ def test_index_naming_a_missing_node_degrades_to_failure():
     result = CoEngine(graph, index, ScriptedProvider(rules), trace=trace).run(TAYLOR_QUESTION)
     assert result == Failure()
     assert trace.events[-1]["cause"].startswith("stale index: unknown node id")
+
+
+def test_index_naming_a_missing_node_fails_at_the_node_step():
+    """A plan of one NODE step that would respond next: the node the graph
+    lacks ends the run before any evaluation."""
+    _, index, rules = taylor_fixture()
+    graph = build_graph([t for t in TAYLOR_TRIPLES if "Liz Taylor" not in t])
+    rules = [r for r in rules if r.tag not in ("plan", "evaluate")] + [
+        ScriptRule("plan", TAYLOR_QUESTION, f"NODE: {_STEP1}"),
+        ScriptRule("evaluate", "", "RESPOND")]
+    provider = CapturingProvider(ScriptedProvider(rules))
+    trace = TraceRecorder()
+    result = CoEngine(graph, index, provider, trace=trace).run(TAYLOR_QUESTION)
+    assert result == Failure()
+    assert trace.events[-1]["cause"].startswith("stale index: unknown node id")
+    assert [r.tag for r in provider.requests] == ["plan", "select_nodes"]
 
 
 def test_embedder_of_another_width_degrades_to_failure(tmp_path):
@@ -906,20 +932,62 @@ _WORK_REPLIES = {
 }
 
 
-# Prompt characters are left out: the evaluate and refine prompts list every
-# traveled element, with no bound of their own yet (ROADMAP item 5).
+def exploration_prompt_bound(limits: Limits, question: str, plan_chars: int,
+                             longest_label: int) -> int:
+    """Most characters an evaluate or refine request can take, given the
+    longest plan text it quotes. No term grows with the hops traveled: a
+    pass records at most MAX_PLAN_STEPS steps, one line each, and a line
+    holds at most ``relationship_candidates`` labels and ``max_current_nodes``
+    nodes, each with its separator."""
+    line = (len(f"{MAX_PLAN_STEPS}. REL  -> \n")
+            + limits.relationship_candidates * (longest_label + len(", "))
+            + limits.max_current_nodes * (longest_label + len("; ")))
+    steps = max(MAX_PLAN_STEPS * line, len("(nothing traveled)"))
+    evaluate = len(EVALUATE_SYSTEM) + len(f"Question: {question}\nPlan:\n\nCurrent step: "
+                                          f"{MAX_PLAN_STEPS} of {MAX_PLAN_STEPS}\nPath traveled:\n")
+    refine = len(PLAN_SYSTEM) + len(f"{REFINE_PREAMBLE}\n\nQuestion: {question}\n"
+                                    "Failed plan:\n\nPath traveled before failing:\n")
+    return max(evaluate, refine) + plan_chars + steps
+
+
+def _exploration_prompt_sizes(requests) -> list[int]:
+    """The characters of each evaluate and refine request, in call order."""
+    return [sum(len(m.content) for m in r.messages) for r in requests
+            if r.tag == "evaluate" or REFINE_PREAMBLE in r.messages[-1].content]
+
+
+def _longest_plan_text(trace: TraceRecorder) -> int:
+    """The length of the longest plan text a run quoted: its plans, as the
+    trace records them."""
+    return max((len(ExplorationPlan(tuple(
+        ExplorationStep(i, StepKind(s["kind"]), s["instruction"])
+        for i, s in enumerate(event["steps"], 1))).text())
+        for event in trace.events if event["event"] == "plan"), default=0)
+
+
+def _longest_label(graph: KnowledgeGraph) -> int:
+    return max(len(label) for label in [n.label for n in graph.nodes]
+               + [e.label for e in graph.edges])
+
+
 @settings(max_examples=300, deadline=None)
 @given(_work_graph(), st.builds(Limits, st.integers(1, 5), st.integers(1, 5), st.integers(1, 5)),
        st.sampled_from([0, 1, 2, 5, MAX_CHAIN_HOPS]), st.data())
 def test_work_per_question_is_bounded(graph, limits, hop_budget, data):
     index = _CountingIndex(index_graph(graph, HashingEmbedder()))
     provider = _DrawnProvider(data, _WORK_REPLIES, shaped=12)
+    requests = CapturingProvider(provider)
     meter = _HopMeter(hop_budget)
     trace = TraceRecorder()
     with patch.object(kgrag.explore, "MAX_CHAIN_HOPS", meter):
-        result = CoEngine(graph, index, provider, limits, trace).run(TAYLOR_QUESTION)
+        result = CoEngine(graph, index, requests, limits, trace).run(TAYLOR_QUESTION)
     assert isinstance(result, (Paths, Failure))
     assert provider.calls <= CALL_BUDGET
+    # Every evaluate and refine request fits a bound with no term for the
+    # path traveled.
+    bound = exploration_prompt_bound(limits, TAYLOR_QUESTION, _longest_plan_text(trace),
+                                     _longest_label(graph))
+    assert all(size <= bound for size in _exploration_prompt_sizes(requests.requests))
     # Each failed try ends one pass over at most MAX_PLAN_STEPS steps, and
     # each step runs one search.
     assert sum(index.searches.values()) <= MAX_FAILED_TRIES * MAX_PLAN_STEPS
@@ -939,39 +1007,40 @@ def test_work_per_question_is_bounded(graph, limits, hop_budget, data):
 
 # ---------------------------------------------------------- chain assembly
 
+def _node_step(ordinal: int, *ids: str) -> StepRecord:
+    """A NODE step that picked ``ids``; a node's label is its id in capitals."""
+    return StepRecord(ordinal, (), (), tuple(NodeElement(i, i.upper()) for i in ids))
+
+
+def _rel_step(ordinal: int, hops, *ids: str) -> StepRecord:
+    """A REL step that traveled ``hops`` to the targets ``ids``."""
+    return StepRecord(ordinal, tuple(dict.fromkeys(hop.label for hop in hops)), tuple(hops),
+                      tuple(NodeElement(i, i.upper()) for i in ids))
+
+
 def test_assemble_chains_single_path():
-    path = [
-        NodeElement("a", "A"),
-        HopElement("a", "r", "b"),
-        NodeElement("b", "B"),
-    ]
-    chains = tuple(islice(iter_chains(path, ["b"]), MAX_CHAINS))
+    steps = [_node_step(1, "a"), _rel_step(2, [HopElement("a", "r", "b")], "b")]
+    chains = tuple(islice(iter_chains(steps, ["b"]), MAX_CHAINS))
     assert len(chains) == 1
     assert [e.label for e in chains[0]] == ["A", "r", "B"]
 
 
 def test_assemble_chains_only_reaches_current_nodes():
-    path = [
-        NodeElement("a", "A"),
-        HopElement("a", "r", "b"),
-        HopElement("a", "r", "c"),
-        NodeElement("b", "B"),
-        NodeElement("c", "C"),
+    steps = [
+        _node_step(1, "a"),
+        _rel_step(2, [HopElement("a", "r", "b"), HopElement("a", "r", "c")], "b", "c"),
     ]
-    chains = tuple(islice(iter_chains(path, ["c"]), MAX_CHAINS))
+    chains = tuple(islice(iter_chains(steps, ["c"]), MAX_CHAINS))
     assert len(chains) == 1
     assert chains[0][-1].label == "C"
 
 
 def test_assemble_chains_branching_emits_every_route():
-    path = [
-        NodeElement("a", "A"),
-        HopElement("a", "r", "b"),
-        HopElement("a", "s", "c"),
-        NodeElement("b", "B"),
-        NodeElement("c", "C"),
+    steps = [
+        _node_step(1, "a"),
+        _rel_step(2, [HopElement("a", "r", "b"), HopElement("a", "s", "c")], "b", "c"),
     ]
-    chains = tuple(islice(iter_chains(path, ["b", "c"]), MAX_CHAINS))
+    chains = tuple(islice(iter_chains(steps, ["b", "c"]), MAX_CHAINS))
     assert len(chains) == 2
     endings = {chain[-1].label for chain in chains}
     assert endings == {"B", "C"}
@@ -979,59 +1048,51 @@ def test_assemble_chains_branching_emits_every_route():
 
 def test_assemble_chains_handles_intermediate_current_node():
     # a current node can sit mid-path when the traversal stops early
-    path = [
-        NodeElement("a", "A"),
-        HopElement("a", "r", "b"),
-        NodeElement("b", "B"),
-        HopElement("b", "s", "c"),
-        NodeElement("c", "C"),
+    steps = [
+        _node_step(1, "a"),
+        _rel_step(2, [HopElement("a", "r", "b")], "b"),
+        _rel_step(3, [HopElement("b", "s", "c")], "c"),
     ]
-    chains = tuple(islice(iter_chains(path, ["b"]), MAX_CHAINS))
+    chains = tuple(islice(iter_chains(steps, ["b"]), MAX_CHAINS))
     assert len(chains) == 1
     assert [e.label for e in chains[0]] == ["A", "r", "B"]
 
 
 def test_assemble_chains_no_connection_gives_empty():
-    path = [
-        NodeElement("a", "A"),
-        HopElement("a", "r", "b"),
-        NodeElement("b", "B"),
-    ]
-    assert tuple(islice(iter_chains(path, ["zzz"]), MAX_CHAINS)) == ()
+    steps = [_node_step(1, "a"), _rel_step(2, [HopElement("a", "r", "b")], "b")]
+    assert tuple(islice(iter_chains(steps, ["zzz"]), MAX_CHAINS)) == ()
     assert tuple(islice(iter_chains([], []), MAX_CHAINS)) == ()
 
 
 def test_assemble_chains_ignores_cycles():
     # The second REL step leads back to the start as well as on to C; a
     # last NODE step then picks C.
-    path = [
-        NodeElement("a", "A"),
-        HopElement("a", "r", "b"),
-        NodeElement("b", "B"),
-        HopElement("b", "s", "a"),
-        HopElement("b", "t", "c"),
-        NodeElement("a", "A"),
-        NodeElement("c", "C"),
-        NodeElement("c", "C"),
+    steps = [
+        _node_step(1, "a"),
+        _rel_step(2, [HopElement("a", "r", "b")], "b"),
+        _rel_step(3, [HopElement("b", "s", "a"), HopElement("b", "t", "c")], "a", "c"),
+        _node_step(4, "c"),
     ]
-    chains = tuple(islice(iter_chains(path, ["c"]), MAX_CHAINS))
+    chains = tuple(islice(iter_chains(steps, ["c"]), MAX_CHAINS))
     assert len(chains) == 1
     assert [e.label for e in chains[0]] == ["A", "r", "B", "t", "C"]
 
 
 def test_assemble_chains_single_node_start_is_also_end():
-    path = [NodeElement("a", "A")]
-    chains = tuple(islice(iter_chains(path, ["a"]), MAX_CHAINS))
+    steps = [_node_step(1, "a")]
+    chains = tuple(islice(iter_chains(steps, ["a"]), MAX_CHAINS))
     assert chains == ((NodeElement("a", "A"),),)
 
 
-def _recursive_chains(path, current_nodes):
+def _recursive_chains(steps, current_nodes):
     """The older search, over every simple path through the traveled hops
     whatever their steps, recursive and uncut. Where no node is in two
-    steps, it finds the chains the layered walk finds, in the same order."""
+    steps, it finds the chains the layered walk finds, in the same order.
+    It reads the steps as the flat path the engine once kept: each step's
+    hops, then its nodes."""
     labels, starts, hops, seen = {}, [], [], set()
     before_first_hop = True
-    for element in path:
+    for element in (e for step in steps for e in (*step.hops, *step.nodes)):
         if isinstance(element, NodeElement):
             labels[element.node_id] = element.label
             if before_first_hop and element.node_id not in starts:
@@ -1065,34 +1126,34 @@ def _recursive_chains(path, current_nodes):
 
 @st.composite
 def _traveled(draw):
-    """A path as the engine travels it, with its parts: the steps' node sets,
-    the starts, the hop layers and the current nodes. A NODE step appends the
-    nodes it selects; a REL step appends hops from the current nodes, then
-    their targets, which become the current nodes. Steps share six node ids,
-    or in half the draws each step has three ids of its own."""
+    """Step records as the engine makes them, with their parts: the steps'
+    node sets, the starts, the hop layers and the current nodes. A NODE step
+    picks nodes; a REL step travels hops from the current nodes, and their
+    targets become the current nodes. Steps share six node ids, or in half
+    the draws each step has three ids of its own."""
     apart = draw(st.booleans())
 
     def ids(step: int):
         return st.sampled_from([f"{c}{step}" for c in "abc"] if apart else list("abcdef"))
 
     current = draw(st.lists(ids(0), min_size=1, max_size=3, unique=True))
-    path = [NodeElement(i, i.upper()) for i in current]
+    records = [_node_step(1, *current)]
     steps, starts, layers = [set(current)], list(current), []
     for step, kind in enumerate(draw(st.lists(st.sampled_from([NODE, REL, REL]), max_size=4)), 1):
         if kind is NODE:
             current = draw(st.lists(ids(step), min_size=1, max_size=3, unique=True))
             if not layers:
                 starts += current
+            records.append(_node_step(step + 1, *current))
         else:
             hops = draw(st.lists(st.builds(HopElement, st.sampled_from(current),
                                            st.sampled_from("rs"), ids(step)),
                                  min_size=1, max_size=6, unique=True))
             current = sorted({hop.target for hop in hops})
-            path += hops
             layers.append(hops)
-        path += [NodeElement(i, i.upper()) for i in current]
+            records.append(_rel_step(step + 1, hops, *current))
         steps.append(set(current))
-    return path, steps, list(dict.fromkeys(starts)), layers, current
+    return records, steps, list(dict.fromkeys(starts)), layers, current
 
 
 def _product_chains(starts, layers, current_nodes):
@@ -1127,32 +1188,34 @@ def _drain(walk):
 @settings(max_examples=300, deadline=None)
 @given(_traveled())
 def test_chains_come_lazily_in_depth_first_order(traveled):
-    path, steps, starts, layers, current_nodes = traveled
+    records, steps, starts, layers, current_nodes = traveled
     expected = _product_chains(starts, layers, current_nodes)
-    assert _drain(iter_chains(path, current_nodes)) == (expected, False)
-    assert (tuple(islice(iter_chains(path, current_nodes), MAX_CHAINS))
+    assert _drain(iter_chains(records, current_nodes)) == (expected, False)
+    assert (tuple(islice(iter_chains(records, current_nodes), MAX_CHAINS))
             == tuple(expected[:MAX_CHAINS]))
     # With no node in two steps, every simple path over the traveled hops
     # takes one hop per step, so the older search finds the same chains.
     if sum(map(len, steps)) == len(set().union(*steps)):
-        assert _recursive_chains(path, current_nodes) == expected
+        assert _recursive_chains(records, current_nodes) == expected
 
 
-def _layered_path(width: int, layers: int) -> list:
+def _layered_path(width: int, layers: int) -> list[StepRecord]:
     """Every node of a layer linked to every node of the next: width ** layers
     start-to-end chains."""
-    path = [NodeElement(f"0-{i}", f"N0-{i}") for i in range(width)]
-    for layer in range(1, layers + 1):
-        path += [HopElement(f"{layer - 1}-{i}", "r", f"{layer}-{j}")
-                 for i in range(width) for j in range(width)]
-        path += [NodeElement(f"{layer}-{j}", f"N{layer}-{j}") for j in range(width)]
-    return path
+    def nodes(layer: int):
+        return tuple(NodeElement(f"{layer}-{j}", f"N{layer}-{j}") for j in range(width))
+
+    return [StepRecord(1, (), (), nodes(0))] + [
+        StepRecord(layer + 1, ("r",), tuple(HopElement(f"{layer - 1}-{i}", "r", f"{layer}-{j}")
+                                            for i in range(width) for j in range(width)),
+                   nodes(layer))
+        for layer in range(1, layers + 1)]
 
 
 def test_assemble_chains_stops_at_the_cap():
-    path = _layered_path(10, 6)           # a million chains in full
+    steps = _layered_path(10, 6)           # a million chains in full
     ends = [f"6-{j}" for j in range(10)]
-    chains = tuple(islice(iter_chains(path, ends), MAX_CHAINS))
+    chains = tuple(islice(iter_chains(steps, ends), MAX_CHAINS))
     assert len(chains) == MAX_CHAINS
     assert chains[0] == tuple(_recursive_chains(_layered_path(1, 6), ["6-0"])[0])
     assert [chain[-1].node_id for chain in chains[:10]] == ends
@@ -1162,13 +1225,14 @@ def test_assemble_chains_skips_dead_ends_quickly():
     """The first starts fan out into a million routes that reach no current
     node; the one chain comes from the last start, whose hop the first REL
     step travels last, and a NODE step at the end picks its target."""
-    path = _layered_path(10, 6)    # 10 starts, then each step's 100 hops and 10 targets
-    path.insert(10, NodeElement("s", "S"))
-    path.insert(111, HopElement("s", "r", "e"))
-    path.insert(122, NodeElement("e", "E"))
-    path.append(NodeElement("e", "E"))
+    steps = _layered_path(10, 6)    # 10 starts, then each step's 100 hops and 10 targets
+    first, layer = steps[0], steps[1]
+    steps[0] = StepRecord(1, (), (), first.nodes + (NodeElement("s", "S"),))
+    steps[1] = StepRecord(2, layer.labels, layer.hops + (HopElement("s", "r", "e"),),
+                          layer.nodes + (NodeElement("e", "E"),))
+    steps.append(_node_step(8, "e"))
     started = time.perf_counter()
-    chains = tuple(islice(iter_chains(path, ["e"]), MAX_CHAINS))
+    chains = tuple(islice(iter_chains(steps, ["e"]), MAX_CHAINS))
     assert time.perf_counter() - started < 1.0
     assert chains == ((NodeElement("s", "S"), HopElement("s", "r", "e"), NodeElement("e", "E")),)
 
@@ -1193,8 +1257,8 @@ def test_run_records_a_cut_chain_list_in_the_trace(monkeypatch):
     ])
     consumed = []
 
-    def counted_chains(path, current_nodes):
-        for chain in iter_chains(path, current_nodes):
+    def counted_chains(steps, current_nodes):
+        for chain in iter_chains(steps, current_nodes):
             consumed.append(chain)
             yield chain
 
@@ -1278,6 +1342,51 @@ def test_hop_budget_ends_a_walk_with_no_chain():
     assert "answer" not in provider.tags
 
 
+def test_return_to_start_prompts_stay_within_bound():
+    """The plan from Gate through ten "knows" steps travels hundreds of hops
+    per step among 24 members; each step adds one prompt line of at most 25
+    nodes."""
+    plan = "\n".join(["NODE: Gate", "REL: manages", *["REL: knows"] * 10, "REL: located in"])
+    graph = _clique_graph(24)
+    provider = CapturingProvider(_PlanFollower(plan))
+    engine = CoEngine(graph, index_graph(graph, HashingEmbedder()), provider)
+    assert engine.run("Where is the office?") == Paths((), steps_taken=13)
+    sizes = _exploration_prompt_sizes(provider.requests)
+    assert len(sizes) == 13
+    bound = exploration_prompt_bound(Limits(), "Where is the office?",
+                                     len(parse_plan(plan).text()), _longest_label(graph))
+    assert max(sizes) <= bound
+    assert sum(sizes) < 30_000
+
+
+_CLIQUE = _clique_graph(6)
+_CLIQUE_INDEX = index_graph(_CLIQUE, HashingEmbedder())
+_FAN_OUT = st.sampled_from([" ".join(map(str, range(1, 11)))] * 3 + ["2, 1", "3", "none"])
+# Plans that walk the clique over and over, with most candidates selected,
+# so that the traveled hops multiply with every step.
+_CLIQUE_REPLIES = {
+    "plan": st.lists(st.sampled_from(["REL: knows", "REL: knows", "REL: manages",
+                                      "REL: located in", "NODE: member", "prose"]),
+                     min_size=1, max_size=MAX_PLAN_STEPS - 1).map(
+        lambda lines: "\n".join(["NODE: Gate member"] + lines)),
+    "select_nodes": _FAN_OUT,
+    "select_rels": _FAN_OUT,
+    "evaluate": st.sampled_from(["continue"] * 6 + ["respond", "refine", "hmm"]),
+}
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data(), st.builds(Limits, st.integers(1, 10), st.integers(1, 4), st.integers(1, 10)))
+def test_exploration_prompts_stay_within_bound(data, limits):
+    provider = CapturingProvider(_DrawnProvider(data, _CLIQUE_REPLIES, shaped=9))
+    trace = TraceRecorder()
+    question = "Whom do the members know?"
+    CoEngine(_CLIQUE, _CLIQUE_INDEX, provider, limits, trace).run(question)
+    bound = exploration_prompt_bound(limits, question, _longest_plan_text(trace),
+                                     _longest_label(_CLIQUE))
+    assert all(size <= bound for size in _exploration_prompt_sizes(provider.requests))
+
+
 # _layered_path(2, 3) has 16 chains to its last layer and a walk over it
 # looks at 28 hops: 14 from each start, 2 + 4 + 8 over its three layers. The
 # start 0-1 is also an end, which makes a 17th chain; a walk cut within the
@@ -1285,7 +1394,7 @@ def test_hop_budget_ends_a_walk_with_no_chain():
 @pytest.mark.parametrize("budget, found, cut", [(28, 17, False), (27, 16, True), (9, 4, True)])
 def test_hop_budget_keeps_the_chains_found_before_it(monkeypatch, budget, found, cut):
     monkeypatch.setattr(kgrag.explore, "MAX_CHAIN_HOPS", budget)
-    path, ends = _layered_path(2, 3), ["3-0", "3-1", "0-1"]
-    chains, was_cut = _drain(iter_chains(path, ends))
+    steps, ends = _layered_path(2, 3), ["3-0", "3-1", "0-1"]
+    chains, was_cut = _drain(iter_chains(steps, ends))
     assert (len(chains), was_cut) == (found, cut)
-    assert chains == _recursive_chains(path, ends)[:found]
+    assert chains == _recursive_chains(steps, ends)[:found]
