@@ -3,8 +3,11 @@
 The default embedder is fully deterministic and offline: character 3-grams
 of the lowercased text (with fastText-style ``<`` ``>`` boundary padding so
 one and two character labels still produce grams), hashed by CRC-32 into a
-fixed number of buckets, counts L2-normalized. A batch is counted at once:
-one ``np.bincount`` over every text's ``row * dim + bucket`` fills the whole
+fixed number of buckets, counts L2-normalized. ``embed`` hashes one text
+gram by gram with ``zlib.crc32``. ``embed_batch`` hashes a whole batch at
+once in numpy: the texts are encoded to UTF-8 together, and a table-driven
+CRC-32 takes one byte position of every gram per round. One
+``np.bincount`` over every text's ``row * dim + bucket`` fills the whole
 matrix, and each row is divided by the square root of its integer sum of
 squares, which is exact, so a row is the same to the bit however it was
 batched. Scores are dot products, which equal cosine on unit vectors.
@@ -78,6 +81,13 @@ def _l2_normalize(matrix: np.ndarray) -> np.ndarray:
     return matrix / norms
 
 
+# The CRC-32 table of zlib's polynomial, read from zlib itself: ``crc32``
+# complements its start value and its result, so from 0xFFFFFFFF it runs
+# one byte ``b`` from a zero register, which leaves the entry for ``b``.
+_CRC_TABLE = np.array([~crc32(bytes([b]), 0xFFFFFFFF) & 0xFFFFFFFF for b in range(256)],
+                      dtype=np.uint32)
+
+
 class HashingEmbedder:
     """Deterministic fallback embedder; see the module docstring."""
 
@@ -86,23 +96,47 @@ class HashingEmbedder:
             raise ValueError("dim must be positive")
         self.dim = dim
 
-    def _buckets(self, text: str) -> list[int]:
-        """The bucket of each 3-gram of ``text``, in text order."""
+    def embed(self, text: str) -> np.ndarray:
         if not text or not text.strip():
             raise ValueError("cannot embed empty text")
         padded, dim = "<" + text.lower() + ">", self.dim
-        return [crc32(padded[i:i + 3].encode()) % dim for i in range(len(padded) - 2)]
-
-    def embed(self, text: str) -> np.ndarray:
-        counts = np.bincount(self._buckets(text), minlength=self.dim)
+        counts = np.bincount([crc32(padded[i:i + 3].encode()) % dim
+                              for i in range(len(padded) - 2)], minlength=dim)
         return counts / np.sqrt(counts @ counts)
 
     def embed_batch(self, texts: Sequence[str]) -> np.ndarray:
+        if any(not text or text.isspace() for text in texts):
+            raise ValueError("cannot embed empty text")
+        padded = ["<" + text.lower() + ">" for text in texts]
+        joined = "".join(padded)
+        encoded = joined.encode()
+        # Twelve bytes of padding, so that no round reads past the end.
+        data = np.frombuffer(encoded + bytes(12), dtype=np.uint8)
+        grams = np.fromiter(map(len, padded), dtype=np.intp, count=len(padded)) - 2
+        rows = np.repeat(np.arange(len(padded)), grams)
+        # The first code point of each gram: a text's grams start at all but
+        # its last two code points.
+        first = np.arange(len(rows)) + 2 * rows
+        if len(encoded) == len(joined):
+            start, size, rounds = first, None, 3
+        else:
+            # The byte offset of each code point (a byte that does not
+            # continue one), then of the padding.
+            offsets = np.flatnonzero((data & 0xC0) != 0x80)
+            start = offsets[first]
+            size = offsets[first + 3] - start
+            rounds = int(size.max())
+        # CRC-32 of every gram at once, one byte position per round; a
+        # gram of non-ASCII text takes up to twelve, and keeps its value
+        # past its own bytes.
+        crc = np.full(len(rows), 0xFFFFFFFF, dtype=np.uint32)
+        for at in range(rounds):
+            step = _CRC_TABLE[(crc ^ data[start + at]) & 0xFF] ^ (crc >> 8)
+            crc = step if at < 3 else np.where(at < size, step, crc)
         # Every text has a gram, so no row is zero. The integer sums of
         # squares are exact, so each row's norm is the one ``embed`` takes.
         dim = self.dim
-        cells = [row * dim + bucket for row, text in enumerate(texts)
-                 for bucket in self._buckets(text)]
+        cells = rows * dim + (~crc).astype(np.int64) % dim
         counts = np.bincount(cells, minlength=len(texts) * dim).reshape(len(texts), dim)
         return counts / np.sqrt(np.einsum("ij,ij->i", counts, counts))[:, None]
 
@@ -424,6 +458,10 @@ def load_index(source, embedder: Embedder) -> EmbeddingIndex:
     with np.errstate(over="ignore"):
         norms = np.sqrt(np.bincount(row_of, weights=values * values, minlength=n))
     refuse(np.flatnonzero(np.abs(norms - 1.0) > 1e-6), "vector is not unit-norm")
-    matrix = np.zeros((n, dim), order="F")
+    try:
+        matrix = np.zeros((n, dim), order="F")
+    except (MemoryError, ValueError):
+        # Only an embedder of unknown width lets ``dim`` come this far.
+        raise IndexFormatError(f"dim {dim} is too large for {n} entries") from None
     matrix[row_of, columns] = values
     return EmbeddingIndex(entries, matrix, embedder)

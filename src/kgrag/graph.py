@@ -4,6 +4,10 @@ Nested statements are stored per the dual representation: the inner relation
 is kept as a normal edge between its terms, and a hypernode (label = the
 flattened sentence of the inner statement) carries ``_subject``/``_object``
 structural edges plus any relations of the statement as a whole.
+
+Node and edge records are named tuples: immutable, hashable, equal by
+fields, and cheap to build. ``load_graph`` judges each row of a file by one
+test and names the fault of a row that fails it.
 """
 
 from __future__ import annotations
@@ -21,7 +25,7 @@ from dataclasses import dataclass
 from itertools import islice
 from operator import attrgetter
 from pathlib import Path
-from typing import IO, Iterable, Iterator
+from typing import IO, Iterable, Iterator, NamedTuple, NoReturn
 
 from .triples import DEFAULT_MAX_DEPTH, Entity, TripleStatement, TripleTerm, statement_depth
 
@@ -78,16 +82,14 @@ def flatten_label(statement: TripleStatement) -> str:
     )
 
 
-@dataclass(frozen=True, slots=True)
-class NodeRecord:
+class NodeRecord(NamedTuple):
     id: str
     label: str          # display text, first seen
     canonical: str      # normalize_label(label), unique per graph
     kind: str           # entity | hypernode
 
 
-@dataclass(frozen=True, slots=True)
-class EdgeRecord:
+class EdgeRecord(NamedTuple):
     id: str
     source: str
     target: str
@@ -316,18 +318,20 @@ class KnowledgeGraph:
         Every id must be the hash of its record's content. Each edge must sit
         in the out-group of its source and label, in target order; each
         hypernode must have exactly one ``_subject`` and one ``_object``
-        edge. One pass over the nodes and the out-groups."""
+        edge. One pass over the nodes and the out-groups; each distinct edge
+        label text is normalized once."""
         seen_canonical: set[str] = set()
-        for node in self._nodes.values():
-            if node.canonical != normalize_label(node.label):
-                raise GraphIntegrityError(f"node {node.id}: canonical does not match label")
-            if node.canonical in seen_canonical:
-                raise GraphIntegrityError(f"duplicate canonical label {node.canonical!r}")
-            seen_canonical.add(node.canonical)
-            if node.kind not in (KIND_ENTITY, KIND_HYPERNODE):
-                raise GraphIntegrityError(f"node {node.id}: bad kind {node.kind!r}")
-            if node.id != _node_id(node.kind, node.canonical):
-                raise GraphIntegrityError(f"node {node.id}: id is not the hash of its content")
+        edge_canonicals: dict[str, str] = {}
+        for node_id, label, canonical, kind in self._nodes.values():
+            if canonical != normalize_label(label):
+                raise GraphIntegrityError(f"node {node_id}: canonical does not match label")
+            if canonical in seen_canonical:
+                raise GraphIntegrityError(f"duplicate canonical label {canonical!r}")
+            seen_canonical.add(canonical)
+            if kind not in (KIND_ENTITY, KIND_HYPERNODE):
+                raise GraphIntegrityError(f"node {node_id}: bad kind {kind!r}")
+            if node_id != _node_id(kind, canonical):
+                raise GraphIntegrityError(f"node {node_id}: id is not the hash of its content")
         for source, groups in self._out.items():
             if source not in self._nodes:
                 raise GraphIntegrityError(f"adjacency references unknown node {source!r}")
@@ -335,26 +339,30 @@ class KnowledgeGraph:
                 if not group:
                     raise GraphIntegrityError(
                         f"empty out-adjacency group {canonical!r} of node {source}")
+                structural = canonical in RESERVED_EDGE_LABELS
                 previous = None
-                for edge in group:
-                    if edge.target not in self._nodes:
-                        raise GraphIntegrityError(f"edge {edge.id}: dangling endpoint")
-                    if edge.canonical != normalize_label(edge.label):
+                for edge_id, edge_source, target, label, edge_canonical, edge_structural in group:
+                    if target not in self._nodes:
+                        raise GraphIntegrityError(f"edge {edge_id}: dangling endpoint")
+                    expected = edge_canonicals.get(label)
+                    if expected is None:
+                        expected = edge_canonicals[label] = normalize_label(label)
+                    if edge_canonical != expected:
                         raise GraphIntegrityError(
-                            f"edge {edge.id}: canonical does not match label")
-                    if edge.source != source or edge.canonical != canonical:
+                            f"edge {edge_id}: canonical does not match label")
+                    if edge_source != source or edge_canonical != canonical:
                         raise GraphIntegrityError(
-                            f"edge {edge.id} is in the out-adjacency of another node or label")
-                    if edge.structural != (canonical in RESERVED_EDGE_LABELS):
+                            f"edge {edge_id} is in the out-adjacency of another node or label")
+                    if edge_structural != structural:
                         raise GraphIntegrityError(
-                            f"edge {edge.id}: structural flag does not match label")
-                    if previous is not None and edge.target <= previous:
+                            f"edge {edge_id}: structural flag does not match label")
+                    if previous is not None and target <= previous:
                         raise GraphIntegrityError(
-                            f"duplicate or unordered edge {(source, canonical, edge.target)!r}")
-                    previous = edge.target
-                    if edge.id != _edge_id(source, canonical, edge.target):
+                            f"duplicate or unordered edge {(source, canonical, target)!r}")
+                    previous = target
+                    if edge_id != _edge_id(source, canonical, target):
                         raise GraphIntegrityError(
-                            f"edge {edge.id}: id is not the hash of its content")
+                            f"edge {edge_id}: id is not the hash of its content")
         for node in self._nodes.values():
             if node.kind != KIND_HYPERNODE:
                 continue
@@ -442,7 +450,10 @@ _CHUNK_LINES = 256
 def load_graph(source) -> KnowledgeGraph:
     """Rebuild a graph from JSONL; any malformed or inconsistent line raises
     :class:`GraphFormatError` with its line number. Ids are not checked
-    against their content here; :meth:`KnowledgeGraph.audit` does that."""
+    against their content here; :meth:`KnowledgeGraph.audit` does that.
+
+    Each row is judged by one test, which adds a good row; only a row that
+    fails it is checked field by field, to name its fault."""
     graph = KnowledgeGraph()
     edge_ids: set[str] = set()
     with _maybe_open(source) as f:
@@ -459,12 +470,9 @@ def load_graph(source) -> KnowledgeGraph:
                 if suspect:
                     _refuse_lone_surrogates(record, lineno)
                 kind = record.get("type")
-                if kind == "node":
-                    _load_node(graph, record, lineno)
-                elif kind == "edge":
-                    _load_edge(graph, record, lineno, edge_ids)
-                else:
-                    raise GraphFormatError(f"unknown record type {kind!r}", lineno)
+                if not (kind == "node" and _add_node(graph, record)
+                        or kind == "edge" and _add_edge(graph, record, edge_ids)):
+                    _refuse_row(graph, record, lineno)
     return graph
 
 
@@ -532,26 +540,71 @@ _NODE_FIELDS = frozenset({"type", "id", "label", "canonical", "kind"})
 _EDGE_FIELDS = frozenset({"type", "id", "source", "target", "label", "structural"})
 
 
-def _load_node(graph: KnowledgeGraph, record: dict, lineno: int) -> None:
-    _require(record, ("id", "label", "canonical", "kind"), lineno)
-    if len(record) != len(_NODE_FIELDS):
-        raise _extra_field(record, _NODE_FIELDS, lineno)
-    if record["kind"] not in (KIND_ENTITY, KIND_HYPERNODE):
-        raise GraphFormatError(f"bad node kind {record['kind']!r}", lineno)
-    canonical = record["canonical"]
-    if canonical != normalize_label(record["label"]):
-        raise GraphFormatError("canonical does not match label", lineno)
-    if canonical in graph._by_canonical:
-        raise GraphFormatError(f"duplicate canonical label {canonical!r}", lineno)
-    if record["id"] in graph._nodes:
+def _add_node(graph: KnowledgeGraph, record: dict) -> bool:
+    """Add the node of a good row and return True; return False for any
+    other. A good row has the node fields and no other, all strings, a
+    known kind, the canonical of its label, and a canonical and an id that
+    no node has yet."""
+    if record.keys() != _NODE_FIELDS:
+        return False
+    node_id, label, canonical, kind = (record["id"], record["label"], record["canonical"],
+                                       record["kind"])
+    if not (type(node_id) is type(label) is type(canonical) is type(kind) is str
+            and (kind == KIND_ENTITY or kind == KIND_HYPERNODE)
+            and canonical not in graph._by_canonical and node_id not in graph._nodes
+            and canonical == normalize_label(label)):
+        return False
+    graph._nodes[node_id] = NodeRecord(node_id, label, canonical, kind)
+    graph._by_canonical[canonical] = node_id
+    return True
+
+
+def _add_edge(graph: KnowledgeGraph, record: dict, edge_ids: set[str]) -> bool:
+    """Add the edge of a good row and return True; return False for any
+    other. A good row has the edge fields and no other, strings but for a
+    boolean ``structural`` that matches its label, known endpoints, and an
+    id and a (source, label, target) that no edge has yet. In a saved file
+    each edge goes at the end of its group."""
+    if record.keys() != _EDGE_FIELDS:
+        return False
+    edge_id, source, target, label, structural = (
+        record["id"], record["source"], record["target"], record["label"],
+        record["structural"])
+    nodes = graph._nodes
+    if not (type(edge_id) is type(source) is type(target) is type(label) is str
+            and type(structural) is bool and source in nodes and target in nodes
+            and edge_id not in edge_ids):
+        return False
+    # The edge shares its nodes' id strings, as upserted edges do.
+    source, target = nodes[source].id, nodes[target].id
+    label, canonical = graph._edge_label(label)
+    group, at, existing = graph._slot(source, canonical, target)
+    if existing is not None or structural != (canonical in RESERVED_EDGE_LABELS):
+        return False
+    edge_ids.add(edge_id)
+    graph._add(group, at, EdgeRecord(edge_id, source, target, label, canonical, structural))
+    return True
+
+
+def _refuse_row(graph: KnowledgeGraph, record: dict, lineno: int) -> NoReturn:
+    """Raise the error of a row that :func:`_add_node` or :func:`_add_edge`
+    refused: that of the first check it fails, in the order below. The
+    last check of each kind is the one fault left."""
+    kind = record.get("type")
+    if kind == "node":
+        _require(record, ("id", "label", "canonical", "kind"), lineno)
+        if len(record) != len(_NODE_FIELDS):
+            raise _extra_field(record, _NODE_FIELDS, lineno)
+        if record["kind"] not in (KIND_ENTITY, KIND_HYPERNODE):
+            raise GraphFormatError(f"bad node kind {record['kind']!r}", lineno)
+        canonical = record["canonical"]
+        if canonical != normalize_label(record["label"]):
+            raise GraphFormatError("canonical does not match label", lineno)
+        if canonical in graph._by_canonical:
+            raise GraphFormatError(f"duplicate canonical label {canonical!r}", lineno)
         raise GraphFormatError(f"duplicate node id {record['id']!r}", lineno)
-    node = NodeRecord(record["id"], record["label"], canonical, record["kind"])
-    graph._nodes[node.id] = node
-    graph._by_canonical[canonical] = node.id
-
-
-def _load_edge(graph: KnowledgeGraph, record: dict, lineno: int,
-               edge_ids: set[str]) -> None:
+    if kind != "edge":
+        raise GraphFormatError(f"unknown record type {kind!r}", lineno)
     _require(record, ("id", "source", "target", "label"), lineno)
     if "structural" not in record:
         raise GraphFormatError("missing field 'structural'", lineno)
@@ -560,20 +613,11 @@ def _load_edge(graph: KnowledgeGraph, record: dict, lineno: int,
         raise GraphFormatError("field 'structural' is not a boolean", lineno)
     if len(record) != len(_EDGE_FIELDS):
         raise _extra_field(record, _EDGE_FIELDS, lineno)
-    source_node = graph._nodes.get(record["source"])
-    target_node = graph._nodes.get(record["target"])
-    if source_node is None or target_node is None:
+    if record["source"] not in graph._nodes or record["target"] not in graph._nodes:
         raise GraphFormatError("edge references an unknown node", lineno)
-    # The edge shares its nodes' id strings, as upserted edges do.
-    source, target = source_node.id, target_node.id
-    label, canonical = graph._edge_label(record["label"])
+    canonical = normalize_label(record["label"])
     if structural != (canonical in RESERVED_EDGE_LABELS):
         raise GraphFormatError("structural flag does not match label", lineno)
-    group, at, existing = graph._slot(source, canonical, target)
-    if existing is not None:
+    if graph._slot(record["source"], canonical, record["target"])[2] is not None:
         raise GraphFormatError("duplicate edge", lineno)
-    if record["id"] in edge_ids:
-        raise GraphFormatError(f"duplicate edge id {record['id']!r}", lineno)
-    edge_ids.add(record["id"])
-    graph._add(group, at, EdgeRecord(record["id"], source, target, label, canonical,
-                                     structural))
+    raise GraphFormatError(f"duplicate edge id {record['id']!r}", lineno)

@@ -1,8 +1,9 @@
 """The per-text hashing loop that ``kgrag.embedding.HashingEmbedder`` once
 used, kept as a test oracle: it adds 1.0 into a float vector once per
 character 3-gram, then divides by ``np.linalg.norm``; a batch stacks the
-rows. The embedder in ``kgrag.embedding`` counts a whole batch with one
-``np.bincount`` instead and must agree with this one byte for byte."""
+rows. ``HashingEmbedder.embed_batch`` hashes a whole batch at once in numpy
+and counts it with one ``np.bincount`` instead, ``embed`` keeps a loop of
+its own, and both must agree with this one byte for byte."""
 
 from __future__ import annotations
 

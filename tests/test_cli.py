@@ -684,6 +684,17 @@ def _truncated_index(tmp_path):
     return argv
 
 
+def _index_with_a_huge_dim(tmp_path):
+    """``query`` through an embedding endpoint, whose width is unknown until
+    it replies, with an index whose header claims a ``dim`` of 10**13."""
+    argv = ["query", TAYLOR_QUESTION] + _query_args(tmp_path)
+    index_path = Path(argv[argv.index("--index") + 1])
+    header_line, arrays = index_path.read_bytes().split(b"\n", 1)
+    header = {**json.loads(header_line), "dim": 10 ** 13}
+    index_path.write_bytes(json.dumps(header).encode("utf-8") + b"\n" + arrays)
+    return argv + ["--embed-endpoint", "http://127.0.0.1:9/unused"]
+
+
 def _index_with_a_duplicate_label(tmp_path):
     """``eval`` with an index whose last relationship entry carries the
     label of the one before it."""
@@ -772,6 +783,7 @@ BAD_INPUTS = {
     + ["--index", _non_utf8(tmp / "bad-index.bin"), "--script", str(tmp / "script.jsonl")],
     "truncated-index": _truncated_index,
     "index-duplicate-label": _index_with_a_duplicate_label,
+    "index-huge-dim": _index_with_a_huge_dim,
     "graph-fails-audit": _graph_without_subject_edge,
     "graph-duplicate-edge-id": _graph_with_duplicate_edge_id,
     "graph-wrong-edge-id": _graph_with_wrong_edge_id,
@@ -798,6 +810,7 @@ BAD_INPUT_NAMES = {
     "graph-fails-audit": "graph.jsonl", "graph-duplicate-edge-id": "graph.jsonl",
     "graph-wrong-edge-id": "graph.jsonl", "graph-string-structural-flag": "graph.jsonl",
     "truncated-index": "index.bin", "index-duplicate-label": "index.bin",
+    "index-huge-dim": "index.bin",
     "index-graph-lone-surrogate": "graph.jsonl",
     "query-graph-lone-surrogate": "graph.jsonl", "eval-graph-lone-surrogate": "graph.jsonl",
     **{f"{what}-{kind}": name

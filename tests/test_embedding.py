@@ -80,7 +80,9 @@ def test_embed_batch_matches_single():
     assert batch.shape == (3, DEFAULT_DIM)
     for row, text in zip(batch, texts):
         assert np.array_equal(row, EMBEDDER.embed(text))
-    assert EMBEDDER.embed_batch([]).shape == (0, DEFAULT_DIM)
+    for dim in (1, 7, DEFAULT_DIM):
+        empty = HashingEmbedder(dim).embed_batch([])
+        assert (empty.shape, empty.dtype) == ((0, dim), np.float64)
 
 
 def test_custom_dim():
@@ -126,6 +128,18 @@ def test_a_blank_text_anywhere_in_a_batch_is_refused(dim, texts, blank, data):
         HashingEmbedder(dim).embed_batch(texts)
     with pytest.raises(ValueError, match="cannot embed empty text"):
         HashingEmbedder(dim).embed(blank)
+
+
+@pytest.mark.parametrize("text", ["\ud800", "ab\udfffc", "日本\udc00", "\ud83d"])
+def test_a_lone_surrogate_is_refused_by_both_paths(text):
+    """UTF-8 cannot encode a lone surrogate; ``st.text`` never draws one."""
+    with pytest.raises(UnicodeEncodeError):
+        oracle_embed(text, 7)
+    with pytest.raises(UnicodeEncodeError):
+        EMBEDDER.embed(text)
+    for texts in ([text], ["alpha", text], ["日本", text, "beta"]):
+        with pytest.raises(UnicodeEncodeError):
+            EMBEDDER.embed_batch(texts)
 
 
 def test_a_long_text_matches_the_per_text_loop():
@@ -793,6 +807,19 @@ def test_load_refuses_dim_unlike_the_embedders(tmp_path):
     http = HttpEmbeddingProvider("http://127.0.0.1:9/unused")
     assert len(load_index(path, http)) == 2
     assert http.dim is None
+
+
+@pytest.mark.parametrize("dim", [10 ** 13, 2 ** 62])
+def test_load_refuses_a_dim_too_large_to_hold(dim):
+    """With an embedder of unknown width only the allocation of the matrix
+    can refuse a huge ``dim``: 4 entries of 10**13 doubles are 320 TB, and
+    2**62 of them do not fit a 64-bit size."""
+    data = _index_file([_row("g1"), _row("g2"), _row("g3"), _row("g4")],
+                       header={"dim": dim})
+    http = HttpEmbeddingProvider("http://127.0.0.1:9/unused")
+    with pytest.raises(IndexFormatError, match=f"^dim {dim} is too large") as exc_info:
+        load_index(io.BytesIO(data), http)
+    assert exc_info.value.entry is None
 
 
 def _small_saved_index() -> tuple[bytes, HashingEmbedder]:

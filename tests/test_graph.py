@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import dataclasses
 import io
 import json
 import time
@@ -11,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from graph_oracle import edge_row, find_node, node_row, saved_text
+from graph_oracle import edge_row, find_node, node_row, oracle_load_error, saved_text
 from kgrag import (
     DepthError,
     Entity,
@@ -31,6 +30,8 @@ from kgrag.graph import (
     KIND_HYPERNODE,
     STRUCTURAL_OBJECT,
     STRUCTURAL_SUBJECT,
+    EdgeRecord,
+    NodeRecord,
 )
 from kgrag.triples import statement_depth
 
@@ -250,7 +251,7 @@ def test_node_lookup_errors():
 def replace_edge(graph: KnowledgeGraph, edge, **changes) -> None:
     """Swap ``edge`` for a changed copy in its out-group."""
     group = graph._out[edge.source][edge.canonical]
-    group[group.index(edge)] = dataclasses.replace(edge, **changes)
+    group[group.index(edge)] = edge._replace(**changes)
 
 
 def test_audit_passes_on_clean_graph():
@@ -302,7 +303,7 @@ def test_audit_refuses_ids_that_are_not_content_hashes():
     graph = chain_graph()
     node = find_node(graph, "c")
     del graph._nodes[node.id]
-    graph._nodes["not-a-hash"] = dataclasses.replace(node, id="not-a-hash")
+    graph._nodes["not-a-hash"] = node._replace(id="not-a-hash")
     with pytest.raises(GraphIntegrityError, match="node not-a-hash: id is not the hash"):
         graph.audit()
     graph = chain_graph()
@@ -313,11 +314,11 @@ def test_audit_refuses_ids_that_are_not_content_hashes():
 
 
 def _rename_node_label(graph, node):
-    graph._nodes[node.id] = dataclasses.replace(node, label=node.label + " x")
+    graph._nodes[node.id] = node._replace(label=node.label + " x")
 
 
 def _give_node_a_bad_kind(graph, node):
-    graph._nodes[node.id] = dataclasses.replace(node, kind="blob")
+    graph._nodes[node.id] = node._replace(kind="blob")
 
 
 def _drop_target_node(graph, node):
@@ -477,9 +478,9 @@ def test_saved_rows_match_the_encoder_oracle_for_any_ids(graph, data):
     names = data.draw(st.lists(_TEXT, min_size=len(nodes) + len(edges),
                                max_size=len(nodes) + len(edges), unique=True))
     node_ids = {node.id: name for node, name in zip(nodes, names)}
-    rows = [node_row(dataclasses.replace(node, id=node_ids[node.id])) for node in nodes]
-    rows += [edge_row(dataclasses.replace(edge, id=name, source=node_ids[edge.source],
-                                          target=node_ids[edge.target]))
+    rows = [node_row(node._replace(id=node_ids[node.id])) for node in nodes]
+    rows += [edge_row(edge._replace(id=name, source=node_ids[edge.source],
+                                    target=node_ids[edge.target]))
              for edge, name in zip(edges, names[len(nodes):])]
     loaded = load_graph(io.StringIO("".join(rows)))
     assert sorted(node.id for node in loaded.nodes) == sorted(node_ids.values())
@@ -729,3 +730,150 @@ def test_load_refuses_an_extra_field(line_no, tmp_path):
     with pytest.raises(GraphFormatError, match="unexpected field 'note'") as exc_info:
         load_graph(path)
     assert exc_info.value.line == line_no
+
+
+# ------------------------------------------- load refusals, by the oracle
+
+_ODD_VALUES = (None, 1, True, 1.5, [], {})
+
+
+def _rows(graph: KnowledgeGraph) -> list[dict]:
+    return [json.loads(line) for line in _saved(graph).split("\n")[:-1]]
+
+
+def _file(rows: list[dict], ensure_ascii: bool = True) -> str:
+    return "".join(json.dumps(row, ensure_ascii=ensure_ascii) + "\n" for row in rows)
+
+
+def _loads_as_the_oracle_says(text: str) -> None:
+    """``load_graph`` refuses ``text`` with the oracle's message and line,
+    or, when the oracle finds no fault, loads every row as it is."""
+    expected = oracle_load_error(text)
+    if expected is not None:
+        message, line = expected
+        with pytest.raises(GraphFormatError) as exc_info:
+            load_graph(io.StringIO(text))
+        assert (str(exc_info.value), exc_info.value.line) == (f"line {line}: {message}", line)
+        return
+    graph = load_graph(io.StringIO(text))
+    rows = [json.loads(line) for line in text.split("\n")[:-1]]
+    assert set(graph.nodes) == {NodeRecord(row["id"], row["label"], row["canonical"],
+                                           row["kind"])
+                                for row in rows if row["type"] == "node"}
+    assert set(graph.edges) == {EdgeRecord(row["id"], row["source"], row["target"],
+                                           row["label"], normalize_label(row["label"]),
+                                           row["structural"])
+                                for row in rows if row["type"] == "edge"}
+
+
+def _drop_field(draw, rows, at):
+    del rows[at][draw(st.sampled_from(sorted(rows[at])))]
+
+
+def _add_field(draw, rows, at):
+    items = list(rows[at].items())
+    items.insert(draw(st.integers(0, len(items))),
+                 (draw(st.sampled_from(["note", "Type", ""])), "x"))
+    rows[at] = dict(items)
+
+
+def _odd_value(draw, rows, at):
+    rows[at][draw(st.sampled_from(sorted(rows[at])))] = draw(st.sampled_from(_ODD_VALUES))
+
+
+def _bad_kind(draw, rows, at):
+    """A bad type, node kind, or ``structural`` flag that is not a boolean."""
+    field = draw(st.sampled_from(["type", "kind" if "kind" in rows[at] else "structural"]))
+    rows[at][field] = draw(st.sampled_from(["mystery", "Node", "Entity", "", "false", 0, 1]))
+
+
+def _break_canonical(draw, rows, at):
+    row = rows[at]
+    name = "canonical" if "canonical" in row else "label"
+    row[name] = draw(st.sampled_from([row[name] + "x", row[name].upper(), " " + row[name],
+                                      row["label"]]))
+
+
+def _duplicate_id(draw, rows, at):
+    rows[at]["id"] = draw(st.sampled_from(rows))["id"]
+
+
+def _take_another_nodes_label(draw, rows, at):
+    other = draw(st.sampled_from(rows))
+    if "canonical" in rows[at] and "canonical" in other:
+        rows[at]["label"], rows[at]["canonical"] = other["label"], other["canonical"]
+
+
+def _repeat_row(draw, rows, at):
+    """A second node or edge, under its id or another."""
+    copy = {**rows[at], "id": draw(st.sampled_from([rows[at]["id"], "fresh"]))}
+    rows.insert(draw(st.integers(at + 1, len(rows))), copy)
+
+
+def _unknown_endpoint(draw, rows, at):
+    """An edge from or to no node, or a node renamed under its edges."""
+    name = draw(st.sampled_from(["source", "target"])) if "source" in rows[at] else "id"
+    rows[at][name] = "nowhere"
+
+
+def _flip_flag(draw, rows, at):
+    row = rows[at]
+    if "structural" in row:
+        row["structural"] = not row["structural"]
+    else:
+        row["kind"] = KIND_ENTITY if row["kind"] == KIND_HYPERNODE else KIND_HYPERNODE
+
+
+def _lone_surrogate(draw, rows, at):
+    row = rows[at]
+    name = draw(st.sampled_from(sorted(k for k, v in row.items() if isinstance(v, str))))
+    place = draw(st.integers(0, len(row[name])))
+    row[name] = (row[name][:place] + draw(st.sampled_from(["\ud800", "\udbff", "\udfff"]))
+                 + row[name][place:])
+
+
+def _swap_rows(draw, rows, at):
+    other = draw(st.integers(0, len(rows) - 1))
+    rows[at], rows[other] = rows[other], rows[at]
+
+
+_MUTATIONS = (_drop_field, _add_field, _odd_value, _bad_kind, _break_canonical,
+              _duplicate_id, _take_another_nodes_label, _repeat_row, _unknown_endpoint,
+              _flip_flag, _lone_surrogate, _swap_rows)
+
+
+@st.composite
+def _mutated_files(draw) -> str:
+    """A saved graph's file with one row changed, repeated or moved, each
+    row written with ASCII escapes or without."""
+    rows = _rows(draw(_GRAPHS))
+    at = draw(st.integers(0, len(rows) - 1))
+    draw(st.sampled_from(_MUTATIONS))(draw, rows, at)
+    return _file(rows, draw(st.booleans()))
+
+
+@settings(max_examples=400, deadline=None)
+@given(_mutated_files())
+def test_load_refuses_a_mutated_row_as_the_oracle_does(text):
+    _loads_as_the_oracle_says(text)
+
+
+def test_load_refuses_each_odd_value_in_each_field_as_the_oracle_does():
+    rows = _rows(build(NESTED_LINE))
+    for at, row in enumerate(rows):
+        for name in row:
+            for value in _ODD_VALUES:
+                changed = [dict(row) for row in rows]
+                changed[at][name] = value
+                _loads_as_the_oracle_says(_file(changed))
+
+
+def test_records_are_immutable_hashable_and_equal_by_fields():
+    graph = build(NESTED_LINE)
+    for record in [*graph.nodes, *graph.edges]:
+        with pytest.raises(AttributeError):
+            record.id = "changed"
+        same = type(record)(**record._asdict())
+        assert same == record and same is not record
+        assert hash(same) == hash(record)
+        assert {record: "found"}[same] == "found"
