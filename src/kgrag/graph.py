@@ -550,7 +550,7 @@ def _add_node(graph: KnowledgeGraph, record: dict) -> bool:
     node_id, label, canonical, kind = (record["id"], record["label"], record["canonical"],
                                        record["kind"])
     if not (type(node_id) is type(label) is type(canonical) is type(kind) is str
-            and (kind == KIND_ENTITY or kind == KIND_HYPERNODE)
+            and kind in (KIND_ENTITY, KIND_HYPERNODE)
             and canonical not in graph._by_canonical and node_id not in graph._nodes
             and canonical == normalize_label(label)):
         return False
