@@ -165,7 +165,7 @@ def _build_engine(args, trace_stream=None) -> CoEngine:
         index = load_index(args.index, build_embedder(args))
     except IndexFormatError as exc:
         raise ConfigError(f"unreadable index file {args.index}: {exc}") from exc
-    if [(e.ref_id, e.kind, e.text) for e in index.entries] != plan_index(graph):
+    if (index.ref_ids, index.kinds, index.texts) != plan_index(graph):
         raise ConfigError("index does not match graph (run index again)")
     provider = build_provider(args)
     limits = Limits(node_candidates=args.topk, relationship_candidates=args.topk)

@@ -11,9 +11,12 @@ CRC-32 takes one byte position of every gram per round. One
 matrix, and each row is divided by the square root of its integer sum of
 squares, which is exact, so a row is the same to the bit however it was
 batched. Scores are dot products, which equal cosine on unit vectors.
-Search is an exact scan; no approximation anywhere, so results are
+
+The index is two inverted files, one of the nodes' vectors and one of the
+relationship labels': each vector component keeps the rows that store it.
+Search is exact, with no approximation anywhere, so results are
 reproducible byte for byte. An index is saved as one file: a JSON header
-line, then the matrix as compressed sparse rows in three arrays of raw
+line, then its rows as compressed sparse rows in three arrays of raw
 little-endian bytes (see :func:`save_index`).
 """
 
@@ -31,7 +34,13 @@ from zlib import crc32
 
 import numpy as np
 
-from .graph import KIND_HYPERNODE, KnowledgeGraph, _open_for_write, normalize_label
+from .graph import (
+    KIND_HYPERNODE,
+    RESERVED_EDGE_LABELS,
+    KnowledgeGraph,
+    _open_for_write,
+    normalize_label,
+)
 from .llm import ProviderError, post_json
 
 logger = logging.getLogger(__name__)
@@ -194,12 +203,13 @@ class HttpEmbeddingProvider:
         return matrix
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class IndexEntry:
-    """One embedded item: a node, a hypernode, or a relationship label.
+    """One search result: a node, a hypernode, or a relationship label.
+    Equal, and hashed, by its three fields.
 
     ``ref_id`` is the node id for node entries and the canonical label for
-    relationship entries. Its vector is its row of the index's ``matrix``.
+    relationship entries.
     """
 
     ref_id: str
@@ -212,15 +222,76 @@ class IndexEntry:
 
     @cached_property
     def canonical(self) -> str:
-        """Computed when first read; only ties between scores read it."""
+        """Computed when first read."""
         return normalize_label(self.text)
 
 
+def _stored(values: np.ndarray) -> np.ndarray:
+    """Where ``values`` holds a component an index stores: a non-zero one
+    or a ``-0.0``."""
+    return (values != 0.0) | np.signbit(values)
+
+
+def _nonzeros(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The row, column and value of each stored component of ``matrix``, by
+    row and then column."""
+    flat = matrix.ravel()
+    cells = np.flatnonzero(_stored(flat))
+    return *np.divmod(cells, matrix.shape[1]), flat[cells]
+
+
+def _narrow(ids: np.ndarray, bound: int) -> np.ndarray:
+    """``ids``, all below ``bound``, as the narrowest unsigned integers, so
+    that a stable argsort of them is a radix sort."""
+    return ids.astype(np.min_scalar_type(max(bound - 1, 0)))
+
+
+class _InvertedFile:
+    """Vectors held by component. ``positions`` and ``values`` hold each
+    stored component's vector position and value, by component and then
+    rising position, and ``components`` its component; ``columns`` maps
+    each component some vector stores to views of its positions and values.
+    Only ``sizes``, each component's count, has ``dim`` items, so that a
+    file's absurd ``dim`` fails to allocate and a large one costs no work."""
+
+    def __init__(self, count: int, dim: int, positions: np.ndarray, columns: np.ndarray,
+                 values: np.ndarray):
+        self.count = count
+        self.sizes = np.bincount(columns, minlength=dim)
+        components = _narrow(columns, dim)
+        # Stable, so that each column's positions keep rising.
+        order = np.argsort(components, kind="stable")
+        self.positions, self.components, self.values = (
+            positions[order], components[order], values[order])
+        cuts = np.flatnonzero(self.components[1:] != self.components[:-1]) + 1
+        present = self.components[np.concatenate(([0], cuts))[:len(order)]]
+        self.columns = dict(zip(present.tolist(),
+                                zip(np.split(self.positions, cuts), np.split(self.values, cuts))))
+
+    def scores(self, components: np.ndarray, weights: np.ndarray) -> np.ndarray:
+        """Each vector's sum of ``weights`` times its values of those
+        ``components``, added in their order into +0.0: one ``np.bincount``
+        over the concatenated columns, which adds in input order."""
+        columns = [self.columns[c] for c in components.tolist() if c in self.columns]
+        if not columns:
+            return np.zeros(self.count)
+        return np.bincount(np.concatenate([positions for positions, _ in columns]),
+                           np.concatenate([values for _, values in columns])
+                           * np.repeat(weights, self.sizes[components]),
+                           minlength=self.count)
+
+
 class EmbeddingIndex:
-    """Exact-scan dot-product search over ``matrix``, one row per entry,
-    held column-major (Fortran order) so that each vector component's
-    values over all entries lie in one contiguous line. A Fortran-ordered
-    matrix is used as given; another is copied once into that order. Each
+    """Exact dot-product search over one vector per entry, held as inverted
+    files (Zobel & Moffat, "Inverted files for text search engines", ACM
+    Computing Surveys 38(2), 2006).
+
+    The entries are three lists in entry order, ``ref_ids``, ``kinds`` and
+    ``texts``; an :class:`IndexEntry` is built only when a search first
+    returns it. A vector keeps its stored components: the non-zero ones and
+    any ``-0.0``. The node and hypernode vectors are one inverted file, and
+    the relationship labels' vectors another: for each component, the
+    rising node (or label) positions that store it, and their values. Each
     relationship label has at most one entry.
 
     The index answers the two searches of a traversal: a node search ranks
@@ -228,148 +299,200 @@ class EmbeddingIndex:
     the given relationship labels. Ties break by canonical text ascending,
     then entry order. A row's score is the sum of the query's non-zero
     components times the row's, added left to right in ascending component
-    order; a query with no non-zero component scores every row 0.0. So a
-    row scores the same to the bit whichever rows are scored with it, and
-    identical vectors tie. A search reads the line of each of the query's
-    non-zero components once: all of it for a node search, only the given
-    labels' values for a label search. Then a partition finds the k-th best
-    score, and only the rows scoring at least that much (the top k and any
-    ties with them) are sorted.
+    order. A zero sum is +0.0, and a query with no non-zero component
+    scores every row +0.0. So a row scores the same to the bit whichever
+    rows are scored with it, and identical vectors tie.
+
+    Both searches score every vector of their inverted file with one
+    ``np.bincount`` over the columns of the query's non-zero components,
+    which adds each row's terms in ascending component order into +0.0. A
+    component a row does not store is skipped: its term is a zero, which
+    changes no sum but the sign of a zero one. A label search then keeps the
+    given labels' scores. A partition finds the k-th best score, and only
+    the rows scoring at least that much (the top k and any ties with them)
+    are sorted.
     """
 
     def __init__(self, entries: Sequence[IndexEntry], matrix: np.ndarray, embedder: Embedder):
-        self.entries = list(entries)
-        if matrix.ndim != 2 or len(matrix) != len(self.entries):
-            raise ValueError(f"matrix of shape {matrix.shape} for {len(self.entries)} entries")
-        self.matrix = np.asfortranarray(matrix)
+        """An index of ``entries`` whose vectors are the rows of ``matrix``;
+        only their stored components are kept."""
+        if matrix.ndim != 2 or len(matrix) != len(entries):
+            raise ValueError(f"matrix of shape {matrix.shape} for {len(entries)} entries")
+        self._lay_out([e.ref_id for e in entries], [e.kind for e in entries],
+                      [e.text for e in entries], matrix.shape[1], *_nonzeros(matrix), embedder)
+
+    @classmethod
+    def _from_stored(cls, entries: tuple[list[str], list[str], list[str]], dim: int,
+                     rows: np.ndarray, columns: np.ndarray, values: np.ndarray,
+                     embedder: Embedder) -> EmbeddingIndex:
+        """An index of ``entries``, three lists, whose stored components are
+        ``(rows, columns, values)``, by row and then column."""
+        index = cls.__new__(cls)
+        index._lay_out(*entries, dim, rows, columns, values, embedder)
+        return index
+
+    def _lay_out(self, ref_ids: list[str], kinds: list[str], texts: list[str], dim: int,
+                 rows: np.ndarray, columns: np.ndarray, values: np.ndarray,
+                 embedder: Embedder) -> None:
+        """Hold the stored components as the node and the label inverted file."""
+        self.ref_ids, self.kinds, self.texts = ref_ids, kinds, texts
+        self.dim = dim
         self.embedder = embedder
-        node_rows: list[int] = []
-        self._label_rows: dict[str, int] = {}
-        for row, entry in enumerate(self.entries):
-            if entry.kind != KIND_RELATIONSHIP:
-                node_rows.append(row)
-            elif self._label_rows.setdefault(entry.ref_id, row) != row:
+        self._entries: dict[int, IndexEntry] = {}
+        is_label = np.fromiter(map(KIND_RELATIONSHIP.__eq__, kinds), bool, len(kinds))
+        self._node_rows = np.flatnonzero(~is_label)
+        self._label_rows = np.flatnonzero(is_label)
+        # Each row's place among the node rows or among the label rows.
+        place = np.empty(len(kinds), dtype=np.intp)
+        place[self._node_rows] = np.arange(len(self._node_rows))
+        place[self._label_rows] = np.arange(len(self._label_rows))
+        in_label = is_label[rows]
+        in_node = ~in_label
+        try:
+            self._nodes = _InvertedFile(len(self._node_rows), dim, place[rows[in_node]],
+                                        columns[in_node], values[in_node])
+            self._labels = _InvertedFile(len(self._label_rows), dim, place[rows[in_label]],
+                                         columns[in_label], values[in_label])
+        except (MemoryError, ValueError):
+            # Only an embedder of unknown width lets a file's ``dim`` come this far.
+            raise IndexFormatError(f"dim {dim} is too large for {len(kinds)} entries") from None
+        self._label_at: dict[str, int] = {}
+        for at, row in enumerate(self._label_rows.tolist()):
+            if self._label_at.setdefault(ref_ids[row], at) != at:
                 raise IndexFormatError(f"second entry for relationship label "
-                                       f"{entry.ref_id!r}", row + 1)
-        self._node_rows = np.array(node_rows, dtype=np.intp)
+                                       f"{ref_ids[row]!r}", row + 1)
 
     def __len__(self) -> int:
-        return len(self.entries)
+        return len(self.ref_ids)
+
+    def entry(self, row: int) -> IndexEntry:
+        """The entry of ``row``, built when a search first returns it."""
+        entry = self._entries.get(row)
+        if entry is None:
+            entry = self._entries[row] = IndexEntry(self.ref_ids[row], self.kinds[row],
+                                                    self.texts[row])
+        return entry
+
+    def stored(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Every stored component as ``(rows, columns, values)``, by row and
+        then column: both inverted files, put back in row order by one
+        stable sort."""
+        nodes, labels = self._nodes, self._labels
+        rows = np.concatenate((self._node_rows[nodes.positions],
+                               self._label_rows[labels.positions]))
+        order = np.argsort(_narrow(rows, len(self)), kind="stable")
+        return (rows[order], np.concatenate((nodes.components, labels.components))[order],
+                np.concatenate((nodes.values, labels.values))[order])
 
     def search(self, query_text: str, k: int,
                labels: Iterable[str] | None = None) -> list[tuple[IndexEntry, float]]:
         """Top k node and hypernode entries; with ``labels``, the top k of
         those relationship labels' entries instead. A label with no entry,
-        or a query vector of another width than the matrix's, raises
+        or a query vector of another width than the index's, raises
         :class:`StaleIndexError`."""
         if k < 1:
             raise ValueError("k must be at least 1")
         if labels is None:
-            rows = self._node_rows
+            inverted, rows, at = self._nodes, self._node_rows, slice(None)
         else:
+            at = np.zeros(len(self._label_rows), dtype=bool)
             try:
-                rows = np.array(sorted({self._label_rows[label] for label in labels}),
-                                dtype=np.intp)
+                at[np.fromiter(map(self._label_at.__getitem__, labels), np.intp)] = True
             except KeyError as exc:
                 raise StaleIndexError(f"no index entry for relationship label "
                                       f"{exc.args[0]!r}") from None
+            inverted, rows = self._labels, self._label_rows[at]
         if len(rows) == 0:
             return []
         query = self.embedder.embed(query_text)
-        if query.shape != self.matrix.shape[1:]:
+        if query.shape != (self.dim,):
             raise StaleIndexError(f"query vector of shape {query.shape} does not fit "
-                                  f"the index's dim {self.matrix.shape[1]}")
+                                  f"the index's dim {self.dim}")
         components = np.flatnonzero(query)
-        weights = query[components]
-        # Both paths add each row's terms left to right in ascending
-        # component order. A node search scores every row in place, one
-        # pass per component's line. For a few labels' rows, only their
-        # values of the query's components are gathered, and one accumulate
-        # down the components adds the terms in that same order.
-        if not len(components):
-            scores = np.zeros(len(rows))
-        elif labels is None:
-            lines = self.matrix.T
-            scores = lines[components[0]] * weights[0]
-            for component, weight in zip(components[1:].tolist(), weights[1:].tolist()):
-                scores += lines[component] * weight
-            scores = scores[rows]
-        else:
-            block = self.matrix.ravel("F").take(components[:, None] * len(self.entries) + rows)
-            scores = np.add.accumulate(block * weights[:, None], axis=0)[-1]
+        scores = inverted.scores(components, query[components])[at]
         cut = max(len(scores) - k, 0)
         picked = np.flatnonzero(scores >= np.partition(scores, cut)[cut])
-        # ``sorted`` is stable and the rows ascend, so equal (score, canonical)
+        found = [(score, self.entry(row))
+                 for score, row in zip(scores[picked].tolist(), rows[picked].tolist())]
+        # The sort is stable and the rows ascend, so equal (score, canonical)
         # pairs keep entry order.
-        ranked = sorted(zip(scores[picked].tolist(), rows[picked].tolist()),
-                        key=lambda pair: (-pair[0], self.entries[pair[1]].canonical))
-        return [(self.entries[row], score) for score, row in ranked[:k]]
+        found.sort(key=lambda pair: (-pair[0], pair[1].canonical))
+        return [(entry, score) for score, entry in found[:k]]
 
 
-def plan_index(graph: KnowledgeGraph) -> list[tuple[str, str, str]]:
-    """The ``(ref_id, kind, text)`` of every entry :func:`index_graph` builds,
-    in index order: each node, then each distinct non-structural
-    relationship label (by canonical) under its least display text."""
-    planned: list[tuple[str, str, str]] = []
-    for node in sorted(graph.nodes, key=lambda n: n.canonical):
-        kind = KIND_HYPERNODE_ENTRY if node.kind == KIND_HYPERNODE else KIND_NODE
-        planned.append((node.id, kind, node.label))
-    rel_display: dict[str, str] = {}
-    for edge in graph.edges:
-        if edge.structural:
-            continue
-        current = rel_display.get(edge.canonical)
-        if current is None or edge.label < current:
-            rel_display[edge.canonical] = edge.label
-    for canonical in sorted(rel_display):
-        planned.append((canonical, KIND_RELATIONSHIP, rel_display[canonical]))
-    return planned
+def plan_index(graph: KnowledgeGraph) -> tuple[list[str], list[str], list[str]]:
+    """The ``ref_ids``, ``kinds`` and ``texts`` of the entries
+    :func:`index_graph` builds, in index order: each node, then each
+    distinct non-structural relationship label (by canonical) under its
+    least display text. Takes each group's canonical label from its key and
+    reads only the display text of each edge."""
+    nodes = sorted(graph.nodes, key=lambda n: n.canonical)
+    least: dict[str, str] = {}
+    for canonical, group in graph.groups:
+        for edge in group:
+            current = least.get(canonical)
+            if current is None or edge.label < current:
+                least[canonical] = edge.label
+    for canonical in RESERVED_EDGE_LABELS:
+        least.pop(canonical, None)
+    labels = sorted(least)
+    return ([node.id for node in nodes] + labels,
+            [KIND_HYPERNODE_ENTRY if node.kind == KIND_HYPERNODE else KIND_NODE
+             for node in nodes] + [KIND_RELATIONSHIP] * len(labels),
+            [node.label for node in nodes] + [least[canonical] for canonical in labels])
 
 
 def index_graph(graph: KnowledgeGraph, embedder: Embedder) -> EmbeddingIndex:
-    """Embed every entry of :func:`plan_index` into one matrix. On provider
-    failure the raised error carries how many entries had been built already."""
-    planned = plan_index(graph)
-    matrix = np.zeros((0, 0))
-    batch = 128
-    for start in range(0, len(planned), batch):
+    """Embed every entry of :func:`plan_index` in batches, keeping each
+    batch's stored components. On provider failure the raised error carries
+    how many entries had been built already."""
+    entries = plan_index(graph)
+    texts, dim, batch = entries[2], 0, 128
+    rows, columns, values = [np.zeros(0, np.intp)], [np.zeros(0, np.intp)], [np.zeros(0)]
+    for start in range(0, len(texts), batch):
         try:
-            vectors = embedder.embed_batch([text for _, _, text in planned[start:start + batch]])
+            vectors = embedder.embed_batch(texts[start:start + batch])
         except ProviderError as exc:
             exc.entries_built = start  # type: ignore[attr-defined]
             raise
-        if not start:
-            matrix = np.empty((len(planned), vectors.shape[1]), order="F")
-        matrix[start:start + batch] = vectors
-    return EmbeddingIndex([IndexEntry(*row) for row in planned], matrix, embedder)
+        dim = vectors.shape[1]
+        at_rows, at_columns, at_values = _nonzeros(vectors)
+        rows.append(at_rows + start)
+        columns.append(at_columns)
+        values.append(at_values)
+    # Rebinding the names frees the batches' pieces before the layout.
+    rows, columns, values = map(np.concatenate, (rows, columns, values))
+    return EmbeddingIndex._from_stored(entries, dim, rows, columns, values, embedder)
 
 
 def save_index(index: EmbeddingIndex, sink) -> None:
     """Write ``index`` in the ``kgrag-index/3`` layout, to a path or a
     binary stream. Line 1 is a compact UTF-8 JSON header with sorted keys,
     ``{"dim", "entries": [[ref_id, kind, text], ...], "format"}``, in entry
-    order. The matrix follows as compressed sparse rows, three arrays of
+    order. The vectors follow as compressed sparse rows, three arrays of
     raw little-endian bytes one after another: row offsets (``<i8``, one
     more than the entries), then columns (``<i4``) and values (``<f8``),
-    each as many as the last offset, written from the arrays' own buffers.
+    each as many as the last offset. The rows are put back together from
+    the index's inverted files (:meth:`EmbeddingIndex.stored`).
     A row keeps its non-zero components and any ``-0.0``, so the loaded
-    matrix is bit-identical to this one. An empty index is an empty file."""
-    matrix = index.matrix
+    index holds the same bits as this one. An empty index is an empty file."""
     with _open_for_write(sink, binary=True) as f:
         if not len(index):
             return
-        header = {"dim": matrix.shape[1], "format": INDEX_FORMAT,
-                  "entries": [[e.ref_id, e.kind, e.text] for e in index.entries]}
+        header = {"dim": index.dim, "format": INDEX_FORMAT,
+                  "entries": list(zip(index.ref_ids, index.kinds, index.texts))}
         text = json.dumps(header, ensure_ascii=False, sort_keys=True, separators=(",", ":"))
         f.write(text.encode("utf-8") + b"\n")
-        rows, columns = np.nonzero((matrix != 0.0) | np.signbit(matrix))
+        rows, columns, values = index.stored()
         offsets = np.searchsorted(rows, np.arange(len(index) + 1))
-        for array, dtype in ((offsets, "<i8"), (columns, "<i4"), (matrix[rows, columns], "<f8")):
+        for array, dtype in ((offsets, "<i8"), (columns, "<i4"), (values, "<f8")):
             f.write(array.astype(dtype, copy=False).data)
 
 
-def _read_header(line: bytes, known_dim: int | None) -> tuple[int, list[IndexEntry]]:
-    """The ``dim`` and the entries of an index's header line."""
+def _read_header(line: bytes, known_dim: int | None
+                 ) -> tuple[int, tuple[list[str], list[str], list[str]]]:
+    """The ``dim`` of an index's header line, and the ``ref_ids``, ``kinds``
+    and ``texts`` of its entries."""
     try:
         header = json.loads(line.decode("utf-8"))
     except UnicodeDecodeError:
@@ -400,12 +523,12 @@ def _read_header(line: bytes, known_dim: int | None) -> tuple[int, list[IndexEnt
                 raise IndexFormatError("entry is not a list of three strings", number)
             if row[1] not in _ENTRY_KINDS:
                 raise IndexFormatError(f"unknown kind {row[1]!r}", number)
-    return dim, [IndexEntry(*row) for row in rows]
+    return dim, tuple(map(list, zip(*rows))) if rows else ([], [], [])
 
 
 def load_index(source, embedder: Embedder) -> EmbeddingIndex:
     """Read an index written by :func:`save_index`, from a path or a binary
-    stream, into one matrix.
+    stream, into inverted files.
 
     The header must be a UTF-8 JSON object of this format (any other
     ``format``, or none, is an older or unknown index: run ``kgrag index``
@@ -424,7 +547,7 @@ def load_index(source, embedder: Embedder) -> EmbeddingIndex:
         return EmbeddingIndex([], np.zeros((0, 0)), embedder)
     at = data.find(b"\n") + 1 or len(data)
     dim, entries = _read_header(data[:at], getattr(embedder, "dim", None))
-    n = len(entries)
+    n = len(entries[0])
     columns_at = at + 8 * (n + 1)
     if columns_at > len(data):
         raise IndexFormatError("offsets array is truncated")
@@ -458,10 +581,7 @@ def load_index(source, embedder: Embedder) -> EmbeddingIndex:
     with np.errstate(over="ignore"):
         norms = np.sqrt(np.bincount(row_of, weights=values * values, minlength=n))
     refuse(np.flatnonzero(np.abs(norms - 1.0) > 1e-6), "vector is not unit-norm")
-    try:
-        matrix = np.zeros((n, dim), order="F")
-    except (MemoryError, ValueError):
-        # Only an embedder of unknown width lets ``dim`` come this far.
-        raise IndexFormatError(f"dim {dim} is too large for {n} entries") from None
-    matrix[row_of, columns] = values
-    return EmbeddingIndex(entries, matrix, embedder)
+    # A stored +0.0, which no saved index holds, is dropped.
+    kept = _stored(values)
+    return EmbeddingIndex._from_stored(entries, dim, row_of[kept], columns[kept], values[kept],
+                                       embedder)

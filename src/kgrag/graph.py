@@ -22,7 +22,7 @@ import unicodedata
 from bisect import bisect_left
 from contextlib import contextmanager
 from dataclasses import dataclass
-from itertools import islice
+from itertools import chain, islice
 from operator import attrgetter
 from pathlib import Path
 from typing import IO, Iterable, Iterator, NamedTuple, NoReturn
@@ -168,6 +168,12 @@ class KnowledgeGraph:
         return (edge for groups in self._out.values()
                 for group in groups.values() for edge in group)
 
+    @property
+    def groups(self) -> Iterator[tuple[str, list[EdgeRecord]]]:
+        """Each out-group as ``(canonical, edges)``: the edges of one source
+        and label, in target order. The lists are the graph's own."""
+        return chain.from_iterable(map(dict.items, self._out.values()))
+
     def node(self, node_id: str) -> NodeRecord:
         try:
             return self._nodes[node_id]
@@ -281,17 +287,21 @@ class KnowledgeGraph:
         label, each group in (source, target) order; the keys come in no
         set order. A group may be the graph's own list: do not change it.
 
-        Reads each node's groups, not its edges, and copies a group only
-        when several nodes of the set share its label."""
+        Merges each node's dict of groups in with dict operations, in id
+        order: a label only that node has keeps its list, and only the
+        labels it shares with the nodes before it are concatenated."""
         groups: dict[str, list[EdgeRecord]] = {}
         for node_id in sorted(set(node_ids)):
             if node_id not in self._nodes:
                 raise UnknownNodeError(f"unknown node id {node_id!r}")
-            for canonical, group in self._out.get(node_id, {}).items():
-                if canonical in RESERVED_EDGE_LABELS:
-                    continue
-                before = groups.get(canonical)
-                groups[canonical] = group if before is None else before + group
+            out = self._out.get(node_id)
+            if out:
+                shared = {canonical: groups[canonical] + out[canonical]
+                          for canonical in groups.keys() & out.keys()}
+                groups.update(out)
+                groups.update(shared)
+        for canonical in RESERVED_EDGE_LABELS:
+            groups.pop(canonical, None)
         return groups
 
     # -------------------------------------------------------------- stats

@@ -3,7 +3,11 @@ used, kept as a test oracle: it adds 1.0 into a float vector once per
 character 3-gram, then divides by ``np.linalg.norm``; a batch stacks the
 rows. ``HashingEmbedder.embed_batch`` hashes a whole batch at once in numpy
 and counts it with one ``np.bincount`` instead, ``embed`` keeps a loop of
-its own, and both must agree with this one byte for byte."""
+its own, and both must agree with this one byte for byte.
+
+``index_matrix`` and ``index_entries`` are the tests' one way to an
+index's rows and entries: a dense ``n × dim`` matrix put back together from
+``EmbeddingIndex.stored``, and the entry of every row."""
 
 from __future__ import annotations
 
@@ -31,3 +35,16 @@ def oracle_embed_batch(texts: Sequence[str], dim: int) -> np.ndarray:
     if not texts:
         return np.zeros((0, dim), dtype=np.float64)
     return np.stack([oracle_embed(text, dim) for text in texts])
+
+
+def index_matrix(index) -> np.ndarray:
+    """The vectors of ``index``, row ``i`` the vector of entry ``i``; a
+    component the index does not store reads +0.0."""
+    rows, columns, values = index.stored()
+    matrix = np.zeros((len(index), index.dim))
+    matrix[rows, columns] = values
+    return matrix
+
+
+def index_entries(index) -> list:
+    return [index.entry(row) for row in range(len(index))]

@@ -25,6 +25,7 @@ from coe_fixtures import (
     save_script,
     taylor_fixture,
 )
+from embedding_oracle import index_entries, index_matrix
 from http_stub import stub_server
 
 SENTENCE = "Seth MacFarlane created Family Guy in 1999."
@@ -437,7 +438,7 @@ def test_query_with_an_older_dense_index_fails(tmp_path, capsys):
     graph_path, index_path, script_path = taylor_setup(tmp_path)
     index = load_index(index_path, HashingEmbedder())
     dense, sparse = [], []
-    for entry, vector in zip(index.entries, index.matrix):
+    for entry, vector in zip(index_entries(index), index_matrix(index)):
         fields = {"kind": entry.kind, "ref_id": entry.ref_id, "text": entry.text}
         dense.append({**fields, "vector": vector.tolist()})
         columns = np.flatnonzero(vector)

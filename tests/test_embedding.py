@@ -6,6 +6,7 @@ import gc
 import io
 import json
 import random
+import sys
 import tracemalloc
 
 import numpy as np
@@ -24,6 +25,7 @@ from kgrag import (
     StaleIndexError,
     index_graph,
     load_index,
+    normalize_label,
     parse_triple,
     save_index,
 )
@@ -35,7 +37,7 @@ from kgrag.embedding import (
     KIND_RELATIONSHIP,
 )
 from kgrag.llm import RETRY_BASE_DELAY_S
-from embedding_oracle import oracle_embed, oracle_embed_batch
+from embedding_oracle import index_entries, index_matrix, oracle_embed, oracle_embed_batch
 from http_stub import stub_server
 
 EMBEDDER = HashingEmbedder()
@@ -164,14 +166,15 @@ def test_index_graph_covers_nodes_and_labels():
     index = index_graph(sample_graph(), EMBEDDER)
     # 4 nodes (one of them the hypernode) + 3 distinct relationship labels
     assert len(index) == 7
-    kinds = sorted(e.kind for e in index.entries)
+    entries = index_entries(index)
+    kinds = sorted(e.kind for e in entries)
     assert kinds.count("node") == 3
     assert kinds.count("hypernode") == 1
     assert kinds.count("relationship_label") == 3
-    rel_texts = {e.text for e in index.entries if e.kind == KIND_RELATIONSHIP}
+    rel_texts = {e.text for e in entries if e.kind == KIND_RELATIONSHIP}
     assert rel_texts == {"is creator of", "created", "in"}
     # structural edge labels are never indexed
-    assert not any(e.text.startswith("_") for e in index.entries)
+    assert not any(e.text.startswith("_") for e in entries)
 
 
 def _index(rows, embedder) -> EmbeddingIndex:
@@ -242,7 +245,7 @@ def test_search_matches_brute_force_oracle():
     vectors = [EMBEDDER.embed(label) for label in labels]
     index = _index([(f"id{i}", KIND_NODE, label, vector)
                     for i, (label, vector) in enumerate(zip(labels, vectors))], EMBEDDER)
-    entries = index.entries
+    entries = index_entries(index)
     for _ in range(25):
         query = "".join(rng.choice(alphabet) for _ in range(6)).strip() or "abc"
         k = rng.randint(1, 12)
@@ -321,7 +324,7 @@ def _check_ranking(index, tied_rows, query, k, rows, got, whole) -> None:
     """``got``, a search's top k among ``rows``, against scoring them all
     and sorting them all. ``whole``, the same search over more rows, must
     give each entry the same score to the bit."""
-    entries = index.entries
+    entries = index_entries(index)
     qv = index.embedder.embed(query)
     scores = {i: _left_sum(tied_rows[i][3], qv) for i in rows}
     rows = sorted(rows, key=lambda i: (-scores[i], entries[i].canonical))
@@ -365,13 +368,75 @@ def test_label_search_matches_sorting_every_row(tied_rows, query, data):
     _check_ranking(index, tied_rows, query, k, rows, got, whole)
 
 
+# Signed zeros, negative weights, exact cancellations (0.5 - 0.5), and
+# values whose products underflow to a zero of either sign.
+_SIGNED_VALUES = st.one_of(
+    st.sampled_from([0.0, -0.0, 0.5, -0.5, 0.25, -0.25, 1e-300, -1e-300]),
+    st.floats(-1.0, 1.0))
+
+
+class _TableEmbedder:
+    """Embeds every text to one given query vector."""
+
+    def __init__(self, query: np.ndarray):
+        self.query, self.dim = query, len(query)
+
+    def embed(self, text: str) -> np.ndarray:
+        return self.query
+
+
+def _bits(score: float) -> bytes:
+    return np.float64(score).tobytes()
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 6), st.data())
+def test_scores_are_the_left_sum_to_the_bit(dim, data):
+    """Node and label search, on a built index and on its saved and loaded
+    copy, against ``_left_sum`` and sorting every row: each score has the
+    left sum's bits, but that a zero sum is +0.0 on every path."""
+    vectors = st.lists(_SIGNED_VALUES, min_size=dim, max_size=dim).map(np.array)
+    rows = []
+    for i in range(data.draw(st.integers(1, 10), label="rows")):
+        vector = data.draw(vectors, label="vector")
+        # One large component, so the row normalizes to a unit vector.
+        vector[data.draw(st.integers(0, dim - 1))] = data.draw(st.sampled_from([1.0, -1.0]))
+        kind = data.draw(st.sampled_from(_SEARCH_KINDS), label="kind")
+        text = data.draw(st.text(alphabet="abAB ", min_size=1, max_size=3).filter(str.strip))
+        rows.append((f"r{i}", kind, text, vector / np.linalg.norm(vector)))
+    query = data.draw(vectors, label="query")
+    embedder = _TableEmbedder(query)
+    built = _index(rows, embedder)
+    saved = io.BytesIO()
+    save_index(built, saved)
+    loaded = load_index(io.BytesIO(saved.getvalue()), embedder)
+
+    def ranked(among: list[int]) -> list[tuple[str, bytes]]:
+        scores = {i: _left_sum(rows[i][3], query) + 0.0 for i in among}
+        order = sorted(among, key=lambda i: (-scores[i], normalize_label(rows[i][2])))
+        return [(rows[i][0], _bits(scores[i])) for i in order]
+
+    def searched(index, k, labels=None) -> list[tuple[str, bytes]]:
+        return [(entry.ref_id, _bits(score)) for entry, score in index.search("q", k, labels)]
+
+    nodes = [i for i, row in enumerate(rows) if row[1] != KIND_RELATIONSHIP]
+    labels = [i for i, row in enumerate(rows) if row[1] == KIND_RELATIONSHIP]
+    k = data.draw(st.integers(1, len(rows)), label="k")
+    wanted = data.draw(st.lists(st.sampled_from(labels), min_size=1) if labels
+                       else st.just([]), label="wanted")
+    for index in (built, loaded):
+        assert searched(index, len(rows)) == ranked(nodes)
+        assert searched(index, k) == ranked(nodes)[:k]
+        assert searched(index, k, [rows[i][0] for i in wanted]) == ranked(sorted(set(wanted)))[:k]
+
+
 def test_label_search_ranks_only_the_given_labels():
     index = index_graph(sample_graph(), EMBEDDER)
     got = index.search("created", k=10, labels=["in", "created"])
     assert [e.text for e, _ in got] == ["created", "in"]
     assert index.search("created", k=10, labels=["in", "in"]) == got[1:]
     assert index.search("created", k=10, labels=[]) == []
-    node_id = next(e.ref_id for e in index.entries if e.kind == KIND_NODE)
+    node_id = next(e.ref_id for e in index_entries(index) if e.kind == KIND_NODE)
     with pytest.raises(StaleIndexError, match=repr(node_id)):
         index.search("created", k=10, labels=[node_id])
     with pytest.raises(StaleIndexError, match="'is created of'"):
@@ -409,17 +474,15 @@ def test_index_refuses_a_matrix_without_one_row_per_entry():
 def test_index_searches_the_matrix_it_was_given():
     entries = [IndexEntry("a", KIND_NODE, "alpha"), IndexEntry("b", KIND_NODE, "beta")]
     matrix = np.stack([_SMALL.embed("alpha"), _SMALL.embed("beta")])
-    fortran = np.asfortranarray(matrix)
-    assert EmbeddingIndex(entries, fortran, _SMALL).matrix is fortran
-    index = EmbeddingIndex(entries, matrix, _SMALL)
-    assert index.matrix.flags.f_contiguous
-    assert index.matrix.tobytes("C") == matrix.tobytes("C")
-    assert [e.ref_id for e, _ in index.search("beta", k=1)] == ["b"]
+    for given in (matrix, np.asfortranarray(matrix)):
+        index = EmbeddingIndex(entries, given, _SMALL)
+        assert index_matrix(index).tobytes() == matrix.tobytes()
+        assert [e.ref_id for e, _ in index.search("beta", k=1)] == ["b"]
 
 
 def test_search_refuses_a_query_of_another_width():
     index = index_graph(sample_graph(), HashingEmbedder(dim=8))
-    other = EmbeddingIndex(index.entries, index.matrix, HashingEmbedder(dim=4))
+    other = EmbeddingIndex(index_entries(index), index_matrix(index), HashingEmbedder(dim=4))
     with pytest.raises(StaleIndexError, match=r"shape \(4,\) .* dim 8"):
         other.search("Family Guy", k=3)
     with pytest.raises(StaleIndexError):
@@ -434,13 +497,13 @@ def test_empty_index_searches_empty():
 
 def test_empty_graph_and_empty_file_give_empty_indexes(tmp_path):
     index = index_graph(KnowledgeGraph(), EMBEDDER)
-    assert len(index) == 0 and index.matrix.shape[0] == 0
+    assert len(index) == 0 and index_matrix(index).shape[0] == 0
     assert index.search("anything", k=5) == []
     path = tmp_path / "index.bin"
     save_index(index, path)
     assert path.read_bytes() == b""
     loaded = load_index(path, EMBEDDER)
-    assert len(loaded) == 0 and loaded.matrix.shape[0] == 0
+    assert len(loaded) == 0 and index_matrix(loaded).shape[0] == 0
     assert loaded.search("anything", k=5) == []
 
 
@@ -452,10 +515,10 @@ def test_save_load_roundtrip(tmp_path):
     save_index(index, path)
     loaded = load_index(path, EMBEDDER)
     assert len(loaded) == len(index)
-    for original, restored in zip(index.entries, loaded.entries):
+    for original, restored in zip(index_entries(index), index_entries(loaded)):
         assert (original.ref_id, original.kind, original.text) == \
             (restored.ref_id, restored.kind, restored.text)
-    assert np.allclose(index.matrix, loaded.matrix)
+    assert np.allclose(index_matrix(index), index_matrix(loaded))
     query = "Family Guy"
     assert [(e.ref_id, pytest.approx(s)) for e, s in index.search(query, 5)] == \
         [(e.ref_id, s) for e, s in loaded.search(query, 5)]
@@ -481,10 +544,10 @@ def test_saved_rows_are_sparse():
     header, (offsets, columns, values) = _read_saved(buffer.getvalue())
     assert list(header) == ["dim", "entries", "format"]
     assert header["dim"] == DEFAULT_DIM and header["format"] == INDEX_FORMAT
-    assert header["entries"] == [[e.ref_id, e.kind, e.text] for e in index.entries]
+    assert header["entries"] == [[e.ref_id, e.kind, e.text] for e in index_entries(index)]
     assert [a.dtype.str for a in (offsets, columns, values)] == ["<i8", "<i4", "<f8"]
     assert len(offsets) == len(index) + 1 and offsets[0] == 0
-    for lo, hi, vector in zip(offsets, offsets[1:], index.matrix):
+    for lo, hi, vector in zip(offsets, offsets[1:], index_matrix(index)):
         assert columns[lo:hi].tolist() == np.flatnonzero(vector).tolist()
         assert values[lo:hi].tolist() == vector[columns[lo:hi]].tolist()
 
@@ -515,15 +578,15 @@ def test_save_load_reproduces_rows_and_matrix(dim_and_rows):
     dim, rows = dim_and_rows
     embedder = HashingEmbedder(dim=dim)
     index = _index(rows, embedder)
-    entries = index.entries
+    entries = index_entries(index)
     first = io.BytesIO()
     save_index(index, first)
     loaded = load_index(io.BytesIO(first.getvalue()), embedder)
-    assert [(e.ref_id, e.kind, e.text) for e in loaded.entries] == \
+    assert [(e.ref_id, e.kind, e.text) for e in index_entries(loaded)] == \
         [(e.ref_id, e.kind, e.text) for e in entries]
     if entries:
         # Bytes, not ``np.array_equal``, so that -0.0 and 0.0 differ.
-        assert loaded.matrix.tobytes() == index.matrix.tobytes()
+        assert index_matrix(loaded).tobytes() == index_matrix(index).tobytes()
     again = io.BytesIO()
     save_index(loaded, again)
     assert again.getvalue() == first.getvalue()
@@ -534,8 +597,8 @@ def test_load_reproduces_the_built_matrix_bit_for_bit(tmp_path):
     path = tmp_path / "index.bin"
     save_index(index, path)
     loaded = load_index(path, EMBEDDER)
-    assert loaded.matrix.shape == index.matrix.shape
-    assert loaded.matrix.tobytes() == index.matrix.tobytes()
+    assert index_matrix(loaded).shape == index_matrix(index).shape
+    assert index_matrix(loaded).tobytes() == index_matrix(index).tobytes()
 
 
 def _traced(build):
@@ -554,21 +617,33 @@ def _traced(build):
 
 
 def test_index_holds_each_vector_once(tmp_path):
-    """Built or loaded, the index keeps one matrix and no second copy of
-    its rows: what it retains stays well under two matrices, and so does
-    what building holds at its peak."""
+    """Built or loaded, the index holds each stored value once: what it
+    retains, its entry lists and their strings aside, stays well under two
+    copies of its inverted files, a value and a position per stored
+    component, plus one small array object per column of each. Building
+    never holds a dense ``n × dim`` matrix."""
     graph = KnowledgeGraph()
     for i in range(1000):
         graph.upsert_triple(parse_triple(f"(entity {i})-[relation {i % 50}]->(value {i})"))
     index, built, built_peak = _traced(lambda: index_graph(graph, EMBEDDER))
-    assert index.matrix.shape == (2050, DEFAULT_DIM)
     path = tmp_path / "index.bin"
     save_index(index, path)
     loaded, read, _ = _traced(lambda: load_index(path, EMBEDDER))
-    assert loaded.matrix.shape == index.matrix.shape
-    assert built < 1.5 * index.matrix.nbytes
-    assert built_peak < 1.5 * index.matrix.nbytes
-    assert read < 1.5 * loaded.matrix.nbytes
+    matrix = index_matrix(loaded)
+    assert matrix.shape == (2050, DEFAULT_DIM)
+    assert matrix.tobytes() == index_matrix(index).tobytes()
+    one_copy = 16 * np.count_nonzero(matrix)
+    # Each stored column of the node and of the label inverted file is a
+    # view of its positions and one of its values: at most 4 × dim views.
+    views = 4 * DEFAULT_DIM * sys.getsizeof(np.zeros(2)[:1])
+    lists = (loaded.ref_ids, loaded.kinds, loaded.texts)
+    list_bytes = sum(map(sys.getsizeof, lists))
+    # The built index shares its strings with the graph; the loaded one
+    # decoded its own.
+    string_bytes = sum(sys.getsizeof(text) for strings in lists for text in strings)
+    assert built - list_bytes < 1.5 * one_copy + views
+    assert read - list_bytes - string_bytes < 1.5 * one_copy + views
+    assert built_peak < matrix.nbytes
 
 
 def test_index_graph_embeds_in_the_same_batches():
@@ -584,7 +659,7 @@ def test_index_graph_embeds_in_the_same_batches():
 
     index = index_graph(graph, Recording())
     assert sizes == [128, 128, 51]
-    assert index.matrix.tobytes() == EMBEDDER.embed_batch([e.text for e in index.entries]).tobytes()
+    assert index_matrix(index).tobytes() == EMBEDDER.embed_batch(index.texts).tobytes()
 
 
 def test_save_load_keeps_negative_zero():
@@ -594,7 +669,7 @@ def test_save_load_keeps_negative_zero():
     save_index(index, buffer)
     _, (_, columns, _) = _read_saved(buffer.getvalue())
     assert columns.tolist() == [0, 1]
-    vector = load_index(io.BytesIO(buffer.getvalue()), embedder).matrix[0]
+    vector = index_matrix(load_index(io.BytesIO(buffer.getvalue()), embedder))[0]
     assert np.signbit(vector).tolist() == [True, False, False]
 
 
@@ -630,11 +705,12 @@ def _load_bytes(data: bytes, dim: int = 2) -> EmbeddingIndex:
 
 def test_hand_built_index_files_load():
     index = _load_bytes(_around())
-    assert [e.ref_id for e in index.entries] == ["g1", "x", "g2"]
-    assert index.matrix.tolist() == [[1.0, 0.0], [1.0, 0.0], [0.0, 1.0]]
+    assert [e.ref_id for e in index_entries(index)] == ["g1", "x", "g2"]
+    assert index_matrix(index).tolist() == [[1.0, 0.0], [1.0, 0.0], [0.0, 1.0]]
     saved = io.BytesIO()
     save_index(index, saved)
-    assert _load_bytes(saved.getvalue()).matrix.tobytes() == index.matrix.tobytes()
+    assert index_matrix(_load_bytes(saved.getvalue())).tobytes() == \
+        index_matrix(index).tobytes()
 
 
 def test_load_rejects_bad_lines():
@@ -811,15 +887,29 @@ def test_load_refuses_dim_unlike_the_embedders(tmp_path):
 
 @pytest.mark.parametrize("dim", [10 ** 13, 2 ** 62])
 def test_load_refuses_a_dim_too_large_to_hold(dim):
-    """With an embedder of unknown width only the allocation of the matrix
-    can refuse a huge ``dim``: 4 entries of 10**13 doubles are 320 TB, and
-    2**62 of them do not fit a 64-bit size."""
+    """With an embedder of unknown width only an allocation of ``dim``
+    counts, one per component, can refuse a huge ``dim``: 10**13 of them
+    are 80 TB, and 2**62 do not fit a 64-bit size."""
     data = _index_file([_row("g1"), _row("g2"), _row("g3"), _row("g4")],
                        header={"dim": dim})
     http = HttpEmbeddingProvider("http://127.0.0.1:9/unused")
     with pytest.raises(IndexFormatError, match=f"^dim {dim} is too large") as exc_info:
         load_index(io.BytesIO(data), http)
     assert exc_info.value.entry is None
+
+
+def test_a_large_dim_holds_nothing_per_component():
+    """An index keeps no object per component: three entries at ``dim``
+    10**6 load holding less than their dense matrix would, and search."""
+    dim = 10 ** 6
+    rows = [_row("g1"), _row("g2", columns=[dim - 1]),
+            _row("in", kind=KIND_RELATIONSHIP, text="in", columns=[5])]
+    data = _index_file(rows, header={"dim": dim})
+    index, held, _ = _traced(lambda: load_index(io.BytesIO(data), HashingEmbedder(dim)))
+    assert held < 3 * dim * 8
+    assert index_matrix(index)[:, [0, 5, dim - 1]].tolist() == [[1, 0, 0], [0, 0, 1], [0, 1, 0]]
+    assert [e.ref_id for e, _ in index.search("a", k=2)] == ["g1", "g2"]
+    assert [e.ref_id for e, _ in index.search("a", k=1, labels=["in"])] == ["in"]
 
 
 def _small_saved_index() -> tuple[bytes, HashingEmbedder]:
@@ -831,11 +921,12 @@ def _small_saved_index() -> tuple[bytes, HashingEmbedder]:
 
 def _assert_sound(index: EmbeddingIndex, embedder: HashingEmbedder) -> None:
     """``index`` passes every check :func:`load_index` makes."""
-    assert index.matrix.shape == (len(index), embedder.dim)
-    assert all(type(f) is str for e in index.entries for f in (e.ref_id, e.kind, e.text))
-    assert {e.kind for e in index.entries} <= set(_SEARCH_KINDS)
-    assert np.isfinite(index.matrix).all()
-    assert np.allclose(np.linalg.norm(index.matrix, axis=1), 1.0, rtol=0, atol=1e-6)
+    matrix, entries = index_matrix(index), index_entries(index)
+    assert matrix.shape == (len(index), embedder.dim)
+    assert all(type(f) is str for e in entries for f in (e.ref_id, e.kind, e.text))
+    assert {e.kind for e in entries} <= set(_SEARCH_KINDS)
+    assert np.isfinite(matrix).all()
+    assert np.allclose(np.linalg.norm(matrix, axis=1), 1.0, rtol=0, atol=1e-6)
 
 
 def test_every_truncation_is_refused():

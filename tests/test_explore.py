@@ -78,6 +78,7 @@ from coe_fixtures import (
     refinement_fixture,
     taylor_fixture,
 )
+from embedding_oracle import index_entries, index_matrix
 from graph_oracle import find_node
 from http_stub import stub_server
 
@@ -325,7 +326,7 @@ def test_relationship_candidates_match_brute_force(facts, instruction, m, data):
     shown: dict[str, str] = {}
     for edge in edges:
         shown.setdefault(normalize_label(edge.label), edge.label)
-    indexed = {e.ref_id: e.text for e in index.entries if e.kind == KIND_RELATIONSHIP}
+    indexed = {e.ref_id: e.text for e in index_entries(index) if e.kind == KIND_RELATIONSHIP}
     canonicals = sorted(shown)
     scores = embedder.embed_batch([indexed[c] for c in canonicals]) @ embedder.embed(instruction)
     order = sorted(range(len(canonicals)), key=lambda i: (-scores[i], canonicals[i]))
@@ -459,7 +460,8 @@ class CountingEmbedder:
 def test_relationship_step_embeds_once_and_scans_once(monkeypatch):
     graph, index, rules = taylor_fixture()
     embedder = CountingEmbedder()
-    engine = CoEngine(graph, EmbeddingIndex(index.entries, index.matrix, embedder), ScriptedProvider(rules))
+    engine = CoEngine(graph, EmbeddingIndex(index_entries(index), index_matrix(index), embedder),
+                      ScriptedProvider(rules))
     state = TraversalState()
     engine.explore_nodes(state, ExplorationStep(1, NODE, _STEP1), TAYLOR_QUESTION)
     embedder.calls.clear()
@@ -757,7 +759,7 @@ def test_embedder_of_another_width_degrades_to_failure(tmp_path):
         # The HTTP embedder learns its width only on its first call, so
         # loading cannot refuse the 256-d index; the first search does.
         loaded = load_index(path, HttpEmbeddingProvider(url))
-        assert loaded.matrix.shape[1] == 256
+        assert loaded.dim == 256
         trace = TraceRecorder()
         result = CoEngine(graph, loaded, ScriptedProvider(rules), trace=trace).run(
             TAYLOR_QUESTION)

@@ -239,6 +239,42 @@ def test_label_groups_match_labels_canonically():
     assert targets(graph, [hub], "missing") == []
 
 
+# Few words and labels, with case and space variants, so that nodes share
+# labels; nesting makes hypernodes with structural groups.
+_FEW_ENTITIES = st.sampled_from(["a", "A", "b", " c", "C "]).map(Entity)
+_FEW_LABELS = st.sampled_from(["r", "R", "s", "r  s", "R s", "t"])
+_FEW_STATEMENTS = st.recursive(
+    st.builds(TripleStatement, _FEW_ENTITIES, _FEW_LABELS, _FEW_ENTITIES),
+    lambda inner: st.builds(TripleStatement, _FEW_ENTITIES | inner, _FEW_LABELS,
+                            _FEW_ENTITIES | inner),
+    max_leaves=3)
+
+
+def _grouped_by_brute_force(graph: KnowledgeGraph, node_ids: set[str]) -> dict:
+    groups: dict[str, list[EdgeRecord]] = {}
+    for edge in sorted(graph.edges, key=lambda e: (e.source, e.target)):
+        if edge.source in node_ids and not edge.structural:
+            groups.setdefault(edge.canonical, []).append(edge)
+    return groups
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_FEW_STATEMENTS, min_size=1, max_size=8), st.data())
+def test_label_groups_match_grouping_by_brute_force(statements, data):
+    graph = KnowledgeGraph()
+    for statement in statements:
+        graph.upsert_triple(statement)
+    ids = sorted(node.id for node in graph.nodes)
+    node_ids = data.draw(st.lists(st.sampled_from(ids), max_size=12), label="node_ids")
+    before = [(canonical, list(group)) for canonical, group in graph.groups]
+    assert graph.label_groups(node_ids) == _grouped_by_brute_force(graph, set(node_ids))
+    if data.draw(st.booleans(), label="unknown"):
+        at = data.draw(st.integers(0, len(node_ids)), label="at")
+        with pytest.raises(UnknownNodeError, match="no-such-id"):
+            graph.label_groups(node_ids[:at] + ["no-such-id"] + node_ids[at:])
+    assert [(canonical, list(group)) for canonical, group in graph.groups] == before
+
+
 def test_node_lookup_errors():
     graph = chain_graph()
     with pytest.raises(UnknownNodeError):
