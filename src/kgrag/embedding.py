@@ -51,6 +51,8 @@ KIND_NODE = "node"
 KIND_HYPERNODE_ENTRY = "hypernode"
 KIND_RELATIONSHIP = "relationship_label"
 _ENTRY_KINDS = (KIND_NODE, KIND_HYPERNODE_ENTRY, KIND_RELATIONSHIP)
+# Each kind to itself: a decoded kind looks up the module's own string.
+_KIND_CONSTANTS = {kind: kind for kind in _ENTRY_KINDS}
 
 INDEX_FORMAT = "kgrag-index/3"
 
@@ -492,7 +494,8 @@ def save_index(index: EmbeddingIndex, sink) -> None:
 def _read_header(line: bytes, known_dim: int | None
                  ) -> tuple[int, tuple[list[str], list[str], list[str]]]:
     """The ``dim`` of an index's header line, and the ``ref_ids``, ``kinds``
-    and ``texts`` of its entries."""
+    and ``texts`` of its entries. Each kind is one of the module's
+    constants, shared by every entry of that kind."""
     try:
         header = json.loads(line.decode("utf-8"))
     except UnicodeDecodeError:
@@ -523,7 +526,10 @@ def _read_header(line: bytes, known_dim: int | None
                 raise IndexFormatError("entry is not a list of three strings", number)
             if row[1] not in _ENTRY_KINDS:
                 raise IndexFormatError(f"unknown kind {row[1]!r}", number)
-    return dim, tuple(map(list, zip(*rows))) if rows else ([], [], [])
+    if not rows:
+        return dim, ([], [], [])
+    ref_ids, kinds, texts = zip(*rows)
+    return dim, (list(ref_ids), list(map(_KIND_CONSTANTS.__getitem__, kinds)), list(texts))
 
 
 def load_index(source, embedder: Embedder) -> EmbeddingIndex:

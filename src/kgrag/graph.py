@@ -27,7 +27,7 @@ from operator import attrgetter
 from pathlib import Path
 from typing import IO, Iterable, Iterator, NamedTuple, NoReturn
 
-from .triples import DEFAULT_MAX_DEPTH, Entity, TripleStatement, TripleTerm, statement_depth
+from .triples import DEFAULT_MAX_DEPTH, Entity, TripleStatement, TripleTerm
 
 logger = logging.getLogger(__name__)
 
@@ -146,14 +146,17 @@ class KnowledgeGraph:
 
     Each edge is held once: in its source's out-group for its canonical
     label (``_out[source][canonical]``, in target order). A node has no
-    out-groups until it is the source of an edge."""
+    out-groups until it is the source of an edge.
+
+    Node and edge labels share one cache, ``_labels``: each distinct label
+    text an upsert has read maps to the text and its canonical form, so a
+    text is normalized once, and the records that carry it share both
+    strings. It is written only under the writer lock."""
 
     def __init__(self):
         self._nodes: dict[str, NodeRecord] = {}
         self._by_canonical: dict[str, str] = {}
         self._out: dict[str, dict[str, list[EdgeRecord]]] = {}
-        # Each distinct edge label text and its canonical form, computed once
-        # and shared by every edge that carries the text.
         self._labels: dict[str, tuple[str, str]] = {}
         self._write_lock = threading.Lock()
 
@@ -184,15 +187,42 @@ class KnowledgeGraph:
 
     def upsert_triple(self, statement: TripleStatement) -> UpsertOutcome:
         """Idempotently store a statement, materializing hypernodes for
-        nested terms. Returns the ids of the nodes and edges it created."""
-        depth = statement_depth(statement)
-        if depth > DEFAULT_MAX_DEPTH:
-            raise DepthError(f"statement depth {depth} exceeds max {DEFAULT_MAX_DEPTH}")
-        _reject_reserved(statement)
+        nested terms. Returns the ids of the nodes and edges it created.
+        A statement the graph refuses raises before any of it is stored."""
         outcome = UpsertOutcome(created=[])
         with self._write_lock:
+            found: list = [None, None]
+            depth = self._walk(statement, found)
+            reserved, empty = found
+            if depth > DEFAULT_MAX_DEPTH:
+                raise DepthError(f"statement depth {depth} exceeds max {DEFAULT_MAX_DEPTH}")
+            if reserved is not None:
+                raise ValueError(
+                    f"predicate {reserved.predicate!r} is reserved for structural edges")
+            if empty is not None:
+                raise ValueError(f"{empty} label is empty after normalization")
             self._upsert_statement(statement, outcome)
         return outcome
+
+    def _walk(self, statement: TripleStatement, found: list) -> int:
+        """The nesting depth of ``statement``. Sets ``found[0]`` to the first
+        statement, in pre-order, whose predicate is reserved, and
+        ``found[1]`` to the kind ("node" or "edge") of the first label, in
+        the order :meth:`_upsert_statement` stores them, that is empty."""
+        predicate = statement.predicate.strip()
+        canonical = (self._labels.get(predicate) or self._label(predicate))[1]
+        if found[0] is None and canonical in RESERVED_EDGE_LABELS:
+            found[0] = statement
+        depth = 0
+        for term in (statement.subject, statement.object):
+            if isinstance(term, Entity):
+                if found[1] is None and not term.label.strip():
+                    found[1] = "node"
+            else:
+                depth = max(depth, self._walk(term, found))
+        if found[1] is None and not canonical:
+            found[1] = "edge"
+        return depth + 1
 
     def _upsert_statement(self, statement: TripleStatement, outcome: UpsertOutcome) -> tuple[str, str]:
         subject_id = self._materialize_term(statement.subject, outcome)
@@ -217,9 +247,7 @@ class KnowledgeGraph:
 
     def _upsert_node(self, label: str, kind: str, outcome: UpsertOutcome) -> str:
         display = label.strip()
-        canonical = normalize_label(display)
-        if not canonical:
-            raise ValueError("node label is empty after normalization")
+        display, canonical = self._labels.get(display) or self._label(display)
         existing = self._by_canonical.get(canonical)
         if existing is not None:
             return existing
@@ -231,9 +259,8 @@ class KnowledgeGraph:
 
     def _upsert_edge(self, source: str, label: str, target: str,
                      structural: bool, outcome: UpsertOutcome) -> str:
-        display, canonical = self._edge_label(label.strip())
-        if not canonical:
-            raise ValueError("edge label is empty after normalization")
+        display = label.strip()
+        display, canonical = self._labels.get(display) or self._label(display)
         group, at, existing = self._slot(source, canonical, target)
         if existing is not None:
             return existing.id
@@ -261,9 +288,10 @@ class KnowledgeGraph:
         at = len(group) - 1 if last == target else bisect_left(group, target, key=_target_of)
         return group, at, (group[at] if group[at].target == target else None)
 
-    def _edge_label(self, text: str) -> tuple[str, str]:
+    def _label(self, text: str) -> tuple[str, str]:
         """``text`` and ``normalize_label(text)``, as the string objects
-        that every edge labelled ``text`` shares."""
+        that every node and edge labelled ``text`` shares. The upsert path
+        looks ``text`` up in ``_labels`` itself and calls this on a miss."""
         known = self._labels.get(text)
         if known is None:
             known = self._labels[text] = (text, normalize_label(text))
@@ -384,14 +412,6 @@ class KnowledgeGraph:
                     f"hypernode {node.label!r} has {subjects} _subject and "
                     f"{objects} _object edges; expected exactly one of each"
                 )
-
-
-def _reject_reserved(statement: TripleStatement) -> None:
-    if normalize_label(statement.predicate) in RESERVED_EDGE_LABELS:
-        raise ValueError(f"predicate {statement.predicate!r} is reserved for structural edges")
-    for term in (statement.subject, statement.object):
-        if isinstance(term, TripleStatement):
-            _reject_reserved(term)
 
 
 # ------------------------------------------------------------- persistence
@@ -587,7 +607,7 @@ def _add_edge(graph: KnowledgeGraph, record: dict, edge_ids: set[str]) -> bool:
         return False
     # The edge shares its nodes' id strings, as upserted edges do.
     source, target = nodes[source].id, nodes[target].id
-    label, canonical = graph._edge_label(label)
+    label, canonical = graph._label(label)
     group, at, existing = graph._slot(source, canonical, target)
     if existing is not None or structural != (canonical in RESERVED_EDGE_LABELS):
         return False

@@ -8,7 +8,9 @@ be a parenthesized statement, which nests the fact::
 After ``(``, the next non-space character decides: ``(`` opens a nested
 statement, anything else an entity label, so unescaped structural
 characters never hide inside labels. A line is parsed in one pass, and a
-valid line raises no exception on the way.
+valid line raises no exception on the way. A flat statement, and each flat
+node and predicate, is read by one regular-expression match; the rest is
+read step by step.
 """
 
 from __future__ import annotations
@@ -79,9 +81,40 @@ def statement_depth(statement: TripleStatement) -> int:
 
 # A run of label characters: everything up to the next structural character
 # or escape. Labels are scanned run by run, looping only at an escape.
-_label_run = re.compile(r"[^()\[\]\\]*").match
+_LABEL_RUN = r"[^()\[\]\\]*"
+_label_run = re.compile(_LABEL_RUN).match
 # Whitespace between tokens; ``\s`` matches exactly what ``str.isspace`` does.
 _space_run = re.compile(r"\s*").match
+
+# The flat forms, each one match: a node ``(label)``, the link ``-[label]->``
+# between two nodes, a whole flat statement, and a whole line that is one
+# flat statement. Each group is a label run that ends at its closing
+# delimiter, so a match is what the step-by-step reading would give if the
+# labels are not empty; anything else (an escape, a nested "(", an empty
+# label, a fault) fails to match and is read step by step from the same
+# position, which gives every error its message and position.
+_NODE = rf"\s*\(({_LABEL_RUN})\)"
+_LINK = rf"\s*[{_MINUS}]\s*\[({_LABEL_RUN})\]\s*(?:{_RIGHT_ARROW}|[{_MINUS}]>)"
+_flat_node = re.compile(_NODE).match
+_flat_link = re.compile(_LINK).match
+_flat_statement = re.compile(_NODE + _LINK + _NODE).match
+_flat_line = re.compile(rf"{_NODE}{_LINK}{_NODE}\s*\Z").match
+
+
+def _clean(label: str) -> str:
+    """A label run as :meth:`_Parser.label` returns it: NFC, stripped."""
+    if not label.isascii():   # ASCII text is already NFC
+        label = unicodedata.normalize("NFC", label)
+    return label.strip()
+
+
+def _flat(match: re.Match) -> TripleStatement | None:
+    """The statement of a flat-statement match, or None if a label is empty."""
+    subject, predicate, obj = match.groups()
+    subject, predicate, obj = _clean(subject), _clean(predicate), _clean(obj)
+    if subject and predicate and obj:
+        return TripleStatement(Entity(subject), predicate, Entity(obj))
+    return None
 
 
 class _Parser:
@@ -106,7 +139,20 @@ class _Parser:
         text = self.text
         if level > self.max_depth:
             raise self.error(f"nesting depth exceeds {self.max_depth}", pos)
+        match = _flat_statement(text, pos)
+        if match and (statement := _flat(match)) is not None:
+            return statement, match.end()
         subject, pos = self.node(pos, level)
+        predicate, pos = self.link(pos)
+        obj, pos = self.node(pos, level)
+        return TripleStatement(subject, predicate, obj), pos
+
+    def link(self, pos: int) -> tuple[str, int]:
+        """The predicate between two nodes, and the position after its arrow."""
+        text = self.text
+        match = _flat_link(text, pos)
+        if match and (predicate := _clean(match[1])):
+            return predicate, match.end()
         pos = _space_run(text, pos).end()
         if pos == len(text):
             # Nothing follows the subject: the grammar has always reported
@@ -125,11 +171,13 @@ class _Parser:
             pos += 2
         else:
             raise self.error("expected '->' after predicate", pos)
-        obj, pos = self.node(pos, level)
-        return TripleStatement(subject, predicate, obj), pos
+        return predicate, pos
 
     def node(self, pos: int, level: int) -> tuple[TripleTerm, int]:
         text = self.text
+        match = _flat_node(text, pos)
+        if match and (label := _clean(match[1])):
+            return Entity(label), match.end()
         pos = _space_run(text, pos).end()
         if text[pos:pos + 1] != "(":
             raise self.error("expected '(' to open a node", pos)
@@ -189,9 +237,7 @@ class _Parser:
         if parts:
             parts.append(label)
             label = "".join(parts)
-        if not label.isascii():   # ASCII text is already NFC
-            label = unicodedata.normalize("NFC", label)
-        label = label.strip()
+        label = _clean(label)
         if not label:
             raise self.error("empty label", start)
         return label, end + 1
@@ -203,6 +249,10 @@ def parse_triple(text: str, max_depth: int = DEFAULT_MAX_DEPTH) -> TripleStateme
     Labels come out NFC-normalized and stripped of surrounding whitespace.
     Trailing non-whitespace after the statement is an error.
     """
+    if max_depth >= 1:
+        match = _flat_line(text)
+        if match and (statement := _flat(match)) is not None:
+            return statement
     parser = _Parser(text, max_depth)
     statement, pos = parser.statement(_space_run(text).end(), 1)
     pos = _space_run(text, pos).end()
@@ -247,6 +297,9 @@ def parse_extraction_block(
         try:
             statements.append(parse_triple(line, max_depth))
         except TripleSyntaxError as exc:
+            # A kept error must not keep the parser's frames alive: through
+            # them it would hold the caller's frame and all it refers to.
             exc.line = lineno
-            errors.append(exc)
+            exc.__context__ = None
+            errors.append(exc.with_traceback(None))
     return statements, errors

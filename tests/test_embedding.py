@@ -524,6 +524,26 @@ def test_save_load_roundtrip(tmp_path):
         [(e.ref_id, s) for e, s in loaded.search(query, 5)]
 
 
+def test_loaded_kinds_are_the_module_constants(tmp_path):
+    """A loaded index holds each entry's kind as the module's own string,
+    not one decoded copy per entry; its file and its searches are those of
+    the index it was saved from."""
+    index = index_graph(sample_graph(), EMBEDDER)
+    path = tmp_path / "index.bin"
+    save_index(index, path)
+    loaded = load_index(path, EMBEDDER)
+    constants = (KIND_NODE, KIND_HYPERNODE_ENTRY, KIND_RELATIONSHIP)
+    assert {kind for kind in index.kinds} == set(constants)
+    assert all(any(kind is constant for constant in constants) for kind in loaded.kinds)
+    assert loaded.kinds == index.kinds
+    again = io.BytesIO()
+    save_index(loaded, again)
+    assert again.getvalue() == path.read_bytes()
+    for query in ("Family Guy", "created", "Seth"):
+        assert [(e.ref_id, e.kind, s) for e, s in loaded.search(query, 5)] == \
+            [(e.ref_id, e.kind, s) for e, s in index.search(query, 5)]
+
+
 def _read_saved(data: bytes) -> tuple[dict, list[np.ndarray]]:
     """The header and the three arrays of a saved index, each array's
     length taken from the header's entries and the last offset."""

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import gc
+import weakref
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -16,6 +19,7 @@ from kgrag import (
     extract_and_store,
 )
 from kgrag.extraction import TextChunk
+from kgrag.triples import parse_extraction_block
 from kgrag.prompts import EXTRACTION_EXAMPLES
 from graph_oracle import find_node
 
@@ -167,6 +171,31 @@ def test_extract_and_store_records_parse_errors():
     assert error["line"] == 2
     assert "offset" in error and "message" in error
     assert graph.stats().node_count == 4     # good lines still land
+
+
+def test_parse_errors_keep_no_frames():
+    """A kept parse error holds no traceback and no context: through the
+    parser's frames they would reach the caller's."""
+    _, errors = parse_extraction_block("garbled\n(a\\x)-[r]->(b)\n((a)-[r]->(b)")
+    assert len(errors) == 3
+    for error in errors:
+        assert error.__traceback__ is None and error.__context__ is None
+
+
+def test_a_parse_error_does_not_keep_the_graph_alive():
+    """With the collector off, a graph that took malformed lines is freed
+    when its last name goes."""
+    provider = scripted((SENTENCE, "(a)-[r]->(b)\n(a\\x)-[r]->(b)\ngarbled line"))
+    graph = KnowledgeGraph()
+    alive = weakref.ref(graph)
+    gc.disable()
+    try:
+        report = extract_and_store(graph, provider, "doc", SENTENCE)
+        del graph
+        assert alive() is None
+    finally:
+        gc.enable()
+    assert [error["line"] for error in report.parse_errors] == [2, 3]
 
 
 def test_extract_and_store_drops_reserved_predicates():

@@ -30,8 +30,11 @@ from kgrag.graph import (
     KIND_HYPERNODE,
     STRUCTURAL_OBJECT,
     STRUCTURAL_SUBJECT,
+    RESERVED_EDGE_LABELS,
     EdgeRecord,
     NodeRecord,
+    _edge_id,
+    _node_id,
 )
 from kgrag.triples import statement_depth
 
@@ -203,6 +206,112 @@ def test_whitespace_only_label_rejected():
     graph = KnowledgeGraph()
     with pytest.raises(ValueError, match="empty"):
         graph.upsert_triple(TripleStatement(Entity(" "), "r", Entity("b")))
+
+
+@pytest.mark.parametrize("statement, message", [
+    (TripleStatement(Entity("a"), "r", Entity(" ")), "node label is empty after normalization"),
+    (TripleStatement(Entity("a"), "\u3000", Entity("b")), "edge label is empty after normalization"),
+    (TripleStatement(TripleStatement(Entity("a"), " ", Entity("b")), "r", Entity(" ")),
+     "edge label is empty after normalization"),
+])
+def test_empty_label_refused_before_anything_is_stored(statement, message):
+    graph = build(FLAT_LINE)
+    before = _saved(graph)
+    with pytest.raises(ValueError, match=message):
+        graph.upsert_triple(statement)
+    assert _saved(graph) == before
+
+
+def test_too_deep_statement_with_a_reserved_predicate_raises_depth_error():
+    deep = parse_triple(
+        "(((((a)-[_subject]->(b))-[s]->(c))-[t]->(d))-[u]->(e))-[_object]->(f)", max_depth=5)
+    graph = KnowledgeGraph()
+    with pytest.raises(DepthError, match="statement depth 5 exceeds max 4"):
+        graph.upsert_triple(deep)
+    assert _saved(graph) == ""
+
+
+# ------------------------------------------------------------ label cache
+
+# Label texts that differ in case, whitespace and Unicode composition, so
+# that several texts share one canonical form.
+_VARIANT_TEXTS = st.sampled_from([
+    "Family Guy", "family guy", "FAMILY GUY", " Family  Guy ", "Family\u3000Guy", "Family\tGuy",
+    "C\u00e9ligny", "Ce\u0301ligny", "CE\u0301LIGNY", "c\u00e9ligny ", "\u212bngstr\u00f6m",
+    "\u00c5ngstr\u00f6m", "r", "R", " r", "r s", "R  S", "Stra\u00dfe", "STRASSE",
+])
+_RESERVED_TEXTS = st.sampled_from(["_subject", " _Object "])
+
+
+def _variant_statements(predicates):
+    entities = _VARIANT_TEXTS.map(Entity)
+    return st.recursive(
+        st.builds(TripleStatement, entities, predicates, entities),
+        lambda inner: st.builds(TripleStatement, entities | inner, predicates, entities | inner),
+        max_leaves=8,
+    )
+
+
+_STORABLE = _variant_statements(_VARIANT_TEXTS).filter(lambda s: statement_depth(s) <= 4)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(_STORABLE, min_size=1, max_size=8))
+def test_label_cache_holds_each_text_and_its_canonical(statements):
+    """Each cached text maps to itself and its canonical form; every record
+    carries the cached strings and ids hashed from them, and the graph is
+    the one built with the cache emptied before each upsert."""
+    graph, uncached = KnowledgeGraph(), KnowledgeGraph()
+    for statement in statements:
+        graph.upsert_triple(statement)
+        uncached._labels.clear()
+        uncached.upsert_triple(statement)
+    for text, (display, canonical) in graph._labels.items():
+        assert (display, canonical) == (text, normalize_label(text))
+    for node in graph.nodes:
+        display, canonical = graph._labels[node.label]
+        assert node.label is display and node.canonical is canonical
+        assert node.id == _node_id(node.kind, canonical)
+    for edge in graph.edges:
+        display, canonical = graph._labels[edge.label]
+        assert edge.label is display and edge.canonical is canonical
+        assert edge.id == _edge_id(edge.source, canonical, edge.target)
+    graph.audit()
+    assert _saved(graph) == _saved(uncached)
+
+
+def _first_reserved(statement: TripleStatement) -> TripleStatement | None:
+    """The first statement, in pre-order, whose predicate is reserved."""
+    if normalize_label(statement.predicate) in RESERVED_EDGE_LABELS:
+        return statement
+    for term in (statement.subject, statement.object):
+        if isinstance(term, TripleStatement) and (found := _first_reserved(term)):
+            return found
+    return None
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(_STORABLE, max_size=4), _variant_statements(_VARIANT_TEXTS | _RESERVED_TEXTS))
+def test_refused_statement_stores_nothing(stored, statement):
+    """A statement too deep raises DepthError, whatever its predicates;
+    else one with a reserved predicate names the first in pre-order. A
+    refused statement leaves the saved graph as it was."""
+    graph = _graph_of(stored)
+    before = _saved(graph)
+    depth, reserved = statement_depth(statement), _first_reserved(statement)
+    if depth > 4:
+        with pytest.raises(DepthError) as refused:
+            graph.upsert_triple(statement)
+        assert str(refused.value) == f"statement depth {depth} exceeds max 4"
+    elif reserved is not None:
+        with pytest.raises(ValueError) as refused:
+            graph.upsert_triple(statement)
+        assert str(refused.value) == \
+            f"predicate {reserved.predicate!r} is reserved for structural edges"
+    else:
+        graph.upsert_triple(statement)
+        return
+    assert _saved(graph) == before
 
 
 # -------------------------------------------------------------- traversal

@@ -18,6 +18,7 @@ from kgrag import (
     serialize_triple,
     statement_depth,
 )
+from kgrag.triples import _Parser
 from triples_oracle import oracle_parse_extraction_block, oracle_parse_triple
 
 
@@ -332,7 +333,8 @@ def test_edge_cases_equal_oracle(text, max_depth):
 
 def test_valid_lines_build_no_syntax_error(monkeypatch):
     """A valid line is parsed without raising, catching or building any
-    TripleSyntaxError, flat, nested to depth 4, escaped or spaced out."""
+    TripleSyntaxError, flat, nested to depth 4, escaped or spaced out; a
+    flat line without an escape without building a parser either."""
     lines = [
         "(Seth MacFarlane)-[created]->(Family Guy)",
         "((((A)-[a]->(B))-[b]->(C))-[c]->(D))-[d]->(E)",
@@ -349,6 +351,87 @@ def test_valid_lines_build_no_syntax_error(monkeypatch):
         init(self, *args, **kwargs)
 
     monkeypatch.setattr(TripleSyntaxError, "__init__", counting_init)
+    parsed = []
+    parser_init = _Parser.__init__
+
+    def counting_parser_init(self, text, max_depth):
+        parsed.append(text)
+        parser_init(self, text, max_depth)
+
+    monkeypatch.setattr(_Parser, "__init__", counting_parser_init)
     statements, errors = parse_extraction_block("\n".join(lines * 20))
     assert len(statements) == 120 and errors == []
     assert built == []
+    assert set(parsed) == set(lines[1:5])
+
+
+# -------------------------------------------------- the flat-form matches
+
+# Lines built to reach the one-match readings of a flat statement, node and
+# predicate: several kinds of space (U+3000 and U+001C are spaces to
+# ``str.isspace``), labels that NFC changes or that are only spaces, the
+# typographic delimiters, nested statements and trailing text.
+_match_spaces = st.sampled_from(["", " ", "  ", "\t", "\u3000", "\x1c", " \u3000 "])
+_match_labels = st.one_of(
+    st.sampled_from(["A", "Seth MacFarlane", "e\u0301", "Ce\u0301ligny", "\u00e9", "\u0301",
+                     "a-b", "x\u2212y", "a\u2192b", " pad ", "  ", "\u3000", "\x1c"]),
+    st.text(st.characters(blacklist_categories=("Cs",), blacklist_characters="()[]\\\r\n"),
+            max_size=5),
+)
+_match_minus = st.sampled_from(["-", "\u2212"])
+_match_arrows = st.sampled_from(["->", "\u2212>", "\u2192"])
+_match_tails = st.sampled_from(["", " ", "\u3000", "\x1c", " x", ")", "(B)", "-[r]->(C)"])
+
+
+@st.composite
+def _match_statements(draw, depth: int) -> str:
+    def node() -> str:
+        if depth > 1 and draw(st.integers(0, 2)) == 0:
+            return (f"{draw(_match_spaces)}({draw(_match_spaces)}"
+                    f"{draw(_match_statements(depth - 1))}{draw(_match_spaces)})")
+        return f"{draw(_match_spaces)}({draw(_match_labels)})"
+
+    return (f"{node()}{draw(_match_spaces)}{draw(_match_minus)}{draw(_match_spaces)}"
+            f"[{draw(_match_labels)}]{draw(_match_spaces)}{draw(_match_arrows)}{node()}")
+
+
+@st.composite
+def _match_lines(draw) -> str:
+    return draw(_match_statements(draw(st.integers(1, 6)))) + draw(_match_tails)
+
+
+@st.composite
+def _near_match_lines(draw) -> str:
+    """A match line one glyph away: one deleted, inserted or replaced."""
+    line = draw(_match_lines())
+    position = draw(st.integers(0, len(line)))
+    glyph = draw(st.sampled_from(
+        list("()[]-\u2212>\u2192\\") + [" ", "\u3000", "\x1c", "x", "e\u0301", "\u0301"]))
+    op = draw(st.sampled_from(["delete", "insert", "replace"]))
+    if op == "delete":
+        return line[:position] + line[position + 1:]
+    if op == "insert":
+        return line[:position] + glyph + line[position:]
+    return line[:position] + glyph + line[position + 1:]
+
+
+def _assert_equals_oracle(line: str, max_depth: int) -> None:
+    """The statement, or the error's message, position, offset and line, of
+    ``line`` alone and as the second line of a block, as the oracle gives."""
+    assert _outcome(parse_triple, line, max_depth) == \
+        _outcome(oracle_parse_triple, line, max_depth)
+    block = f"\n{line}"
+    assert _block_outcome(parse_extraction_block, block, max_depth) == \
+        _block_outcome(oracle_parse_extraction_block, block, max_depth)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_match_lines(), st.integers(0, 5))
+def test_match_lines_equal_oracle(line, max_depth):
+    _assert_equals_oracle(line, max_depth)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_near_match_lines(), st.integers(0, 5))
+def test_lines_one_glyph_from_a_match_equal_oracle(line, max_depth):
+    _assert_equals_oracle(line, max_depth)
