@@ -6,8 +6,10 @@ flattened sentence of the inner statement) carries ``_subject``/``_object``
 structural edges plus any relations of the statement as a whole.
 
 Node and edge records are named tuples: immutable, hashable, equal by
-fields, and cheap to build. ``load_graph`` judges each row of a file by one
-test and names the fault of a row that fails it.
+fields, and cheap to build. ``load_graph`` reads rows in ``save_graph``'s
+own shape by one match per chunk of lines, and any other line by
+``json.loads``; it judges each row by one test and names the fault of a row
+that fails it.
 """
 
 from __future__ import annotations
@@ -137,6 +139,11 @@ def _edge_id(source: str, canonical_label: str, target: str) -> str:
     return digest.hexdigest()[:16]
 
 
+# A surrogate code point, which UTF-8 cannot encode: no id can be hashed
+# from a label that holds one. ``json.loads`` joins an escaped pair into one
+# character, so one left in a loaded string is a lone surrogate.
+_SURROGATE = re.compile("[\ud800-\udfff]")
+
 _target_of = attrgetter("target")
 
 
@@ -191,9 +198,9 @@ class KnowledgeGraph:
         A statement the graph refuses raises before any of it is stored."""
         outcome = UpsertOutcome(created=[])
         with self._write_lock:
-            found: list = [None, None]
+            found: list = [None, None, None]
             depth = self._walk(statement, found)
-            reserved, empty = found
+            reserved, empty, unencodable = found
             if depth > DEFAULT_MAX_DEPTH:
                 raise DepthError(f"statement depth {depth} exceeds max {DEFAULT_MAX_DEPTH}")
             if reserved is not None:
@@ -201,14 +208,18 @@ class KnowledgeGraph:
                     f"predicate {reserved.predicate!r} is reserved for structural edges")
             if empty is not None:
                 raise ValueError(f"{empty} label is empty after normalization")
+            if unencodable is not None:
+                raise ValueError(f"{unencodable} label holds a lone surrogate")
             self._upsert_statement(statement, outcome)
         return outcome
 
     def _walk(self, statement: TripleStatement, found: list) -> int:
         """The nesting depth of ``statement``. Sets ``found[0]`` to the first
-        statement, in pre-order, whose predicate is reserved, and
-        ``found[1]`` to the kind ("node" or "edge") of the first label, in
-        the order :meth:`_upsert_statement` stores them, that is empty."""
+        statement, in pre-order, whose predicate is reserved, ``found[1]``
+        to the kind ("node" or "edge") of the first label, in the order
+        :meth:`_upsert_statement` stores them, that is empty, and
+        ``found[2]`` to that of the first that holds a lone surrogate (its
+        id could not be hashed)."""
         predicate = statement.predicate.strip()
         canonical = (self._labels.get(predicate) or self._label(predicate))[1]
         if found[0] is None and canonical in RESERVED_EDGE_LABELS:
@@ -216,12 +227,17 @@ class KnowledgeGraph:
         depth = 0
         for term in (statement.subject, statement.object):
             if isinstance(term, Entity):
-                if found[1] is None and not term.label.strip():
+                label = term.label
+                if found[1] is None and not label.strip():
                     found[1] = "node"
+                if found[2] is None and not label.isascii() and _SURROGATE.search(label):
+                    found[2] = "node"
             else:
                 depth = max(depth, self._walk(term, found))
         if found[1] is None and not canonical:
             found[1] = "edge"
+        if found[2] is None and not predicate.isascii() and _SURROGATE.search(predicate):
+            found[2] = "edge"
         return depth + 1
 
     def _upsert_statement(self, statement: TripleStatement, outcome: UpsertOutcome) -> tuple[str, str]:
@@ -464,17 +480,27 @@ def save_graph(graph: KnowledgeGraph, sink) -> None:
         f.writelines(
             f'{{"canonical": {escape(n.canonical)}, "id": {escape(n.id)}, '
             f'"kind": {escape(n.kind)}, "label": {escape(n.label)}, "type": "node"}}\n'
-            for n in sorted(graph.nodes, key=lambda n: (n.kind, n.canonical)))
+            for n in sorted(graph.nodes, key=attrgetter("kind", "canonical")))
         f.writelines(
             f'{{"id": {escape(e.id)}, "label": {escape(e.label)}, '
             f'"source": {escape(e.source)}, "structural": {"true" if e.structural else "false"}, '
             f'"target": {escape(e.target)}, "type": "edge"}}\n'
-            for e in sorted(graph.edges, key=lambda e: (e.canonical, e.source, e.target)))
+            for e in sorted(graph.edges, key=attrgetter("canonical", "source", "target")))
 
 
-# Lines parsed by one json.loads in load_graph; a whole file at once would
-# raise the peak memory of a load.
+# Lines read by one match in load_graph; a whole file at once would raise
+# the peak memory of a load.
 _CHUNK_LINES = 256
+
+# A string as save_graph writes one that needs no escape. A lone surrogate,
+# which a text stream may hold as itself, is kept out too.
+_STR = r'"([^"\\\x00-\x1f\ud800-\udfff]*)"'
+# A whole line of either row shape save_graph writes. A node row fills the
+# first four groups; an edge row the other five, ``structural`` never empty.
+_ROW = re.compile(
+    f'^(?:{{"canonical": {_STR}, "id": {_STR}, "kind": {_STR}, "label": {_STR}, '
+    f'"type": "node"}}|{{"id": {_STR}, "label": {_STR}, "source": {_STR}, '
+    f'"structural": (true|false), "target": {_STR}, "type": "edge"}})\n', re.MULTILINE)
 
 
 def load_graph(source) -> KnowledgeGraph:
@@ -482,73 +508,60 @@ def load_graph(source) -> KnowledgeGraph:
     :class:`GraphFormatError` with its line number. Ids are not checked
     against their content here; :meth:`KnowledgeGraph.audit` does that.
 
-    Each row is judged by one test, which adds a good row; only a row that
-    fails it is checked field by field, to name its fault."""
+    A chunk of lines all in ``save_graph``'s row shape, strings with no
+    escape, is read by one match, each row straight into its fields. Any
+    other chunk is read line by line, each line by ``json.loads``. Either
+    way each row is judged by one test, which adds a good row; only a row
+    that fails it is checked field by field, to name its fault."""
     graph = KnowledgeGraph()
     edge_ids: set[str] = set()
+    lineno = 0
     with _maybe_open(source) as f:
-        lines = _numbered_lines(f)
-        while chunk := list(islice(lines, _CHUNK_LINES)):
-            text = ",\n".join(line for _, line in chunk)
-            # A lone surrogate comes \u-escaped from a file; a text stream
-            # may also hold one as itself. A one-character ``in`` is a
-            # memchr, far faster over a chunk than a search for "\\u".
-            suspect = "\\" in text or (not text.isascii() and _SURROGATE.search(text))
-            for (lineno, _), record in zip(chunk, _parse_chunk(chunk, text)):
-                if not isinstance(record, dict):
-                    raise GraphFormatError("record is not an object", lineno)
-                if suspect:
-                    _refuse_lone_surrogates(record, lineno)
-                kind = record.get("type")
-                if not (kind == "node" and _add_node(graph, record)
-                        or kind == "edge" and _add_edge(graph, record, edge_ids)):
-                    _refuse_row(graph, record, lineno)
+        while chunk := list(islice(f, _CHUNK_LINES)):
+            first = lineno + 1
+            rows = _ROW.findall("".join(chunk))
+            if len(rows) != len(chunk):
+                for lineno, line in enumerate(chunk, first):
+                    if line := line.strip():
+                        _load_line(graph, line, lineno, edge_ids)
+                continue
+            for lineno, (canonical, node_id, kind, label, edge_id, edge_label, from_id,
+                         structural, to_id) in enumerate(rows, first):
+                if structural:
+                    added = _add_edge(graph, edge_id, from_id, to_id, edge_label,
+                                      structural == "true", edge_ids)
+                else:
+                    added = _add_node(graph, node_id, label, canonical, kind)
+                if not added:
+                    # Read again as any other line, the row fails the same
+                    # test and is refused with its fault.
+                    _load_line(graph, chunk[lineno - first].strip(), lineno, edge_ids)
     return graph
 
 
-def _numbered_lines(f) -> Iterator[tuple[int, str]]:
-    """Each non-blank line, stripped, with its 1-based number."""
-    for lineno, raw in enumerate(f, 1):
-        line = raw.strip()
-        if line:
-            yield lineno, line
-
-
-def _parse_chunk(chunk: list[tuple[int, str]], text: str) -> Iterable:
-    """The JSON value of each numbered line, given ``text``, the lines
-    joined by ``",\\n"``: by one ``json.loads`` over the chunk when that is
-    sure to give what the lines give one by one, else line by line as they
-    are consumed, so that the first bad line, of whatever fault, is the one
-    reported. In the joined text a value cannot run on into the next line:
-    not inside a string (a raw newline is refused there), not inside an
-    object (the next line starts with ``{``, not a key) and not inside a
-    list (there is no ``[``)."""
-    if text.startswith("{") and text.count("\n{") == len(chunk) - 1 and "[" not in text:
-        try:
-            values = json.loads("[" + text + "]")
-        except (ValueError, RecursionError):
-            values = None
-        if values is not None and len(values) == len(chunk):
-            return values
-    return (_parse_line(line, lineno) for lineno, line in chunk)
-
-
-def _parse_line(line: str, lineno: int):
+def _load_line(graph: KnowledgeGraph, line: str, lineno: int, edge_ids: set[str]) -> None:
+    """Add the row of one stripped line, or raise its fault."""
     try:
-        return json.loads(line)
+        record = json.loads(line)
     except (ValueError, RecursionError) as exc:
         raise GraphFormatError(f"invalid JSON: {exc}", lineno) from None
-
-
-# A code point that UTF-8 cannot encode. ``json.loads`` joins an escaped
-# pair into one character, so one left in a string is a lone surrogate.
-_SURROGATE = re.compile("[\ud800-\udfff]")
-
-
-def _refuse_lone_surrogates(record: dict, lineno: int) -> None:
+    if not isinstance(record, dict):
+        raise GraphFormatError("record is not an object", lineno)
     for name, value in record.items():
         if type(value) is str and not value.isascii() and _SURROGATE.search(value):
             raise GraphFormatError(f"field {name!r} holds a lone surrogate", lineno)
+    kind = record.get("type")
+    if kind == "node" and record.keys() == _NODE_FIELDS:
+        fields = (record["id"], record["label"], record["canonical"], record["kind"])
+        if all(type(field) is str for field in fields) and _add_node(graph, *fields):
+            return
+    elif kind == "edge" and record.keys() == _EDGE_FIELDS:
+        fields = (record["id"], record["source"], record["target"], record["label"])
+        structural = record["structural"]
+        if (all(type(field) is str for field in fields) and type(structural) is bool
+                and _add_edge(graph, *fields, structural, edge_ids)):
+            return
+    _refuse_row(graph, record, lineno)
 
 
 def _require(record: dict, fields: tuple[str, ...], lineno: int) -> None:
@@ -568,20 +581,17 @@ def _extra_field(record: dict, fields: frozenset[str], lineno: int) -> GraphForm
 
 _NODE_FIELDS = frozenset({"type", "id", "label", "canonical", "kind"})
 _EDGE_FIELDS = frozenset({"type", "id", "source", "target", "label", "structural"})
+# Each node kind, to its module constant: loaded nodes share those strings.
+_KINDS = {KIND_ENTITY: KIND_ENTITY, KIND_HYPERNODE: KIND_HYPERNODE}
 
 
-def _add_node(graph: KnowledgeGraph, record: dict) -> bool:
+def _add_node(graph: KnowledgeGraph, node_id: str, label: str, canonical: str,
+              kind: str) -> bool:
     """Add the node of a good row and return True; return False for any
-    other. A good row has the node fields and no other, all strings, a
-    known kind, the canonical of its label, and a canonical and an id that
-    no node has yet."""
-    if record.keys() != _NODE_FIELDS:
-        return False
-    node_id, label, canonical, kind = (record["id"], record["label"], record["canonical"],
-                                       record["kind"])
-    if not (type(node_id) is type(label) is type(canonical) is type(kind) is str
-            and kind in (KIND_ENTITY, KIND_HYPERNODE)
-            and canonical not in graph._by_canonical and node_id not in graph._nodes
+    other. A good row has a known kind, the canonical of its label, and a
+    canonical and an id that no node has yet."""
+    kind = _KINDS.get(kind)
+    if not (kind and canonical not in graph._by_canonical and node_id not in graph._nodes
             and canonical == normalize_label(label)):
         return False
     graph._nodes[node_id] = NodeRecord(node_id, label, canonical, kind)
@@ -589,25 +599,19 @@ def _add_node(graph: KnowledgeGraph, record: dict) -> bool:
     return True
 
 
-def _add_edge(graph: KnowledgeGraph, record: dict, edge_ids: set[str]) -> bool:
+def _add_edge(graph: KnowledgeGraph, edge_id: str, source: str, target: str, label: str,
+              structural: bool, edge_ids: set[str]) -> bool:
     """Add the edge of a good row and return True; return False for any
-    other. A good row has the edge fields and no other, strings but for a
-    boolean ``structural`` that matches its label, known endpoints, and an
-    id and a (source, label, target) that no edge has yet. In a saved file
-    each edge goes at the end of its group."""
-    if record.keys() != _EDGE_FIELDS:
-        return False
-    edge_id, source, target, label, structural = (
-        record["id"], record["source"], record["target"], record["label"],
-        record["structural"])
+    other. A good row has a ``structural`` flag that matches its label,
+    known endpoints, and an id and a (source, label, target) that no edge
+    has yet. In a saved file each edge goes at the end of its group."""
     nodes = graph._nodes
-    if not (type(edge_id) is type(source) is type(target) is type(label) is str
-            and type(structural) is bool and source in nodes and target in nodes
-            and edge_id not in edge_ids):
+    source_node, target_node = nodes.get(source), nodes.get(target)
+    if source_node is None or target_node is None or edge_id in edge_ids:
         return False
     # The edge shares its nodes' id strings, as upserted edges do.
-    source, target = nodes[source].id, nodes[target].id
-    label, canonical = graph._label(label)
+    source, target = source_node.id, target_node.id
+    label, canonical = graph._labels.get(label) or graph._label(label)
     group, at, existing = graph._slot(source, canonical, target)
     if existing is not None or structural != (canonical in RESERVED_EDGE_LABELS):
         return False

@@ -216,7 +216,7 @@ def test_extract_and_store_reports_refused_triples():
     assert report.triples_upserted == 1
     assert report.parse_errors == []
     assert [(r["doc_id"], r["chunk_seq"]) for r in report.rejected] == [("doc", 0), ("doc", 0)]
-    assert "surrogates not allowed" in report.rejected[0]["message"]
+    assert report.rejected[0]["message"] == "node label holds a lone surrogate"
     assert report.rejected[1]["message"] == "predicate '_subject' is reserved for structural edges"
     assert report.to_dict()["rejected"] == report.rejected
     assert [node.label for node in graph.nodes] == ["C", "D"]

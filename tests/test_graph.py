@@ -5,6 +5,7 @@ from __future__ import annotations
 import io
 import json
 import time
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -25,6 +26,7 @@ from kgrag import (
     parse_triple,
     save_graph,
 )
+import kgrag.graph
 from kgrag.graph import (
     KIND_ENTITY,
     KIND_HYPERNODE,
@@ -213,6 +215,13 @@ def test_whitespace_only_label_rejected():
     (TripleStatement(Entity("a"), "\u3000", Entity("b")), "edge label is empty after normalization"),
     (TripleStatement(TripleStatement(Entity("a"), " ", Entity("b")), "r", Entity(" ")),
      "edge label is empty after normalization"),
+    # A label UTF-8 cannot encode has no id; it is checked after the others.
+    (TripleStatement(Entity("a"), "r", Entity("B\ud800")), "node label holds a lone surrogate"),
+    (TripleStatement(Entity("a"), "r\ud800", Entity("B")), "edge label holds a lone surrogate"),
+    (TripleStatement(TripleStatement(Entity("a"), "r", Entity("b\udc00")), "s", Entity("c")),
+     "node label holds a lone surrogate"),
+    (TripleStatement(Entity("a\ud800"), "r", Entity(" ")),
+     "node label is empty after normalization"),
 ])
 def test_empty_label_refused_before_anything_is_stored(statement, message):
     graph = build(FLAT_LINE)
@@ -747,6 +756,54 @@ def test_loaded_edges_share_node_ids_and_label_texts():
     assert edges[0].canonical is edges[1].canonical
 
 
+def test_rows_in_the_saved_shape_are_read_without_json_loads(monkeypatch):
+    """A saved file whose strings need no escape is read by the row match
+    alone; an escaped row sends only its own chunk through ``json.loads``."""
+    text = _saved(build(*(f"(a{i:03d})-[r]->(b{i:03d})" for i in range(200)), NESTED_LINE))
+    lines = text.splitlines(keepends=True)
+    assert "\\" not in text and len(lines) > 2 * 256
+    parsed = []
+    loads = json.loads
+
+    def counting_loads(line, *args, **kwargs):
+        parsed.append(line)
+        return loads(line, *args, **kwargs)
+
+    monkeypatch.setattr(json, "loads", counting_loads)
+    assert _saved(load_graph(io.StringIO(text))) == text
+    assert parsed == []
+    at = next(at for at in range(300, 512) if '"label": "r"' in lines[at])
+    lines[at] = lines[at].replace('"label": "r"', '"label": "\\u0072"')
+    assert _saved(load_graph(io.StringIO("".join(lines)))) == text
+    assert parsed == [line.strip() for line in lines[256:512]]
+
+
+@pytest.mark.parametrize("change", [
+    lambda row: " " + row, lambda row: row[:-1] + "\t\n", lambda row: row[:-1] + "\r\n",
+    lambda row: "\n" + row, lambda row: row[:-1], lambda row: row.replace('", "', '","'),
+    lambda row: "x" + row, lambda row: row[:-1] + "x\n", lambda row: row[:-1] + row,
+    lambda row: row.replace('": "', '": "\ud800', 1),
+    lambda row: row.replace('": "', '": "\t', 1),
+], ids=["leading-space", "trailing-tab", "crlf", "blank-line-before", "no-newline",
+        "no-space", "leading-junk", "trailing-junk", "two-records", "raw-lone-surrogate",
+        "raw-control-character"])
+def test_load_reads_a_line_out_of_the_saved_shape_as_the_oracle_does(change):
+    """A line that is not a whole saved row (its last line may lack its
+    newline) is read on its own: it loads as the row, or is refused as
+    the oracle refuses it."""
+    rows = _saved(build(NESTED_LINE)).splitlines(keepends=True)
+    for at in range(len(rows)):
+        text = "".join(rows[:at] + [change(rows[at])] + rows[at + 1:])
+        expected = oracle_load_error(text)
+        if expected is None:
+            assert _saved(load_graph(io.StringIO(text))) == "".join(rows)
+            continue
+        with pytest.raises(GraphFormatError) as exc_info:
+            load_graph(io.StringIO(text))
+        assert (str(exc_info.value), exc_info.value.line) == \
+            (f"line {expected[1]}: {expected[0]}", expected[1])
+
+
 def _many_lines_graph(tmp_path) -> tuple:
     """A saved graph of 600 lines, two chunks and more, with a blank line 3."""
     graph = build(*(f"(a{i:03d})-[r]->(b{i:03d})" for i in range(200)))
@@ -1001,6 +1058,34 @@ def _mutated_files(draw) -> str:
 @given(_mutated_files())
 def test_load_refuses_a_mutated_row_as_the_oracle_does(text):
     _loads_as_the_oracle_says(text)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_mutated_files(), st.integers(1, 4))
+def test_load_refuses_a_mutated_row_across_chunk_boundaries(text, chunk_lines):
+    """Chunks of one to four lines: a matched row refused mid-chunk, nodes
+    and edges in one chunk, and chunks read by one match next to chunks
+    read line by line (an escaped row, a raw lone surrogate)."""
+    with mock.patch.object(kgrag.graph, "_CHUNK_LINES", chunk_lines):
+        _loads_as_the_oracle_says(text)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_GRAPHS, st.integers(1, 4))
+def test_load_round_trips_across_chunk_boundaries(graph, chunk_lines):
+    """A saved file loads back to its own bytes in chunks of one to four
+    lines, and the loaded records share strings as upserted ones do."""
+    text = _saved(graph)
+    with mock.patch.object(kgrag.graph, "_CHUNK_LINES", chunk_lines):
+        loaded = load_graph(io.StringIO(text))
+    assert _saved(loaded).encode("utf-8") == text.encode("utf-8")
+    for node in loaded.nodes:
+        assert node.kind is KIND_ENTITY or node.kind is KIND_HYPERNODE
+    for edge in loaded.edges:
+        assert edge.source is loaded.node(edge.source).id
+        assert edge.target is loaded.node(edge.target).id
+        label, canonical = loaded._labels[edge.label]
+        assert edge.label is label and edge.canonical is canonical
 
 
 def test_load_refuses_each_odd_value_in_each_field_as_the_oracle_does():
