@@ -232,7 +232,7 @@ def cmd_stats(args) -> int:
 
 def _check_numbers(args) -> None:
     """Refuse numeric options that no command can run with."""
-    if args.topk < 1:
+    if args.command in ("query", "eval") and args.topk < 1:
         raise ConfigError(f"--topk must be at least 1, not {args.topk}")
     if args.command == "eval" and args.jobs < 1:
         raise ConfigError(f"--jobs must be at least 1, not {args.jobs}")
@@ -262,9 +262,11 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--embed-endpoint",
                         help=f"embedding endpoint URL (or ${ENV_EMBED_ENDPOINT}); "
                              "defaults to the offline hashing embedder")
-    common.add_argument("--topk", type=int, default=10,
+    # The options of the two commands that run the engine.
+    engine = argparse.ArgumentParser(add_help=False)
+    engine.add_argument("--topk", type=int, default=10,
                         help="candidates shown to the model per step")
-    common.add_argument("--trace", help="write a JSONL event trace to this path")
+    engine.add_argument("--trace", help="write a JSONL event trace to this path")
 
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -280,12 +282,12 @@ def build_parser() -> argparse.ArgumentParser:
                              help="embed graph content into the search index")
     p_index.set_defaults(func=cmd_index)
 
-    p_query = sub.add_parser("query", parents=[common],
+    p_query = sub.add_parser("query", parents=[common, engine],
                              help="answer one question against the graph")
     p_query.add_argument("question")
     p_query.set_defaults(func=cmd_query)
 
-    p_eval = sub.add_parser("eval", parents=[common],
+    p_eval = sub.add_parser("eval", parents=[common, engine],
                             help="score the pipeline over a JSONL dataset")
     p_eval.add_argument("dataset")
     p_eval.add_argument("--jobs", type=int, default=1,

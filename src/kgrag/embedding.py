@@ -16,8 +16,10 @@ The index is two inverted files, one of the nodes' vectors and one of the
 relationship labels': each vector component keeps the rows that store it.
 Search is exact, with no approximation anywhere, so results are
 reproducible byte for byte. An index is saved as one file: a JSON header
-line, then its rows as compressed sparse rows in three arrays of raw
-little-endian bytes (see :func:`save_index`).
+line, then its rows as compressed sparse rows in arrays of raw
+little-endian unsigned integers, each as narrow as its bound allows, with
+the values either raw or as codes into a table of the distinct values
+(see :func:`save_index`).
 """
 
 from __future__ import annotations
@@ -27,7 +29,6 @@ import logging
 import time
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain
 from pathlib import Path
 from typing import Callable, Iterable, Protocol, Sequence
 from zlib import crc32
@@ -51,10 +52,12 @@ KIND_NODE = "node"
 KIND_HYPERNODE_ENTRY = "hypernode"
 KIND_RELATIONSHIP = "relationship_label"
 _ENTRY_KINDS = (KIND_NODE, KIND_HYPERNODE_ENTRY, KIND_RELATIONSHIP)
-# Each kind to itself: a decoded kind looks up the module's own string.
-_KIND_CONSTANTS = {kind: kind for kind in _ENTRY_KINDS}
+# Each kind's one character in a saved index, and each character's kind: a
+# loaded kind is the module's own string.
+_KIND_CODES = {KIND_NODE: "n", KIND_HYPERNODE_ENTRY: "h", KIND_RELATIONSHIP: "r"}
+_CODE_KINDS = {code: kind for kind, code in _KIND_CODES.items()}
 
-INDEX_FORMAT = "kgrag-index/3"
+INDEX_FORMAT = "kgrag-index/4"
 
 
 class IndexFormatError(ValueError):
@@ -74,6 +77,9 @@ class StaleIndexError(ValueError):
 
 
 class Embedder(Protocol):
+    """Also read, when present: ``dim``, the width of its vectors, and
+    ``identity``, a string that names the embedder in a saved index."""
+
     def embed(self, text: str) -> np.ndarray: ...
 
     def embed_batch(self, texts: Sequence[str]) -> np.ndarray: ...
@@ -106,6 +112,11 @@ class HashingEmbedder:
         if dim < 1:
             raise ValueError("dim must be positive")
         self.dim = dim
+
+    @property
+    def identity(self) -> str:
+        """Its name and ``dim``."""
+        return f"hashing/{self.dim}"
 
     def embed(self, text: str) -> np.ndarray:
         if not text or not text.strip():
@@ -171,6 +182,11 @@ class HttpEmbeddingProvider:
         self.batch_size = max(1, batch_size)
         self.sleep = sleep
         self.dim: int | None = None
+
+    @property
+    def identity(self) -> str:
+        """Its endpoint; never the API key."""
+        return self.endpoint
 
     def embed_batch(self, texts: Sequence[str]) -> np.ndarray:
         if not texts:
@@ -467,35 +483,78 @@ def index_graph(graph: KnowledgeGraph, embedder: Embedder) -> EmbeddingIndex:
     return EmbeddingIndex._from_stored(entries, dim, rows, columns, values, embedder)
 
 
+def _unsigned(bound: int) -> np.dtype:
+    """The narrowest little-endian unsigned integer of 1, 2, 4 or 8 bytes
+    that holds ``bound``; 8 bytes for any larger bound."""
+    return np.dtype(f"<u{next((n for n in (1, 2, 4) if bound < 1 << 8 * n), 8)}")
+
+
 def save_index(index: EmbeddingIndex, sink) -> None:
-    """Write ``index`` in the ``kgrag-index/3`` layout, to a path or a
-    binary stream. Line 1 is a compact UTF-8 JSON header with sorted keys,
-    ``{"dim", "entries": [[ref_id, kind, text], ...], "format"}``, in entry
-    order. The vectors follow as compressed sparse rows, three arrays of
-    raw little-endian bytes one after another: row offsets (``<i8``, one
-    more than the entries), then columns (``<i4``) and values (``<f8``),
-    each as many as the last offset. The rows are put back together from
-    the index's inverted files (:meth:`EmbeddingIndex.stored`).
-    A row keeps its non-zero components and any ``-0.0``, so the loaded
-    index holds the same bits as this one. An empty index is an empty file."""
+    """Write ``index`` in the ``kgrag-index/4`` layout, to a path or a
+    binary stream. An empty index is an empty file.
+
+    Line 1 is a compact UTF-8 JSON header with sorted keys: ``dim``;
+    ``embedder``, the embedder's ``identity``, or null when it has none;
+    ``format``; the entries in entry order as three columns, ``ids`` and
+    ``texts`` (lists of strings) and ``kinds`` (one character an entry:
+    ``n``ode, ``h``ypernode, ``r``elationship label); ``size``, the number
+    of stored components; and ``table``, the number of distinct values, or
+    null for raw values.
+
+    The rows follow as compressed sparse rows, arrays of raw little-endian
+    bytes one after another, each of the narrowest unsigned width that its
+    largest possible value needs: each row's size (at most ``dim`` and
+    ``size``), then its columns (below ``dim``), by row. Then either the
+    values' distinct 64-bit patterns, ascending (``<u8``, ``table`` of
+    them), and one code per component (below ``table``), or the values
+    themselves (``<f8``): whichever is smaller. Hashing vectors hold few
+    distinct values, so they take the table; dense vectors from an HTTP
+    embedder take the raw values.
+
+    The rows are put back together from the index's inverted files
+    (:meth:`EmbeddingIndex.stored`). A row keeps its non-zero components
+    and any ``-0.0``, so the loaded index holds the same bits as this one."""
     with _open_for_write(sink, binary=True) as f:
         if not len(index):
             return
-        header = {"dim": index.dim, "format": INDEX_FORMAT,
-                  "entries": list(zip(index.ref_ids, index.kinds, index.texts))}
+        rows, columns, values = index.stored()
+        size, dim = len(values), index.dim
+        # By bit pattern, so that -0.0 and +0.0 stay apart.
+        bits = values.astype("<f8", copy=False).view("<u8")
+        ordered = np.sort(bits)
+        distinct = np.ones(size, dtype=bool)
+        distinct[1:] = ordered[1:] != ordered[:-1]
+        table = ordered[distinct]
+        code = _unsigned(len(table) - 1)
+        if 8 * len(table) + code.itemsize * size < 8 * size:
+            coded = [(table, "<u8"), (np.searchsorted(table, bits), code)]
+        else:
+            table, coded = None, [(bits, "<u8")]
+        header = {"dim": dim, "embedder": getattr(index.embedder, "identity", None),
+                  "format": INDEX_FORMAT, "ids": index.ref_ids,
+                  "kinds": "".join(map(_KIND_CODES.__getitem__, index.kinds)),
+                  "size": size, "table": None if table is None else len(table),
+                  "texts": index.texts}
         text = json.dumps(header, ensure_ascii=False, sort_keys=True, separators=(",", ":"))
         f.write(text.encode("utf-8") + b"\n")
-        rows, columns, values = index.stored()
-        offsets = np.searchsorted(rows, np.arange(len(index) + 1))
-        for array, dtype in ((offsets, "<i8"), (columns, "<i4"), (values, "<f8")):
+        for array, dtype in [(np.bincount(rows, minlength=len(index)), _unsigned(min(dim, size))),
+                             (columns, _unsigned(dim - 1)), *coded]:
             f.write(array.astype(dtype, copy=False).data)
 
 
-def _read_header(line: bytes, known_dim: int | None
-                 ) -> tuple[int, tuple[list[str], list[str], list[str]]]:
-    """The ``dim`` of an index's header line, and the ``ref_ids``, ``kinds``
-    and ``texts`` of its entries. Each kind is one of the module's
-    constants, shared by every entry of that kind."""
+def _count(header: dict, name: str) -> int:
+    """The header's field ``name``, which must be a non-negative integer."""
+    count = header.get(name)
+    if type(count) is not int or count < 0:
+        raise IndexFormatError(f"{name} {count!r} is not a count")
+    return count
+
+
+def _read_header(line: bytes, embedder: Embedder
+                 ) -> tuple[int, int, int | None, tuple[list[str], list[str], list[str]]]:
+    """The ``dim``, ``size`` and ``table`` of an index's header line, and
+    the ``ref_ids``, ``kinds`` and ``texts`` of its entries. Each kind is
+    one of the module's constants, shared by every entry of that kind."""
     try:
         header = json.loads(line.decode("utf-8"))
     except UnicodeDecodeError:
@@ -508,28 +567,39 @@ def _read_header(line: bytes, known_dim: int | None
         raise IndexFormatError("older index format (run index again)")
     if header["format"] != INDEX_FORMAT:
         raise IndexFormatError(f"unknown index format {header['format']!r} (run index again)")
-    dim, rows = header.get("dim"), header.get("entries")
+    dim = header.get("dim")
     if type(dim) is not int or dim < 1:
         raise IndexFormatError(f"dim {dim!r} is not a positive integer")
+    if dim >= 1 << 63:
+        raise IndexFormatError(f"dim {dim} is too large")
+    known_dim = getattr(embedder, "dim", None)
     if known_dim is not None and known_dim != dim:
         raise IndexFormatError(f"index dim {dim} does not match the embedder's dim "
                                f"{known_dim} (run index again)")
-    if type(rows) is not list:
-        raise IndexFormatError("entries is not a list")
-    # All entries are checked at once; only a fault is looked for row by row.
-    if not (set(map(type, rows)) <= {list} and set(map(len, rows)) <= {3}
-            and set(map(type, chain.from_iterable(rows))) <= {str}
-            and {row[1] for row in rows} <= set(_ENTRY_KINDS)):
-        for number, row in enumerate(rows, 1):
-            if (type(row) is not list or len(row) != 3
-                    or any(type(item) is not str for item in row)):
-                raise IndexFormatError("entry is not a list of three strings", number)
-            if row[1] not in _ENTRY_KINDS:
-                raise IndexFormatError(f"unknown kind {row[1]!r}", number)
-    if not rows:
-        return dim, ([], [], [])
-    ref_ids, kinds, texts = zip(*rows)
-    return dim, (list(ref_ids), list(map(_KIND_CONSTANTS.__getitem__, kinds)), list(texts))
+    name, known_name = header.get("embedder"), getattr(embedder, "identity", None)
+    if name is not None and type(name) is not str:
+        raise IndexFormatError(f"embedder {name!r} is not a string")
+    if name is not None and known_name is not None and name != known_name:
+        raise IndexFormatError(f"index embedder {name!r} does not match the embedder "
+                               f"{known_name!r} (run index again)")
+    size = _count(header, "size")
+    # A null table stands for raw values.
+    table = None if "table" in header and header["table"] is None else _count(header, "table")
+    ids, kinds, texts = header.get("ids"), header.get("kinds"), header.get("texts")
+    for column, kind in (("ids", list), ("kinds", str), ("texts", list)):
+        if type(header.get(column)) is not kind:
+            raise IndexFormatError(f"{column} is not a {kind.__name__}")
+    if not len(ids) == len(kinds) == len(texts):
+        raise IndexFormatError(f"{len(ids)} ids, {len(kinds)} kinds and {len(texts)} texts")
+    # All entries are checked at once; only a fault is looked for entry by entry.
+    if not (set(map(type, ids)) <= {str} and set(map(type, texts)) <= {str}
+            and set(kinds) <= _CODE_KINDS.keys()):
+        for number, entry in enumerate(zip(ids, kinds, texts), 1):
+            if type(entry[0]) is not str or type(entry[2]) is not str:
+                raise IndexFormatError("id or text is not a string", number)
+            if entry[1] not in _CODE_KINDS:
+                raise IndexFormatError(f"unknown kind {entry[1]!r}", number)
+    return dim, size, table, (ids, list(map(_CODE_KINDS.__getitem__, kinds)), texts)
 
 
 def load_index(source, embedder: Embedder) -> EmbeddingIndex:
@@ -538,51 +608,65 @@ def load_index(source, embedder: Embedder) -> EmbeddingIndex:
 
     The header must be a UTF-8 JSON object of this format (any other
     ``format``, or none, is an older or unknown index: run ``kgrag index``
-    again); ``dim`` a positive integer equal to the embedder's ``dim`` when
-    that is known; each entry a list of three strings of a known kind. The
-    format fixes each array's dtype, and the entries the offsets' length,
-    one more than their count; the offsets must start at 0 and never fall,
-    and the last gives the length of the columns and of the values. The
-    file must end where the values do. Then each row's columns must lie in ``[0, dim)``
-    and rise strictly, and its values be finite and unit-norm. A fault
-    raises :class:`IndexFormatError`, naming the first entry failing the
-    check when it lies in one entry. An empty file is an empty index.
+    again). ``dim`` must be a positive integer equal to the embedder's
+    ``dim`` when that is known, and ``embedder`` equal to the embedder's
+    ``identity`` when both are known. ``size`` and ``table`` must be
+    counts, ``ids`` and ``texts`` lists of strings, and ``kinds`` a string
+    of known kinds, the three of one length.
+
+    The header fixes each array's width and length, and the file must end
+    where the last array does. The row sizes must add up to ``size``. Each
+    row's columns must lie in ``[0, dim)`` and rise strictly. A value table
+    must rise strictly, and each code lie below its length. The values
+    must be finite and each row unit-norm. A fault raises
+    :class:`IndexFormatError`, naming the first entry failing the check
+    when it lies in one entry. An empty file is an empty index.
     """
     data = source.read() if hasattr(source, "read") else Path(source).read_bytes()
     if not data:
         return EmbeddingIndex([], np.zeros((0, 0)), embedder)
     at = data.find(b"\n") + 1 or len(data)
-    dim, entries = _read_header(data[:at], getattr(embedder, "dim", None))
+    dim, size, table, entries = _read_header(data[:at], embedder)
     n = len(entries[0])
-    columns_at = at + 8 * (n + 1)
-    if columns_at > len(data):
-        raise IndexFormatError("offsets array is truncated")
-    offsets = np.frombuffer(data, "<i8", count=n + 1, offset=at)
-    if offsets[0] != 0:
-        raise IndexFormatError("offsets do not start at 0")
-    # Compared, not subtracted, so that no difference can overflow.
-    if np.any(offsets[1:] < offsets[:-1]):
-        raise IndexFormatError("offsets do not rise")
-    size = int(offsets[-1])
-    values_at = columns_at + 4 * size
-    end = values_at + 8 * size
-    if end > len(data):
-        name = "columns" if values_at > len(data) else "values"
-        raise IndexFormatError(f"{name} array is truncated")
-    if end < len(data):
-        raise IndexFormatError(f"{len(data) - end} trailing byte(s) after the arrays")
-    columns = np.frombuffer(data, "<i4", count=size, offset=columns_at)
-    values = np.frombuffer(data, "<f8", count=size, offset=values_at)
+    # The values array holds the values, raw or as codes into the table.
+    layout = [("sizes array", _unsigned(min(dim, size)), n),
+              ("columns array", _unsigned(dim - 1), size)]
+    if table is None:
+        layout.append(("values array", np.dtype("<f8"), size))
+    else:
+        layout += [("value table", np.dtype("<u8"), table),
+                   ("values array", _unsigned(table - 1), size)]
+    arrays = []
+    for name, dtype, count in layout:
+        end = at + dtype.itemsize * count
+        if end > len(data):
+            raise IndexFormatError(f"{name} is truncated")
+        arrays.append(np.frombuffer(data, dtype, count, at))
+        at = end
+    if at < len(data):
+        raise IndexFormatError(f"{len(data) - at} trailing byte(s) after the arrays")
+    sizes, columns, *values = arrays
+    # No size exceeds ``size``, so that their sum cannot wrap.
+    if np.any(sizes > size) or int(sizes.sum()) != size:
+        raise IndexFormatError(f"row sizes do not add up to {size}")
 
     def refuse(bad_rows: np.ndarray, message: str) -> None:
         if bad_rows.size:
             raise IndexFormatError(message, int(bad_rows[0]) + 1)
 
-    row_of = np.repeat(np.arange(n), np.diff(offsets))
-    refuse(row_of[(columns < 0) | (columns >= dim)], f"column outside [0, {dim})")
+    row_of = np.repeat(np.arange(n), sizes.astype(np.intp))
+    refuse(row_of[columns >= dim], f"column outside [0, {dim})")
     # Positions where a row's column does not rise from the one before it.
     no_rise = np.flatnonzero((row_of[1:] == row_of[:-1]) & (columns[1:] <= columns[:-1]))
     refuse(row_of[no_rise + 1], "columns do not rise strictly")
+    if table is None:
+        values = values[0]
+    else:
+        patterns, codes = values
+        if np.any(patterns[1:] <= patterns[:-1]):
+            raise IndexFormatError("value table does not rise strictly")
+        refuse(row_of[codes >= table], "value code outside the table")
+        values = patterns.view("<f8")[codes]
     refuse(row_of[~np.isfinite(values)], "vector is not finite")
     with np.errstate(over="ignore"):
         norms = np.sqrt(np.bincount(row_of, weights=values * values, minlength=n))

@@ -156,9 +156,10 @@ class KnowledgeGraph:
     out-groups until it is the source of an edge.
 
     Node and edge labels share one cache, ``_labels``: each distinct label
-    text an upsert has read maps to the text and its canonical form, so a
-    text is normalized once, and the records that carry it share both
-    strings. It is written only under the writer lock."""
+    text that an upsert has stored or matched maps to the text and its
+    canonical form, so a text is normalized once, and the records that
+    carry it share both strings. A refused statement adds nothing. It is
+    written only under the writer lock."""
 
     def __init__(self):
         self._nodes: dict[str, NodeRecord] = {}
@@ -221,7 +222,9 @@ class KnowledgeGraph:
         ``found[2]`` to that of the first that holds a lone surrogate (its
         id could not be hashed)."""
         predicate = statement.predicate.strip()
-        canonical = (self._labels.get(predicate) or self._label(predicate))[1]
+        # Looked up, not cached: a text enters the cache when a record stores it.
+        known = self._labels.get(predicate)
+        canonical = known[1] if known else normalize_label(predicate)
         if found[0] is None and canonical in RESERVED_EDGE_LABELS:
             found[0] = statement
         depth = 0
@@ -251,14 +254,17 @@ class KnowledgeGraph:
             return self._upsert_node(term.label, KIND_ENTITY, outcome)
         subject_id, object_id = self._upsert_statement(term, outcome)
         hyper_id = self._upsert_node(flatten_label(term), KIND_HYPERNODE, outcome)
-        if self._nodes[hyper_id].kind == KIND_HYPERNODE:
-            self._upsert_edge(hyper_id, STRUCTURAL_SUBJECT, subject_id, True, outcome)
-            self._upsert_edge(hyper_id, STRUCTURAL_OBJECT, object_id, True, outcome)
-        else:
+        if self._nodes[hyper_id].kind != KIND_HYPERNODE:
             # Canonical collision with an existing entity label; reuse the
             # node as-is so structural edges stay exclusive to hypernodes.
             logger.warning("hypernode label collides with entity %r; reusing entity node",
                            self._nodes[hyper_id].label)
+        elif STRUCTURAL_SUBJECT not in self._out.get(hyper_id, ()):
+            # A hypernode is anchored once. Another statement that flattens
+            # to the same label reuses it as it is: it keeps one subject and
+            # one object, the first statement's.
+            self._upsert_edge(hyper_id, STRUCTURAL_SUBJECT, subject_id, True, outcome)
+            self._upsert_edge(hyper_id, STRUCTURAL_OBJECT, object_id, True, outcome)
         return hyper_id
 
     def _upsert_node(self, label: str, kind: str, outcome: UpsertOutcome) -> str:

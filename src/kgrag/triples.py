@@ -26,7 +26,8 @@ DEFAULT_MAX_DEPTH = 4
 ESCAPABLE = frozenset("()[]-\\")
 # Escapes the serializer actually emits. "-" is accepted escaped on input
 # but left raw on output; it is unambiguous because "[" and "]" never are.
-_SERIALIZE_ESCAPED = frozenset("()[]\\")
+# Each structural character to itself behind a backslash.
+_ESCAPES = str.maketrans({c: "\\" + c for c in "()[]\\"})
 
 # Typographic variants tolerated at delimiter positions only; label content
 # keeps these characters untouched.
@@ -263,7 +264,7 @@ def parse_triple(text: str, max_depth: int = DEFAULT_MAX_DEPTH) -> TripleStateme
 
 def escape_label(label: str) -> str:
     """Escape structural characters so the label survives a round trip."""
-    return "".join("\\" + c if c in _SERIALIZE_ESCAPED else c for c in label)
+    return label.translate(_ESCAPES)
 
 
 def serialize_triple(statement: TripleStatement) -> str:

@@ -7,10 +7,13 @@ its own, and both must agree with this one byte for byte.
 
 ``index_matrix`` and ``index_entries`` are the tests' one way to an
 index's rows and entries: a dense ``n × dim`` matrix put back together from
-``EmbeddingIndex.stored``, and the entry of every row."""
+``EmbeddingIndex.stored``, and the entry of every row. ``older_index_file``
+writes an index in a layout that ``load_index`` no longer reads."""
 
 from __future__ import annotations
 
+import io
+import json
 import zlib
 from typing import Sequence
 
@@ -48,3 +51,24 @@ def index_matrix(index) -> np.ndarray:
 
 def index_entries(index) -> list:
     return [index.entry(row) for row in range(len(index))]
+
+
+def older_index_file(index, format: str) -> bytes:
+    """``index`` in an older layout: ``kgrag-index/2`` or ``/3``. Both have
+    a compact JSON header line of ``dim``, ``entries`` (``[ref_id, kind,
+    text]`` each) and ``format``, then the row offsets (``<i8``), columns
+    (``<i4``) and values (``<f8``): raw bytes at ``/3``, and each array a
+    ``.npy`` block at ``/2``."""
+    rows, columns, values = index.stored()
+    header = {"dim": index.dim, "format": format,
+              "entries": [list(entry) for entry in zip(index.ref_ids, index.kinds, index.texts)]}
+    out = io.BytesIO()
+    out.write(json.dumps(header, ensure_ascii=False, sort_keys=True,
+                         separators=(",", ":")).encode("utf-8") + b"\n")
+    for array, dtype in ((np.searchsorted(rows, np.arange(len(index) + 1)), "<i8"),
+                         (columns, "<i4"), (values, "<f8")):
+        if format == "kgrag-index/2":
+            np.lib.format.write_array(out, array.astype(dtype), allow_pickle=False)
+        else:
+            out.write(array.astype(dtype).tobytes())
+    return out.getvalue()

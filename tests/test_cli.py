@@ -12,6 +12,7 @@ import pytest
 from kgrag import (
     HashingEmbedder,
     ScriptRule,
+    index_graph,
     load_graph,
     load_index,
     save_graph,
@@ -25,7 +26,7 @@ from coe_fixtures import (
     save_script,
     taylor_fixture,
 )
-from embedding_oracle import index_entries, index_matrix
+from embedding_oracle import index_entries, index_matrix, older_index_file
 from http_stub import stub_server
 
 SENTENCE = "Seth MacFarlane created Family Guy in 1999."
@@ -462,27 +463,72 @@ def test_query_with_an_older_dense_index_fails(tmp_path, capsys):
 
 
 def test_query_with_a_kgrag_index_2_file_fails(tmp_path, capsys):
+    """An index in either older binary layout, ``/2`` or ``/3``, is
+    refused until ``kgrag index`` runs again."""
     graph_path, index_path, script_path = taylor_setup(tmp_path)
-    header, arrays = Path(index_path).read_bytes().split(b"\n", 1)
-    fields = json.loads(header)
-    offsets = np.frombuffer(arrays, "<i8", count=len(fields["entries"]) + 1)
-    size = int(offsets[-1])
-    columns = np.frombuffer(arrays, "<i4", count=size, offset=offsets.nbytes)
-    values = np.frombuffer(arrays, "<f8", count=size, offset=offsets.nbytes + columns.nbytes)
-    # The previous layout: the same header, then each array as a .npy block.
-    with open(index_path, "wb") as f:
-        f.write(json.dumps({**fields, "format": "kgrag-index/2"}).encode("utf-8") + b"\n")
-        for array in (offsets, columns, values):
-            np.lib.format.write_array(f, array, allow_pickle=False)
+    index = load_index(index_path, HashingEmbedder())
     argv = ["query", TAYLOR_QUESTION, "--graph", graph_path, "--index", index_path,
             "--script", script_path]
-    assert main(argv) == 1
-    assert capsys.readouterr().err == (f"error: unreadable index file {index_path}: unknown "
-                                       f"index format 'kgrag-index/2' (run index again)\n")
+    for older in ("kgrag-index/2", "kgrag-index/3"):
+        Path(index_path).write_bytes(older_index_file(index, older))
+        assert main(argv) == 1
+        assert capsys.readouterr().err == (f"error: unreadable index file {index_path}: unknown "
+                                           f"index format '{older}' (run index again)\n")
     assert main(["index", "--graph", graph_path, "--index", index_path]) == 0
     capsys.readouterr()
     assert main(argv) == 0
     assert capsys.readouterr().out == TAYLOR_ANSWER + "\n"
+
+
+class _RandomEmbedder:
+    """Seeded random unit vectors, 256 wide as the default embedder's, under
+    a name of its own."""
+
+    identity = "random/256"
+    dim = 256
+
+    def embed_batch(self, texts):
+        matrix = np.random.default_rng(26).standard_normal((len(texts), self.dim))
+        return matrix / np.linalg.norm(matrix, axis=1, keepdims=True)
+
+    def embed(self, text):
+        return self.embed_batch([text])[0]
+
+
+def test_query_with_another_embedders_index_fails(tmp_path, capsys):
+    """An index that another embedder of the same width built is refused,
+    not searched with unrelated vectors."""
+    graph_path, index_path, script_path = taylor_setup(tmp_path)
+    save_index(index_graph(load_graph(graph_path), _RandomEmbedder()), index_path)
+    argv = ["query", TAYLOR_QUESTION, "--graph", graph_path, "--index", index_path,
+            "--script", script_path]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == (
+        f"error: unreadable index file {index_path}: index embedder 'random/256' does not "
+        f"match the embedder 'hashing/256' (run index again)\n")
+    assert main(["index", "--graph", graph_path, "--index", index_path]) == 0
+    capsys.readouterr()
+    assert main(argv) == 0
+    assert capsys.readouterr().out == TAYLOR_ANSWER + "\n"
+
+
+@pytest.mark.parametrize("command", ["ingest", "index", "stats"])
+@pytest.mark.parametrize("option", ["--trace", "--topk"])
+def test_engine_options_are_refused_by_the_other_commands(tmp_path, capsys, command, option):
+    """Only ``query`` and ``eval`` take ``--trace`` and ``--topk``; any
+    other command refuses them as unknown options and writes nothing."""
+    doc, script, graph_path = ingest_setup(tmp_path)
+    argv = {"ingest": ["ingest", str(doc), "--graph", str(graph_path), "--script", script],
+            "index": ["index", "--graph", str(graph_path),
+                      "--index", str(tmp_path / "index.bin")],
+            "stats": ["stats", "--graph", str(graph_path)]}[command]
+    value = str(tmp_path / "t.jsonl") if option == "--trace" else "3"
+    before = sorted(tmp_path.iterdir())
+    with pytest.raises(SystemExit) as exc_info:
+        main(argv + [option, value])
+    assert exc_info.value.code == 2
+    assert f"error: unrecognized arguments: {option} {value}" in capsys.readouterr().err
+    assert sorted(tmp_path.iterdir()) == before
 
 
 def test_query_after_reingest_needs_index_again(tmp_path, capsys):
@@ -678,7 +724,8 @@ def _eval_graph_with_lone_surrogate(tmp_path):
 
 
 def _truncated_index(tmp_path):
-    """``query`` with an index file cut short inside its values array."""
+    """``query`` with an index file cut short inside its values array (the
+    values' codes into the value table)."""
     argv = ["query", TAYLOR_QUESTION] + _query_args(tmp_path)
     index_path = Path(argv[argv.index("--index") + 1])
     index_path.write_bytes(index_path.read_bytes()[:-100])
@@ -703,8 +750,8 @@ def _index_with_a_duplicate_label(tmp_path):
     index_path = Path(argv[argv.index("--index") + 1])
     header_line, arrays = index_path.read_bytes().split(b"\n", 1)
     header = json.loads(header_line)
-    labels = [row for row in header["entries"] if row[1] == "relationship_label"]
-    labels[-1][0] = labels[-2][0]
+    labels = [at for at, kind in enumerate(header["kinds"]) if kind == "r"]
+    header["ids"][labels[-1]] = header["ids"][labels[-2]]
     index_path.write_bytes(json.dumps(header).encode("utf-8") + b"\n" + arrays)
     return argv
 

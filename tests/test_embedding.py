@@ -37,7 +37,13 @@ from kgrag.embedding import (
     KIND_RELATIONSHIP,
 )
 from kgrag.llm import RETRY_BASE_DELAY_S
-from embedding_oracle import index_entries, index_matrix, oracle_embed, oracle_embed_batch
+from embedding_oracle import (
+    index_entries,
+    index_matrix,
+    older_index_file,
+    oracle_embed,
+    oracle_embed_batch,
+)
 from http_stub import stub_server
 
 EMBEDDER = HashingEmbedder()
@@ -544,32 +550,58 @@ def test_loaded_kinds_are_the_module_constants(tmp_path):
             [(e.ref_id, e.kind, s) for e, s in index.search(query, 5)]
 
 
-def _read_saved(data: bytes) -> tuple[dict, list[np.ndarray]]:
-    """The header and the three arrays of a saved index, each array's
-    length taken from the header's entries and the last offset."""
-    line, arrays = data.split(b"\n", 1)
+def _width(bound: int) -> np.dtype:
+    """The narrowest little-endian unsigned integer that holds ``bound``."""
+    return np.dtype(f"<u{next(n for n in (1, 2, 4, 8) if bound < 256 ** n)}")
+
+
+def _read_saved(data: bytes) -> tuple[dict, dict[str, np.ndarray]]:
+    """The header and the arrays of a saved index by name, each array's
+    width and length taken from the header, and the values decoded from the
+    table when there is one."""
+    line, rest = data.split(b"\n", 1)
     header = json.loads(line)
-    offsets = np.frombuffer(arrays, "<i8", count=len(header["entries"]) + 1)
-    size = int(offsets[-1])
-    columns = np.frombuffer(arrays, "<i4", count=size, offset=offsets.nbytes)
-    values = np.frombuffer(arrays, "<f8", count=size, offset=offsets.nbytes + columns.nbytes)
-    assert len(arrays) == offsets.nbytes + columns.nbytes + values.nbytes
-    return header, [offsets, columns, values]
+    dim, size, table = header["dim"], header["size"], header["table"]
+    layout = [("sizes", _width(min(dim, size)), len(header["ids"])),
+              ("columns", _width(dim - 1), size)]
+    layout += ([("values", np.dtype("<f8"), size)] if table is None else
+               [("table", np.dtype("<u8"), table), ("codes", _width(max(table - 1, 0)), size)])
+    arrays, at = {}, 0
+    for name, dtype, count in layout:
+        arrays[name] = np.frombuffer(rest, dtype, count, at)
+        at += arrays[name].nbytes
+    assert len(rest) == at
+    if table is not None:
+        arrays["values"] = arrays["table"].view("<f8")[arrays["codes"]]
+    return header, arrays
 
 
 def test_saved_rows_are_sparse():
     index = index_graph(sample_graph(), EMBEDDER)
     buffer = io.BytesIO()
     save_index(index, buffer)
-    header, (offsets, columns, values) = _read_saved(buffer.getvalue())
-    assert list(header) == ["dim", "entries", "format"]
+    header, arrays = _read_saved(buffer.getvalue())
+    assert list(header) == ["dim", "embedder", "format", "ids", "kinds", "size", "table",
+                            "texts"]
     assert header["dim"] == DEFAULT_DIM and header["format"] == INDEX_FORMAT
-    assert header["entries"] == [[e.ref_id, e.kind, e.text] for e in index_entries(index)]
-    assert [a.dtype.str for a in (offsets, columns, values)] == ["<i8", "<i4", "<f8"]
-    assert len(offsets) == len(index) + 1 and offsets[0] == 0
+    assert header["embedder"] == "hashing/256" == EMBEDDER.identity
+    entries = index_entries(index)
+    assert header["ids"] == [e.ref_id for e in entries]
+    assert header["kinds"] == "".join({"node": "n", "hypernode": "h",
+                                       "relationship_label": "r"}[e.kind] for e in entries)
+    assert header["texts"] == [e.text for e in entries]
+    sizes, columns, values = arrays["sizes"], arrays["columns"], arrays["values"]
+    assert header["size"] == len(columns) == sum(sizes)
+    # Fewer than 256 stored components: a row size takes one byte, as a
+    # column does at 256 components.
+    assert header["size"] < 256
+    assert [arrays[name].dtype.str for name in ("sizes", "columns", "codes")] == ["|u1"] * 3
+    table = arrays["table"]
+    assert header["table"] == len(table) and np.all(table[1:] > table[:-1])
+    offsets = [0, *np.cumsum(sizes).tolist()]
     for lo, hi, vector in zip(offsets, offsets[1:], index_matrix(index)):
         assert columns[lo:hi].tolist() == np.flatnonzero(vector).tolist()
-        assert values[lo:hi].tolist() == vector[columns[lo:hi]].tolist()
+        assert values[lo:hi].tobytes() == vector[columns[lo:hi]].tobytes()
 
 
 _UNIT_VECTOR_COMPONENTS = st.one_of(
@@ -687,8 +719,8 @@ def test_save_load_keeps_negative_zero():
     index = _index([("a", KIND_NODE, "a", np.array([-0.0, 1.0, 0.0]))], embedder)
     buffer = io.BytesIO()
     save_index(index, buffer)
-    _, (_, columns, _) = _read_saved(buffer.getvalue())
-    assert columns.tolist() == [0, 1]
+    _, arrays = _read_saved(buffer.getvalue())
+    assert arrays["columns"].tolist() == [0, 1]
     vector = index_matrix(load_index(io.BytesIO(buffer.getvalue()), embedder))[0]
     assert np.signbit(vector).tolist() == [True, False, False]
 
@@ -697,21 +729,45 @@ def _row(ref_id="x", kind="node", text="a", columns=(0,), values=(1.0,)) -> tupl
     return ref_id, kind, text, list(columns), list(values)
 
 
+_KIND_CHARACTERS = {KIND_NODE: "n", KIND_HYPERNODE_ENTRY: "h", KIND_RELATIONSHIP: "r"}
+
+
 def _index_file(rows: list[tuple], header: dict | None = None, arrays: dict | None = None,
-                tail: bytes = b"") -> bytes:
-    """An index file at dim 2 holding ``rows`` of :func:`_row`. ``header``
-    fields and whole ``arrays`` (by name, as an array, written as its own
-    bytes whatever its dtype, or as raw bytes) replace the ones built from
-    the rows, and ``tail`` follows the arrays."""
-    fields = {"dim": 2, "entries": [list(row[:3]) for row in rows], "format": INDEX_FORMAT,
-              **(header or {})}
-    built = {"offsets": np.cumsum([0] + [len(row[3]) for row in rows]).astype("<i8"),
-             "columns": np.array([c for row in rows for c in row[3]], dtype="<i4"),
-             "values": np.array([v for row in rows for v in row[4]], dtype="<f8"),
-             **(arrays or {})}
-    arrays = b"".join(array if isinstance(array, bytes) else array.tobytes()
-                      for array in (built["offsets"], built["columns"], built["values"]))
-    return json.dumps(fields).encode("utf-8") + b"\n" + arrays + tail
+                tail: bytes = b"", table: bool = False) -> bytes:
+    """An index file at dim 2 holding ``rows`` of :func:`_row`, a kind
+    written as its character (any other kind as it is given), with raw
+    values or, with ``table``, a table of the distinct values and codes.
+    ``header`` fields and whole ``arrays`` (by name, as an array, written
+    as its own bytes whatever its dtype, or as raw bytes) replace the ones
+    built from the rows; an array's width follows the header's ``dim``,
+    ``size`` and ``table``. ``tail`` follows the arrays."""
+    values = np.array([v for row in rows for v in row[4]], dtype="<f8")
+    patterns = np.unique(values.view("<u8"))
+    fields = {"dim": 2, "embedder": None, "format": INDEX_FORMAT,
+              "ids": [row[0] for row in rows],
+              "kinds": "".join(_KIND_CHARACTERS.get(row[1], row[1]) for row in rows),
+              "size": len(values), "table": len(patterns) if table else None,
+              "texts": [row[2] for row in rows], **(header or {})}
+
+    def count(name: str, default: int) -> int:
+        value = fields[name]
+        return value if type(value) is int and 0 <= value < 2 ** 64 else default
+
+    dim, size = max(count("dim", 2), 1), count("size", len(values))
+    built = {"sizes": np.array([len(row[3]) for row in rows]).astype(_width(min(dim, size))),
+             "columns": np.array([c for row in rows for c in row[3]], dtype=np.int64)
+             .astype(_width(dim - 1))}
+    if table:
+        built["table"] = patterns.astype("<u8")
+        built["codes"] = np.searchsorted(patterns, values.view("<u8")).astype(
+            _width(max(count("table", len(patterns)) - 1, 0)))
+    else:
+        built["values"] = values
+    built.update(arrays or {})
+    names = ["sizes", "columns"] + (["table", "codes"] if table else ["values"])
+    data = b"".join(built[name] if isinstance(built[name], bytes) else built[name].tobytes()
+                    for name in names)
+    return json.dumps(fields).encode("utf-8") + b"\n" + data + tail
 
 
 def _around(bad: tuple = _row(), **changes) -> bytes:
@@ -724,13 +780,14 @@ def _load_bytes(data: bytes, dim: int = 2) -> EmbeddingIndex:
 
 
 def test_hand_built_index_files_load():
-    index = _load_bytes(_around())
-    assert [e.ref_id for e in index_entries(index)] == ["g1", "x", "g2"]
-    assert index_matrix(index).tolist() == [[1.0, 0.0], [1.0, 0.0], [0.0, 1.0]]
-    saved = io.BytesIO()
-    save_index(index, saved)
-    assert index_matrix(_load_bytes(saved.getvalue())).tobytes() == \
-        index_matrix(index).tobytes()
+    for table in (False, True):
+        index = _load_bytes(_around(table=table))
+        assert [e.ref_id for e in index_entries(index)] == ["g1", "x", "g2"]
+        assert index_matrix(index).tolist() == [[1.0, 0.0], [1.0, 0.0], [0.0, 1.0]]
+        saved = io.BytesIO()
+        save_index(index, saved)
+        assert index_matrix(_load_bytes(saved.getvalue())).tobytes() == \
+            index_matrix(index).tobytes()
 
 
 def test_load_rejects_bad_lines():
@@ -755,21 +812,27 @@ def test_load_refuses_a_second_entry_for_one_label():
 
 
 def test_load_rejects_unknown_kind():
-    with pytest.raises(IndexFormatError, match="unknown kind 'mystery'") as exc_info:
-        _load_bytes(_index_file([_row(kind="mystery")]))
+    with pytest.raises(IndexFormatError, match="unknown kind 'm'") as exc_info:
+        _load_bytes(_index_file([_row(kind="m")]))
     assert exc_info.value.entry == 1
 
 
 def test_load_rejects_missing_field():
     complete = _index_file([_row()])
     header = json.loads(complete.split(b"\n", 1)[0])
-    for field, message in [("dim", "dim None"), ("entries", "entries is not a list"),
+    for field, message in [("dim", "dim None"), ("ids", "ids is not a list"),
+                           ("kinds", "kinds is not a str"), ("texts", "texts is not a list"),
+                           ("size", "size None is not a count"),
+                           ("table", "table None is not a count"),
                            ("format", "older index format")]:
         line = json.dumps({k: v for k, v in header.items() if k != field}).encode("utf-8")
         with pytest.raises(IndexFormatError, match=message):
             _load_bytes(line + b"\n" + complete.split(b"\n", 1)[1])
     with pytest.raises(IndexFormatError, match="values array is truncated"):
         _load_bytes(complete[:-8])
+    # A header that names no embedder is an index of an unknown one.
+    line = json.dumps({k: v for k, v in header.items() if k != "embedder"}).encode("utf-8")
+    assert len(_load_bytes(line + b"\n" + complete.split(b"\n", 1)[1])) == 1
 
 
 _DENSE = b'{"kind": "node", "ref_id": "y", "text": "b", "vector": [0.0, 1.0]}\n'
@@ -777,8 +840,9 @@ _DENSE = b'{"kind": "node", "ref_id": "y", "text": "b", "vector": [0.0, 1.0]}\n'
 
 # The counterparts of the faults a JSONL row could have. A fault in one
 # entry's data names entry 2; one in the header or a whole array names none.
-# The format fixes each array's dtype, so an array written in another is
-# only bytes of another length, refused as trailing or truncated.
+# The header fixes each array's width, so an array written in another is
+# only bytes of another length, refused as trailing or truncated; a
+# negative column, written unsigned, is one past the last.
 @pytest.mark.parametrize("data, message, entry", [
     (_DENSE, "older index format", None),
     (_around(_row(columns=[1, 0], values=[0.6, 0.8])), "rise strictly", 2),
@@ -792,29 +856,33 @@ _DENSE = b'{"kind": "node", "ref_id": "y", "text": "b", "vector": [0.0, 1.0]}\n'
     (_around(header={"dim": 3}), "index dim 3 does not match the embedder's dim 2", None),
     (_around(header={"dim": 0}), "positive", None),
     (_around(header={"dim": 2.0}), "positive", None),
-    (_around(arrays={"columns": np.array([0.0, 0.0, 1.0])}), "^12 trailing byte", None),
-    (_around(arrays={"columns": np.array([False, False, True])}), "values array is truncated",
-     None),
-    (_around(arrays={"columns": np.array([0, 2 ** 40, 1])}), "^12 trailing byte", None),
+    (_around(arrays={"columns": np.array([0.0, 0.0, 1.0])}), "^21 trailing byte", None),
+    (_around(arrays={"columns": np.array([False, True])}), "values array is truncated", None),
+    (_around(arrays={"columns": np.array([0, 2 ** 40, 1])}), "^21 trailing byte", None),
     (_around(arrays={"values": np.array(["1.0"] * 3)}), "^12 trailing byte", None),
     # A null (zero) vector has no unit norm.
     (_around(_row(values=[0.0])), "unit", 2),
     # The square of a value past 1e154 is infinite, so its norm is too.
     (_around(_row(values=[1e300])), "unit", 2),
     (b'["a", "list"]\n', "object", None),
+    (_around(_row(values=[float("inf")]), table=True), "finite", 2),
+    (_around(_row(columns=[0, 1], values=[0.6, 0.6]), table=True), "unit", 2),
+    (_around(_row(values=[0.5]), table=True, arrays={"codes": np.array([1, 2, 1], "u1")}),
+     "value code outside the table", 2),
+    (_around(_row(values=[0.5]), table=True, arrays={"codes": np.array([1, 0, 255], "u1")}),
+     "value code outside the table", 3),
+    (_around(_row(columns=[2]), table=True), "outside", 2),
 ], ids=["dense", "unsorted", "duplicate", "above-dim", "negative", "length-mismatch",
         "infinite", "nan", "non-unit", "mixed-dim", "zero-dim", "float-dim",
         "float-index", "bool-index", "huge-index", "string-value", "null-value",
-        "huge-value", "not-object"])
+        "huge-value", "not-object", "table-infinite", "table-non-unit", "code-past-table",
+        "code-far-past-table", "table-above-dim"])
 def test_load_refuses_bad_row_at_its_line(data, message, entry):
     with pytest.raises(IndexFormatError, match=message) as exc_info:
         _load_bytes(data)
     assert exc_info.value.entry == entry
     assert str(exc_info.value).startswith("entry ") == (entry is not None)
     assert str(exc_info.value).startswith(f"entry {entry}: ") == (entry is not None)
-
-
-_ENTRIES = [["g1", "node", "a"], ["x", "node", "a"], ["g2", "node", "a"]]
 
 
 def _utf16_header(data: bytes) -> bytes:
@@ -824,8 +892,8 @@ def _utf16_header(data: bytes) -> bytes:
     return (header + b"\n").decode("utf-8").encode("utf-16-be") + arrays
 
 
-def _with_entry_2(entry) -> dict:
-    return {"entries": [_ENTRIES[0], entry, _ENTRIES[2]]}
+def _with_entry_2(ref_id="x", kind="n", text="a") -> dict:
+    return {"ids": ["g1", ref_id, "g2"], "kinds": "n" + kind + "n", "texts": ["a", text, "a"]}
 
 
 @pytest.mark.parametrize("data, message, entry", [
@@ -835,57 +903,83 @@ def _with_entry_2(entry) -> dict:
     (b'{"dim": 2, "indices": [0], "kind": "node", "ref_id": "x", "text": "a", '
      b'"values": [1.0]}\n', "older index format \\(run index again\\)", None),
     (_around(header={"format": "kgrag-index/1"}), "unknown index format 'kgrag-index/1'", None),
-    (_around(header={"format": "kgrag-index/2"}),
-     "unknown index format 'kgrag-index/2' \\(run index again\\)$", None),
+    (_around(header={"format": "kgrag-index/3"}),
+     "unknown index format 'kgrag-index/3' \\(run index again\\)$", None),
     (_around(header={"dim": True}), "positive", None),
     (_around(header={"dim": "2"}), "positive", None),
-    (_around(header={"entries": {"x": 1}}), "entries is not a list", None),
-    (_around(header=_with_entry_2([7, "node", "a"])), "list of three strings", 2),
-    (_around(header=_with_entry_2(["x", "node", None])), "list of three strings", 2),
-    (_around(header=_with_entry_2(["x", "node"])), "list of three strings", 2),
-    (_around(header=_with_entry_2(["x", "node", "a", "b"])), "list of three strings", 2),
-    (_around(header=_with_entry_2("x")), "list of three strings", 2),
-    (_around(header=_with_entry_2(["x", "mystery", "a"])), "unknown kind 'mystery'", 2),
+    (_around(header={"ids": {"x": 1}}), "ids is not a list", None),
+    (_around(header=_with_entry_2(ref_id=7)), "id or text is not a string", 2),
+    (_around(header=_with_entry_2(text=None)), "id or text is not a string", 2),
+    (_around(header={"kinds": "nn"}), "^3 ids, 2 kinds and 3 texts$", None),
+    (_around(header={"texts": ["a", "a", "a", "b"]}), "^3 ids, 3 kinds and 4 texts$", None),
+    (_around(header={"kinds": ["n", "n", "n"]}), "kinds is not a str", None),
+    (_around(header=_with_entry_2(kind="m")), "unknown kind 'm'", 2),
     (b"[" * 100_000 + b"\n", "header is not JSON", None),
+    (_around(header={"format": "kgrag-index/2"}),
+     "unknown index format 'kgrag-index/2' \\(run index again\\)$", None),
+    (_around(header={"embedder": 2}), "embedder 2 is not a string", None),
+    (_around(header={"embedder": "hashing/3"}),
+     "^index embedder 'hashing/3' does not match the embedder 'hashing/2' "
+     "\\(run index again\\)$", None),
+    (_around(header={"size": -1}), "size -1 is not a count", None),
+    (_around(header={"size": True}), "size True is not a count", None),
+    (_around(header={"table": 1.5}), "table 1.5 is not a count", None),
+    (_around(header={"texts": "aaa"}), "texts is not a list", None),
 ], ids=["not-utf8", "utf16", "older-sparse", "unknown-format", "previous-format",
         "bool-dim", "string-dim", "entries-not-list", "number-ref-id", "null-text",
-        "two-strings", "four-strings", "string-entry", "unknown-kind", "deep-nesting"])
+        "two-strings", "four-strings", "string-entry", "unknown-kind", "deep-nesting",
+        "format-2", "number-embedder", "other-embedder", "negative-size", "bool-size",
+        "float-table", "string-texts"])
 def test_load_refuses_a_bad_header(data, message, entry):
     with pytest.raises(IndexFormatError, match=message) as exc_info:
         _load_bytes(data)
     assert exc_info.value.entry == entry
 
 
-_COLUMNS = np.array([0, 0, 1], dtype="<i4")
+_COLUMNS = np.array([0, 0, 1], dtype="<u1")
 _GOOD_FILE = _around()
 _VALUES_AT = len(_GOOD_FILE) - 3 * 8
-_COLUMNS_AT = _VALUES_AT - 3 * 4
+_COLUMNS_AT = _VALUES_AT - 3
+_TABLE_FILE = _around(_row(values=[-1.0]), table=True)
+_CODES_AT = len(_TABLE_FILE) - 3
 
 
+# The ids name the /3 faults whose counterparts these are: row sizes stand
+# where the offsets stood.
 @pytest.mark.parametrize("data, message", [
-    (_around(arrays={"offsets": np.array([1, 1, 2, 3])}), "offsets do not start at 0"),
-    (_around(arrays={"offsets": np.array([0, 2, 1, 3])}), "offsets do not rise"),
-    # 2 - (-2 ** 63) wraps around to a positive difference.
-    (_around(arrays={"offsets": np.array([0, 1, 2, -2 ** 63])}), "offsets do not rise"),
-    # Three offsets for three entries: the fourth is read from the columns.
-    (_around(arrays={"offsets": np.array([0, 1, 3])}), "offsets do not rise"),
-    (_around(arrays={"offsets": np.array([0, 1, 2, 4])}), "values array is truncated"),
-    (_around(arrays={"columns": np.array([0, 0, 1, 1], dtype="<i4")}), "^4 trailing byte"),
+    (_around(arrays={"sizes": np.array([2, 1, 1], "u1")}), "^row sizes do not add up to 3$"),
+    (_around(arrays={"sizes": np.array([1, 255, 1], "u1")}), "row sizes do not add up"),
+    # 254 + 2 + 3 wraps around to 3 in one byte.
+    (_around(arrays={"sizes": np.array([254, 2, 3], "u1")}), "row sizes do not add up"),
+    # Two sizes for three entries: every later array starts a byte early.
+    (_around(arrays={"sizes": np.array([1, 1], "u1")}), "values array is truncated"),
+    (_around(arrays={"sizes": np.array([1, 1, 2], "u1")}), "row sizes do not add up"),
+    (_around(arrays={"columns": np.array([0, 0, 1, 1], dtype="<u1")}), "^1 trailing byte"),
     (_around(arrays={"columns": _COLUMNS.tobytes()[:-1]}), "values array is truncated"),
-    (_GOOD_FILE[:_GOOD_FILE.index(b"\n") + 1], "offsets array is truncated"),
-    (_GOOD_FILE[:_COLUMNS_AT - 1], "offsets array is truncated"),
-    (_GOOD_FILE[:_COLUMNS_AT + 4], "columns array is truncated"),
+    (_GOOD_FILE[:_GOOD_FILE.index(b"\n") + 1], "sizes array is truncated"),
+    (_GOOD_FILE[:_COLUMNS_AT - 1], "sizes array is truncated"),
+    (_GOOD_FILE[:_COLUMNS_AT + 2], "columns array is truncated"),
     # The next two are cut 4 bytes into the values and where they start.
     (_GOOD_FILE[:_VALUES_AT + 4], "values array is truncated"),
     (_GOOD_FILE[:_VALUES_AT], "values array is truncated"),
     (_GOOD_FILE[:-1], "values array is truncated"),
     (_GOOD_FILE[:-8], "values array is truncated"),
     (_around(tail=b"\0"), "^1 trailing byte\\(s\\) after the arrays$"),
-    (_around(tail=_COLUMNS.tobytes()), "^12 trailing byte"),
+    (_around(tail=_COLUMNS.tobytes()), "^3 trailing byte"),
+    (_TABLE_FILE[:_CODES_AT - 1], "value table is truncated"),
+    (_TABLE_FILE[:-1], "values array is truncated"),
+    (_around(table=True, header={"table": 2}, arrays={"table": np.array([2, 1], "<u8")}),
+     "^value table does not rise strictly$"),
+    (_around(table=True, header={"table": 2},
+             arrays={"table": np.ones(2, "<f8").view("<u8")}), "value table does not rise"),
+    (_around(table=True, header={"table": 2}), "value table is truncated"),
+    (_around(header={"size": 10 ** 30}), "columns array is truncated"),
+    (_around(header={"table": 10 ** 30}), "value table is truncated"),
 ], ids=["offsets-not-from-0", "offsets-falling", "offsets-wrapping", "offsets-short",
-        "offsets-end", "columns-overlong", "columns-short", "no-arrays", "offsets-cut", "columns-cut",
-        "cut-in-magic", "cut-in-header", "values-short", "values-missing-item",
-        "trailing-byte", "trailing-array"])
+        "offsets-end", "columns-overlong", "columns-short", "no-arrays", "offsets-cut",
+        "columns-cut", "cut-in-magic", "cut-in-header", "values-short", "values-missing-item",
+        "trailing-byte", "trailing-array", "table-cut", "codes-cut", "table-falling",
+        "table-repeated", "table-short", "huge-size", "huge-table"])
 def test_load_refuses_a_bad_array(data, message):
     with pytest.raises(IndexFormatError, match=message) as exc_info:
         _load_bytes(data)
@@ -905,11 +999,12 @@ def test_load_refuses_dim_unlike_the_embedders(tmp_path):
     assert http.dim is None
 
 
-@pytest.mark.parametrize("dim", [10 ** 13, 2 ** 62])
+@pytest.mark.parametrize("dim", [10 ** 13, 2 ** 62, 2 ** 63, 10 ** 30])
 def test_load_refuses_a_dim_too_large_to_hold(dim):
     """With an embedder of unknown width only an allocation of ``dim``
     counts, one per component, can refuse a huge ``dim``: 10**13 of them
-    are 80 TB, and 2**62 do not fit a 64-bit size."""
+    are 80 TB, and 2**62 do not fit a 64-bit size. From 2**63 on, a column
+    would not fit a signed 64-bit integer, and the header is refused."""
     data = _index_file([_row("g1"), _row("g2"), _row("g3"), _row("g4")],
                        header={"dim": dim})
     http = HttpEmbeddingProvider("http://127.0.0.1:9/unused")
@@ -932,10 +1027,22 @@ def test_a_large_dim_holds_nothing_per_component():
     assert [e.ref_id for e, _ in index.search("a", k=1, labels=["in"])] == ["in"]
 
 
-def _small_saved_index() -> tuple[bytes, HashingEmbedder]:
+def _dense(index: EmbeddingIndex, seed: int = 0) -> EmbeddingIndex:
+    """``index``'s entries with its vectors turned by a seeded random
+    rotation: dense unit rows of many distinct values, as from an HTTP
+    embedder."""
+    rotation = np.linalg.qr(np.random.default_rng(seed).standard_normal((index.dim,) * 2))[0]
+    return EmbeddingIndex(index_entries(index), index_matrix(index) @ rotation, index.embedder)
+
+
+def _small_saved_index(dense: bool = False) -> tuple[bytes, HashingEmbedder]:
+    """The sample graph's index at dim 8, its values in a table or, when
+    ``dense``, rotated and raw."""
     embedder = HashingEmbedder(dim=8)
+    index = index_graph(sample_graph(), embedder)
     buffer = io.BytesIO()
-    save_index(index_graph(sample_graph(), embedder), buffer)
+    save_index(_dense(index) if dense else index, buffer)
+    assert (json.loads(buffer.getvalue().split(b"\n", 1)[0])["table"] is None) == dense
     return buffer.getvalue(), embedder
 
 
@@ -950,26 +1057,166 @@ def _assert_sound(index: EmbeddingIndex, embedder: HashingEmbedder) -> None:
 
 
 def test_every_truncation_is_refused():
-    data, embedder = _small_saved_index()
-    assert len(load_index(io.BytesIO(data), embedder)) == 7
-    for cut in range(1, len(data)):
-        with pytest.raises(IndexFormatError):
-            load_index(io.BytesIO(data[:cut]), embedder)
+    """In both layouts: the value table and codes, and raw values."""
+    for dense in (False, True):
+        data, embedder = _small_saved_index(dense)
+        assert len(load_index(io.BytesIO(data), embedder)) == 7
+        for cut in range(1, len(data)):
+            with pytest.raises(IndexFormatError):
+                load_index(io.BytesIO(data[:cut]), embedder)
 
 
-_SMALL_SAVED, _SMALL_EMBEDDER = _small_saved_index()
+_SMALL_SAVED = [_small_saved_index(dense) for dense in (False, True)]
+_SMALL_EMBEDDER = _SMALL_SAVED[0][1]
 
 
-@settings(max_examples=400, deadline=None)
-@given(st.integers(0, len(_SMALL_SAVED) - 1), st.integers(1, 255))
-def test_a_flipped_byte_is_refused_or_loads_sound(position, flip):
-    data = bytearray(_SMALL_SAVED)
-    data[position] ^= flip
+# Twice the examples of one file, as there are two.
+@settings(max_examples=800, deadline=None)
+@given(st.sampled_from([data for data, _ in _SMALL_SAVED]), st.data(), st.integers(1, 255))
+def test_a_flipped_byte_is_refused_or_loads_sound(saved, data, flip):
+    flipped = bytearray(saved)
+    flipped[data.draw(st.integers(0, len(saved) - 1), label="position")] ^= flip
     try:
-        index = load_index(io.BytesIO(bytes(data)), _SMALL_EMBEDDER)
+        index = load_index(io.BytesIO(bytes(flipped)), _SMALL_EMBEDDER)
     except IndexFormatError:
         return
     _assert_sound(index, _SMALL_EMBEDDER)
+
+
+_NEGATIVE_ZEROS = st.lists(st.integers(0, 7), max_size=3)
+
+
+@st.composite
+def _drawn_index(draw) -> EmbeddingIndex:
+    """Hashing rows of drawn texts, or those rows densely rotated; either
+    with some zero components drawn as -0.0."""
+    embedder = HashingEmbedder(dim=draw(st.sampled_from([1, 2, 8, 16])))
+    texts = draw(st.lists(st.text(alphabet="abcde ()-\u00e9", min_size=1, max_size=12)
+                          .filter(str.strip), min_size=1, max_size=40))
+    kinds = draw(st.lists(st.sampled_from(_SEARCH_KINDS), min_size=len(texts),
+                          max_size=len(texts)))
+    entries = [IndexEntry(f"id{i}", kind, text) for i, (kind, text) in enumerate(zip(kinds, texts))
+               if kind != KIND_RELATIONSHIP or texts.index(text) == i]
+    matrix = embedder.embed_batch([entry.text for entry in entries])
+    if draw(st.booleans()):
+        rotation = np.linalg.qr(np.random.default_rng(draw(st.integers(0, 99)))
+                                .standard_normal((embedder.dim,) * 2))[0]
+        matrix = matrix @ rotation
+    for row, column in zip(draw(_NEGATIVE_ZEROS), draw(_NEGATIVE_ZEROS)):
+        if row < len(matrix) and column < embedder.dim and matrix[row, column] == 0.0:
+            matrix[row, column] = -0.0
+    return EmbeddingIndex(entries, matrix, embedder)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_drawn_index())
+def test_save_load_save_is_byte_identical(index):
+    """A saved index loads to the same stored components, to the bit, and
+    saves to the same bytes. Its values take the table when that is the
+    smaller of the two layouts."""
+    first = io.BytesIO()
+    save_index(index, first)
+    loaded = load_index(io.BytesIO(first.getvalue()), index.embedder)
+    assert (loaded.ref_ids, loaded.kinds, loaded.texts) == (index.ref_ids, index.kinds,
+                                                            index.texts)
+    for got, want in zip(loaded.stored(), index.stored()):
+        assert got.tolist() == want.tolist()
+    assert loaded.stored()[2].tobytes() == index.stored()[2].tobytes()
+    again = io.BytesIO()
+    save_index(loaded, again)
+    assert again.getvalue() == first.getvalue()
+    header, arrays = _read_saved(first.getvalue())
+    values = index.stored()[2]
+    distinct = len({value.tobytes() for value in values})
+    table_bytes = 8 * distinct + _width(max(distinct - 1, 0)).itemsize * len(values)
+    assert (header["table"] is not None) == (table_bytes < 8 * len(values))
+    assert header["table"] in (None, distinct)
+
+
+def test_a_dense_index_file_is_no_larger_than_at_format_3():
+    """Dense rows take the raw values, and their file is no larger than at
+    ``/3``; hashing rows take the table, at under half their ``/3`` size."""
+    graph = KnowledgeGraph()
+    for i in range(200):
+        graph.upsert_triple(parse_triple(f"(entity {i})-[relation {i % 20}]->(value {i})"))
+    hashing = index_graph(graph, EMBEDDER)
+    for index, table, most in ((hashing, True, 0.5), (_dense(hashing), False, 1.0)):
+        saved = io.BytesIO()
+        save_index(index, saved)
+        assert (_read_saved(saved.getvalue())[0]["table"] is not None) == table
+        assert len(saved.getvalue()) <= most * len(older_index_file(index, "kgrag-index/3"))
+
+
+def test_a_format_3_file_is_refused_with_run_index_again():
+    index = index_graph(sample_graph(), EMBEDDER)
+    with pytest.raises(IndexFormatError, match="^unknown index format 'kgrag-index/3' "
+                                               "\\(run index again\\)$") as exc_info:
+        load_index(io.BytesIO(older_index_file(index, "kgrag-index/3")), EMBEDDER)
+    assert exc_info.value.entry is None
+
+
+class _NamedEmbedder(HashingEmbedder):
+    """Hashing vectors under another name."""
+
+    identity = "another/256"
+
+
+class _UnnamedEmbedder:
+    """An embedder that names nothing, as a wrapper that passes on only
+    ``dim`` does."""
+
+    def __init__(self, inner):
+        self.inner, self.dim = inner, inner.dim
+
+    def embed(self, text):
+        return self.inner.embed(text)
+
+    def embed_batch(self, texts):
+        return self.inner.embed_batch(texts)
+
+
+def test_the_header_names_the_embedder_and_load_checks_it():
+    """A known name must match a known name; when either is unknown the
+    index loads, and an unnamed embedder's index records null."""
+    saved = {}
+    for embedder in (EMBEDDER, _NamedEmbedder(), _UnnamedEmbedder(EMBEDDER)):
+        buffer = io.BytesIO()
+        save_index(index_graph(sample_graph(), embedder), buffer)
+        saved[embedder] = buffer.getvalue()
+        assert json.loads(buffer.getvalue().split(b"\n", 1)[0])["embedder"] == \
+            getattr(embedder, "identity", None)
+    hashing, named, unnamed = saved.values()
+    assert len(load_index(io.BytesIO(hashing), EMBEDDER)) == 7
+    with pytest.raises(IndexFormatError, match="^index embedder 'another/256' does not match "
+                                               "the embedder 'hashing/256' "
+                                               "\\(run index again\\)$") as exc_info:
+        load_index(io.BytesIO(named), EMBEDDER)
+    assert exc_info.value.entry is None
+    with pytest.raises(IndexFormatError, match="'hashing/256' does not match the embedder "
+                                               "'another/256'"):
+        load_index(io.BytesIO(hashing), _NamedEmbedder())
+    for data in (hashing, named, unnamed):
+        assert len(load_index(io.BytesIO(data), _UnnamedEmbedder(EMBEDDER))) == 7
+    for embedder in (EMBEDDER, _NamedEmbedder()):
+        assert len(load_index(io.BytesIO(unnamed), embedder)) == 7
+
+
+def test_an_http_embedder_is_named_by_its_endpoint_not_its_key():
+    http = HttpEmbeddingProvider("http://127.0.0.1:9/embed", api_key="secret-key")
+    assert http.identity == "http://127.0.0.1:9/embed"
+    index = index_graph(sample_graph(), HashingEmbedder(dim=8))
+    index.embedder = http
+    buffer = io.BytesIO()
+    save_index(index, buffer)
+    assert json.loads(buffer.getvalue().split(b"\n", 1)[0])["embedder"] == http.identity
+    assert b"secret-key" not in buffer.getvalue()
+    assert len(load_index(io.BytesIO(buffer.getvalue()), http)) == 7
+    with pytest.raises(IndexFormatError, match="^index embedder 'http://127.0.0.1:9/embed' "
+                                               "does not match the embedder "
+                                               "'http://127.0.0.1:9/other'"):
+        load_index(io.BytesIO(buffer.getvalue()),
+                   HttpEmbeddingProvider("http://127.0.0.1:9/other"))
+    assert http.dim is None
 
 
 # ----------------------------------------------------------- HTTP backend

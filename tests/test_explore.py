@@ -756,6 +756,10 @@ def test_embedder_of_another_width_degrades_to_failure(tmp_path):
         return 200, {"vectors": [[1.0, 2.0, 2.0] for _ in payload["texts"]]}
 
     with stub_server(responder) as (url, captured):
+        # The index names the endpoint, as if it had built it at 256 wide.
+        header, arrays = path.read_bytes().split(b"\n", 1)
+        header = json.dumps({**json.loads(header), "embedder": url})
+        path.write_bytes(header.encode("utf-8") + b"\n" + arrays)
         # The HTTP embedder learns its width only on its first call, so
         # loading cannot refuse the 256-d index; the first search does.
         loaded = load_index(path, HttpEmbeddingProvider(url))

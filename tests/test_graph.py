@@ -144,6 +144,21 @@ def test_hypernode_label_collision_reuses_entity():
     graph.audit()
 
 
+def test_statements_that_flatten_alike_share_the_first_hypernode():
+    """Two statements of another structure whose labels flatten to the same
+    text share one hypernode, anchored to the first one's subject and
+    object, so the graph passes its audit."""
+    graph = build("((a)-[b]->(c d))-[x]->(y)", "((a b)-[c]->(d))-[z]->(w)",
+                  "((a)-[b c]->(d))-[x]->(y)")
+    node = find_node(graph, "a b c d")
+    assert node.kind == KIND_HYPERNODE
+    assert targets(graph, [node.id], STRUCTURAL_SUBJECT) == [find_node(graph, "a").id]
+    assert targets(graph, [node.id], STRUCTURAL_OBJECT) == [find_node(graph, "c d").id]
+    assert sorted(targets(graph, [node.id], "x") + targets(graph, [node.id], "z")) == sorted(
+        [find_node(graph, "y").id, find_node(graph, "w").id])
+    graph.audit()
+
+
 # ------------------------------------------------------ dedup, idempotence
 
 def test_upsert_is_idempotent():
@@ -264,17 +279,38 @@ def _variant_statements(predicates):
 _STORABLE = _variant_statements(_VARIANT_TEXTS).filter(lambda s: statement_depth(s) <= 4)
 
 
+def _label_texts(statement: TripleStatement) -> set[str]:
+    """Each label text an upsert of ``statement`` reads, as it is stored:
+    its entities', predicates' and hypernodes'."""
+    texts = {statement.predicate.strip()}
+    for term in (statement.subject, statement.object):
+        if isinstance(term, Entity):
+            texts.add(term.label.strip())
+        else:
+            texts |= _label_texts(term) | {flatten_label(term).strip()}
+    return texts
+
+
 @settings(max_examples=200, deadline=None)
-@given(st.lists(_STORABLE, min_size=1, max_size=8))
+@given(st.lists(_variant_statements(_VARIANT_TEXTS | _RESERVED_TEXTS), min_size=1, max_size=8))
 def test_label_cache_holds_each_text_and_its_canonical(statements):
-    """Each cached text maps to itself and its canonical form; every record
-    carries the cached strings and ids hashed from them, and the graph is
-    the one built with the cache emptied before each upsert."""
+    """Each cached text maps to itself and its canonical form, and is a
+    text of a statement the graph took (a refused one adds none); every
+    record carries the cached strings and ids hashed from them, and the
+    graph is the one built with the cache emptied before each upsert."""
     graph, uncached = KnowledgeGraph(), KnowledgeGraph()
+    taken = {STRUCTURAL_SUBJECT, STRUCTURAL_OBJECT}
     for statement in statements:
-        graph.upsert_triple(statement)
         uncached._labels.clear()
+        try:
+            graph.upsert_triple(statement)
+        except (DepthError, ValueError) as exc:
+            with pytest.raises(type(exc)):
+                uncached.upsert_triple(statement)
+            continue
         uncached.upsert_triple(statement)
+        taken |= _label_texts(statement)
+    assert set(graph._labels) <= taken
     for text, (display, canonical) in graph._labels.items():
         assert (display, canonical) == (text, normalize_label(text))
     for node in graph.nodes:
@@ -287,6 +323,15 @@ def test_label_cache_holds_each_text_and_its_canonical(statements):
         assert edge.id == _edge_id(edge.source, canonical, edge.target)
     graph.audit()
     assert _saved(graph) == _saved(uncached)
+
+
+def test_refused_statements_leave_no_label_in_the_cache():
+    graph = KnowledgeGraph()
+    for predicate in ("r\ud800", "_subject"):
+        with pytest.raises(ValueError):
+            graph.upsert_triple(TripleStatement(Entity("a"), predicate, Entity("B")))
+    assert graph._labels == {}
+    assert _saved(graph) == ""
 
 
 def _first_reserved(statement: TripleStatement) -> TripleStatement | None:

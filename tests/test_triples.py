@@ -109,6 +109,18 @@ def test_escape_label_helper():
     assert escape_label("a(b)[c]\\d-e") == r"a\(b\)\[c\]\\d-e"
 
 
+def _escaped_by_character(label: str) -> str:
+    """The per-character rule: a backslash before each of ``()[]\\``."""
+    return "".join("\\" + c if c in "()[]\\" else c for c in label)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.text(st.sampled_from("()[]\\-> aZ\u00e9\u0301\u3000\U0001f600") | st.characters(),
+               max_size=40))
+def test_escape_label_equals_the_per_character_rule(label):
+    assert escape_label(label) == _escaped_by_character(label)
+
+
 def test_depth_limit_default():
     deep = "(((((A)-[a]->(B))-[b]->(C))-[c]->(D))-[d]->(E))-[e]->(F)"
     with pytest.raises(TripleSyntaxError):
