@@ -6,10 +6,12 @@ flattened sentence of the inner statement) carries ``_subject``/``_object``
 structural edges plus any relations of the statement as a whole.
 
 Node and edge records are named tuples: immutable, hashable, equal by
-fields, and cheap to build. ``load_graph`` reads rows in ``save_graph``'s
-own shape by one match per chunk of lines, and any other line by
-``json.loads``; it judges each row by one test and names the fault of a row
-that fails it.
+fields, and cheap to build. ``save_graph`` writes each record as a compact
+JSON array of the fields that cannot be derived: a node's kind code, id and
+label, an edge's source, label, target and id. ``load_graph`` reads rows in
+that shape by one match per chunk of lines, and any other line by
+``json.loads``, a row of the older one-object-a-row format included; it
+judges each row by one test and names the fault of a row that fails it.
 """
 
 from __future__ import annotations
@@ -87,7 +89,7 @@ def flatten_label(statement: TripleStatement) -> str:
 class NodeRecord(NamedTuple):
     id: str
     label: str          # display text, first seen
-    canonical: str      # normalize_label(label), unique per graph
+    canonical: str      # normalize_label(label), unique per graph; not persisted
     kind: str           # entity | hypernode
 
 
@@ -97,7 +99,7 @@ class EdgeRecord(NamedTuple):
     target: str
     label: str          # display text, first seen
     canonical: str      # normalize_label(label); not persisted
-    structural: bool
+    structural: bool    # canonical in RESERVED_EDGE_LABELS; not persisted
 
 
 @dataclass(frozen=True)
@@ -473,25 +475,45 @@ def _open_for_write(sink, binary: bool = False):
         raise
 
 
+# Each node kind's code in a row, and back: loaded nodes share the module
+# constants.
+_KIND_CODES = {"e": KIND_ENTITY, "h": KIND_HYPERNODE}
+_CODE_OF_KIND = {kind: code for code, kind in _KIND_CODES.items()}
+
+
 def save_graph(graph: KnowledgeGraph, sink) -> None:
     """Write nodes then edges as JSONL, deterministically ordered so the
-    same graph always produces byte-identical files.
+    same graph always produces byte-identical files: nodes by kind and
+    canonical, edges by canonical label, source and target.
 
-    Each row is one format string, in the bytes that
-    ``json.JSONEncoder(ensure_ascii=False, sort_keys=True)`` gives for the
-    record: keys sorted, ``", "`` and ``": "`` separators, each string
-    escaped by the same escaper that encoder uses."""
+    Each row is a compact JSON array: a node is ``["e"|"h",id,label]``
+    (entity or hypernode), an edge ``[source,label,target,id]``. A row is
+    one format string, in the bytes that ``json.JSONEncoder(
+    ensure_ascii=False, separators=(",", ":"))`` gives for the list, each
+    string escaped by the same escaper that encoder uses. Canonicals and
+    structural flags are not written: load derives both from the label.
+
+    Each label's out-groups are collected with their sources, and only
+    the distinct labels and each label's sources are sorted: a group is
+    already in target order."""
     escape = json.encoder.encode_basestring
+    by_label: dict[str, list[tuple[str, list[EdgeRecord]]]] = {}
+    for source, groups in graph._out.items():
+        for canonical, group in groups.items():
+            pairs = by_label.get(canonical)
+            if pairs is None:
+                by_label[canonical] = [(source, group)]
+            else:
+                pairs.append((source, group))
     with _open_for_write(sink) as f:
         f.writelines(
-            f'{{"canonical": {escape(n.canonical)}, "id": {escape(n.id)}, '
-            f'"kind": {escape(n.kind)}, "label": {escape(n.label)}, "type": "node"}}\n'
+            f'["{_CODE_OF_KIND[n.kind]}",{escape(n.id)},{escape(n.label)}]\n'
             for n in sorted(graph.nodes, key=attrgetter("kind", "canonical")))
+        # Sources are distinct within a label, so no two groups are compared.
         f.writelines(
-            f'{{"id": {escape(e.id)}, "label": {escape(e.label)}, '
-            f'"source": {escape(e.source)}, "structural": {"true" if e.structural else "false"}, '
-            f'"target": {escape(e.target)}, "type": "edge"}}\n'
-            for e in sorted(graph.edges, key=attrgetter("canonical", "source", "target")))
+            f'[{escape(e.source)},{escape(e.label)},{escape(e.target)},{escape(e.id)}]\n'
+            for canonical in sorted(by_label) for _, group in sorted(by_label[canonical])
+            for e in group)
 
 
 # Lines read by one match in load_graph; a whole file at once would raise
@@ -502,11 +524,9 @@ _CHUNK_LINES = 256
 # which a text stream may hold as itself, is kept out too.
 _STR = r'"([^"\\\x00-\x1f\ud800-\udfff]*)"'
 # A whole line of either row shape save_graph writes. A node row fills the
-# first four groups; an edge row the other five, ``structural`` never empty.
+# first three groups, its kind code never empty; an edge row the other four.
 _ROW = re.compile(
-    f'^(?:{{"canonical": {_STR}, "id": {_STR}, "kind": {_STR}, "label": {_STR}, '
-    f'"type": "node"}}|{{"id": {_STR}, "label": {_STR}, "source": {_STR}, '
-    f'"structural": (true|false), "target": {_STR}, "type": "edge"}})\n', re.MULTILINE)
+    f'^\\[(?:"([eh])",{_STR},{_STR}|{_STR},{_STR},{_STR},{_STR})\\]\n', re.MULTILINE)
 
 
 def load_graph(source) -> KnowledgeGraph:
@@ -514,11 +534,22 @@ def load_graph(source) -> KnowledgeGraph:
     :class:`GraphFormatError` with its line number. Ids are not checked
     against their content here; :meth:`KnowledgeGraph.audit` does that.
 
+    A row stores no canonical: each is derived from its label, so a label
+    edited by hand still loads. ``kgrag index`` refuses such a file, as
+    the audit finds that the node's or edge's id is not the hash of its
+    content; ``kgrag query`` and ``eval`` refuse an index built before the
+    edit, which no longer matches the graph.
+
     A chunk of lines all in ``save_graph``'s row shape, strings with no
     escape, is read by one match, each row straight into its fields. Any
-    other chunk is read line by line, each line by ``json.loads``. Either
-    way each row is judged by one test, which adds a good row; only a row
-    that fails it is checked field by field, to name its fault."""
+    other chunk is read line by line, each line by ``json.loads``. An
+    object is a row of the older format (keys ``type``, ``id``, ``label``,
+    ``canonical`` and ``kind``, or ``type``, ``id``, ``source``,
+    ``target``, ``label`` and ``structural``): it is checked for the faults
+    only such a row can have, a canonical or structural flag that does not
+    match its label among them, and read on as its array row. Either way
+    each row is judged by one test, which adds a good row; only a row that
+    fails it is checked field by field, to name its fault."""
     graph = KnowledgeGraph()
     edge_ids: set[str] = set()
     lineno = 0
@@ -531,13 +562,12 @@ def load_graph(source) -> KnowledgeGraph:
                     if line := line.strip():
                         _load_line(graph, line, lineno, edge_ids)
                 continue
-            for lineno, (canonical, node_id, kind, label, edge_id, edge_label, from_id,
-                         structural, to_id) in enumerate(rows, first):
-                if structural:
-                    added = _add_edge(graph, edge_id, from_id, to_id, edge_label,
-                                      structural == "true", edge_ids)
+            for lineno, (code, node_id, label, source, edge_label, target,
+                         edge_id) in enumerate(rows, first):
+                if code:
+                    added = _add_node(graph, code, node_id, label)
                 else:
-                    added = _add_node(graph, node_id, label, canonical, kind)
+                    added = _add_edge(graph, source, edge_label, target, edge_id, edge_ids)
                 if not added:
                     # Read again as any other line, the row fails the same
                     # test and is refused with its fault.
@@ -551,23 +581,129 @@ def _load_line(graph: KnowledgeGraph, line: str, lineno: int, edge_ids: set[str]
         record = json.loads(line)
     except (ValueError, RecursionError) as exc:
         raise GraphFormatError(f"invalid JSON: {exc}", lineno) from None
-    if not isinstance(record, dict):
-        raise GraphFormatError("record is not an object", lineno)
+    if type(record) is dict:
+        record = _older_row(graph, record, lineno)
+    elif type(record) is not list:
+        raise GraphFormatError("record is not an array and not an object", lineno)
+    if all(type(item) is str and (item.isascii() or not _SURROGATE.search(item))
+           for item in record):
+        if len(record) == 3:
+            if _add_node(graph, *record):
+                return
+        elif len(record) == 4 and _add_edge(graph, *record, edge_ids):
+            return
+    _refuse_row(graph, record, lineno)
+
+
+def _add_node(graph: KnowledgeGraph, code: str, node_id: str, label: str) -> bool:
+    """Add the node of a good row and return True; return False for any
+    other. A good row has a known kind code, and a canonical and an id
+    that no node has yet."""
+    kind = _KIND_CODES.get(code)
+    canonical = normalize_label(label)
+    if not (kind and canonical not in graph._by_canonical and node_id not in graph._nodes):
+        return False
+    graph._nodes[node_id] = NodeRecord(node_id, label, canonical, kind)
+    graph._by_canonical[canonical] = node_id
+    return True
+
+
+def _add_edge(graph: KnowledgeGraph, source: str, label: str, target: str, edge_id: str,
+              edge_ids: set[str]) -> bool:
+    """Add the edge of a good row and return True; return False for any
+    other. A good row has known endpoints, and an id and a (source, label,
+    target) that no edge has yet. In a saved file each edge goes at the
+    end of its group."""
+    nodes = graph._nodes
+    source_node, target_node = nodes.get(source), nodes.get(target)
+    if source_node is None or target_node is None or edge_id in edge_ids:
+        return False
+    # The edge shares its nodes' id strings, as upserted edges do.
+    source, target = source_node.id, target_node.id
+    label, canonical = graph._labels.get(label) or graph._label(label)
+    group, at, existing = graph._slot(source, canonical, target)
+    if existing is not None:
+        return False
+    edge_ids.add(edge_id)
+    graph._add(group, at, EdgeRecord(edge_id, source, target, label, canonical,
+                                     canonical in RESERVED_EDGE_LABELS))
+    return True
+
+
+# The names of a row's items, by its length: a node's, an edge's.
+_ROW_FIELDS = {3: ("kind", "id", "label"), 4: ("source", "label", "target", "id")}
+
+
+def _refuse_row(graph: KnowledgeGraph, row: list, lineno: int) -> NoReturn:
+    """Raise the error of a row that :func:`_add_node` or :func:`_add_edge`
+    refused, or that is no node or edge row: that of the first check it
+    fails, in the order below. The last check of each kind is the one
+    fault left."""
+    names = _ROW_FIELDS.get(len(row))
+    if names is None:
+        raise GraphFormatError(
+            f"row has {len(row)} items, not 3 (a node) or 4 (an edge)", lineno)
+    for name, item in zip(names, row):
+        if type(item) is not str:
+            raise GraphFormatError(f"field {name!r} is not a string", lineno)
+        if _SURROGATE.search(item):
+            raise GraphFormatError(f"field {name!r} holds a lone surrogate", lineno)
+    if len(row) == 3:
+        code, node_id, label = row
+        if code not in _KIND_CODES:
+            raise GraphFormatError(f"bad node kind {code!r}", lineno)
+        canonical = normalize_label(label)
+        if canonical in graph._by_canonical:
+            raise GraphFormatError(f"duplicate canonical label {canonical!r}", lineno)
+        raise GraphFormatError(f"duplicate node id {node_id!r}", lineno)
+    source, label, target, edge_id = row
+    if source not in graph._nodes or target not in graph._nodes:
+        raise GraphFormatError("edge references an unknown node", lineno)
+    if graph._slot(source, normalize_label(label), target)[2] is not None:
+        raise GraphFormatError("duplicate edge", lineno)
+    raise GraphFormatError(f"duplicate edge id {edge_id!r}", lineno)
+
+
+# ------------------------------------------------- the older row format
+
+_NODE_FIELDS = ("type", "id", "label", "canonical", "kind")
+_EDGE_FIELDS = ("type", "id", "source", "target", "label", "structural")
+
+
+def _older_row(graph: KnowledgeGraph, record: dict, lineno: int) -> list[str]:
+    """The row of an object row of the older format, once it is clear of
+    the faults only such a row can have, which are raised in the order
+    below: a lone surrogate, a missing or non-string field, an extra
+    field, an unknown kind, a canonical or structural flag that does not
+    match its label. Its other faults are a row's."""
     for name, value in record.items():
         if type(value) is str and not value.isascii() and _SURROGATE.search(value):
             raise GraphFormatError(f"field {name!r} holds a lone surrogate", lineno)
     kind = record.get("type")
-    if kind == "node" and record.keys() == _NODE_FIELDS:
-        fields = (record["id"], record["label"], record["canonical"], record["kind"])
-        if all(type(field) is str for field in fields) and _add_node(graph, *fields):
-            return
-    elif kind == "edge" and record.keys() == _EDGE_FIELDS:
-        fields = (record["id"], record["source"], record["target"], record["label"])
-        structural = record["structural"]
-        if (all(type(field) is str for field in fields) and type(structural) is bool
-                and _add_edge(graph, *fields, structural, edge_ids)):
-            return
-    _refuse_row(graph, record, lineno)
+    if kind == "node":
+        _require(record, _NODE_FIELDS[1:], lineno)
+        if len(record) != len(_NODE_FIELDS):
+            raise _extra_field(record, _NODE_FIELDS, lineno)
+        if record["kind"] not in _CODE_OF_KIND:
+            raise GraphFormatError(f"bad node kind {record['kind']!r}", lineno)
+        if record["canonical"] != normalize_label(record["label"]):
+            raise GraphFormatError("canonical does not match label", lineno)
+        return [_CODE_OF_KIND[record["kind"]], record["id"], record["label"]]
+    if kind != "edge":
+        raise GraphFormatError(f"unknown record type {kind!r}", lineno)
+    _require(record, _EDGE_FIELDS[1:5], lineno)
+    if "structural" not in record:
+        raise GraphFormatError("missing field 'structural'", lineno)
+    structural = record["structural"]
+    if type(structural) is not bool:
+        raise GraphFormatError("field 'structural' is not a boolean", lineno)
+    if len(record) != len(_EDGE_FIELDS):
+        raise _extra_field(record, _EDGE_FIELDS, lineno)
+    if record["source"] not in graph._nodes or record["target"] not in graph._nodes:
+        raise GraphFormatError("edge references an unknown node", lineno)
+    if structural != (normalize_label(record["label"]) in RESERVED_EDGE_LABELS):
+        raise GraphFormatError("structural flag does not match label", lineno)
+    return [record["source"], record["label"], record["target"], record["id"]]
 
 
 def _require(record: dict, fields: tuple[str, ...], lineno: int) -> None:
@@ -579,85 +715,7 @@ def _require(record: dict, fields: tuple[str, ...], lineno: int) -> None:
             raise GraphFormatError(f"field {name!r} is not a string", lineno)
 
 
-def _extra_field(record: dict, fields: frozenset[str], lineno: int) -> GraphFormatError:
+def _extra_field(record: dict, fields: tuple[str, ...], lineno: int) -> GraphFormatError:
     """The error for a ``record`` that holds every field of ``fields`` and more."""
     name = next(name for name in record if name not in fields)
     return GraphFormatError(f"unexpected field {name!r}", lineno)
-
-
-_NODE_FIELDS = frozenset({"type", "id", "label", "canonical", "kind"})
-_EDGE_FIELDS = frozenset({"type", "id", "source", "target", "label", "structural"})
-# Each node kind, to its module constant: loaded nodes share those strings.
-_KINDS = {KIND_ENTITY: KIND_ENTITY, KIND_HYPERNODE: KIND_HYPERNODE}
-
-
-def _add_node(graph: KnowledgeGraph, node_id: str, label: str, canonical: str,
-              kind: str) -> bool:
-    """Add the node of a good row and return True; return False for any
-    other. A good row has a known kind, the canonical of its label, and a
-    canonical and an id that no node has yet."""
-    kind = _KINDS.get(kind)
-    if not (kind and canonical not in graph._by_canonical and node_id not in graph._nodes
-            and canonical == normalize_label(label)):
-        return False
-    graph._nodes[node_id] = NodeRecord(node_id, label, canonical, kind)
-    graph._by_canonical[canonical] = node_id
-    return True
-
-
-def _add_edge(graph: KnowledgeGraph, edge_id: str, source: str, target: str, label: str,
-              structural: bool, edge_ids: set[str]) -> bool:
-    """Add the edge of a good row and return True; return False for any
-    other. A good row has a ``structural`` flag that matches its label,
-    known endpoints, and an id and a (source, label, target) that no edge
-    has yet. In a saved file each edge goes at the end of its group."""
-    nodes = graph._nodes
-    source_node, target_node = nodes.get(source), nodes.get(target)
-    if source_node is None or target_node is None or edge_id in edge_ids:
-        return False
-    # The edge shares its nodes' id strings, as upserted edges do.
-    source, target = source_node.id, target_node.id
-    label, canonical = graph._labels.get(label) or graph._label(label)
-    group, at, existing = graph._slot(source, canonical, target)
-    if existing is not None or structural != (canonical in RESERVED_EDGE_LABELS):
-        return False
-    edge_ids.add(edge_id)
-    graph._add(group, at, EdgeRecord(edge_id, source, target, label, canonical, structural))
-    return True
-
-
-def _refuse_row(graph: KnowledgeGraph, record: dict, lineno: int) -> NoReturn:
-    """Raise the error of a row that :func:`_add_node` or :func:`_add_edge`
-    refused: that of the first check it fails, in the order below. The
-    last check of each kind is the one fault left."""
-    kind = record.get("type")
-    if kind == "node":
-        _require(record, ("id", "label", "canonical", "kind"), lineno)
-        if len(record) != len(_NODE_FIELDS):
-            raise _extra_field(record, _NODE_FIELDS, lineno)
-        if record["kind"] not in (KIND_ENTITY, KIND_HYPERNODE):
-            raise GraphFormatError(f"bad node kind {record['kind']!r}", lineno)
-        canonical = record["canonical"]
-        if canonical != normalize_label(record["label"]):
-            raise GraphFormatError("canonical does not match label", lineno)
-        if canonical in graph._by_canonical:
-            raise GraphFormatError(f"duplicate canonical label {canonical!r}", lineno)
-        raise GraphFormatError(f"duplicate node id {record['id']!r}", lineno)
-    if kind != "edge":
-        raise GraphFormatError(f"unknown record type {kind!r}", lineno)
-    _require(record, ("id", "source", "target", "label"), lineno)
-    if "structural" not in record:
-        raise GraphFormatError("missing field 'structural'", lineno)
-    structural = record["structural"]
-    if type(structural) is not bool:
-        raise GraphFormatError("field 'structural' is not a boolean", lineno)
-    if len(record) != len(_EDGE_FIELDS):
-        raise _extra_field(record, _EDGE_FIELDS, lineno)
-    if record["source"] not in graph._nodes or record["target"] not in graph._nodes:
-        raise GraphFormatError("edge references an unknown node", lineno)
-    canonical = normalize_label(record["label"])
-    if structural != (canonical in RESERVED_EDGE_LABELS):
-        raise GraphFormatError("structural flag does not match label", lineno)
-    if graph._slot(record["source"], canonical, record["target"])[2] is not None:
-        raise GraphFormatError("duplicate edge", lineno)
-    raise GraphFormatError(f"duplicate edge id {record['id']!r}", lineno)

@@ -27,6 +27,7 @@ from coe_fixtures import (
     taylor_fixture,
 )
 from embedding_oracle import index_entries, index_matrix, older_index_file
+from graph_oracle import v1_text
 from http_stub import stub_server
 
 SENTENCE = "Seth MacFarlane created Family Guy in 1999."
@@ -651,7 +652,7 @@ def _graph_without_subject_edge(tmp_path):
     doc, script, graph_path = ingest_setup(tmp_path)
     assert main(["ingest", str(doc), "--graph", str(graph_path), "--script", script]) == 0
     lines = graph_path.read_text(encoding="utf-8").splitlines(keepends=True)
-    subject_edges = [line for line in lines if '"label": "_subject"' in line]
+    subject_edges = [line for line in lines if ',"_subject",' in line]
     assert len(subject_edges) == 1
     graph_path.write_text("".join(line for line in lines if line not in subject_edges),
                           encoding="utf-8")
@@ -660,31 +661,39 @@ def _graph_without_subject_edge(tmp_path):
 
 
 def _graph_with_edited_edge(tmp_path, edit):
-    """``index`` over an ingested graph whose last edge line ``edit`` changed."""
+    """``index`` over an ingested graph whose last edge line ``edit`` changed;
+    an edge row is ``[source,label,target,id]``."""
     doc, script, graph_path = ingest_setup(tmp_path)
     assert main(["ingest", str(doc), "--graph", str(graph_path), "--script", script]) == 0
     lines = graph_path.read_text(encoding="utf-8").splitlines()
-    edges = [json.loads(line) for line in lines if '"type": "edge"' in line]
-    lines[-1] = json.dumps(edit(edges[-1], edges[0]), sort_keys=True)
+    edges = [row for row in map(json.loads, lines) if len(row) == 4]
+    lines[-1] = json.dumps(edit(edges[-1], edges[0]))
     graph_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     return ["index", "--graph", str(graph_path), "--index", str(tmp_path / "index.bin")]
 
 
 def _graph_with_duplicate_edge_id(tmp_path):
-    return _graph_with_edited_edge(tmp_path, lambda edge, first: {**edge, "id": first["id"]})
+    return _graph_with_edited_edge(tmp_path, lambda edge, first: edge[:3] + first[3:])
 
 
 def _graph_with_wrong_edge_id(tmp_path):
-    argv = _graph_with_edited_edge(tmp_path, lambda edge, _: {**edge, "id": "not-a-hash"})
+    argv = _graph_with_edited_edge(tmp_path, lambda edge, _: edge[:3] + ["not-a-hash"])
     load_graph(argv[2])  # still loads; only the audit refuses it
     return argv
 
 
+def _as_v1(graph_path):
+    """Rewrite the graph file in the older format, one JSON object a row."""
+    graph_path.write_text(v1_text(load_graph(graph_path)), encoding="utf-8")
+
+
 def _graph_with_string_structural_flag(tmp_path):
-    """``stats`` over an ingested graph whose first structural edge says
-    ``"false"``: a string, which ``bool()`` would read as true."""
+    """``stats`` over an ingested graph, in the older format, whose first
+    structural edge says ``"false"``: a string, which ``bool()`` would read
+    as true."""
     doc, script, graph_path = ingest_setup(tmp_path)
     assert main(["ingest", str(doc), "--graph", str(graph_path), "--script", script]) == 0
+    _as_v1(graph_path)
     text = graph_path.read_text(encoding="utf-8")
     assert '"structural": true' in text
     graph_path.write_text(text.replace('"structural": true', '"structural": "false"', 1),
@@ -693,8 +702,10 @@ def _graph_with_string_structural_flag(tmp_path):
 
 
 def _with_lone_surrogate(graph_path):
-    """Give the first node of the graph file a label and canonical ending in
-    an escaped lone surrogate, which UTF-8 cannot encode."""
+    """Rewrite the graph file in the older format and give its first node a
+    label and canonical ending in an escaped lone surrogate, which UTF-8
+    cannot encode."""
+    _as_v1(graph_path)
     lines = graph_path.read_text(encoding="utf-8").splitlines()
     node = json.loads(lines[0])
     node["label"] += "\ud800"
@@ -809,6 +820,53 @@ def _document_with_a_bad_line(tmp_path, kind):
     return ["ingest", str(doc), "--graph", str(graph_path), "--script", script]
 
 
+# Array rows the loader refuses, each made from the first node row and the
+# last edge row of an ingested graph of 9 rows and added as its line 10; a
+# node row is ``["e"|"h",id,label]``, an edge row ``[source,label,target,id]``.
+_BAD_ROWS = {
+    "2-items": lambda node, edge: '["e","n1"]',
+    "5-items": lambda node, edge: '["e","n1","a","b","c"]',
+    "non-string": lambda node, edge: '["e",7,"label"]',
+    "kind-x": lambda node, edge: '["x","n1","label"]',
+    "nested-array": lambda node, edge: '["e",["n1"],"label"]',
+    "huge-integer": lambda node, edge: '["e",' + "1" * 5000 + ',"label"]',
+    "lone-surrogate": lambda node, edge: '["e","n1","label\\ud800"]',
+    "scalar": lambda node, edge: "42",
+    "unknown-endpoint": lambda node, edge: json.dumps([edge[0], "r", "nowhere", "e1"]),
+    "duplicate-node-id": lambda node, edge: json.dumps(["e", node[1], "a new label"]),
+    "duplicate-canonical": lambda node, edge: json.dumps(["e", "n1", f" {node[2].upper()} "]),
+    "duplicate-edge": lambda node, edge: json.dumps(edge[:3] + ["e1"]),
+    "duplicate-edge-id": lambda node, edge: json.dumps([edge[0], "a new label", *edge[2:]]),
+}
+_BAD_ROW_MESSAGES = {
+    "2-items": "line 10: row has 2 items, not 3 (a node) or 4 (an edge)",
+    "5-items": "line 10: row has 5 items, not 3 (a node) or 4 (an edge)",
+    "non-string": "line 10: field 'id' is not a string",
+    "kind-x": "line 10: bad node kind 'x'",
+    "nested-array": "line 10: field 'id' is not a string",
+    "huge-integer": "line 10: invalid JSON: Exceeds the limit (4300 digits)",
+    "lone-surrogate": "line 10: field 'label' holds a lone surrogate",
+    "scalar": "line 10: record is not an array and not an object",
+    "unknown-endpoint": "line 10: edge references an unknown node",
+    "duplicate-node-id": "line 10: duplicate node id ",
+    "duplicate-canonical": "line 10: duplicate canonical label ",
+    "duplicate-edge": "line 10: duplicate edge",
+    "duplicate-edge-id": "line 10: duplicate edge id ",
+}
+
+
+def _ingest_into_a_graph_with_a_bad_row(tmp_path, kind):
+    """``ingest`` into an ingested graph that has one bad row added."""
+    doc, script, graph_path = ingest_setup(tmp_path)
+    argv = ["ingest", str(doc), "--graph", str(graph_path), "--script", script]
+    assert main(argv) == 0
+    lines = graph_path.read_text(encoding="utf-8").splitlines()
+    assert len(lines) == 9
+    lines.append(_BAD_ROWS[kind](json.loads(lines[0]), json.loads(lines[-1])))
+    graph_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return argv
+
+
 BAD_INPUTS = {
     "query-topk-0": lambda tmp: ["query", TAYLOR_QUESTION, "--topk", "0"] + _query_args(tmp),
     "eval-topk-0": lambda tmp: ["eval", _dataset(tmp), "--topk", "0"] + _query_args(tmp),
@@ -844,6 +902,8 @@ BAD_INPUTS = {
                           ("script", _script_with_a_bad_line),
                           ("document", _document_with_a_bad_line))
        for kind in _UNREADABLE_LINES},
+    **{f"graph-row-{kind}": lambda tmp, kind=kind: _ingest_into_a_graph_with_a_bad_row(tmp, kind)
+       for kind in _BAD_ROWS},
 }
 
 # What the one error line must name: the bad option or file.
@@ -865,6 +925,7 @@ BAD_INPUT_NAMES = {
        for what, name in (("graph", "graph.jsonl"), ("script", "bad-script.jsonl"),
                           ("document", "deep-doc.jsonl"))
        for kind in _UNREADABLE_LINES},
+    **{f"graph-row-{kind}": "graph.jsonl" for kind in _BAD_ROWS},
 }
 
 
@@ -901,12 +962,74 @@ def test_bad_input_ends_in_one_error_line(tmp_path, capsys, case):
     ("graph-huge-integer", "line 2: invalid JSON: Exceeds the limit (4300 digits)"),
     ("script-huge-integer", "bad script rule on line 1: Exceeds the limit (4300 digits)"),
     ("document-huge-integer", "deep-doc.jsonl:1: bad document record: Exceeds the limit"),
+    *((f"graph-row-{kind}", message) for kind, message in _BAD_ROW_MESSAGES.items()),
 ])
 def test_bad_edge_ids_are_named(tmp_path, capsys, case, message):
     argv = BAD_INPUTS[case](tmp_path)
     capsys.readouterr()
     assert main(argv) == 1
     assert message in capsys.readouterr().err
+
+
+def _edit_first_node_label(graph_path):
+    """Edit by hand the label of the graph file's first node, a row
+    ``["e"|"h",id,label]``, to one of another canonical."""
+    lines = graph_path.read_text(encoding="utf-8").splitlines()
+    kind, node_id, label = json.loads(lines[0])
+    lines[0] = json.dumps([kind, node_id, label + " (edited)"])
+    graph_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+def test_index_refuses_a_label_edited_by_hand(tmp_path, capsys):
+    """A row stores no canonical to compare its label with, so the edited
+    file loads; the audit finds that the node's id is not the hash of its
+    content."""
+    doc, script, graph_path = ingest_setup(tmp_path)
+    assert main(["ingest", str(doc), "--graph", str(graph_path), "--script", script]) == 0
+    _edit_first_node_label(graph_path)
+    load_graph(graph_path)
+    capsys.readouterr()
+    index_path = tmp_path / "index.bin"
+    assert main(["index", "--graph", str(graph_path), "--index", str(index_path)]) == 1
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1
+    assert err.startswith("error: ") and "graph.jsonl fails its audit" in err
+    assert "id is not the hash of its content" in err
+    assert not index_path.exists()
+
+
+def test_query_refuses_an_index_built_before_a_label_edit(tmp_path, capsys):
+    argv = ["query", TAYLOR_QUESTION] + _query_args(tmp_path)
+    _edit_first_node_label(Path(argv[argv.index("--graph") + 1]))
+    capsys.readouterr()
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err == "error: index does not match graph (run index again)\n"
+
+
+def test_reingest_rewrites_a_graph_file_of_the_older_format_once(tmp_path, capsys):
+    """A graph file of the older format, one JSON object a row, is read as
+    it is: re-ingesting the document it came from upserts nothing and
+    rewrites it as ``save_graph`` writes it, with the same stats, and
+    ``index`` writes the same index from either file."""
+    doc, script, graph_path = ingest_setup(tmp_path)
+    ingest = ["ingest", str(doc), "--graph", str(graph_path), "--script", script]
+    assert main(ingest) == 0
+    saved = graph_path.read_bytes()
+    _as_v1(graph_path)
+    assert graph_path.read_bytes().startswith(b'{"canonical": ')
+    capsys.readouterr()
+    assert main(["stats", "--graph", str(graph_path)]) == 0
+    stats = capsys.readouterr().out
+    assert main(["index", "--graph", str(graph_path), "--index", str(tmp_path / "v1.bin")]) == 0
+    capsys.readouterr()
+    assert main(ingest) == 0
+    assert json.loads(capsys.readouterr().out)["triples_upserted"] == 0
+    assert graph_path.read_bytes() == saved
+    assert main(["stats", "--graph", str(graph_path)]) == 0
+    assert capsys.readouterr().out == stats
+    assert main(["index", "--graph", str(graph_path), "--index", str(tmp_path / "v2.bin")]) == 0
+    assert (tmp_path / "v2.bin").read_bytes() == (tmp_path / "v1.bin").read_bytes()
 
 
 @pytest.mark.parametrize("command", ["stats", "index", "query", "eval", "ingest"])

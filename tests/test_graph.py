@@ -11,7 +11,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from graph_oracle import edge_row, find_node, node_row, oracle_load_error, saved_text
+from graph_oracle import (
+    edge_row,
+    find_node,
+    node_row,
+    oracle_load_error,
+    saved_text,
+    v1_text,
+)
 from kgrag import (
     DepthError,
     Entity,
@@ -598,7 +605,7 @@ def test_failed_save_leaves_previous_file_intact(tmp_path, monkeypatch):
 
     def escape_then_fail(text):
         escaped.append(text)
-        if len(escaped) == 20:   # the 4 node rows take 16 calls: fail in the first edge row
+        if len(escaped) == 10:   # the 4 node rows take 8 calls: fail in the first edge row
             raise OSError("disk full")
         return escape(text)
 
@@ -691,7 +698,7 @@ def test_saved_file_bytes_match_the_encoder_oracle(tmp_path):
     path = tmp_path / "graph.jsonl"
     save_graph(graph, path)
     assert path.read_bytes() == saved_text(graph).encode("utf-8")
-    assert b'"structural": true' in path.read_bytes()
+    assert b',"_subject",' in path.read_bytes()
 
 
 @settings(max_examples=100, deadline=None)
@@ -706,15 +713,14 @@ def test_stats_match_the_saved_rows(first, more):
     graph.audit()
     # Rows end in "\n"; splitlines would also split inside a label.
     rows = [json.loads(line) for line in _saved(graph).split("\n")[:-1]]
-    kinds = [row["kind"] for row in rows if row["type"] == "node"]
-    edge_rows = [row for row in rows if row["type"] == "edge"]
+    kinds = [row[0] for row in rows if len(row) == 3]
+    edge_labels = [normalize_label(row[1]) for row in rows if len(row) == 4]
     assert graph.stats().to_dict() == {
         "node_count": len(kinds),
-        "entity_count": kinds.count(KIND_ENTITY),
-        "hypernode_count": kinds.count(KIND_HYPERNODE),
-        "edge_count": len(edge_rows),
-        "distinct_relationship_labels": len({normalize_label(row["label"])
-                                             for row in edge_rows if not row["structural"]}),
+        "entity_count": kinds.count("e"),
+        "hypernode_count": kinds.count("h"),
+        "edge_count": len(edge_labels),
+        "distinct_relationship_labels": len(set(edge_labels) - RESERVED_EDGE_LABELS),
     }
     for edge in graph.edges:
         if not edge.structural:
@@ -817,8 +823,8 @@ def test_rows_in_the_saved_shape_are_read_without_json_loads(monkeypatch):
     monkeypatch.setattr(json, "loads", counting_loads)
     assert _saved(load_graph(io.StringIO(text))) == text
     assert parsed == []
-    at = next(at for at in range(300, 512) if '"label": "r"' in lines[at])
-    lines[at] = lines[at].replace('"label": "r"', '"label": "\\u0072"')
+    at = next(at for at in range(300, 512) if ',"r",' in lines[at])
+    lines[at] = lines[at].replace(',"r",', ',"\\u0072",')
     assert _saved(load_graph(io.StringIO("".join(lines)))) == text
     assert parsed == [line.strip() for line in lines[256:512]]
 
@@ -827,26 +833,29 @@ def test_rows_in_the_saved_shape_are_read_without_json_loads(monkeypatch):
     lambda row: " " + row, lambda row: row[:-1] + "\t\n", lambda row: row[:-1] + "\r\n",
     lambda row: "\n" + row, lambda row: row[:-1], lambda row: row.replace('", "', '","'),
     lambda row: "x" + row, lambda row: row[:-1] + "x\n", lambda row: row[:-1] + row,
-    lambda row: row.replace('": "', '": "\ud800', 1),
-    lambda row: row.replace('": "', '": "\t', 1),
+    lambda row: row[:-3] + "\ud800" + row[-3:], lambda row: row[:-3] + "\t" + row[-3:],
 ], ids=["leading-space", "trailing-tab", "crlf", "blank-line-before", "no-newline",
         "no-space", "leading-junk", "trailing-junk", "two-records", "raw-lone-surrogate",
         "raw-control-character"])
 def test_load_reads_a_line_out_of_the_saved_shape_as_the_oracle_does(change):
     """A line that is not a whole saved row (its last line may lack its
-    newline) is read on its own: it loads as the row, or is refused as
-    the oracle refuses it."""
-    rows = _saved(build(NESTED_LINE)).splitlines(keepends=True)
-    for at in range(len(rows)):
-        text = "".join(rows[:at] + [change(rows[at])] + rows[at + 1:])
-        expected = oracle_load_error(text)
-        if expected is None:
-            assert _saved(load_graph(io.StringIO(text))) == "".join(rows)
-            continue
-        with pytest.raises(GraphFormatError) as exc_info:
-            load_graph(io.StringIO(text))
-        assert (str(exc_info.value), exc_info.value.line) == \
-            (f"line {expected[1]}: {expected[0]}", expected[1])
+    newline), in either format, is read on its own: it loads as the row,
+    or is refused as the oracle refuses it. The last string of a row takes
+    the raw lone surrogate or control character."""
+    graph = build(NESTED_LINE)
+    saved = _saved(graph)
+    for text in (saved, v1_text(graph)):
+        rows = text.splitlines(keepends=True)
+        for at in range(len(rows)):
+            changed = "".join(rows[:at] + [change(rows[at])] + rows[at + 1:])
+            expected = oracle_load_error(changed)
+            if expected is None:
+                assert _saved(load_graph(io.StringIO(changed))) == saved
+                continue
+            with pytest.raises(GraphFormatError) as exc_info:
+                load_graph(io.StringIO(changed))
+            assert (str(exc_info.value), exc_info.value.line) == \
+                (f"line {expected[1]}: {expected[0]}", expected[1])
 
 
 def _many_lines_graph(tmp_path) -> tuple:
@@ -879,7 +888,7 @@ def test_load_names_a_bad_line_in_a_later_chunk(tmp_path):
 def test_load_reports_the_first_bad_line_of_a_chunk(tmp_path):
     _, path, lines = _many_lines_graph(tmp_path)
     edge = json.loads(lines[420])
-    edge["source"] = "no-such-node"
+    edge[0] = "no-such-node"                # the source
     lines[420] = json.dumps(edge)           # line 421: a record fault
     lines[430] = "{not json"                # line 431: a JSON fault
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
@@ -947,7 +956,7 @@ def test_load_refuses_a_lone_surrogate_in_a_text_stream():
 def test_load_refuses_a_lone_surrogate_in_a_later_chunk(tmp_path):
     _, path, lines = _many_lines_graph(tmp_path)
     edge = json.loads(lines[500])
-    edge["id"] += "\ud800"
+    edge[3] += "\ud800"                      # the id
     lines[500] = json.dumps(edge)           # line 501, escaped by ensure_ascii
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     with pytest.raises(GraphFormatError, match="'id' holds a lone surrogate") as exc_info:
@@ -969,7 +978,7 @@ def test_load_reads_escaped_surrogate_pairs(tmp_path):
 @pytest.mark.parametrize("line_no", [1, 3], ids=["node", "edge"])
 def test_load_refuses_an_extra_field(line_no, tmp_path):
     """A field the graph does not keep would be lost by the next save."""
-    lines = _saved(build("(a)-[r]->(b)")).splitlines()
+    lines = v1_text(build("(a)-[r]->(b)")).splitlines()
     record = json.loads(lines[line_no - 1])
     lines[line_no - 1] = json.dumps({"note": "kept?", **record})
     path = tmp_path / "graph.jsonl"
@@ -984,12 +993,23 @@ def test_load_refuses_an_extra_field(line_no, tmp_path):
 _ODD_VALUES = (None, 1, True, 1.5, [], {})
 
 
-def _rows(graph: KnowledgeGraph) -> list[dict]:
+_KIND_OF_CODE = {"e": KIND_ENTITY, "h": KIND_HYPERNODE}
+
+
+def _rows(graph: KnowledgeGraph) -> list[list]:
     return [json.loads(line) for line in _saved(graph).split("\n")[:-1]]
 
 
-def _file(rows: list[dict], ensure_ascii: bool = True) -> str:
-    return "".join(json.dumps(row, ensure_ascii=ensure_ascii) + "\n" for row in rows)
+def _v1_rows(graph: KnowledgeGraph) -> list[dict]:
+    return [json.loads(line) for line in v1_text(graph).split("\n")[:-1]]
+
+
+def _file(rows: list, ensure_ascii: bool = True) -> str:
+    """Each row on its own line: an array as compact as ``save_graph``
+    writes one, an object as ``json.dumps`` writes it."""
+    return "".join(json.dumps(row, ensure_ascii=ensure_ascii,
+                              separators=(",", ":") if isinstance(row, list) else None) + "\n"
+                   for row in rows)
 
 
 def _loads_as_the_oracle_says(text: str) -> None:
@@ -1003,15 +1023,25 @@ def _loads_as_the_oracle_says(text: str) -> None:
         assert (str(exc_info.value), exc_info.value.line) == (f"line {line}: {message}", line)
         return
     graph = load_graph(io.StringIO(text))
-    rows = [json.loads(line) for line in text.split("\n")[:-1]]
-    assert set(graph.nodes) == {NodeRecord(row["id"], row["label"], row["canonical"],
-                                           row["kind"])
-                                for row in rows if row["type"] == "node"}
-    assert set(graph.edges) == {EdgeRecord(row["id"], row["source"], row["target"],
-                                           row["label"], normalize_label(row["label"]),
-                                           row["structural"])
-                                for row in rows if row["type"] == "edge"}
+    nodes, edges = set(), set()
+    for row in map(json.loads, text.split("\n")[:-1]):
+        if isinstance(row, dict):
+            if row["type"] == "node":
+                nodes.add(NodeRecord(row["id"], row["label"], row["canonical"], row["kind"]))
+            else:
+                edges.add(EdgeRecord(row["id"], row["source"], row["target"], row["label"],
+                                     normalize_label(row["label"]), row["structural"]))
+        elif len(row) == 3:
+            nodes.add(NodeRecord(row[1], row[2], normalize_label(row[2]), _KIND_OF_CODE[row[0]]))
+        else:
+            canonical = normalize_label(row[1])
+            edges.add(EdgeRecord(row[3], row[0], row[2], row[1], canonical,
+                                 canonical in RESERVED_EDGE_LABELS))
+    assert set(graph.nodes) == nodes
+    assert set(graph.edges) == edges
 
+
+# Mutations of an object row, in the older format.
 
 def _drop_field(draw, rows, at):
     del rows[at][draw(st.sampled_from(sorted(rows[at])))]
@@ -1089,13 +1119,102 @@ _MUTATIONS = (_drop_field, _add_field, _odd_value, _bad_kind, _break_canonical,
               _flip_flag, _lone_surrogate, _swap_rows)
 
 
+# Where an array row holds its id and its label, by its length: a node's
+# row, an edge's.
+_ID_AT = {3: 1, 4: 3}
+_LABEL_AT = {3: 2, 4: 1}
+
+
+def _drop_item(draw, rows, at):
+    del rows[at][draw(st.integers(0, len(rows[at]) - 1))]
+
+
+def _add_item(draw, rows, at):
+    rows[at].insert(draw(st.integers(0, len(rows[at]))), draw(st.sampled_from(["x", "e", ""])))
+
+
+def _odd_item(draw, rows, at):
+    rows[at][draw(st.integers(0, len(rows[at]) - 1))] = draw(st.sampled_from(_ODD_VALUES))
+
+
+def _bad_code(draw, rows, at):
+    """A node kind that is no code, or another kind; an edge from a code."""
+    rows[at][0] = draw(st.sampled_from(["x", "E", "entity", "hypernode", "", "e", "h"]))
+
+
+def _change_label(draw, rows, at):
+    """A label edited by hand, or another row's: with no canonical to
+    compare, only a canonical that is taken is refused."""
+    row, other = rows[at], draw(st.sampled_from(rows))
+    label = row[_LABEL_AT[len(row)]]
+    row[_LABEL_AT[len(row)]] = draw(st.sampled_from(
+        [label + "x", label.upper(), " " + label, other[_LABEL_AT[len(other)]],
+         STRUCTURAL_SUBJECT]))
+
+
+def _duplicate_row_id(draw, rows, at):
+    other = draw(st.sampled_from(rows))
+    rows[at][_ID_AT[len(rows[at])]] = other[_ID_AT[len(other)]]
+
+
+def _repeat_array_row(draw, rows, at):
+    """A second node or edge, under its id or another."""
+    copy = list(rows[at])
+    copy[_ID_AT[len(copy)]] = draw(st.sampled_from([copy[_ID_AT[len(copy)]], "fresh"]))
+    rows.insert(draw(st.integers(at + 1, len(rows))), copy)
+
+
+def _unknown_item(draw, rows, at):
+    """An edge from or to no node, or a node renamed under its edges."""
+    row = rows[at]
+    row[draw(st.sampled_from([0, 2])) if len(row) == 4 else 1] = "nowhere"
+
+
+def _flip_row(draw, rows, at):
+    """A node of the other kind, or an edge the other way round."""
+    row = rows[at]
+    if len(row) == 3:
+        row[0] = "h" if row[0] == "e" else "e"
+    else:
+        row[0], row[2] = row[2], row[0]
+
+
+def _array_lone_surrogate(draw, rows, at):
+    row = rows[at]
+    at_item = draw(st.integers(0, len(row) - 1))
+    place = draw(st.integers(0, len(row[at_item])))
+    row[at_item] = (row[at_item][:place] + draw(st.sampled_from(["\ud800", "\udbff", "\udfff"]))
+                    + row[at_item][place:])
+
+
+def _as_object(draw, rows, at):
+    """The row as the older format wrote it, among arrays."""
+    row = rows[at]
+    if len(row) == 3:
+        kind, node_id, label = row
+        rows[at] = {"type": "node", "id": node_id, "label": label,
+                    "canonical": normalize_label(label), "kind": _KIND_OF_CODE[kind]}
+    else:
+        source, label, target, edge_id = row
+        rows[at] = {"type": "edge", "id": edge_id, "source": source, "target": target,
+                    "label": label,
+                    "structural": normalize_label(label) in RESERVED_EDGE_LABELS}
+
+
+_ARRAY_MUTATIONS = (_drop_item, _add_item, _odd_item, _bad_code, _change_label,
+                    _duplicate_row_id, _repeat_array_row, _unknown_item, _flip_row,
+                    _array_lone_surrogate, _as_object, _swap_rows)
+
+
 @st.composite
-def _mutated_files(draw) -> str:
-    """A saved graph's file with one row changed, repeated or moved, each
-    row written with ASCII escapes or without."""
-    rows = _rows(draw(_GRAPHS))
+def _mutated_files(draw, arrays: bool = False) -> str:
+    """A saved graph's file, as ``save_graph`` writes it (``arrays``) or
+    in the older format, with one row changed, repeated or moved, each row
+    written with ASCII escapes or without."""
+    graph = draw(_GRAPHS)
+    rows = _rows(graph) if arrays else _v1_rows(graph)
     at = draw(st.integers(0, len(rows) - 1))
-    draw(st.sampled_from(_MUTATIONS))(draw, rows, at)
+    draw(st.sampled_from(_ARRAY_MUTATIONS if arrays else _MUTATIONS))(draw, rows, at)
     return _file(rows, draw(st.booleans()))
 
 
@@ -1105,25 +1224,26 @@ def test_load_refuses_a_mutated_row_as_the_oracle_does(text):
     _loads_as_the_oracle_says(text)
 
 
+@settings(max_examples=400, deadline=None)
+@given(_mutated_files(arrays=True))
+def test_load_refuses_a_mutated_array_row_as_the_oracle_does(text):
+    _loads_as_the_oracle_says(text)
+
+
 @settings(max_examples=200, deadline=None)
-@given(_mutated_files(), st.integers(1, 4))
+@given(st.booleans().flatmap(_mutated_files), st.integers(1, 4))
 def test_load_refuses_a_mutated_row_across_chunk_boundaries(text, chunk_lines):
-    """Chunks of one to four lines: a matched row refused mid-chunk, nodes
-    and edges in one chunk, and chunks read by one match next to chunks
-    read line by line (an escaped row, a raw lone surrogate)."""
+    """Chunks of one to four lines, in either format: a matched row
+    refused mid-chunk, nodes and edges in one chunk, and chunks read by one
+    match next to chunks read line by line (an escaped row, a raw lone
+    surrogate, an object row)."""
     with mock.patch.object(kgrag.graph, "_CHUNK_LINES", chunk_lines):
         _loads_as_the_oracle_says(text)
 
 
-@settings(max_examples=150, deadline=None)
-@given(_GRAPHS, st.integers(1, 4))
-def test_load_round_trips_across_chunk_boundaries(graph, chunk_lines):
-    """A saved file loads back to its own bytes in chunks of one to four
-    lines, and the loaded records share strings as upserted ones do."""
-    text = _saved(graph)
-    with mock.patch.object(kgrag.graph, "_CHUNK_LINES", chunk_lines):
-        loaded = load_graph(io.StringIO(text))
-    assert _saved(loaded).encode("utf-8") == text.encode("utf-8")
+def _loaded_records_share_strings(loaded: KnowledgeGraph) -> None:
+    """Kinds are the module constants, and edges share their nodes' id
+    strings and their label texts, as upserted records do."""
     for node in loaded.nodes:
         assert node.kind is KIND_ENTITY or node.kind is KIND_HYPERNODE
     for edge in loaded.edges:
@@ -1133,13 +1253,52 @@ def test_load_round_trips_across_chunk_boundaries(graph, chunk_lines):
         assert edge.label is label and edge.canonical is canonical
 
 
+@settings(max_examples=150, deadline=None)
+@given(_GRAPHS, st.integers(1, 4))
+def test_load_round_trips_across_chunk_boundaries(graph, chunk_lines):
+    """A saved file, and the same graph in the older format, load back to
+    the saved bytes in chunks of one to four lines, and the loaded records
+    share strings as upserted ones do."""
+    text = _saved(graph)
+    for source in (text, v1_text(graph)):
+        with mock.patch.object(kgrag.graph, "_CHUNK_LINES", chunk_lines):
+            loaded = load_graph(io.StringIO(source))
+        assert _saved(loaded).encode("utf-8") == text.encode("utf-8")
+        _loaded_records_share_strings(loaded)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_GRAPHS)
+def test_v1_and_v2_files_load_to_the_same_records(graph):
+    """A file in the older format (v1) and one as ``save_graph`` writes it
+    (v2) load to the upserted graph's records. Either loaded graph audits,
+    saves as v2, and gives the v1 file back under the older writer."""
+    v2, v1 = _saved(graph), v1_text(graph)
+    for text in (v2, v1):
+        loaded = load_graph(io.StringIO(text))
+        loaded.audit()
+        assert set(loaded.nodes) == set(graph.nodes)
+        assert set(loaded.edges) == set(graph.edges)
+        _loaded_records_share_strings(loaded)
+        assert _saved(loaded) == v2
+        assert v1_text(loaded) == v1
+
+
 def test_load_refuses_each_odd_value_in_each_field_as_the_oracle_does():
-    rows = _rows(build(NESTED_LINE))
+    graph = build(NESTED_LINE)
+    rows = _v1_rows(graph)
     for at, row in enumerate(rows):
         for name in row:
             for value in _ODD_VALUES:
                 changed = [dict(row) for row in rows]
                 changed[at][name] = value
+                _loads_as_the_oracle_says(_file(changed))
+    rows = _rows(graph)
+    for at, row in enumerate(rows):
+        for item in range(len(row)):
+            for value in _ODD_VALUES:
+                changed = [list(row) for row in rows]
+                changed[at][item] = value
                 _loads_as_the_oracle_says(_file(changed))
 
 
