@@ -36,6 +36,7 @@ from .graph import (
     GraphFormatError,
     GraphIntegrityError,
     KnowledgeGraph,
+    _SURROGATE,
     _open_for_write,
     load_graph,
     save_graph,
@@ -91,6 +92,15 @@ def _load_graph_or_fail(path: str) -> KnowledgeGraph:
         raise ConfigError(f"unreadable graph file {path}: {exc}") from exc
 
 
+def _load_audited_graph(path: str) -> KnowledgeGraph:
+    graph = _load_graph_or_fail(path)
+    try:
+        graph.audit()
+    except GraphIntegrityError as exc:
+        raise ConfigError(f"graph file {path} fails its audit: {exc}") from None
+    return graph
+
+
 def _read_documents(paths: list[str]) -> list[tuple[str, str]]:
     documents: list[tuple[str, str]] = []
     for path_text in paths:
@@ -110,9 +120,13 @@ def _read_documents(paths: list[str]) -> list[tuple[str, str]]:
                 continue
             try:
                 record = json.loads(line)
-                documents.append((str(record["doc_id"]), str(record["text"])))
+                document = str(record["doc_id"]), str(record["text"])
             except (ValueError, RecursionError, KeyError, TypeError) as exc:
                 raise ConfigError(f"{path}:{lineno}: bad document record: {exc}") from None
+            if any(not field.isascii() and _SURROGATE.search(field) for field in document):
+                raise ConfigError(f"{path}:{lineno}: bad document record: "
+                                  "doc_id or text holds a lone surrogate")
+            documents.append(document)
     return documents
 
 
@@ -120,7 +134,7 @@ def cmd_ingest(args) -> int:
     provider = build_provider(args)
     documents = _read_documents(args.inputs)
     graph_path = Path(args.graph)
-    graph = _load_graph_or_fail(args.graph) if graph_path.exists() else KnowledgeGraph()
+    graph = _load_audited_graph(args.graph) if graph_path.exists() else KnowledgeGraph()
     report = ExtractionReport()
     halted: ExtractionHalted | None = None
     for doc_id, text in documents:
@@ -140,11 +154,7 @@ def cmd_ingest(args) -> int:
 
 
 def cmd_index(args) -> int:
-    graph = _load_graph_or_fail(args.graph)
-    try:
-        graph.audit()
-    except GraphIntegrityError as exc:
-        raise ConfigError(f"graph file {args.graph} fails its audit: {exc}") from None
+    graph = _load_audited_graph(args.graph)
     embedder = build_embedder(args)
     try:
         index = index_graph(graph, embedder)
@@ -165,7 +175,7 @@ def _build_engine(args, trace_stream=None) -> CoEngine:
         index = load_index(args.index, build_embedder(args))
     except IndexFormatError as exc:
         raise ConfigError(f"unreadable index file {args.index}: {exc}") from exc
-    if (index.ref_ids, index.kinds, index.texts) != plan_index(graph):
+    if (index.ref_ids, index.texts, index.nodes) != plan_index(graph):
         raise ConfigError("index does not match graph (run index again)")
     provider = build_provider(args)
     limits = Limits(node_candidates=args.topk, relationship_candidates=args.topk)

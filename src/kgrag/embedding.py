@@ -12,8 +12,10 @@ matrix, and each row is divided by the square root of its integer sum of
 squares, which is exact, so a row is the same to the bit however it was
 batched. Scores are dot products, which equal cosine on unit vectors.
 
-The index is two inverted files, one of the nodes' vectors and one of the
-relationship labels': each vector component keeps the rows that store it.
+The index's entries are the graph's nodes (entities and hypernodes alike)
+and then its relationship labels, so one count, ``nodes``, tells the two
+apart. It is two inverted files, one of the nodes' vectors and one of the
+labels': each vector component keeps the rows that store it.
 Search is exact, with no approximation anywhere, so results are
 reproducible byte for byte. An index is saved as one file: a JSON header
 line, then its rows as compressed sparse rows in arrays of raw
@@ -35,29 +37,14 @@ from zlib import crc32
 
 import numpy as np
 
-from .graph import (
-    KIND_HYPERNODE,
-    RESERVED_EDGE_LABELS,
-    KnowledgeGraph,
-    _open_for_write,
-    normalize_label,
-)
+from .graph import RESERVED_EDGE_LABELS, KnowledgeGraph, _open_for_write, normalize_label
 from .llm import ProviderError, post_json
 
 logger = logging.getLogger(__name__)
 
 DEFAULT_DIM = 256
 
-KIND_NODE = "node"
-KIND_HYPERNODE_ENTRY = "hypernode"
-KIND_RELATIONSHIP = "relationship_label"
-_ENTRY_KINDS = (KIND_NODE, KIND_HYPERNODE_ENTRY, KIND_RELATIONSHIP)
-# Each kind's one character in a saved index, and each character's kind: a
-# loaded kind is the module's own string.
-_KIND_CODES = {KIND_NODE: "n", KIND_HYPERNODE_ENTRY: "h", KIND_RELATIONSHIP: "r"}
-_CODE_KINDS = {code: kind for kind, code in _KIND_CODES.items()}
-
-INDEX_FORMAT = "kgrag-index/4"
+INDEX_FORMAT = "kgrag-index/5"
 
 
 class IndexFormatError(ValueError):
@@ -223,20 +210,15 @@ class HttpEmbeddingProvider:
 
 @dataclass(frozen=True)
 class IndexEntry:
-    """One search result: a node, a hypernode, or a relationship label.
-    Equal, and hashed, by its three fields.
+    """One search result: a node (an entity or a hypernode) or a
+    relationship label. Equal, and hashed, by its two fields.
 
     ``ref_id`` is the node id for node entries and the canonical label for
     relationship entries.
     """
 
     ref_id: str
-    kind: str
     text: str
-
-    def __post_init__(self):
-        if self.kind not in _ENTRY_KINDS:
-            raise ValueError(f"bad entry kind {self.kind!r}")
 
     @cached_property
     def canonical(self) -> str:
@@ -304,22 +286,23 @@ class EmbeddingIndex:
     files (Zobel & Moffat, "Inverted files for text search engines", ACM
     Computing Surveys 38(2), 2006).
 
-    The entries are three lists in entry order, ``ref_ids``, ``kinds`` and
-    ``texts``; an :class:`IndexEntry` is built only when a search first
-    returns it. A vector keeps its stored components: the non-zero ones and
-    any ``-0.0``. The node and hypernode vectors are one inverted file, and
-    the relationship labels' vectors another: for each component, the
-    rising node (or label) positions that store it, and their values. Each
-    relationship label has at most one entry.
+    The entries are two lists in entry order, ``ref_ids`` and ``texts``:
+    the first ``nodes`` of them are nodes, entities and hypernodes alike,
+    and the rest relationship labels. An :class:`IndexEntry` is built only
+    when a search first returns it. A vector keeps its stored components:
+    the non-zero ones and any ``-0.0``. The node vectors are one inverted
+    file, and the relationship labels' vectors another: for each component,
+    the rising node (or label) positions that store it, and their values.
+    Each relationship label has at most one entry.
 
     The index answers the two searches of a traversal: a node search ranks
-    the node and hypernode entries, and a label search ranks the entries of
-    the given relationship labels. Ties break by canonical text ascending,
-    then entry order. A row's score is the sum of the query's non-zero
-    components times the row's, added left to right in ascending component
-    order. A zero sum is +0.0, and a query with no non-zero component
-    scores every row +0.0. So a row scores the same to the bit whichever
-    rows are scored with it, and identical vectors tie.
+    the node entries, and a label search ranks the entries of the given
+    relationship labels. Ties break by canonical text ascending, then entry
+    order. A row's score is the sum of the query's non-zero components
+    times the row's, added left to right in ascending component order. A
+    zero sum is +0.0, and a query with no non-zero component scores every
+    row +0.0. So a row scores the same to the bit whichever rows are scored
+    with it, and identical vectors tie.
 
     Both searches score every vector of their inverted file with one
     ``np.bincount`` over the columns of the query's non-zero components,
@@ -331,54 +314,31 @@ class EmbeddingIndex:
     are sorted.
     """
 
-    def __init__(self, entries: Sequence[IndexEntry], matrix: np.ndarray, embedder: Embedder):
-        """An index of ``entries`` whose vectors are the rows of ``matrix``;
-        only their stored components are kept."""
-        if matrix.ndim != 2 or len(matrix) != len(entries):
-            raise ValueError(f"matrix of shape {matrix.shape} for {len(entries)} entries")
-        self._lay_out([e.ref_id for e in entries], [e.kind for e in entries],
-                      [e.text for e in entries], matrix.shape[1], *_nonzeros(matrix), embedder)
-
-    @classmethod
-    def _from_stored(cls, entries: tuple[list[str], list[str], list[str]], dim: int,
-                     rows: np.ndarray, columns: np.ndarray, values: np.ndarray,
-                     embedder: Embedder) -> EmbeddingIndex:
-        """An index of ``entries``, three lists, whose stored components are
-        ``(rows, columns, values)``, by row and then column."""
-        index = cls.__new__(cls)
-        index._lay_out(*entries, dim, rows, columns, values, embedder)
-        return index
-
-    def _lay_out(self, ref_ids: list[str], kinds: list[str], texts: list[str], dim: int,
+    def __init__(self, ref_ids: list[str], texts: list[str], nodes: int, dim: int,
                  rows: np.ndarray, columns: np.ndarray, values: np.ndarray,
-                 embedder: Embedder) -> None:
-        """Hold the stored components as the node and the label inverted file."""
-        self.ref_ids, self.kinds, self.texts = ref_ids, kinds, texts
+                 embedder: Embedder):
+        """An index of the entries ``ref_ids`` and ``texts``, the first
+        ``nodes`` of them nodes, whose stored components are ``(rows,
+        columns, values)``, by row and then column. The node rows come
+        first, so the node file is a prefix of the arrays and the label file
+        the rest."""
+        self.ref_ids, self.texts, self.nodes = ref_ids, texts, nodes
         self.dim = dim
         self.embedder = embedder
         self._entries: dict[int, IndexEntry] = {}
-        is_label = np.fromiter(map(KIND_RELATIONSHIP.__eq__, kinds), bool, len(kinds))
-        self._node_rows = np.flatnonzero(~is_label)
-        self._label_rows = np.flatnonzero(is_label)
-        # Each row's place among the node rows or among the label rows.
-        place = np.empty(len(kinds), dtype=np.intp)
-        place[self._node_rows] = np.arange(len(self._node_rows))
-        place[self._label_rows] = np.arange(len(self._label_rows))
-        in_label = is_label[rows]
-        in_node = ~in_label
+        cut = int(np.searchsorted(rows, nodes))
         try:
-            self._nodes = _InvertedFile(len(self._node_rows), dim, place[rows[in_node]],
-                                        columns[in_node], values[in_node])
-            self._labels = _InvertedFile(len(self._label_rows), dim, place[rows[in_label]],
-                                         columns[in_label], values[in_label])
+            self._nodes = _InvertedFile(nodes, dim, rows[:cut], columns[:cut], values[:cut])
+            self._labels = _InvertedFile(len(ref_ids) - nodes, dim, rows[cut:] - nodes,
+                                         columns[cut:], values[cut:])
         except (MemoryError, ValueError):
             # Only an embedder of unknown width lets a file's ``dim`` come this far.
-            raise IndexFormatError(f"dim {dim} is too large for {len(kinds)} entries") from None
+            raise IndexFormatError(f"dim {dim} is too large for {len(ref_ids)} entries") from None
         self._label_at: dict[str, int] = {}
-        for at, row in enumerate(self._label_rows.tolist()):
-            if self._label_at.setdefault(ref_ids[row], at) != at:
-                raise IndexFormatError(f"second entry for relationship label "
-                                       f"{ref_ids[row]!r}", row + 1)
+        for at, label in enumerate(ref_ids[nodes:]):
+            if self._label_at.setdefault(label, at) != at:
+                raise IndexFormatError(f"second entry for relationship label {label!r}",
+                                       nodes + at + 1)
 
     def __len__(self) -> int:
         return len(self.ref_ids)
@@ -387,40 +347,39 @@ class EmbeddingIndex:
         """The entry of ``row``, built when a search first returns it."""
         entry = self._entries.get(row)
         if entry is None:
-            entry = self._entries[row] = IndexEntry(self.ref_ids[row], self.kinds[row],
-                                                    self.texts[row])
+            entry = self._entries[row] = IndexEntry(self.ref_ids[row], self.texts[row])
         return entry
 
     def stored(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Every stored component as ``(rows, columns, values)``, by row and
-        then column: both inverted files, put back in row order by one
-        stable sort."""
+        then column: both inverted files, the labels' positions offset by
+        ``nodes``, put back in row order by one stable sort."""
         nodes, labels = self._nodes, self._labels
-        rows = np.concatenate((self._node_rows[nodes.positions],
-                               self._label_rows[labels.positions]))
+        rows = np.concatenate((nodes.positions, labels.positions + self.nodes))
         order = np.argsort(_narrow(rows, len(self)), kind="stable")
         return (rows[order], np.concatenate((nodes.components, labels.components))[order],
                 np.concatenate((nodes.values, labels.values))[order])
 
     def search(self, query_text: str, k: int,
                labels: Iterable[str] | None = None) -> list[tuple[IndexEntry, float]]:
-        """Top k node and hypernode entries; with ``labels``, the top k of
-        those relationship labels' entries instead. A label with no entry,
-        or a query vector of another width than the index's, raises
+        """Top k node entries; with ``labels``, the top k of those
+        relationship labels' entries instead. A label with no entry, or a
+        query vector of another width than the index's, raises
         :class:`StaleIndexError`."""
         if k < 1:
             raise ValueError("k must be at least 1")
         if labels is None:
-            inverted, rows, at = self._nodes, self._node_rows, slice(None)
+            inverted, at, count = self._nodes, slice(None), self.nodes
         else:
-            at = np.zeros(len(self._label_rows), dtype=bool)
+            wanted = np.zeros(self._labels.count, dtype=bool)
             try:
-                at[np.fromiter(map(self._label_at.__getitem__, labels), np.intp)] = True
+                wanted[np.fromiter(map(self._label_at.__getitem__, labels), np.intp)] = True
             except KeyError as exc:
                 raise StaleIndexError(f"no index entry for relationship label "
                                       f"{exc.args[0]!r}") from None
-            inverted, rows = self._labels, self._label_rows[at]
-        if len(rows) == 0:
+            at = np.flatnonzero(wanted)
+            inverted, count = self._labels, len(at)
+        if count == 0:
             return []
         query = self.embedder.embed(query_text)
         if query.shape != (self.dim,):
@@ -430,20 +389,21 @@ class EmbeddingIndex:
         scores = inverted.scores(components, query[components])[at]
         cut = max(len(scores) - k, 0)
         picked = np.flatnonzero(scores >= np.partition(scores, cut)[cut])
+        rows = picked if labels is None else at[picked] + self.nodes
         found = [(score, self.entry(row))
-                 for score, row in zip(scores[picked].tolist(), rows[picked].tolist())]
+                 for score, row in zip(scores[picked].tolist(), rows.tolist())]
         # The sort is stable and the rows ascend, so equal (score, canonical)
         # pairs keep entry order.
         found.sort(key=lambda pair: (-pair[0], pair[1].canonical))
         return [(entry, score) for score, entry in found[:k]]
 
 
-def plan_index(graph: KnowledgeGraph) -> tuple[list[str], list[str], list[str]]:
-    """The ``ref_ids``, ``kinds`` and ``texts`` of the entries
-    :func:`index_graph` builds, in index order: each node, then each
-    distinct non-structural relationship label (by canonical) under its
-    least display text. Takes each group's canonical label from its key and
-    reads only the display text of each edge."""
+def plan_index(graph: KnowledgeGraph) -> tuple[list[str], list[str], int]:
+    """The ``ref_ids`` and ``texts`` of the entries :func:`index_graph`
+    builds, in index order, and how many of them are nodes: each node by
+    canonical, then each distinct non-structural relationship label (by
+    canonical) under its least display text. Takes each group's canonical
+    label from its key and reads only the display text of each edge."""
     nodes = sorted(graph.nodes, key=lambda n: n.canonical)
     least: dict[str, str] = {}
     for canonical, group in graph.groups:
@@ -455,17 +415,16 @@ def plan_index(graph: KnowledgeGraph) -> tuple[list[str], list[str], list[str]]:
         least.pop(canonical, None)
     labels = sorted(least)
     return ([node.id for node in nodes] + labels,
-            [KIND_HYPERNODE_ENTRY if node.kind == KIND_HYPERNODE else KIND_NODE
-             for node in nodes] + [KIND_RELATIONSHIP] * len(labels),
-            [node.label for node in nodes] + [least[canonical] for canonical in labels])
+            [node.label for node in nodes] + [least[canonical] for canonical in labels],
+            len(nodes))
 
 
 def index_graph(graph: KnowledgeGraph, embedder: Embedder) -> EmbeddingIndex:
     """Embed every entry of :func:`plan_index` in batches, keeping each
     batch's stored components. On provider failure the raised error carries
     how many entries had been built already."""
-    entries = plan_index(graph)
-    texts, dim, batch = entries[2], 0, 128
+    ref_ids, texts, nodes = plan_index(graph)
+    dim, batch = 0, 128
     rows, columns, values = [np.zeros(0, np.intp)], [np.zeros(0, np.intp)], [np.zeros(0)]
     for start in range(0, len(texts), batch):
         try:
@@ -480,7 +439,7 @@ def index_graph(graph: KnowledgeGraph, embedder: Embedder) -> EmbeddingIndex:
         values.append(at_values)
     # Rebinding the names frees the batches' pieces before the layout.
     rows, columns, values = map(np.concatenate, (rows, columns, values))
-    return EmbeddingIndex._from_stored(entries, dim, rows, columns, values, embedder)
+    return EmbeddingIndex(ref_ids, texts, nodes, dim, rows, columns, values, embedder)
 
 
 def _unsigned(bound: int) -> np.dtype:
@@ -490,15 +449,15 @@ def _unsigned(bound: int) -> np.dtype:
 
 
 def save_index(index: EmbeddingIndex, sink) -> None:
-    """Write ``index`` in the ``kgrag-index/4`` layout, to a path or a
+    """Write ``index`` in the ``kgrag-index/5`` layout, to a path or a
     binary stream. An empty index is an empty file.
 
     Line 1 is a compact UTF-8 JSON header with sorted keys: ``dim``;
     ``embedder``, the embedder's ``identity``, or null when it has none;
-    ``format``; the entries in entry order as three columns, ``ids`` and
-    ``texts`` (lists of strings) and ``kinds`` (one character an entry:
-    ``n``ode, ``h``ypernode, ``r``elationship label); ``size``, the number
-    of stored components; and ``table``, the number of distinct values, or
+    ``format``; the entries in entry order as two lists of strings, ``ids``
+    and ``texts``; ``nodes``, how many of the entries, the first ones, are
+    nodes, the rest being relationship labels; ``size``, the number of
+    stored components; and ``table``, the number of distinct values, or
     null for raw values.
 
     The rows follow as compressed sparse rows, arrays of raw little-endian
@@ -531,8 +490,7 @@ def save_index(index: EmbeddingIndex, sink) -> None:
         else:
             table, coded = None, [(bits, "<u8")]
         header = {"dim": dim, "embedder": getattr(index.embedder, "identity", None),
-                  "format": INDEX_FORMAT, "ids": index.ref_ids,
-                  "kinds": "".join(map(_KIND_CODES.__getitem__, index.kinds)),
+                  "format": INDEX_FORMAT, "ids": index.ref_ids, "nodes": index.nodes,
                   "size": size, "table": None if table is None else len(table),
                   "texts": index.texts}
         text = json.dumps(header, ensure_ascii=False, sort_keys=True, separators=(",", ":"))
@@ -551,10 +509,10 @@ def _count(header: dict, name: str) -> int:
 
 
 def _read_header(line: bytes, embedder: Embedder
-                 ) -> tuple[int, int, int | None, tuple[list[str], list[str], list[str]]]:
+                 ) -> tuple[int, int, int | None, tuple[list[str], list[str], int]]:
     """The ``dim``, ``size`` and ``table`` of an index's header line, and
-    the ``ref_ids``, ``kinds`` and ``texts`` of its entries. Each kind is
-    one of the module's constants, shared by every entry of that kind."""
+    the ``ref_ids`` and ``texts`` of its entries with their count of
+    ``nodes``."""
     try:
         header = json.loads(line.decode("utf-8"))
     except UnicodeDecodeError:
@@ -585,21 +543,21 @@ def _read_header(line: bytes, embedder: Embedder
     size = _count(header, "size")
     # A null table stands for raw values.
     table = None if "table" in header and header["table"] is None else _count(header, "table")
-    ids, kinds, texts = header.get("ids"), header.get("kinds"), header.get("texts")
-    for column, kind in (("ids", list), ("kinds", str), ("texts", list)):
-        if type(header.get(column)) is not kind:
-            raise IndexFormatError(f"{column} is not a {kind.__name__}")
-    if not len(ids) == len(kinds) == len(texts):
-        raise IndexFormatError(f"{len(ids)} ids, {len(kinds)} kinds and {len(texts)} texts")
+    ids, texts = header.get("ids"), header.get("texts")
+    for column in ("ids", "texts"):
+        if type(header.get(column)) is not list:
+            raise IndexFormatError(f"{column} is not a list")
+    if len(ids) != len(texts):
+        raise IndexFormatError(f"{len(ids)} ids and {len(texts)} texts")
+    nodes = _count(header, "nodes")
+    if nodes > len(ids):
+        raise IndexFormatError(f"nodes {nodes} is more than the {len(ids)} entries")
     # All entries are checked at once; only a fault is looked for entry by entry.
-    if not (set(map(type, ids)) <= {str} and set(map(type, texts)) <= {str}
-            and set(kinds) <= _CODE_KINDS.keys()):
-        for number, entry in enumerate(zip(ids, kinds, texts), 1):
-            if type(entry[0]) is not str or type(entry[2]) is not str:
+    if not (set(map(type, ids)) <= {str} and set(map(type, texts)) <= {str}):
+        for number, (ref_id, text) in enumerate(zip(ids, texts), 1):
+            if type(ref_id) is not str or type(text) is not str:
                 raise IndexFormatError("id or text is not a string", number)
-            if entry[1] not in _CODE_KINDS:
-                raise IndexFormatError(f"unknown kind {entry[1]!r}", number)
-    return dim, size, table, (ids, list(map(_CODE_KINDS.__getitem__, kinds)), texts)
+    return dim, size, table, (ids, texts, nodes)
 
 
 def load_index(source, embedder: Embedder) -> EmbeddingIndex:
@@ -611,8 +569,8 @@ def load_index(source, embedder: Embedder) -> EmbeddingIndex:
     again). ``dim`` must be a positive integer equal to the embedder's
     ``dim`` when that is known, and ``embedder`` equal to the embedder's
     ``identity`` when both are known. ``size`` and ``table`` must be
-    counts, ``ids`` and ``texts`` lists of strings, and ``kinds`` a string
-    of known kinds, the three of one length.
+    counts, ``ids`` and ``texts`` lists of strings of one length, and
+    ``nodes`` a count no larger than that length.
 
     The header fixes each array's width and length, and the file must end
     where the last array does. The row sizes must add up to ``size``. Each
@@ -624,7 +582,8 @@ def load_index(source, embedder: Embedder) -> EmbeddingIndex:
     """
     data = source.read() if hasattr(source, "read") else Path(source).read_bytes()
     if not data:
-        return EmbeddingIndex([], np.zeros((0, 0)), embedder)
+        empty = np.zeros(0, np.intp)
+        return EmbeddingIndex([], [], 0, 0, empty, empty, np.zeros(0), embedder)
     at = data.find(b"\n") + 1 or len(data)
     dim, size, table, entries = _read_header(data[:at], embedder)
     n = len(entries[0])
@@ -673,5 +632,4 @@ def load_index(source, embedder: Embedder) -> EmbeddingIndex:
     refuse(np.flatnonzero(np.abs(norms - 1.0) > 1e-6), "vector is not unit-norm")
     # A stored +0.0, which no saved index holds, is dropped.
     kept = _stored(values)
-    return EmbeddingIndex._from_stored(entries, dim, row_of[kept], columns[kept], values[kept],
-                                       embedder)
+    return EmbeddingIndex(*entries, dim, row_of[kept], columns[kept], values[kept], embedder)

@@ -14,6 +14,8 @@ import time
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
+from .graph import _SURROGATE
+
 logger = logging.getLogger(__name__)
 
 # Delay before the first repeat of a transient HTTP failure; each further
@@ -124,6 +126,9 @@ class ScriptedProvider:
                     if type(value) is not str:
                         raise ValueError(f"bad script rule on line {lineno}: "
                                          f"field {name!r} is not a string")
+                    if not value.isascii() and _SURROGATE.search(value):
+                        raise ValueError(f"bad script rule on line {lineno}: "
+                                         f"field {name!r} holds a lone surrogate")
                 rules.append(ScriptRule(*values))
         return cls(rules)
 
@@ -226,4 +231,6 @@ class HttpChatProvider:
                                 f"{exc!r}") from None
         if not isinstance(content, str):
             raise ProviderError("content at 'choices.0.message.content' is not text")
+        if not content.isascii() and _SURROGATE.search(content):
+            raise ProviderError("content at 'choices.0.message.content' holds a lone surrogate")
         return LmResponse(content)

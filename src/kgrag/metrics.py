@@ -17,6 +17,7 @@ from pathlib import Path
 from typing import Callable, Sequence
 
 from .explore import FAILURE_MESSAGE
+from .graph import _SURROGATE
 
 logger = logging.getLogger(__name__)
 
@@ -233,6 +234,9 @@ def load_dataset(source) -> tuple[list[QaExample], list[str]]:
                     question=str(record["question"]),
                     gold_answers=tuple(str(a) for a in answers),
                 )
+                if any(not text.isascii() and _SURROGATE.search(text)
+                       for text in (example.id, example.question, *example.gold_answers)):
+                    raise ValueError("id, question or an answer holds a lone surrogate")
             except (ValueError, RecursionError, KeyError, TypeError) as exc:
                 problems.append(f"line {lineno}: {exc}")
                 continue

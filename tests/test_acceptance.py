@@ -22,7 +22,6 @@ import numpy as np
 from kgrag import (
     FAILURE_MESSAGE,
     CoEngine,
-    EmbeddingIndex,
     Entity,
     Failure,
     HashingEmbedder,
@@ -61,6 +60,7 @@ from coe_fixtures import (
     refinement_fixture,
     taylor_fixture,
 )
+from embedding_oracle import index_from_matrix
 from graph_oracle import find_node
 
 SENTENCE = "Seth MacFarlane created Family Guy in 1999."
@@ -219,11 +219,11 @@ def test_criterion_5_search_exactness():
                 seen.add(canonical)
                 labels.append(label)
         # 1000 nodes, then 300 relationship labels keyed by their canonical.
-        entries = [IndexEntry(f"n{i:04d}", "node", label) for i, label in enumerate(labels[:1000])]
-        entries += [IndexEntry(normalize_label(label), "relationship_label", label)
-                    for label in labels[1000:]]
+        entries = [IndexEntry(f"n{i:04d}", label) for i, label in enumerate(labels[:1000])]
+        entries += [IndexEntry(normalize_label(label), label) for label in labels[1000:]]
         matrix = np.stack([embedder.embed(label) for label in labels])
-        index = EmbeddingIndex(entries, matrix, embedder)
+        index = index_from_matrix([e.ref_id for e in entries], [e.text for e in entries], 1000,
+                                  matrix, embedder)
 
         def brute_force(query: str, k: int, rows: list[int]) -> list[tuple[str, float]]:
             # Rank by the score as the index defines it, each row's terms

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import io
 import json
 import sys
 from pathlib import Path
@@ -11,6 +12,7 @@ import pytest
 
 from kgrag import (
     HashingEmbedder,
+    IndexFormatError,
     ScriptRule,
     index_graph,
     load_graph,
@@ -411,6 +413,22 @@ def test_query_with_another_graphs_index_fails(tmp_path, capsys):
         assert capsys.readouterr().err == MISMATCH
 
 
+@pytest.mark.parametrize("change", [-1, 1])
+def test_query_refuses_an_index_whose_node_count_was_edited(tmp_path, capsys, change):
+    """Entries and arrays unchanged, one node searched as a label or one
+    label as a node: the file loads, and the match with the graph refuses
+    it."""
+    graph_path, index_path, script_path = taylor_setup(tmp_path)
+    line, arrays = Path(index_path).read_bytes().split(b"\n", 1)
+    header = json.loads(line)
+    header["nodes"] += change
+    Path(index_path).write_bytes(json.dumps(header).encode("utf-8") + b"\n" + arrays)
+    assert load_index(index_path, HashingEmbedder()).nodes == header["nodes"]
+    assert main(["query", TAYLOR_QUESTION, "--graph", graph_path, "--index", index_path,
+                 "--script", script_path]) == 1
+    assert capsys.readouterr().err == MISMATCH
+
+
 @pytest.mark.parametrize("command", ["query", "eval"])
 def test_failed_setup_leaves_the_previous_trace(tmp_path, capsys, command):
     graph_path, index_path, script_path = taylor_setup(tmp_path)
@@ -440,8 +458,9 @@ def test_query_with_an_older_dense_index_fails(tmp_path, capsys):
     graph_path, index_path, script_path = taylor_setup(tmp_path)
     index = load_index(index_path, HashingEmbedder())
     dense, sparse = [], []
-    for entry, vector in zip(index_entries(index), index_matrix(index)):
-        fields = {"kind": entry.kind, "ref_id": entry.ref_id, "text": entry.text}
+    for row, (entry, vector) in enumerate(zip(index_entries(index), index_matrix(index))):
+        kind = "node" if row < index.nodes else "relationship_label"
+        fields = {"kind": kind, "ref_id": entry.ref_id, "text": entry.text}
         dense.append({**fields, "vector": vector.tolist()})
         columns = np.flatnonzero(vector)
         sparse.append({**fields, "dim": len(vector), "indices": columns.tolist(),
@@ -476,6 +495,34 @@ def test_query_with_a_kgrag_index_2_file_fails(tmp_path, capsys):
         assert capsys.readouterr().err == (f"error: unreadable index file {index_path}: unknown "
                                            f"index format '{older}' (run index again)\n")
     assert main(["index", "--graph", graph_path, "--index", index_path]) == 0
+    capsys.readouterr()
+    assert main(argv) == 0
+    assert capsys.readouterr().out == TAYLOR_ANSWER + "\n"
+
+
+def test_a_format_4_file_is_refused_with_run_index_again(tmp_path, capsys):
+    """A ``kgrag-index/4`` file, the same arrays under a header with a
+    ``kinds`` string in place of ``nodes``, is refused by ``load_index``
+    and by ``kgrag query`` until ``kgrag index`` runs again, which writes
+    the same arrays under a ``/5`` header."""
+    graph_path, index_path, script_path = taylor_setup(tmp_path)
+    saved = Path(index_path).read_bytes()
+    index = load_index(index_path, HashingEmbedder())
+    older = older_index_file(index, "kgrag-index/4")
+    line, arrays = older.split(b"\n", 1)
+    assert arrays == saved.split(b"\n", 1)[1]
+    assert set(json.loads(line)) - set(json.loads(saved.split(b"\n", 1)[0])) == {"kinds"}
+    message = "unknown index format 'kgrag-index/4' (run index again)"
+    with pytest.raises(IndexFormatError) as exc_info:
+        load_index(io.BytesIO(older), HashingEmbedder())
+    assert str(exc_info.value) == message and exc_info.value.entry is None
+    Path(index_path).write_bytes(older)
+    argv = ["query", TAYLOR_QUESTION, "--graph", graph_path, "--index", index_path,
+            "--script", script_path]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == f"error: unreadable index file {index_path}: {message}\n"
+    assert main(["index", "--graph", graph_path, "--index", index_path]) == 0
+    assert Path(index_path).read_bytes() == saved
     capsys.readouterr()
     assert main(argv) == 0
     assert capsys.readouterr().out == TAYLOR_ANSWER + "\n"
@@ -761,7 +808,7 @@ def _index_with_a_duplicate_label(tmp_path):
     index_path = Path(argv[argv.index("--index") + 1])
     header_line, arrays = index_path.read_bytes().split(b"\n", 1)
     header = json.loads(header_line)
-    labels = [at for at, kind in enumerate(header["kinds"]) if kind == "r"]
+    labels = range(header["nodes"], len(header["ids"]))
     header["ids"][labels[-1]] = header["ids"][labels[-2]]
     index_path.write_bytes(json.dumps(header).encode("utf-8") + b"\n" + arrays)
     return argv
@@ -811,6 +858,36 @@ def _script_with_a_bad_line(tmp_path, kind):
     script = tmp_path / "bad-script.jsonl"
     script.write_text(_UNREADABLE_LINES[kind] + "\n", encoding="utf-8")
     return ["ingest", str(doc), "--graph", str(graph_path), "--script", str(script)]
+
+
+def _script_with_a_lone_surrogate(tmp_path):
+    """``query`` with a script whose second rule's response holds an
+    escaped lone surrogate, which UTF-8 cannot encode."""
+    argv = ["query", TAYLOR_QUESTION] + _query_args(tmp_path)
+    script = tmp_path / "bad-script.jsonl"
+    rule = {"tag": "select_nodes", "match_substring": "", "response": "NODE: Alice"}
+    bad = {**rule, "response": "NODE: Alice\ud800"}
+    script.write_text(json.dumps(rule) + "\n" + json.dumps(bad) + "\n", encoding="utf-8")
+    argv[argv.index("--script") + 1] = str(script)
+    return argv
+
+
+def _document_with_a_lone_surrogate(tmp_path):
+    """``ingest`` of a ``.jsonl`` document whose ``doc_id`` holds an
+    escaped lone surrogate."""
+    _, script, graph_path = ingest_setup(tmp_path)
+    doc = tmp_path / "surrogate-doc.jsonl"
+    doc.write_text(json.dumps({"doc_id": "d\ud800", "text": SENTENCE}) + "\n", encoding="utf-8")
+    return ["ingest", str(doc), "--graph", str(graph_path), "--script", script]
+
+
+def _ingest_into_a_graph_with_an_edited_label(tmp_path):
+    """``ingest`` into a graph file whose first node's label was edited by
+    hand after an earlier ingest."""
+    doc, script, graph_path = ingest_setup(tmp_path)
+    assert main(["ingest", str(doc), "--graph", str(graph_path), "--script", script]) == 0
+    _edit_first_node_label(graph_path)
+    return ["ingest", str(doc), "--graph", str(graph_path), "--script", script]
 
 
 def _document_with_a_bad_line(tmp_path, kind):
@@ -897,6 +974,9 @@ BAD_INPUTS = {
     "index-graph-lone-surrogate": _index_graph_with_lone_surrogate,
     "query-graph-lone-surrogate": _query_graph_with_lone_surrogate,
     "eval-graph-lone-surrogate": _eval_graph_with_lone_surrogate,
+    "script-lone-surrogate": _script_with_a_lone_surrogate,
+    "document-lone-surrogate": _document_with_a_lone_surrogate,
+    "ingest-graph-edited-label": _ingest_into_a_graph_with_an_edited_label,
     **{f"{what}-{kind}": lambda tmp, make=make, kind=kind: make(tmp, kind)
        for what, make in (("graph", _graph_with_a_bad_line),
                           ("script", _script_with_a_bad_line),
@@ -921,6 +1001,8 @@ BAD_INPUT_NAMES = {
     "index-huge-dim": "index.bin",
     "index-graph-lone-surrogate": "graph.jsonl",
     "query-graph-lone-surrogate": "graph.jsonl", "eval-graph-lone-surrogate": "graph.jsonl",
+    "script-lone-surrogate": "bad-script.jsonl", "document-lone-surrogate": "surrogate-doc.jsonl",
+    "ingest-graph-edited-label": "graph.jsonl",
     **{f"{what}-{kind}": name
        for what, name in (("graph", "graph.jsonl"), ("script", "bad-script.jsonl"),
                           ("document", "deep-doc.jsonl"))
@@ -962,6 +1044,11 @@ def test_bad_input_ends_in_one_error_line(tmp_path, capsys, case):
     ("graph-huge-integer", "line 2: invalid JSON: Exceeds the limit (4300 digits)"),
     ("script-huge-integer", "bad script rule on line 1: Exceeds the limit (4300 digits)"),
     ("document-huge-integer", "deep-doc.jsonl:1: bad document record: Exceeds the limit"),
+    ("script-lone-surrogate",
+     "bad script rule on line 2: field 'response' holds a lone surrogate"),
+    ("document-lone-surrogate",
+     "surrogate-doc.jsonl:1: bad document record: doc_id or text holds a lone surrogate"),
+    ("ingest-graph-edited-label", "graph.jsonl fails its audit: "),
     *((f"graph-row-{kind}", message) for kind, message in _BAD_ROW_MESSAGES.items()),
 ])
 def test_bad_edge_ids_are_named(tmp_path, capsys, case, message):
@@ -978,6 +1065,37 @@ def _edit_first_node_label(graph_path):
     kind, node_id, label = json.loads(lines[0])
     lines[0] = json.dumps([kind, node_id, label + " (edited)"])
     graph_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+def test_ingest_refuses_a_graph_with_a_label_edited_by_hand(tmp_path, capsys):
+    """Upserting the original label would hash to the edited node's id and
+    silently revert the edit; ``ingest`` audits the graph it loads, as
+    ``index`` does, and writes nothing."""
+    argv = _ingest_into_a_graph_with_an_edited_label(tmp_path)
+    graph_path = Path(argv[argv.index("--graph") + 1])
+    edited = graph_path.read_bytes()
+    capsys.readouterr()
+    assert main(argv) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == (f"error: graph file {graph_path} fails its audit: "
+                   f"{err.split(': ', 2)[2]}")
+    assert len(err.splitlines()) == 1 and "id is not the hash of its content" in err
+    assert graph_path.read_bytes() == edited
+    assert sorted(p.name for p in tmp_path.iterdir() if p.name.startswith("graph")) == \
+        ["graph.jsonl"]
+
+
+def test_eval_skips_a_dataset_line_with_a_lone_surrogate(tmp_path, capsys):
+    """A question holding an escaped lone surrogate is skipped as a
+    malformed line; the other questions are scored."""
+    argv = ["eval", _dataset(tmp_path)] + _query_args(tmp_path)
+    with open(argv[1], "a", encoding="utf-8") as f:
+        f.write(json.dumps({"id": "q2", "question": "Who\ud800?", "answers": ["x"]}) + "\n")
+    capsys.readouterr()
+    assert main(argv) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert (report["aggregate"]["n"], report["skipped_lines"]) == (1, 1)
 
 
 def test_index_refuses_a_label_edited_by_hand(tmp_path, capsys):

@@ -29,16 +29,11 @@ from kgrag import (
     parse_triple,
     save_index,
 )
-from kgrag.embedding import (
-    DEFAULT_DIM,
-    INDEX_FORMAT,
-    KIND_HYPERNODE_ENTRY,
-    KIND_NODE,
-    KIND_RELATIONSHIP,
-)
+from kgrag.embedding import DEFAULT_DIM, INDEX_FORMAT
 from kgrag.llm import RETRY_BASE_DELAY_S
 from embedding_oracle import (
     index_entries,
+    index_from_matrix,
     index_matrix,
     older_index_file,
     oracle_embed,
@@ -169,36 +164,52 @@ def sample_graph() -> KnowledgeGraph:
 
 
 def test_index_graph_covers_nodes_and_labels():
-    index = index_graph(sample_graph(), EMBEDDER)
-    # 4 nodes (one of them the hypernode) + 3 distinct relationship labels
-    assert len(index) == 7
+    graph = sample_graph()
+    index = index_graph(graph, EMBEDDER)
+    # 4 nodes (one of them the hypernode), then 3 distinct relationship labels
+    assert (len(index), index.nodes) == (7, 4)
+    assert [node.kind for node in graph.nodes].count("hypernode") == 1
     entries = index_entries(index)
-    kinds = sorted(e.kind for e in entries)
-    assert kinds.count("node") == 3
-    assert kinds.count("hypernode") == 1
-    assert kinds.count("relationship_label") == 3
-    rel_texts = {e.text for e in entries if e.kind == KIND_RELATIONSHIP}
-    assert rel_texts == {"is creator of", "created", "in"}
+    assert {e.ref_id for e in entries[:4]} == {node.id for node in graph.nodes}
+    assert {e.text for e in entries[4:]} == {"is creator of", "created", "in"}
     # structural edge labels are never indexed
     assert not any(e.text.startswith("_") for e in entries)
 
 
+# A row's kind in the tests' own rows: the index keeps no kind, only how
+# many of its entries, the first ones, are nodes.
+_NODE, _LABEL = "node", "label"
+
+
 def _index(rows, embedder) -> EmbeddingIndex:
-    """An index over ``(ref_id, kind, text, vector)`` rows."""
+    """An index over ``(ref_id, kind, text, vector)`` rows, the node rows
+    before the label rows."""
+    nodes = [row[1] for row in rows].count(_NODE)
+    assert all(row[1] == _NODE for row in rows[:nodes])
     matrix = np.array([vector for *_, vector in rows]).reshape(len(rows), embedder.dim)
-    return EmbeddingIndex([IndexEntry(*row[:3]) for row in rows], matrix, embedder)
+    return index_from_matrix([row[0] for row in rows], [row[2] for row in rows], nodes, matrix,
+                             embedder)
 
 
-def test_index_entry_validation():
-    with pytest.raises(ValueError):
-        IndexEntry("x", "mystery", "text")
+def _nodes_first(rows: list[tuple]) -> list[tuple]:
+    """``rows`` with the node rows before the label rows, each in its order."""
+    return sorted(rows, key=lambda row: row[1] == _LABEL)
+
+
+def test_an_index_entry_is_its_id_and_text():
+    entry = IndexEntry("x", "Some  Text")
+    assert entry == IndexEntry("x", "Some  Text")
+    assert hash(entry) == hash(IndexEntry("x", "Some  Text"))
+    assert entry not in (IndexEntry("x", "some text"), IndexEntry("y", "Some  Text"))
+    with pytest.raises(TypeError):
+        IndexEntry("x", "node", "text")
 
 
 def test_index_entry_canonical_is_computed_once_when_read(monkeypatch):
     calls = []
     monkeypatch.setattr("kgrag.embedding.normalize_label",
                         lambda text: calls.append(text) or text.lower())
-    entry = IndexEntry("n1", KIND_NODE, "Alpha  Beta")
+    entry = IndexEntry("n1", "Alpha  Beta")
     assert calls == []
     assert entry.canonical == entry.canonical == "alpha  beta"
     assert calls == ["Alpha  Beta"]
@@ -214,12 +225,13 @@ def test_search_returns_scored_entries():
 
 
 def test_search_kind_filter():
-    index = index_graph(sample_graph(), EMBEDDER)
+    graph = sample_graph()
+    index = index_graph(graph, EMBEDDER)
     only_nodes = index.search("created", k=10)
-    assert sorted(e.kind for e, _ in only_nodes) == ["hypernode", "node", "node", "node"]
+    assert sorted(e.ref_id for e, _ in only_nodes) == sorted(node.id for node in graph.nodes)
     only_rels = index.search("created", k=10, labels=["in", "is creator of", "created"])
     assert only_rels[0][0].text == "created"
-    assert {e.kind for e, _ in only_rels} == {KIND_RELATIONSHIP}
+    assert {e.ref_id for e, _ in only_rels} == {"in", "is creator of", "created"}
 
 
 def test_search_k_bounds():
@@ -233,9 +245,9 @@ def test_search_k_bounds():
 def test_search_tie_break_is_canonical_ascending():
     vector = HashingEmbedder(dim=8).embed("shared")
     rows = [
-        ("n3", KIND_NODE, "delta", vector),
-        ("n1", KIND_NODE, "beta", vector),
-        ("n2", KIND_NODE, "alpha", vector),
+        ("n3", _NODE, "delta", vector),
+        ("n1", _NODE, "beta", vector),
+        ("n2", _NODE, "alpha", vector),
     ]
     index = _index(rows, HashingEmbedder(dim=8))
     results = index.search("shared", k=3)
@@ -249,7 +261,7 @@ def test_search_matches_brute_force_oracle():
     labels = sorted({"".join(rng.choice(alphabet) for _ in range(rng.randint(3, 12))).strip()
                      for _ in range(80)} - {""})
     vectors = [EMBEDDER.embed(label) for label in labels]
-    index = _index([(f"id{i}", KIND_NODE, label, vector)
+    index = _index([(f"id{i}", _NODE, label, vector)
                     for i, (label, vector) in enumerate(zip(labels, vectors))], EMBEDDER)
     entries = index_entries(index)
     for _ in range(25):
@@ -271,10 +283,10 @@ def test_search_matches_brute_force_oracle():
 def test_search_keeps_ties_at_the_cutoff():
     small = HashingEmbedder(dim=8)
     tied = small.embed("shared")
-    rows = [("top", KIND_NODE, "shared", tied)] + [
-        (f"t{i}", KIND_NODE, label, tied)
+    rows = [("top", _NODE, "shared", tied)] + [
+        (f"t{i}", _NODE, label, tied)
         for i, label in enumerate(["echo", "Delta", "bravo", "charlie", "alpha"])
-    ] + [("far", KIND_NODE, "zzzz", small.embed("zzzz"))]
+    ] + [("far", _NODE, "zzzz", small.embed("zzzz"))]
     index = _index(rows, small)
     # six rows tie for first; the cut at k=3 falls inside the tie
     got = [e.text for e, _ in index.search("shared", k=3)]
@@ -282,7 +294,7 @@ def test_search_keeps_ties_at_the_cutoff():
 
 
 _SEARCH_BASES = ["shared", "alpha", "beta gamma", "married to", "zz", "q"]
-_SEARCH_KINDS = (KIND_NODE, KIND_HYPERNODE_ENTRY, KIND_RELATIONSHIP)
+_SEARCH_KINDS = (_NODE, _LABEL)
 _SMALL = HashingEmbedder(dim=8)
 
 
@@ -315,7 +327,7 @@ def _tied_rows(draw) -> list[tuple]:
     """Groups of ``(ref_id, kind, text, vector)`` rows sharing one vector
     under distinct labels; labels from a tiny alphabet, so canonical texts
     also collide across groups. Each row has its own ref_id, as each
-    relationship label has one entry."""
+    relationship label has one entry. The node rows come first."""
     labels = st.text(alphabet="abAB ", min_size=1, max_size=3).filter(str.strip)
     rows = []
     for base in draw(st.lists(st.sampled_from(_SEARCH_BASES), max_size=8)):
@@ -323,7 +335,7 @@ def _tied_rows(draw) -> list[tuple]:
         for label in draw(st.lists(labels, min_size=1, max_size=4, unique=True)):
             kind = draw(st.sampled_from(_SEARCH_KINDS))
             rows.append((f"r{len(rows)}", kind, label, vector))
-    return rows
+    return _nodes_first(rows)
 
 
 def _check_ranking(index, tied_rows, query, k, rows, got, whole) -> None:
@@ -346,7 +358,7 @@ def _check_ranking(index, tied_rows, query, k, rows, got, whole) -> None:
 def test_search_matches_sorting_every_row(tied_rows, query, data):
     k = data.draw(st.integers(1, len(tied_rows) + 2), label="k")
     index = _index(tied_rows, _ZeroQueryEmbedder(dim=8))
-    rows = [i for i, row in enumerate(tied_rows) if row[1] != KIND_RELATIONSHIP]
+    rows = [i for i, row in enumerate(tied_rows) if row[1] == _NODE]
     got = index.search(query, k)
     whole = dict(index.search(query, len(tied_rows) + 1))
     _check_ranking(index, tied_rows, query, k, rows, got, whole)
@@ -356,7 +368,7 @@ def test_search_matches_sorting_every_row(tied_rows, query, data):
 @given(_tied_rows(), st.sampled_from(_SEARCH_QUERIES), st.data())
 def test_label_search_matches_sorting_every_row(tied_rows, query, data):
     index = _index(tied_rows, _ZeroQueryEmbedder(dim=8))
-    label_rows = {row[0]: i for i, row in enumerate(tied_rows) if row[1] == KIND_RELATIONSHIP}
+    label_rows = {row[0]: i for i, row in enumerate(tied_rows) if row[1] == _LABEL}
     labels = data.draw(st.lists(st.sampled_from(sorted(label_rows)), min_size=1, max_size=6)
                        if label_rows else st.just([]), label="labels")
     if data.draw(st.integers(0, 3), label="stray") == 0:
@@ -410,6 +422,7 @@ def test_scores_are_the_left_sum_to_the_bit(dim, data):
         kind = data.draw(st.sampled_from(_SEARCH_KINDS), label="kind")
         text = data.draw(st.text(alphabet="abAB ", min_size=1, max_size=3).filter(str.strip))
         rows.append((f"r{i}", kind, text, vector / np.linalg.norm(vector)))
+    rows = _nodes_first(rows)
     query = data.draw(vectors, label="query")
     embedder = _TableEmbedder(query)
     built = _index(rows, embedder)
@@ -425,8 +438,8 @@ def test_scores_are_the_left_sum_to_the_bit(dim, data):
     def searched(index, k, labels=None) -> list[tuple[str, bytes]]:
         return [(entry.ref_id, _bits(score)) for entry, score in index.search("q", k, labels)]
 
-    nodes = [i for i, row in enumerate(rows) if row[1] != KIND_RELATIONSHIP]
-    labels = [i for i, row in enumerate(rows) if row[1] == KIND_RELATIONSHIP]
+    nodes = [i for i, row in enumerate(rows) if row[1] == _NODE]
+    labels = [i for i, row in enumerate(rows) if row[1] == _LABEL]
     k = data.draw(st.integers(1, len(rows)), label="k")
     wanted = data.draw(st.lists(st.sampled_from(labels), min_size=1) if labels
                        else st.just([]), label="wanted")
@@ -442,7 +455,7 @@ def test_label_search_ranks_only_the_given_labels():
     assert [e.text for e, _ in got] == ["created", "in"]
     assert index.search("created", k=10, labels=["in", "in"]) == got[1:]
     assert index.search("created", k=10, labels=[]) == []
-    node_id = next(e.ref_id for e in index_entries(index) if e.kind == KIND_NODE)
+    node_id = index.ref_ids[0]
     with pytest.raises(StaleIndexError, match=repr(node_id)):
         index.search("created", k=10, labels=[node_id])
     with pytest.raises(StaleIndexError, match="'is created of'"):
@@ -453,7 +466,7 @@ def test_label_search_ties_keep_entry_order():
     small = HashingEmbedder(dim=8)
     vector = small.embed("same")
     texts = ["same", "SAME", "Same", "sAme", "saMe", "samE"] * 3
-    index = _index([(f"r{i}", KIND_RELATIONSHIP, text, vector) for i, text in enumerate(texts)],
+    index = _index([(f"r{i}", _LABEL, text, vector) for i, text in enumerate(texts)],
                    small)
     # Rows 16 and 14 lie in a Python set in that order.
     for rows in (list(reversed(range(6))), [16, 14], [17, 9, 1]):
@@ -462,33 +475,36 @@ def test_label_search_ties_keep_entry_order():
 
 
 def test_index_refuses_a_second_entry_for_one_label():
-    entries = [IndexEntry("in", KIND_RELATIONSHIP, "in"), IndexEntry("n1", KIND_NODE, "in"),
-               IndexEntry("in", KIND_RELATIONSHIP, "IN")]
-    matrix = np.stack([_SMALL.embed(e.text) for e in entries])
+    """A node may share a label's id, and a label its text; two labels may
+    not share an id."""
+    rows = [(ref_id, kind, text, _SMALL.embed(text))
+            for ref_id, kind, text in [("in", _NODE, "in"), ("in", _LABEL, "in"),
+                                       ("in", _LABEL, "IN")]]
     with pytest.raises(ValueError, match="entry 3: second entry for relationship label 'in'"):
-        EmbeddingIndex(entries, matrix, _SMALL)
-    assert len(EmbeddingIndex(entries[:2], matrix[:2], _SMALL)) == 2
+        _index(rows, _SMALL)
+    assert len(_index(rows[:2], _SMALL)) == 2
 
 
 def test_index_refuses_a_matrix_without_one_row_per_entry():
-    entries = [IndexEntry("a", KIND_NODE, "a"), IndexEntry("b", KIND_NODE, "b")]
+    """The tests' dense builder refuses a matrix whose rows are not the
+    entries'."""
     for matrix in (np.zeros((3, 8)), np.zeros((0, 8)), np.zeros(2), np.zeros((2, 8, 1))):
         with pytest.raises(ValueError, match="matrix of shape"):
-            EmbeddingIndex(entries, matrix, _SMALL)
+            index_from_matrix(["a", "b"], ["a", "b"], 2, matrix, _SMALL)
 
 
 def test_index_searches_the_matrix_it_was_given():
-    entries = [IndexEntry("a", KIND_NODE, "alpha"), IndexEntry("b", KIND_NODE, "beta")]
     matrix = np.stack([_SMALL.embed("alpha"), _SMALL.embed("beta")])
     for given in (matrix, np.asfortranarray(matrix)):
-        index = EmbeddingIndex(entries, given, _SMALL)
+        index = index_from_matrix(["a", "b"], ["alpha", "beta"], 2, given, _SMALL)
         assert index_matrix(index).tobytes() == matrix.tobytes()
         assert [e.ref_id for e, _ in index.search("beta", k=1)] == ["b"]
 
 
 def test_search_refuses_a_query_of_another_width():
     index = index_graph(sample_graph(), HashingEmbedder(dim=8))
-    other = EmbeddingIndex(index_entries(index), index_matrix(index), HashingEmbedder(dim=4))
+    other = EmbeddingIndex(index.ref_ids, index.texts, index.nodes, index.dim, *index.stored(),
+                           HashingEmbedder(dim=4))
     with pytest.raises(StaleIndexError, match=r"shape \(4,\) .* dim 8"):
         other.search("Family Guy", k=3)
     with pytest.raises(StaleIndexError):
@@ -496,8 +512,9 @@ def test_search_refuses_a_query_of_another_width():
 
 
 def test_empty_index_searches_empty():
-    index = EmbeddingIndex([], np.zeros((0, DEFAULT_DIM)), EMBEDDER)
+    index = index_from_matrix([], [], 0, np.zeros((0, DEFAULT_DIM)), EMBEDDER)
     assert index.search("anything", k=5) == []
+    assert index.search("anything", k=5, labels=[]) == []
     assert len(index) == 0
 
 
@@ -521,33 +538,30 @@ def test_save_load_roundtrip(tmp_path):
     save_index(index, path)
     loaded = load_index(path, EMBEDDER)
     assert len(loaded) == len(index)
-    for original, restored in zip(index_entries(index), index_entries(loaded)):
-        assert (original.ref_id, original.kind, original.text) == \
-            (restored.ref_id, restored.kind, restored.text)
+    assert loaded.nodes == index.nodes == 4
+    assert index_entries(loaded) == index_entries(index)
     assert np.allclose(index_matrix(index), index_matrix(loaded))
     query = "Family Guy"
     assert [(e.ref_id, pytest.approx(s)) for e, s in index.search(query, 5)] == \
         [(e.ref_id, s) for e, s in loaded.search(query, 5)]
 
 
-def test_loaded_kinds_are_the_module_constants(tmp_path):
-    """A loaded index holds each entry's kind as the module's own string,
-    not one decoded copy per entry; its file and its searches are those of
-    the index it was saved from."""
+def test_a_loaded_index_keeps_its_node_count(tmp_path):
+    """A loaded index has the entries and the node count of the index it
+    was saved from; its file and its searches, of nodes and of labels, are
+    that index's."""
     index = index_graph(sample_graph(), EMBEDDER)
     path = tmp_path / "index.bin"
     save_index(index, path)
     loaded = load_index(path, EMBEDDER)
-    constants = (KIND_NODE, KIND_HYPERNODE_ENTRY, KIND_RELATIONSHIP)
-    assert {kind for kind in index.kinds} == set(constants)
-    assert all(any(kind is constant for constant in constants) for kind in loaded.kinds)
-    assert loaded.kinds == index.kinds
+    assert (loaded.ref_ids, loaded.texts, loaded.nodes) == (index.ref_ids, index.texts, 4)
     again = io.BytesIO()
     save_index(loaded, again)
     assert again.getvalue() == path.read_bytes()
     for query in ("Family Guy", "created", "Seth"):
-        assert [(e.ref_id, e.kind, s) for e, s in loaded.search(query, 5)] == \
-            [(e.ref_id, e.kind, s) for e, s in index.search(query, 5)]
+        assert loaded.search(query, 5) == index.search(query, 5)
+        assert loaded.search(query, 5, labels=index.ref_ids[4:]) == \
+            index.search(query, 5, labels=index.ref_ids[4:])
 
 
 def _width(bound: int) -> np.dtype:
@@ -581,14 +595,13 @@ def test_saved_rows_are_sparse():
     buffer = io.BytesIO()
     save_index(index, buffer)
     header, arrays = _read_saved(buffer.getvalue())
-    assert list(header) == ["dim", "embedder", "format", "ids", "kinds", "size", "table",
+    assert list(header) == ["dim", "embedder", "format", "ids", "nodes", "size", "table",
                             "texts"]
     assert header["dim"] == DEFAULT_DIM and header["format"] == INDEX_FORMAT
     assert header["embedder"] == "hashing/256" == EMBEDDER.identity
     entries = index_entries(index)
     assert header["ids"] == [e.ref_id for e in entries]
-    assert header["kinds"] == "".join({"node": "n", "hypernode": "h",
-                                       "relationship_label": "r"}[e.kind] for e in entries)
+    assert header["nodes"] == index.nodes == 4
     assert header["texts"] == [e.text for e in entries]
     sizes, columns, values = arrays["sizes"], arrays["columns"], arrays["values"]
     assert header["size"] == len(columns) == sum(sizes)
@@ -621,7 +634,7 @@ def _unit_rows(draw) -> tuple[int, list[tuple]]:
         kind = draw(st.sampled_from(_SEARCH_KINDS))
         text = draw(st.text(min_size=1, max_size=6).filter(str.strip))
         rows.append((f"id{i}", kind, text, vector / norm))
-    return dim, rows
+    return dim, _nodes_first(rows)
 
 
 @settings(max_examples=200, deadline=None)
@@ -634,8 +647,8 @@ def test_save_load_reproduces_rows_and_matrix(dim_and_rows):
     first = io.BytesIO()
     save_index(index, first)
     loaded = load_index(io.BytesIO(first.getvalue()), embedder)
-    assert [(e.ref_id, e.kind, e.text) for e in index_entries(loaded)] == \
-        [(e.ref_id, e.kind, e.text) for e in entries]
+    assert index_entries(loaded) == entries
+    assert loaded.nodes == index.nodes
     if entries:
         # Bytes, not ``np.array_equal``, so that -0.0 and 0.0 differ.
         assert index_matrix(loaded).tobytes() == index_matrix(index).tobytes()
@@ -688,7 +701,7 @@ def test_index_holds_each_vector_once(tmp_path):
     # Each stored column of the node and of the label inverted file is a
     # view of its positions and one of its values: at most 4 × dim views.
     views = 4 * DEFAULT_DIM * sys.getsizeof(np.zeros(2)[:1])
-    lists = (loaded.ref_ids, loaded.kinds, loaded.texts)
+    lists = (loaded.ref_ids, loaded.texts)
     list_bytes = sum(map(sys.getsizeof, lists))
     # The built index shares its strings with the graph; the loaded one
     # decoded its own.
@@ -716,7 +729,7 @@ def test_index_graph_embeds_in_the_same_batches():
 
 def test_save_load_keeps_negative_zero():
     embedder = HashingEmbedder(dim=3)
-    index = _index([("a", KIND_NODE, "a", np.array([-0.0, 1.0, 0.0]))], embedder)
+    index = _index([("a", _NODE, "a", np.array([-0.0, 1.0, 0.0]))], embedder)
     buffer = io.BytesIO()
     save_index(index, buffer)
     _, arrays = _read_saved(buffer.getvalue())
@@ -725,18 +738,15 @@ def test_save_load_keeps_negative_zero():
     assert np.signbit(vector).tolist() == [True, False, False]
 
 
-def _row(ref_id="x", kind="node", text="a", columns=(0,), values=(1.0,)) -> tuple:
+def _row(ref_id="x", kind=_NODE, text="a", columns=(0,), values=(1.0,)) -> tuple:
     return ref_id, kind, text, list(columns), list(values)
-
-
-_KIND_CHARACTERS = {KIND_NODE: "n", KIND_HYPERNODE_ENTRY: "h", KIND_RELATIONSHIP: "r"}
 
 
 def _index_file(rows: list[tuple], header: dict | None = None, arrays: dict | None = None,
                 tail: bytes = b"", table: bool = False) -> bytes:
-    """An index file at dim 2 holding ``rows`` of :func:`_row`, a kind
-    written as its character (any other kind as it is given), with raw
-    values or, with ``table``, a table of the distinct values and codes.
+    """An index file at dim 2 holding ``rows`` of :func:`_row`, its
+    ``nodes`` the number of node rows, with raw values or, with ``table``,
+    a table of the distinct values and codes.
     ``header`` fields and whole ``arrays`` (by name, as an array, written
     as its own bytes whatever its dtype, or as raw bytes) replace the ones
     built from the rows; an array's width follows the header's ``dim``,
@@ -744,8 +754,7 @@ def _index_file(rows: list[tuple], header: dict | None = None, arrays: dict | No
     values = np.array([v for row in rows for v in row[4]], dtype="<f8")
     patterns = np.unique(values.view("<u8"))
     fields = {"dim": 2, "embedder": None, "format": INDEX_FORMAT,
-              "ids": [row[0] for row in rows],
-              "kinds": "".join(_KIND_CHARACTERS.get(row[1], row[1]) for row in rows),
+              "ids": [row[0] for row in rows], "nodes": [row[1] for row in rows].count(_NODE),
               "size": len(values), "table": len(patterns) if table else None,
               "texts": [row[2] for row in rows], **(header or {})}
 
@@ -803,25 +812,38 @@ def test_load_rejects_non_unit_vector():
 
 
 def test_load_refuses_a_second_entry_for_one_label():
-    label = _row("in", kind=KIND_RELATIONSHIP)
+    label = _row("in", kind=_LABEL)
     with pytest.raises(IndexFormatError,
                        match="second entry for relationship label 'in'") as exc_info:
-        _load_bytes(_index_file([label, _row("g1"), label]))
+        _load_bytes(_index_file([_row("g1"), label, label]))
     assert exc_info.value.entry == 3
-    assert len(_load_bytes(_index_file([label, _row("in")]))) == 2
+    assert len(_load_bytes(_index_file([_row("in"), label]))) == 2
 
 
-def test_load_rejects_unknown_kind():
-    with pytest.raises(IndexFormatError, match="unknown kind 'm'") as exc_info:
-        _load_bytes(_index_file([_row(kind="m")]))
-    assert exc_info.value.entry == 1
+def test_load_splits_the_entries_at_nodes():
+    """The first ``nodes`` entries are searched as nodes and the rest as
+    labels, for any count from none to all of them; one more is refused."""
+    rows = [_row("a"), _row("b", columns=[1]), _row("c")]
+    for nodes in range(len(rows) + 1):
+        index = _load_bytes(_index_file(rows, header={"nodes": nodes}))
+        assert index.nodes == nodes
+        assert {e.ref_id for e, _ in index.search("a", k=3)} == set("abc"[:nodes])
+        labels = list("abc"[nodes:])
+        assert {e.ref_id for e, _ in index.search("a", k=3, labels=labels)} == set(labels)
+        if nodes:
+            with pytest.raises(StaleIndexError, match="no index entry for relationship label"):
+                index.search("a", k=3, labels=["a"])
+    with pytest.raises(IndexFormatError, match="^nodes 4 is more than the 3 entries$") as exc_info:
+        _load_bytes(_index_file(rows, header={"nodes": 4}))
+    assert exc_info.value.entry is None
 
 
 def test_load_rejects_missing_field():
     complete = _index_file([_row()])
     header = json.loads(complete.split(b"\n", 1)[0])
     for field, message in [("dim", "dim None"), ("ids", "ids is not a list"),
-                           ("kinds", "kinds is not a str"), ("texts", "texts is not a list"),
+                           ("nodes", "nodes None is not a count"),
+                           ("texts", "texts is not a list"),
                            ("size", "size None is not a count"),
                            ("table", "table None is not a count"),
                            ("format", "older index format")]:
@@ -892,8 +914,16 @@ def _utf16_header(data: bytes) -> bytes:
     return (header + b"\n").decode("utf-8").encode("utf-16-be") + arrays
 
 
-def _with_entry_2(ref_id="x", kind="n", text="a") -> dict:
-    return {"ids": ["g1", ref_id, "g2"], "kinds": "n" + kind + "n", "texts": ["a", text, "a"]}
+def _with_entry_2(ref_id="x", text="a") -> dict:
+    return {"ids": ["g1", ref_id, "g2"], "texts": ["a", text, "a"]}
+
+
+def _without(field: str) -> bytes:
+    """A good index file whose header lacks ``field``."""
+    line, arrays = _around().split(b"\n", 1)
+    header = json.loads(line)
+    del header[field]
+    return json.dumps(header).encode("utf-8") + b"\n" + arrays
 
 
 @pytest.mark.parametrize("data, message, entry", [
@@ -903,17 +933,22 @@ def _with_entry_2(ref_id="x", kind="n", text="a") -> dict:
     (b'{"dim": 2, "indices": [0], "kind": "node", "ref_id": "x", "text": "a", '
      b'"values": [1.0]}\n', "older index format \\(run index again\\)", None),
     (_around(header={"format": "kgrag-index/1"}), "unknown index format 'kgrag-index/1'", None),
-    (_around(header={"format": "kgrag-index/3"}),
-     "unknown index format 'kgrag-index/3' \\(run index again\\)$", None),
+    (_around(header={"format": "kgrag-index/4"}),
+     "unknown index format 'kgrag-index/4' \\(run index again\\)$", None),
     (_around(header={"dim": True}), "positive", None),
     (_around(header={"dim": "2"}), "positive", None),
     (_around(header={"ids": {"x": 1}}), "ids is not a list", None),
     (_around(header=_with_entry_2(ref_id=7)), "id or text is not a string", 2),
     (_around(header=_with_entry_2(text=None)), "id or text is not a string", 2),
-    (_around(header={"kinds": "nn"}), "^3 ids, 2 kinds and 3 texts$", None),
-    (_around(header={"texts": ["a", "a", "a", "b"]}), "^3 ids, 3 kinds and 4 texts$", None),
-    (_around(header={"kinds": ["n", "n", "n"]}), "kinds is not a str", None),
-    (_around(header=_with_entry_2(kind="m")), "unknown kind 'm'", 2),
+    (_around(header={"texts": ["a", "a"]}), "^3 ids and 2 texts$", None),
+    (_around(header={"texts": ["a", "a", "a", "b"]}), "^3 ids and 4 texts$", None),
+    (_around(header={"ids": "g1 x g2"}), "^ids is not a list$", None),
+    (_without("nodes"), "^nodes None is not a count$", None),
+    (_around(header={"nodes": -1}), "^nodes -1 is not a count$", None),
+    (_around(header={"nodes": True}), "^nodes True is not a count$", None),
+    (_around(header={"nodes": 2.0}), "^nodes 2.0 is not a count$", None),
+    (_around(header={"nodes": "3"}), "^nodes '3' is not a count$", None),
+    (_around(header={"nodes": 4}), "^nodes 4 is more than the 3 entries$", None),
     (b"[" * 100_000 + b"\n", "header is not JSON", None),
     (_around(header={"format": "kgrag-index/2"}),
      "unknown index format 'kgrag-index/2' \\(run index again\\)$", None),
@@ -927,7 +962,8 @@ def _with_entry_2(ref_id="x", kind="n", text="a") -> dict:
     (_around(header={"texts": "aaa"}), "texts is not a list", None),
 ], ids=["not-utf8", "utf16", "older-sparse", "unknown-format", "previous-format",
         "bool-dim", "string-dim", "entries-not-list", "number-ref-id", "null-text",
-        "two-strings", "four-strings", "string-entry", "unknown-kind", "deep-nesting",
+        "two-strings", "four-strings", "string-entry", "missing-nodes", "negative-nodes",
+        "bool-nodes", "float-nodes", "string-nodes", "nodes-above-entries", "deep-nesting",
         "format-2", "number-embedder", "other-embedder", "negative-size", "bool-size",
         "float-table", "string-texts"])
 def test_load_refuses_a_bad_header(data, message, entry):
@@ -1018,7 +1054,7 @@ def test_a_large_dim_holds_nothing_per_component():
     10**6 load holding less than their dense matrix would, and search."""
     dim = 10 ** 6
     rows = [_row("g1"), _row("g2", columns=[dim - 1]),
-            _row("in", kind=KIND_RELATIONSHIP, text="in", columns=[5])]
+            _row("in", kind=_LABEL, text="in", columns=[5])]
     data = _index_file(rows, header={"dim": dim})
     index, held, _ = _traced(lambda: load_index(io.BytesIO(data), HashingEmbedder(dim)))
     assert held < 3 * dim * 8
@@ -1032,7 +1068,8 @@ def _dense(index: EmbeddingIndex, seed: int = 0) -> EmbeddingIndex:
     rotation: dense unit rows of many distinct values, as from an HTTP
     embedder."""
     rotation = np.linalg.qr(np.random.default_rng(seed).standard_normal((index.dim,) * 2))[0]
-    return EmbeddingIndex(index_entries(index), index_matrix(index) @ rotation, index.embedder)
+    return index_from_matrix(index.ref_ids, index.texts, index.nodes,
+                             index_matrix(index) @ rotation, index.embedder)
 
 
 def _small_saved_index(dense: bool = False) -> tuple[bytes, HashingEmbedder]:
@@ -1050,8 +1087,8 @@ def _assert_sound(index: EmbeddingIndex, embedder: HashingEmbedder) -> None:
     """``index`` passes every check :func:`load_index` makes."""
     matrix, entries = index_matrix(index), index_entries(index)
     assert matrix.shape == (len(index), embedder.dim)
-    assert all(type(f) is str for e in entries for f in (e.ref_id, e.kind, e.text))
-    assert {e.kind for e in entries} <= set(_SEARCH_KINDS)
+    assert all(type(f) is str for e in entries for f in (e.ref_id, e.text))
+    assert 0 <= index.nodes <= len(index)
     assert np.isfinite(matrix).all()
     assert np.allclose(np.linalg.norm(matrix, axis=1), 1.0, rtol=0, atol=1e-6)
 
@@ -1089,15 +1126,13 @@ _NEGATIVE_ZEROS = st.lists(st.integers(0, 7), max_size=3)
 @st.composite
 def _drawn_index(draw) -> EmbeddingIndex:
     """Hashing rows of drawn texts, or those rows densely rotated; either
-    with some zero components drawn as -0.0."""
+    with some zero components drawn as -0.0. Any number of the entries,
+    from none to all, are nodes."""
     embedder = HashingEmbedder(dim=draw(st.sampled_from([1, 2, 8, 16])))
     texts = draw(st.lists(st.text(alphabet="abcde ()-\u00e9", min_size=1, max_size=12)
                           .filter(str.strip), min_size=1, max_size=40))
-    kinds = draw(st.lists(st.sampled_from(_SEARCH_KINDS), min_size=len(texts),
-                          max_size=len(texts)))
-    entries = [IndexEntry(f"id{i}", kind, text) for i, (kind, text) in enumerate(zip(kinds, texts))
-               if kind != KIND_RELATIONSHIP or texts.index(text) == i]
-    matrix = embedder.embed_batch([entry.text for entry in entries])
+    nodes = draw(st.integers(0, len(texts)), label="nodes")
+    matrix = embedder.embed_batch(texts)
     if draw(st.booleans()):
         rotation = np.linalg.qr(np.random.default_rng(draw(st.integers(0, 99)))
                                 .standard_normal((embedder.dim,) * 2))[0]
@@ -1105,7 +1140,8 @@ def _drawn_index(draw) -> EmbeddingIndex:
     for row, column in zip(draw(_NEGATIVE_ZEROS), draw(_NEGATIVE_ZEROS)):
         if row < len(matrix) and column < embedder.dim and matrix[row, column] == 0.0:
             matrix[row, column] = -0.0
-    return EmbeddingIndex(entries, matrix, embedder)
+    return index_from_matrix([f"id{i}" for i in range(len(texts))], texts, nodes, matrix,
+                             embedder)
 
 
 @settings(max_examples=300, deadline=None)
@@ -1117,8 +1153,8 @@ def test_save_load_save_is_byte_identical(index):
     first = io.BytesIO()
     save_index(index, first)
     loaded = load_index(io.BytesIO(first.getvalue()), index.embedder)
-    assert (loaded.ref_ids, loaded.kinds, loaded.texts) == (index.ref_ids, index.kinds,
-                                                            index.texts)
+    assert (loaded.ref_ids, loaded.texts, loaded.nodes) == (index.ref_ids, index.texts,
+                                                            index.nodes)
     for got, want in zip(loaded.stored(), index.stored()):
         assert got.tolist() == want.tolist()
     assert loaded.stored()[2].tobytes() == index.stored()[2].tobytes()

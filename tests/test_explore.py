@@ -42,7 +42,6 @@ from kgrag import (
     save_index,
 )
 import kgrag.explore
-from kgrag.embedding import KIND_RELATIONSHIP
 from kgrag.prompts import EVALUATE_SYSTEM, PLAN_SYSTEM, REFINE_PREAMBLE
 from kgrag.explore import (
     EmptySelection,
@@ -78,7 +77,6 @@ from coe_fixtures import (
     refinement_fixture,
     taylor_fixture,
 )
-from embedding_oracle import index_entries, index_matrix
 from graph_oracle import find_node
 from http_stub import stub_server
 
@@ -261,7 +259,7 @@ def test_node_candidates_rank_matching_label_first():
     results = index.search(_STEP1, 10)
     assert results[0][0].text == "Elizabeth Taylor"
     assert len(results) == 10
-    assert all(entry.kind in ("node", "hypernode") for entry, _ in results)
+    assert {entry.ref_id for entry, _ in results} <= set(index.ref_ids[:index.nodes])
 
 
 def test_relationship_candidates_are_distinct_outgoing_labels():
@@ -326,7 +324,7 @@ def test_relationship_candidates_match_brute_force(facts, instruction, m, data):
     shown: dict[str, str] = {}
     for edge in edges:
         shown.setdefault(normalize_label(edge.label), edge.label)
-    indexed = {e.ref_id: e.text for e in index_entries(index) if e.kind == KIND_RELATIONSHIP}
+    indexed = dict(zip(index.ref_ids[index.nodes:], index.texts[index.nodes:]))
     canonicals = sorted(shown)
     scores = embedder.embed_batch([indexed[c] for c in canonicals]) @ embedder.embed(instruction)
     order = sorted(range(len(canonicals)), key=lambda i: (-scores[i], canonicals[i]))
@@ -460,7 +458,8 @@ class CountingEmbedder:
 def test_relationship_step_embeds_once_and_scans_once(monkeypatch):
     graph, index, rules = taylor_fixture()
     embedder = CountingEmbedder()
-    engine = CoEngine(graph, EmbeddingIndex(index_entries(index), index_matrix(index), embedder),
+    engine = CoEngine(graph, EmbeddingIndex(index.ref_ids, index.texts, index.nodes, index.dim,
+                                            *index.stored(), embedder),
                       ScriptedProvider(rules))
     state = TraversalState()
     engine.explore_nodes(state, ExplorationStep(1, NODE, _STEP1), TAYLOR_QUESTION)

@@ -163,6 +163,22 @@ def test_script_jsonl_rejects_bad_lines(tmp_path):
         ScriptedProvider.from_jsonl(path)
 
 
+@pytest.mark.parametrize("field", ["tag", "match_substring", "response"])
+def test_script_jsonl_refuses_a_lone_surrogate(tmp_path, field):
+    """An escaped lone surrogate, which UTF-8 cannot encode, is refused on
+    load; an escaped pair is one character and loads."""
+    rule = {"tag": "plan", "match_substring": "who", "response": "NODE: Alice \U0001f600"}
+    path = tmp_path / "script.jsonl"
+    path.write_text(json.dumps(rule) + "\n" + json.dumps({**rule, field: "Alice\ud800"}) + "\n",
+                    encoding="utf-8")
+    assert "\\ud800" in path.read_text(encoding="utf-8")
+    with pytest.raises(ValueError, match=f"^bad script rule on line 2: field '{field}' "
+                                         "holds a lone surrogate$"):
+        ScriptedProvider.from_jsonl(path)
+    path.write_text(json.dumps(rule) + "\n", encoding="utf-8")
+    assert ScriptedProvider.from_jsonl(path).complete(req("who")).content == rule["response"]
+
+
 # ------------------------------------------------------------------- HTTP
 
 def _chat_body(content: str) -> dict:
@@ -304,6 +320,18 @@ def test_http_provider_does_not_retry_malformed_body():
         with pytest.raises(ProviderError):
             HttpChatProvider(url, retries=2).complete(req("hi"))
     assert state["calls"] == 1
+
+
+@pytest.mark.parametrize("content", ["NODE: Alice\udc80", "\ud800", "a\udfffb"])
+def test_http_provider_refuses_a_lone_surrogate_in_the_reply(content):
+    """The stub escapes the reply's lone surrogate as JSON does; the reply
+    is refused once, with no retry."""
+    with stub_server(lambda payload, headers: (200, _chat_body(content))) as (url, captured):
+        with pytest.raises(ProviderError, match="holds a lone surrogate"):
+            HttpChatProvider(url, retries=2).complete(req("hi"))
+    assert len(captured) == 1
+    with stub_server(lambda payload, headers: (200, _chat_body("\U0001f600"))) as (url, _):
+        assert HttpChatProvider(url).complete(req("hi")).content == "\U0001f600"
 
 
 def test_http_provider_retries_connection_errors():

@@ -4,6 +4,7 @@ invariants that must hold for any prediction/gold pair."""
 from __future__ import annotations
 
 import collections
+import json
 import random
 import string
 
@@ -320,3 +321,17 @@ def test_load_dataset_skips_bad_lines(tmp_path):
     assert len(problems) == 2
     assert problems[0].startswith("line 2")
     assert problems[1].startswith("line 3")
+
+
+def test_load_dataset_skips_a_line_with_a_lone_surrogate(tmp_path):
+    """A line whose id, question or answer holds an escaped lone surrogate
+    is skipped as a problem; an escaped pair is one character and loads."""
+    good = {"id": "q1", "question": "Who? \U0001f600", "answers": ["Michael Wilding"]}
+    lines = [good, {**good, "id": "q\ud800"}, {**good, "question": "Who\udc80?"},
+             {**good, "answers": ["x", "Mich\udfffael"]}]
+    path = tmp_path / "dataset.jsonl"
+    path.write_text("".join(json.dumps(line) + "\n" for line in lines), encoding="utf-8")
+    examples, problems = load_dataset(path)
+    assert [(e.id, e.question) for e in examples] == [("q1", "Who? \U0001f600")]
+    assert problems == [f"line {n}: id, question or an answer holds a lone surrogate"
+                        for n in (2, 3, 4)]
